@@ -2,14 +2,17 @@
 
 Mirrors the qualitative behavior of a production VBR rate controller:
 per-frame bit targets proportional to first-pass frame weights with strong
-boosts for key and alternate-reference frames, realized frame by frame via a
-binary search over QP, with the remaining budget recomputed after every
-frame so the episode closes on its total budget.
+boosts for key and alternate-reference frames, realized frame by frame by
+trial-encoding every QP at once and taking the largest one that still
+spends the target, with the remaining budget recomputed after every frame
+so the episode closes on its total budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import simenc
 from .simenc import (
@@ -20,7 +23,6 @@ from .simenc import (
     FrameType,
     GopPlan,
     Observation,
-    QP_MAX,
     RewardConfig,
     SyntheticVideo,
     encode_frame,
@@ -46,15 +48,12 @@ class BaselineConfig:
     alt_ref_boost: float = 3.0
     inter_boost: float = 1.0
     recompute_budget: bool = True
-    max_search_iters: int = 16
 
     def __post_init__(self) -> None:
         if self.key_boost < 1.0 or self.alt_ref_boost < 1.0:
             raise ValueError("KEY and ALT_REF boosts must be >= 1")
         if self.inter_boost != 1.0:
             raise ValueError("INTER boost is fixed at 1")
-        if self.max_search_iters < 8:
-            raise ValueError("binary search needs at least 8 iterations for 256 QPs")
 
 
 def _boost(config: BaselineConfig, frame_type: FrameType) -> float:
@@ -94,39 +93,21 @@ def qp_for_target_bits(
     gop: GopPlan,
     state: EncodeState,
     target_bits: float,
-    config: BaselineConfig = BaselineConfig(),
     model: EncoderModel = DEFAULT_MODEL,
 ) -> int:
-    """Binary-search the QP whose trial encode meets ``target_bits``.
+    """The largest QP whose trial encode still spends ``target_bits``.
 
-    Frame bits are nonincreasing in QP, so the search finds the largest QP
-    still spending at least the target (the least-overspending choice; exact
-    hits resolve to the highest QP achieving them). Clamps to 0 when even
-    the finest quantizer cannot reach the target and to 255 when the
-    coarsest one already exceeds it. Trial encodes never commit ``state``.
+    Trial-encodes all 256 QPs in one vector. Frame bits are nonincreasing
+    in QP, so the QPs reaching the target form a prefix and the answer is
+    its last element: the least-overspending choice, with exact hits
+    resolving to the highest QP achieving them. Clamps to 0 when even the
+    finest quantizer cannot reach the target and to 255 when the coarsest
+    one already exceeds it. Trial encodes never commit ``state``.
     """
     if target_bits <= 0:
         raise ValueError("target_bits must be positive")
-
-    def trial(qp: int) -> float:
-        bits, _, _ = encode_frame(video, gop, state, qp, model)
-        return bits
-
-    if trial(0) < target_bits:
-        return 0
-    if trial(QP_MAX) >= target_bits:
-        return QP_MAX
-    # Invariant: bits(lo) >= target > bits(hi).
-    lo, hi = 0, QP_MAX
-    for _ in range(config.max_search_iters):
-        if hi - lo <= 1:
-            break
-        mid = (lo + hi) // 2
-        if trial(mid) >= target_bits:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    bits, _ = simenc.encode_all_qps(video, gop, state, model)
+    return max(0, int(np.count_nonzero(bits >= target_bits)) - 1)
 
 
 class BaselinePolicy:
@@ -165,9 +146,7 @@ class BaselinePolicy:
             remaining_budget = self._budget - self._state.cum_bits
             remaining_weight = sum(self._targets[t:])
             target = max(1.0, self._targets[t] * remaining_budget / remaining_weight)
-        qp = qp_for_target_bits(
-            self._video, self._gop, self._state, target, self._config, self._model
-        )
+        qp = qp_for_target_bits(self._video, self._gop, self._state, target, self._model)
         _, _, self._state = encode_frame(self._video, self._gop, self._state, qp, self._model)
         return qp
 

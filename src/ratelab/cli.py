@@ -165,11 +165,14 @@ def _run_es_tasks(tasks: list[tuple], workers: int) -> list[teacher.TeacherRecor
     return [teacher.record_from_dict(d) for d in dicts]
 
 
-def _es_seed(master: int, vi: int, bi: int) -> int:
-    return int(
-        np.random.SeedSequence(entropy=master, spawn_key=(vi, bi)).generate_state(
-            1, dtype=np.uint64
-        )[0]
+def _es_payload(args, vi: int, video: simenc.SyntheticVideo, bi: int, target: float) -> tuple:
+    cfg = _es_config_from_args(args, teacher.es_task_seed(args.seed, vi, bi))
+    return (
+        simenc.video_to_record(video),
+        target,
+        dataclasses.asdict(cfg),
+        args.gop_interval,
+        cfg.drift_bound,
     )
 
 
@@ -177,19 +180,11 @@ def cmd_run_es(args) -> int:
     out = _out_dir(args)
     videos = simenc.load_corpus(_require(args.corpus))
     targets = _parse_floats(args.targets)
-    tasks = []
-    for vi, video in enumerate(videos):
-        for bi, target in enumerate(targets):
-            cfg = _es_config_from_args(args, _es_seed(args.seed, vi, bi))
-            tasks.append(
-                (
-                    simenc.video_to_record(video),
-                    target,
-                    dataclasses.asdict(cfg),
-                    args.gop_interval,
-                    cfg.drift_bound,
-                )
-            )
+    tasks = [
+        _es_payload(args, vi, video, bi, target)
+        for vi, video in enumerate(videos)
+        for bi, target in enumerate(targets)
+    ]
     records = _run_es_tasks(tasks, args.workers)
     n = teacher.save_teacher_dataset(out / "es_records.jsonl", records)
     _write_manifest(out, "run-es", args)
@@ -201,24 +196,11 @@ def cmd_build_dataset(args) -> int:
     out = _out_dir(args)
     videos = simenc.load_corpus(_require(args.corpus))
     lo, hi = _parse_floats(args.bitrate_range)
-    tasks = []
-    for vi, video in enumerate(videos):
-        video_seq = np.random.SeedSequence(entropy=args.seed, spawn_key=(vi,))
-        rng = np.random.Generator(np.random.PCG64(video_seq))
-        targets = sorted(
-            float(t) for t in rng.uniform(lo, hi, size=args.per_video)
-        )
-        for bi, target in enumerate(targets):
-            cfg = _es_config_from_args(args, _es_seed(args.seed, vi, bi))
-            tasks.append(
-                (
-                    simenc.video_to_record(video),
-                    target,
-                    dataclasses.asdict(cfg),
-                    args.gop_interval,
-                    cfg.drift_bound,
-                )
-            )
+    tasks = [
+        _es_payload(args, vi, video, bi, target)
+        for vi, video in enumerate(videos)
+        for bi, target in enumerate(teacher.sample_targets(args.seed, vi, args.per_video, lo, hi))
+    ]
     records = _run_es_tasks(tasks, args.workers)
     n = teacher.save_teacher_dataset(out / "teacher.jsonl", records)
     _write_manifest(out, "build-dataset", args)

@@ -10,7 +10,6 @@ actions.
 
 from __future__ import annotations
 
-import datetime as _dt
 import json
 import math
 from dataclasses import dataclass, field
@@ -112,7 +111,6 @@ class BoundsModel:
     upper: LogBound
     target_bitrate_kbps: float
     quantiles: tuple[float, float]
-    fit_date: str = ""
 
     def validate(self, grid_points: int = 201, end_gap_frac: float = 0.10) -> None:
         xs = np.linspace(0.0, 1.0, grid_points)
@@ -232,7 +230,6 @@ def fit_bounds(
         upper=upper,
         target_bitrate_kbps=target_bitrate_kbps,
         quantiles=(lo_q, hi_q),
-        fit_date=_dt.date.today().isoformat(),
     )
     model.validate(end_gap_frac=2.0 * end_tolerance)
     return model
@@ -369,7 +366,6 @@ def save_bounds(path: str | Path, model: BoundsModel) -> None:
         "schema": BOUNDS_SCHEMA,
         "target_bitrate_kbps": model.target_bitrate_kbps,
         "quantiles": list(model.quantiles),
-        "fit_date": model.fit_date,
         "lower": dict(zip("a1 a2 a3 a4 a5".split(), model.lower.coefficients())),
         "upper": dict(zip("a1 a2 a3 a4 a5".split(), model.upper.coefficients())),
     }
@@ -385,5 +381,4 @@ def load_bounds(path: str | Path) -> BoundsModel:
         upper=LogBound(**doc["upper"]),
         target_bitrate_kbps=doc["target_bitrate_kbps"],
         quantiles=tuple(doc["quantiles"]),
-        fit_date=doc.get("fit_date", ""),
     )

@@ -270,12 +270,19 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
     return Tensor(out_data, parents=_tracked((x, gain, bias)), backward=backward)
 
 
-def rel_bias_matrix(table: Tensor, length: int, radius: int) -> Tensor:
-    """Build a (length, length) bias with entry [i, j] = table[i - j + radius]."""
-    if length - 1 > radius:
-        raise ValueError(f"sequence length {length} exceeds relative radius {radius}")
+def relative_offsets(length: int, radius: int) -> np.ndarray:
+    """(length, length) indices ``clip(i - j, -radius, radius) + radius``.
+
+    Offsets beyond the radius share the table entry at the radius (Shaw et
+    al. 2018), so any sequence length is accepted.
+    """
     idx = np.arange(length)
-    offsets = idx[:, None] - idx[None, :] + radius
+    return np.clip(idx[:, None] - idx[None, :], -radius, radius) + radius
+
+
+def rel_bias_matrix(table: Tensor, length: int, radius: int) -> Tensor:
+    """Build a (length, length) bias with entry [i, j] = table[clip(i - j) + radius]."""
+    offsets = relative_offsets(length, radius)
     out_data = table.data[offsets]
 
     def backward(g):

@@ -20,7 +20,7 @@ from .autodiff import Tensor
 __all__ = ["ArchConfig", "PRESETS", "PolicyParams", "forward", "ForwardResult"]
 
 N_QP = 256
-REL_RADIUS = 256  # supports episodes up to 257 frames
+REL_RADIUS = 256  # offsets farther apart than this share the edge bias entry
 
 
 @dataclass(frozen=True)

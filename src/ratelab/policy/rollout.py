@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from ..simenc import Observation
+from .autodiff import relative_offsets
 from .features import FeatureSpec, build_features
 from .network import REL_RADIUS, PolicyParams
 
@@ -27,9 +28,6 @@ def _np(params: PolicyParams, name: str) -> np.ndarray:
 def eval_transformer(params: PolicyParams, fp_norm: np.ndarray) -> np.ndarray:
     """Evaluation-mode per-frame embeddings (T, dh); no dropout."""
     a = params.arch
-    T = fp_norm.shape[0]
-    if T - 1 > REL_RADIUS:
-        raise ValueError(f"episode length {T} exceeds relative radius {REL_RADIUS}")
     gain, bias = _np(params, "ln_gain"), _np(params, "ln_bias")
     mu = fp_norm.mean(axis=1, keepdims=True)
     xc = fp_norm - mu
@@ -38,8 +36,7 @@ def eval_transformer(params: PolicyParams, fp_norm: np.ndarray) -> np.ndarray:
     q = x @ _np(params, "attn_wq") + _np(params, "attn_bq")
     k = x @ _np(params, "attn_wk") + _np(params, "attn_bk")
     v = x @ _np(params, "attn_wv") + _np(params, "attn_bv")
-    idx = np.arange(T)
-    offsets = idx[:, None] - idx[None, :] + REL_RADIUS
+    offsets = relative_offsets(fp_norm.shape[0], REL_RADIUS)
     scale = 1.0 / math.sqrt(a.dk)
     heads = []
     rel = _np(params, "rel_bias")

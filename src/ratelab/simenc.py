@@ -16,6 +16,16 @@ where ``E`` is the frame's effective prediction-error energy (which for
 inter-coded frames includes a fraction of the reference frames' distortion,
 creating the long-horizon coupling), ``Q`` the quantizer step size and
 ``gain = rd_gain * n_blocks * rate_multiplier``.
+
+Every encode runs through one kernel, ``_encode_step``, which computes one
+frame element-wise over rows of QPs and reference states from per-frame
+constants cached on the video. ``encode_batch`` loops it over the frames of
+B whole episodes at once (ES populations); ``encode_frame`` and
+``replay_qp_sequence`` are its one-row cases and ``encode_all_qps`` its
+256-QP trial encode (the baseline's QP search). The kernel takes its
+logarithm with ``math.log2`` element by element, because numpy's
+vectorized ``log2`` can differ from it in the last bit and teacher labels
+are verified by exact replay.
 """
 
 from __future__ import annotations
@@ -50,7 +60,10 @@ __all__ = [
     "quantizer_step",
     "rate_distortion",
     "encode_frame",
+    "encode_batch",
+    "encode_all_qps",
     "episode_reward",
+    "batch_rewards",
     "step_reward",
     "run_episode",
     "replay_qp_sequence",
@@ -495,7 +508,7 @@ class EncodeState:
     d_last: float = 0.0
     d_golden: float = 0.0
     cum_bits: float = 0.0
-    history: tuple[tuple[int, float, float], ...] = ()  # (qp, bits, mse)
+    last: tuple[int, float, float] = (-1, 0.0, 0.0)  # (qp, bits, mse) of the previous frame
 
 
 def quantizer_step(qp: int) -> float:
@@ -523,17 +536,115 @@ def rate_distortion(
     return bits, mse
 
 
-def _frame_energy(
-    latent: FrameLatent, frame_type: FrameType, state: EncodeState, model: EncoderModel
-) -> float:
-    if frame_type is FrameType.KEY:
-        return latent.intra_energy + latent.noise_energy
-    d_ref = model.ref_mix_last * state.d_last + model.ref_mix_golden * state.d_golden
-    return (
-        latent.inter_fraction * latent.intra_energy
-        + latent.noise_energy
-        + model.error_propagation * d_ref
+# Saturation distortion ``Q^2 / 12`` of every QP, as ``rate_distortion`` computes it.
+_QP_MSE_CAP = np.array([q * q / 12.0 for q in _QP_STEPS])
+
+
+@dataclass(frozen=True)
+class _FrameConstants:
+    """Per-frame encoder constants of one (video, gop, model), as (T,) arrays."""
+
+    gop: GopPlan
+    model: EncoderModel
+    key_energy: np.ndarray      # intra + noise energy of a KEY frame
+    inter_energy: np.ndarray    # inter_fraction * intra + noise, before reference error
+    gain: np.ndarray
+    header: np.ndarray
+    key: np.ndarray             # KEY frames ignore the reference state
+    golden_reset: np.ndarray    # KEY and ALT_REF frames refresh the golden slot
+
+
+def _frame_constants(
+    video: SyntheticVideo, gop: GopPlan, model: EncoderModel
+) -> _FrameConstants:
+    """The per-frame constants of (video, gop, model), cached on the video.
+
+    The cache is for the last (gop, model) pair used, compared by identity;
+    it holds both, so their ids cannot be reused while it does.
+    """
+    cached = video.__dict__.get("_frame_constants")
+    if cached is not None and cached.gop is gop and cached.model is model:
+        return cached
+    if len(gop.frame_types) != video.num_frames:
+        raise ConfigError(
+            f"GOP plans {len(gop.frame_types)} frames, video has {video.num_frames}"
+        )
+    n_blocks = video.n_blocks
+    cached = _FrameConstants(
+        gop=gop,
+        model=model,
+        key_energy=np.array([f.intra_energy + f.noise_energy for f in video.frames]),
+        inter_energy=np.array(
+            [f.inter_fraction * f.intra_energy + f.noise_energy for f in video.frames]
+        ),
+        gain=np.array([model.rd_gain * n_blocks * f.rate_multiplier for f in video.frames]),
+        header=np.array([model.header_bits(ft, n_blocks) for ft in gop.frame_types]),
+        key=np.array([ft is FrameType.KEY for ft in gop.frame_types]),
+        golden_reset=np.array([ft is not FrameType.INTER for ft in gop.frame_types]),
     )
+    # A cache, not a field: equality, replace() and persistence ignore it.
+    object.__setattr__(video, "_frame_constants", cached)
+    return cached
+
+
+def _encode_step(
+    c: _FrameConstants,
+    t: int,
+    mse_cap: np.ndarray,
+    d_last: np.ndarray,
+    d_golden: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The encoder kernel: bits and MSE of frame ``t``, element-wise.
+
+    ``mse_cap`` holds ``Q^2 / 12`` of the QPs being encoded, one per row;
+    it broadcasts against the (rows,) or (1,) reference state
+    ``d_last``/``d_golden``. Its arithmetic is that of ``rate_distortion``,
+    operation for operation, so results are bitwise equal to it.
+    """
+    if c.key[t]:
+        energy = c.key_energy[t]
+    else:
+        m = c.model
+        d_ref = m.ref_mix_last * d_last + m.ref_mix_golden * d_golden
+        energy = c.inter_energy[t] + m.error_propagation * d_ref
+    mse = np.minimum(energy, mse_cap)
+    # energy / mse >= 1, so the log is never negative. It is math.log2, not
+    # np.log2, for the reason the module docstring gives.
+    ratio = (energy / mse).tolist()
+    log2 = np.fromiter(map(math.log2, ratio), np.float64, len(ratio))
+    bits = c.header[t] + c.gain[t] * (0.5 * log2)
+    return bits, mse
+
+
+def encode_batch(
+    video: SyntheticVideo,
+    gop: GopPlan,
+    qps,
+    model: EncoderModel = DEFAULT_MODEL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encode B whole episodes at once: ``qps`` (B, T) -> (bits, mse), each (B, T).
+
+    Loops over frames and vectorizes over rows; row i is bitwise equal to
+    encoding ``qps[i]`` frame by frame with ``encode_frame``.
+    """
+    qps = np.asarray(qps)
+    if qps.ndim != 2 or qps.shape[1] != video.num_frames:
+        raise EpisodeError(f"need (B, {video.num_frames}) QPs, got shape {qps.shape}")
+    if qps.dtype.kind not in "iu":
+        raise TypeError(f"qps must be integers, got dtype {qps.dtype}")
+    if qps.size and (qps.min() < 0 or qps.max() > QP_MAX):
+        raise ValueError(f"qps must be in [0, {QP_MAX}]")
+    c = _frame_constants(video, gop, model)
+    caps = _QP_MSE_CAP[qps.T]                   # (T, B), one row per frame
+    bits = np.empty(caps.shape)
+    mse = np.empty(caps.shape)
+    d_last = d_golden = np.zeros(qps.shape[0])
+    for t in range(video.num_frames):
+        bits[t], mse[t] = _encode_step(c, t, caps[t], d_last, d_golden)
+        d_last = mse[t]
+        if c.golden_reset[t]:
+            d_golden = d_last
+    return bits.T, mse.T
 
 
 def encode_frame(
@@ -551,22 +662,41 @@ def encode_frame(
     t = state.cursor
     if t >= video.num_frames:
         raise EpisodeError(f"episode ended at frame {video.num_frames}, cannot encode frame {t}")
-    q = quantizer_step(qp)
-    latent = video.frames[t]
-    frame_type = gop.frame_types[t]
-    energy = _frame_energy(latent, frame_type, state, model)
-    gain = model.rd_gain * video.n_blocks * latent.rate_multiplier
-    bits, mse = rate_distortion(energy, q, gain, model.header_bits(frame_type, video.n_blocks))
-
-    d_golden = mse if frame_type in (FrameType.KEY, FrameType.ALT_REF_HIDDEN) else state.d_golden
+    quantizer_step(qp)  # validates qp
+    c = _frame_constants(video, gop, model)
+    b, m = _encode_step(
+        c, t, _QP_MSE_CAP[qp : qp + 1], np.array([state.d_last]), np.array([state.d_golden])
+    )
+    bits, mse = float(b[0]), float(m[0])
     next_state = EncodeState(
         cursor=t + 1,
         d_last=mse,
-        d_golden=d_golden,
+        d_golden=mse if c.golden_reset[t] else state.d_golden,
         cum_bits=state.cum_bits + bits,
-        history=state.history + ((int(qp), bits, mse),),
+        last=(int(qp), bits, mse),
     )
     return bits, mse, next_state
+
+
+def encode_all_qps(
+    video: SyntheticVideo,
+    gop: GopPlan,
+    state: EncodeState,
+    model: EncoderModel = DEFAULT_MODEL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trial-encode the frame at the state's cursor with every QP 0..255.
+
+    Returns (bits, mse), each (256,) and indexed by QP; entry ``qp`` is
+    bitwise equal to ``encode_frame(video, gop, state, qp)``. Does not
+    advance ``state``.
+    """
+    t = state.cursor
+    if t >= video.num_frames:
+        raise EpisodeError(f"episode ended at frame {video.num_frames}, cannot encode frame {t}")
+    c = _frame_constants(video, gop, model)
+    return _encode_step(
+        c, t, _QP_MSE_CAP, np.array([state.d_last]), np.array([state.d_golden])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -635,14 +765,18 @@ def psnr_from_mse(mean_mse: float) -> float:
     return 10.0 * math.log10(255.0 * 255.0 / mean_mse)
 
 
+def _reward(psnr_db: float, bitrate_kbps: float, reward_config: RewardConfig) -> float:
+    overshoot = max(0.0, bitrate_kbps - reward_config.bitrate_target_kbps)
+    return psnr_db - reward_config.penalty_per_kbps * overshoot
+
+
 def episode_reward(trace: EpisodeTrace, reward_config: RewardConfig) -> float:
     """Terminal reward: PSNR - penalty * max(0, bitrate - target)."""
     if len(trace.qps) != trace.num_frames:
         raise EpisodeError(
             f"incomplete trace: {len(trace.qps)} of {trace.num_frames} frames encoded"
         )
-    overshoot = max(0.0, trace.bitrate_kbps - reward_config.bitrate_target_kbps)
-    return trace.psnr_db - reward_config.penalty_per_kbps * overshoot
+    return _reward(trace.psnr_db, trace.bitrate_kbps, reward_config)
 
 
 def step_reward(step_index: int, trace: EpisodeTrace, reward_config: RewardConfig) -> float:
@@ -654,6 +788,15 @@ def step_reward(step_index: int, trace: EpisodeTrace, reward_config: RewardConfi
     return episode_reward(trace, reward_config)
 
 
+def _quality_and_rate(
+    video: SyntheticVideo, gop: GopPlan, bits: Sequence[float], mses: Sequence[float]
+) -> tuple[float, float]:
+    """(PSNR over shown frames, bitrate in kbps) of one episode's frames."""
+    bitrate_kbps = math.fsum(bits) / video.duration / 1000.0
+    show_mses = [m for m, s in zip(mses, gop.show) if s]
+    return psnr_from_mse(math.fsum(show_mses) / len(show_mses)), bitrate_kbps
+
+
 def _finalize_trace(
     video: SyntheticVideo,
     gop: GopPlan,
@@ -663,11 +806,7 @@ def _finalize_trace(
     mses: Sequence[float],
     reward_config: RewardConfig | None,
 ) -> EpisodeTrace:
-    total_bits = math.fsum(bits)
-    bitrate_kbps = total_bits / video.duration / 1000.0
-    show_mses = [m for m, s in zip(mses, gop.show) if s]
-    psnr = psnr_from_mse(math.fsum(show_mses) / len(show_mses))
-    cfg = reward_config or RewardConfig(bitrate_target_kbps=target_bitrate_kbps)
+    psnr, bitrate_kbps = _quality_and_rate(video, gop, bits, mses)
     trace = EpisodeTrace(
         video_id=video.video_id,
         num_frames=video.num_frames,
@@ -680,7 +819,31 @@ def _finalize_trace(
         bitrate_kbps=bitrate_kbps,
         reward=0.0,
     )
+    cfg = reward_config or RewardConfig(bitrate_target_kbps=target_bitrate_kbps)
     return replace(trace, reward=episode_reward(trace, cfg))
+
+
+def batch_rewards(
+    video: SyntheticVideo,
+    gop: GopPlan,
+    bits: np.ndarray,
+    mses: np.ndarray,
+    target_bitrate_kbps: float,
+    reward_config: RewardConfig | None = None,
+) -> np.ndarray:
+    """Terminal rewards of the rows of an ``encode_batch`` result, shape (B,).
+
+    Row i equals the ``reward`` of the trace that replaying row i builds:
+    the reductions are the same exact ``math.fsum`` sums.
+    """
+    cfg = reward_config or RewardConfig(bitrate_target_kbps=target_bitrate_kbps)
+    return np.array(
+        [
+            _reward(*_quality_and_rate(video, gop, b.tolist(), m.tolist()), cfg)
+            for b, m in zip(bits, mses)
+        ],
+        dtype=np.float64,
+    )
 
 
 def run_episode(
@@ -701,7 +864,7 @@ def run_episode(
     bits: list[float] = []
     mses: list[float] = []
     for t in range(video.num_frames):
-        prev_qp, prev_bits, prev_mse = (-1, 0.0, 0.0) if t == 0 else state.history[-1]
+        prev_qp, prev_bits, prev_mse = state.last
         obs = Observation(
             width=video.width,
             height=video.height,
@@ -737,19 +900,16 @@ def replay_qp_sequence(
 ) -> EpisodeTrace:
     """Encode a fixed QP sequence without building observations.
 
-    Produces bit-identical results to ``run_episode`` with a callback that
-    replays the same QPs; this is the hot path for search.
+    A one-row ``encode_batch``: the same kernel as ``encode_frame``, so the
+    trace is bitwise equal to ``run_episode`` with a callback that replays
+    the same QPs.
     """
     if len(qps) != video.num_frames:
         raise EpisodeError(f"need {video.num_frames} QPs, got {len(qps)}")
-    state = EncodeState()
-    bits: list[float] = []
-    mses: list[float] = []
-    for qp in qps:
-        b, m, state = encode_frame(video, gop, state, qp, model)
-        bits.append(b)
-        mses.append(m)
-    return _finalize_trace(video, gop, target_bitrate_kbps, qps, bits, mses, reward_config)
+    bits, mses = encode_batch(video, gop, [qps], model)
+    return _finalize_trace(
+        video, gop, target_bitrate_kbps, qps, bits[0].tolist(), mses[0].tolist(), reward_config
+    )
 
 
 # ---------------------------------------------------------------------------

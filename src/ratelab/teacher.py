@@ -33,6 +33,8 @@ __all__ = [
     "es_step",
     "run_es",
     "TeacherConfig",
+    "es_task_seed",
+    "sample_targets",
     "build_teacher_dataset",
     "save_teacher_dataset",
     "load_teacher_dataset",
@@ -81,6 +83,7 @@ class EsState:
     step: int
     best_reward: float
     best_qps: np.ndarray            # rounded integer sequence of the best candidate
+    lead_best: float | None = None  # best_reward after this step's lead row, if it had one
 
 
 def _round_clamp(theta: np.ndarray) -> np.ndarray:
@@ -90,29 +93,40 @@ def _round_clamp(theta: np.ndarray) -> np.ndarray:
 def es_step(
     state: EsState,
     config: EsConfig,
-    reward_fn: Callable[[np.ndarray], float],
+    reward_fn: Callable[[np.ndarray], np.ndarray | float],
     noise_batch: np.ndarray,
+    lead: np.ndarray | None = None,
 ) -> EsState:
     """One ES update from an injected batch of Gaussian perturbations.
 
     ``noise_batch`` has shape (batch_size, T). Candidates are rounded and
-    clamped to valid QPs before evaluation; rewards are reduced in
-    perturbation order, so the update is deterministic given the noise.
+    clamped to valid QPs and scored in one call: ``reward_fn`` maps a
+    (rows, T) integer array to one reward per row, and a scalar reward is
+    broadcast to every row. ``lead``, when given, is one more QP row scored
+    in the same call ahead of the candidates; it competes for best-so-far
+    first and takes no part in the update, and ``lead_best`` of the result
+    is the best reward right after it. Rewards are reduced in perturbation
+    order, so the update is deterministic given the noise.
     """
     noise = np.asarray(noise_batch, dtype=np.float64)
     if noise.shape != (config.batch_size, state.theta.size):
         raise ValueError(
             f"noise batch shape {noise.shape} != {(config.batch_size, state.theta.size)}"
         )
+    rows = _round_clamp(state.theta + config.sigma * noise)
+    if lead is not None:
+        rows = np.vstack([lead, rows])
+    scored = np.broadcast_to(np.asarray(reward_fn(rows), dtype=np.float64), len(rows))
     best_reward = state.best_reward
     best_qps = state.best_qps
-    rewards = np.empty(config.batch_size)
-    for i in range(config.batch_size):
-        candidate = _round_clamp(state.theta + config.sigma * noise[i])
-        rewards[i] = reward_fn(candidate)
-        if rewards[i] > best_reward:
-            best_reward = float(rewards[i])
-            best_qps = candidate
+    lead_best = None
+    for i, reward in enumerate(scored):
+        if reward > best_reward:
+            best_reward = float(reward)
+            best_qps = rows[i]
+        if i == 0 and lead is not None:
+            lead_best = best_reward
+    rewards = scored if lead is None else scored[1:]
     alpha = config.step_learning_rate(state.step)
     if config.fitness_shaping == "centered_rank":
         # Scale-free weights in [-0.5, 0.5]; the raw rule keeps reward units.
@@ -122,7 +136,10 @@ def es_step(
         weights = rewards
     update = alpha / (config.batch_size * config.sigma) * (weights @ noise)
     theta = np.clip(state.theta + update, 0.0, float(simenc.QP_MAX))
-    return EsState(theta=theta, step=state.step + 1, best_reward=best_reward, best_qps=best_qps)
+    return EsState(
+        theta=theta, step=state.step + 1, best_reward=best_reward, best_qps=best_qps,
+        lead_best=lead_best,
+    )
 
 
 @dataclass(frozen=True)
@@ -167,11 +184,9 @@ def run_es(
         reward_config=reward_config,
     )
 
-    def reward_fn(qps: np.ndarray) -> float:
-        trace = simenc.replay_qp_sequence(
-            video, gop, [int(q) for q in qps], target_bitrate_kbps, reward_config
-        )
-        return trace.reward
+    def reward_fn(qps: np.ndarray) -> np.ndarray:
+        bits, mse = simenc.encode_batch(video, gop, qps)
+        return simenc.batch_rewards(video, gop, bits, mse, target_bitrate_kbps, reward_config)
 
     theta0 = np.asarray(base_trace.qps, dtype=np.float64)
     state = EsState(
@@ -182,15 +197,20 @@ def run_es(
     )
     rng = np.random.Generator(np.random.PCG64(config.seed))
     history = []
+    # Each step's rounded mean is scored too: it averages out the
+    # perturbation noise and yields smoother, easier-to-imitate labels. It
+    # rides ahead of the next step's population in the same batch.
+    mean_qps = None
     for _ in range(config.max_steps):
         noise = _draw_noise(rng, config, state.theta.size)
-        state = es_step(state, config, reward_fn, noise)
-        # Also evaluate the rounded mean itself: it averages out the
-        # perturbation noise and yields smoother, easier-to-imitate labels.
+        state = es_step(state, config, reward_fn, noise, lead=mean_qps)
+        if mean_qps is not None:
+            history.append(state.lead_best)
         mean_qps = _round_clamp(state.theta)
-        mean_reward = reward_fn(mean_qps)
+    if mean_qps is not None:
+        mean_reward = float(reward_fn(mean_qps[None])[0])
         if mean_reward > state.best_reward:
-            state = replace(state, best_reward=float(mean_reward), best_qps=mean_qps)
+            state = replace(state, best_reward=mean_reward, best_qps=mean_qps)
         history.append(state.best_reward)
 
     best_qps = tuple(int(q) for q in state.best_qps)
@@ -277,6 +297,21 @@ def record_from_result(
     )
 
 
+def es_task_seed(master_seed: int, video_index: int, target_index: int) -> int:
+    """ES seed of one (video, target) task, derived from the master seed."""
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(video_index, target_index))
+    return int(seq.generate_state(1, dtype=np.uint64)[0])
+
+
+def sample_targets(
+    master_seed: int, video_index: int, count: int, lo_kbps: float, hi_kbps: float
+) -> list[float]:
+    """``count`` target bitrates for one video, uniform in [lo, hi], ascending."""
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(video_index,))
+    rng = np.random.Generator(np.random.PCG64(seq))
+    return sorted(float(t) for t in rng.uniform(lo_kbps, hi_kbps, size=count))
+
+
 def build_teacher_dataset(
     videos: Sequence[SyntheticVideo], config: TeacherConfig = TeacherConfig()
 ) -> list[TeacherRecord]:
@@ -284,17 +319,12 @@ def build_teacher_dataset(
     records = []
     for vi, video in enumerate(videos):
         gop = simenc.plan_gop(video, config.gop_interval)
-        video_seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(vi,))
-        rng = np.random.Generator(np.random.PCG64(video_seq))
-        targets = rng.uniform(
-            config.bitrate_min_kbps, config.bitrate_max_kbps, size=config.bitrates_per_video
+        targets = sample_targets(
+            config.seed, vi, config.bitrates_per_video,
+            config.bitrate_min_kbps, config.bitrate_max_kbps,
         )
-        for bi, target in enumerate(sorted(float(t) for t in targets)):
-            es_seed = int(
-                np.random.SeedSequence(entropy=config.seed, spawn_key=(vi, bi))
-                .generate_state(1, dtype=np.uint64)[0]
-            )
-            es_config = replace(config.es, seed=es_seed)
+        for bi, target in enumerate(targets):
+            es_config = replace(config.es, seed=es_task_seed(config.seed, vi, bi))
             result = run_es(video, target, es_config, gop)
             records.append(record_from_result(video, result, gop, config.es.drift_bound))
     return records

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ratelab import simenc
+
+# Property tests run the same examples on every run and never time out, so
+# tier-1 stays reproducible on slow or loaded machines.
+settings.register_profile(
+    "ratelab", derandomize=True, deadline=None, max_examples=40, database=None
+)
+settings.load_profile("ratelab")
 
 # Short videos keep the suites fast; the encoder model is scale-free in T.
 FAST_CONFIG = simenc.VideoConfig(num_frames_min=40, num_frames_max=60)

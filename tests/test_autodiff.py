@@ -114,10 +114,19 @@ def test_rel_bias_matrix_gather_scatter(rng):
     check_grad(loss, [table], rng)
 
 
-def test_rel_bias_matrix_radius_guard(rng):
-    table = Tensor(rng.normal(size=(11,)))
-    with pytest.raises(ValueError):
-        ad.rel_bias_matrix(table, 8, 5)
+def test_rel_bias_matrix_clips_beyond_radius(rng):
+    table = Tensor(rng.normal(size=(11,)), requires_grad=True)
+    w = Tensor(rng.normal(size=(8, 8)))
+
+    def loss():
+        return ad.sum_all(ad.mul(ad.rel_bias_matrix(table, 8, 5), w))
+
+    out = ad.rel_bias_matrix(table, 8, 5)
+    # Offsets beyond the radius share the edge entries of the table.
+    for i in range(8):
+        for j in range(8):
+            assert out.data[i, j] == table.data[min(max(i - j, -5), 5) + 5]
+    check_grad(loss, [table], rng)
 
 
 def test_cross_entropy_matches_manual(rng):

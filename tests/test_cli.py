@@ -134,6 +134,31 @@ def test_build_dataset_and_workers_match(tmp_path, corpus_dir):
     assert len(records) == 3
 
 
+def test_build_dataset_matches_library(tmp_path, corpus_dir):
+    """The subcommand and ``teacher.build_teacher_dataset`` seed ES tasks alike."""
+    out = tmp_path / "cli"
+    args = [
+        "build-dataset",
+        "--corpus",
+        str(corpus_dir / "corpus.jsonl"),
+        "--per-video",
+        "2",
+        "--steps",
+        "2",
+        "--seed",
+        "9",
+        "--out",
+        str(out),
+    ]
+    assert run(args) == 0
+    config = teacher.TeacherConfig(
+        bitrates_per_video=2, es=teacher.EsConfig(max_steps=2), seed=9
+    )
+    videos = simenc.load_corpus(corpus_dir / "corpus.jsonl")
+    expected = teacher.build_teacher_dataset(videos, config)
+    assert teacher.load_teacher_dataset(out / "teacher.jsonl") == expected
+
+
 def test_missing_input_exit_code(tmp_path):
     assert run(["run-baseline", "--corpus", "nope.jsonl", "--out", str(tmp_path)]) == 3
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -154,6 +155,42 @@ def test_bounds_serialization_roundtrip(tmp_path, envelope_traces):
     assert loaded.lower.coefficients() == model.lower.coefficients()
     assert loaded.upper.coefficients() == model.upper.coefficients()
     assert loaded.target_bitrate_kbps == model.target_bitrate_kbps
+
+
+def test_saved_bounds_do_not_depend_on_the_date(tmp_path, monkeypatch):
+    import datetime
+
+    model = _wide_bounds()
+    written = []
+    for day in (datetime.date(2026, 1, 2), datetime.date(2027, 6, 30)):
+
+        class Day(datetime.date):
+            @classmethod
+            def today(cls):
+                return day
+
+        class Now(datetime.datetime):
+            @classmethod
+            def now(cls, tz=None):
+                return datetime.datetime.combine(day, datetime.time(), tz)
+
+        monkeypatch.setattr(datetime, "date", Day)
+        monkeypatch.setattr(datetime, "datetime", Now)
+        path = tmp_path / f"{day}.json"
+        save_bounds(path, model)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+    assert load_bounds(tmp_path / "2026-01-02.json") == model
+
+
+def test_load_bounds_accepts_legacy_fit_date(tmp_path):
+    model = _wide_bounds()
+    path = tmp_path / "bounds.json"
+    save_bounds(path, model)
+    doc = json.loads(path.read_text())
+    doc["fit_date"] = "2026-10-17"
+    path.write_text(json.dumps(doc))
+    assert load_bounds(path) == model
 
 
 def test_bounds_schema_guard(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ratelab.policy.network import PolicyParams, arch_from_preset, forward
+from ratelab.policy.network import REL_RADIUS, PolicyParams, arch_from_preset, forward
 from ratelab.policy.rollout import eval_head, eval_lstm_step, eval_transformer
 from ratelab.policy.train import episode_loss
 
@@ -152,3 +152,22 @@ def test_rollout_mirror_matches_tape(tiny_params, rng):
         bits.append(eval_head(tiny_params, "bits", h))
     assert np.allclose(np.vstack(logits), tape.logits.data, atol=1e-10)
     assert np.allclose(np.vstack(bits), tape.bits_pred.data, atol=1e-10)
+
+
+def test_rollout_mirror_matches_tape_beyond_radius(rng):
+    """Past ``REL_RADIUS`` both forwards clip offsets to the same edge entries."""
+    T = 300
+    assert T - 1 > REL_RADIUS
+    params = PolicyParams(arch_from_preset("tiny", 46), seed=5)
+    # A nonzero, position-dependent bias table, so clipping shows in the output.
+    table = params.tensors["rel_bias"].data
+    table[...] = rng.normal(size=table.shape)
+    fp, bundles, _, _ = random_episode(rng, T=T)
+    tape = forward(params, fp, bundles, train_mode=False)
+    emb = eval_transformer(params, fp)
+    h = c = np.zeros(params.arch.dr)
+    logits = []
+    for t in range(T):
+        h, c = eval_lstm_step(params, np.concatenate([emb[t], bundles[t]]), h, c)
+        logits.append(eval_head(params, "qp", h))
+    assert np.allclose(np.vstack(logits), tape.logits.data, atol=1e-10)

@@ -192,3 +192,16 @@ def test_rollout_runner_qps_valid(trained, corpus):
     trace = simenc.run_episode(video, gop, 512.0, runner)
     assert all(0 <= q <= 255 for q in trace.qps)
     assert len(runner.bits_predictions) == video.num_frames
+
+
+def test_rollout_runs_past_relative_radius(trained):
+    """A 300-frame video (longer than ``REL_RADIUS + 1``) rolls out in full."""
+    config = simenc.VideoConfig(num_frames_min=300, num_frames_max=300)
+    video = simenc.generate_video(8, config)
+    rng = np.random.default_rng(0)
+    runner = PolicyRunner(
+        trained.params, trained.spec, sampler=lambda logits: truncated_sample(logits, rng)
+    )
+    trace = simenc.run_episode(video, simenc.plan_gop(video), 512.0, runner)
+    assert len(trace.qps) == 300
+    assert all(0 <= q <= 255 for q in trace.qps)
