@@ -25,7 +25,6 @@ from .simenc import (
     Observation,
     RewardConfig,
     SyntheticVideo,
-    encode_frame,
 )
 
 __all__ = [
@@ -44,16 +43,14 @@ class AllocationError(ValueError):
 
 @dataclass(frozen=True)
 class BaselineConfig:
+    """Frame-type boosts of the bit split; INTER frames weigh 1."""
+
     key_boost: float = 4.0
     alt_ref_boost: float = 3.0
-    inter_boost: float = 1.0
-    recompute_budget: bool = True
 
     def __post_init__(self) -> None:
         if self.key_boost < 1.0 or self.alt_ref_boost < 1.0:
             raise ValueError("KEY and ALT_REF boosts must be >= 1")
-        if self.inter_boost != 1.0:
-            raise ValueError("INTER boost is fixed at 1")
 
 
 def _boost(config: BaselineConfig, frame_type: FrameType) -> float:
@@ -61,7 +58,7 @@ def _boost(config: BaselineConfig, frame_type: FrameType) -> float:
         return config.key_boost
     if frame_type is FrameType.ALT_REF_HIDDEN:
         return config.alt_ref_boost
-    return config.inter_boost
+    return 1.0
 
 
 def allocate_frame_targets(
@@ -111,12 +108,11 @@ def qp_for_target_bits(
 
 
 class BaselinePolicy:
-    """Stateful per-episode callback for :func:`ratelab.simenc.run_episode`.
+    """Per-episode callback for :func:`ratelab.simenc.run_episode`.
 
-    Keeps a shadow copy of the encoder state (the environment is
-    deterministic, so replaying its own QP choices reproduces it exactly)
-    to drive trial encodes, and rescales the remaining per-frame targets to
-    the remaining budget before every frame.
+    Trial-encodes from the encoder state each observation carries, and
+    rescales the remaining per-frame targets to the remaining budget before
+    every frame.
     """
 
     def __init__(
@@ -129,26 +125,16 @@ class BaselinePolicy:
     ) -> None:
         self._video = video
         self._gop = gop
-        self._config = config
         self._model = model
         self._budget = target_bitrate_kbps * 1000.0 * video.duration
         self._targets = allocate_frame_targets(video, gop, target_bitrate_kbps, config)
-        self._state = EncodeState()
 
     def __call__(self, obs: Observation) -> int:
-        t = self._state.cursor
-        if obs.frame_index != t:
-            raise RuntimeError(
-                f"baseline shadow state at frame {t} but observation is for {obs.frame_index}"
-            )
-        target = self._targets[t]
-        if self._config.recompute_budget:
-            remaining_budget = self._budget - self._state.cum_bits
-            remaining_weight = sum(self._targets[t:])
-            target = max(1.0, self._targets[t] * remaining_budget / remaining_weight)
-        qp = qp_for_target_bits(self._video, self._gop, self._state, target, self._model)
-        _, _, self._state = encode_frame(self._video, self._gop, self._state, qp, self._model)
-        return qp
+        t = obs.frame_index
+        remaining_budget = self._budget - obs.state.cum_bits
+        remaining_weight = sum(self._targets[t:])
+        target = max(1.0, self._targets[t] * remaining_budget / remaining_weight)
+        return qp_for_target_bits(self._video, self._gop, obs.state, target, self._model)
 
 
 def run_baseline(

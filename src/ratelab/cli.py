@@ -16,12 +16,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import dataclasses
 import datetime as _dt
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -133,46 +131,15 @@ def cmd_run_baseline(args) -> int:
 # run-es / build-dataset
 # ---------------------------------------------------------------------------
 
-def _es_config_from_args(args, seed: int) -> teacher.EsConfig:
+def _es_config_from_args(args) -> teacher.EsConfig:
     return teacher.EsConfig(
         sigma=args.sigma,
         batch_size=args.batch,
         learning_rate=args.alpha,
         max_steps=args.steps,
         reward_lambda=args.reward_lambda,
-        seed=seed,
         antithetic=args.antithetic,
         fitness_shaping=args.shaping,
-    )
-
-
-def _es_task(payload: tuple) -> dict:
-    video_rec, target, es_cfg_kwargs, gop_interval, drift_bound = payload
-    video = simenc.video_from_record(video_rec)
-    gop = simenc.plan_gop(video, gop_interval)
-    config = teacher.EsConfig(**es_cfg_kwargs)
-    result = teacher.run_es(video, target, config, gop)
-    record = teacher.record_from_result(video, result, gop, drift_bound)
-    return teacher.record_to_dict(record)
-
-
-def _run_es_tasks(tasks: list[tuple], workers: int) -> list[teacher.TeacherRecord]:
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            dicts = list(pool.map(_es_task, tasks))
-    else:
-        dicts = [_es_task(t) for t in tasks]
-    return [teacher.record_from_dict(d) for d in dicts]
-
-
-def _es_payload(args, vi: int, video: simenc.SyntheticVideo, bi: int, target: float) -> tuple:
-    cfg = _es_config_from_args(args, teacher.es_task_seed(args.seed, vi, bi))
-    return (
-        simenc.video_to_record(video),
-        target,
-        dataclasses.asdict(cfg),
-        args.gop_interval,
-        cfg.drift_bound,
     )
 
 
@@ -180,12 +147,10 @@ def cmd_run_es(args) -> int:
     out = _out_dir(args)
     videos = simenc.load_corpus(_require(args.corpus))
     targets = _parse_floats(args.targets)
-    tasks = [
-        _es_payload(args, vi, video, bi, target)
-        for vi, video in enumerate(videos)
-        for bi, target in enumerate(targets)
-    ]
-    records = _run_es_tasks(tasks, args.workers)
+    records = teacher.run_es_tasks(
+        videos, [targets] * len(videos), _es_config_from_args(args), args.seed,
+        args.gop_interval, args.workers,
+    )
     n = teacher.save_teacher_dataset(out / "es_records.jsonl", records)
     _write_manifest(out, "run-es", args)
     print(f"wrote {n} search records to {out / 'es_records.jsonl'}")
@@ -196,12 +161,15 @@ def cmd_build_dataset(args) -> int:
     out = _out_dir(args)
     videos = simenc.load_corpus(_require(args.corpus))
     lo, hi = _parse_floats(args.bitrate_range)
-    tasks = [
-        _es_payload(args, vi, video, bi, target)
-        for vi, video in enumerate(videos)
-        for bi, target in enumerate(teacher.sample_targets(args.seed, vi, args.per_video, lo, hi))
-    ]
-    records = _run_es_tasks(tasks, args.workers)
+    config = teacher.TeacherConfig(
+        bitrates_per_video=args.per_video,
+        bitrate_min_kbps=lo,
+        bitrate_max_kbps=hi,
+        es=_es_config_from_args(args),
+        seed=args.seed,
+        gop_interval=args.gop_interval,
+    )
+    records = teacher.build_teacher_dataset(videos, config, args.workers)
     n = teacher.save_teacher_dataset(out / "teacher.jsonl", records)
     _write_manifest(out, "build-dataset", args)
     print(f"wrote {n} teacher records to {out / 'teacher.jsonl'}")

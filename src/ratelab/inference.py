@@ -82,7 +82,11 @@ class BoundsFitError(RuntimeError):
 
 @dataclass(frozen=True)
 class LogBound:
-    """One bound curve a1*log(a2*x + a3) + a4*x + a5 over x in [0, 1]."""
+    """One bound curve a1*log(a2*x + a3) + a4*x + a5 over x in [0, 1].
+
+    Fitted curves carry a3 = 1, since a1*log(a3) folds into a5; a3 is kept
+    so ``bounds.v1`` files with other values still load.
+    """
 
     a1: float
     a2: float
@@ -101,6 +105,15 @@ class LogBound:
         return (self.a1, self.a2, self.a3, self.a4, self.a5)
 
 
+# Envelope grid points, its outward margin and end tolerance (fractions of
+# the target), and the bracket and start grid of the fitted curvature a2/a3.
+ENVELOPE_POINTS = 101
+MIN_MARGIN_FRAC = 0.005
+END_TOLERANCE = 0.05
+CURVATURE_BRACKET = (1e-3, 1e6)
+CURVATURE_GRID = 64
+
+
 @dataclass(frozen=True)
 class BoundsModel:
     """Lower/upper cumulative-bits envelope in kbps-equivalent units
@@ -112,13 +125,14 @@ class BoundsModel:
     target_bitrate_kbps: float
     quantiles: tuple[float, float]
 
-    def validate(self, grid_points: int = 201, end_gap_frac: float = 0.10) -> None:
-        xs = np.linspace(0.0, 1.0, grid_points)
+    def validate(self) -> None:
+        xs = np.linspace(0.0, 1.0, 201)
         lo = self.lower(xs)
         hi = self.upper(xs)
         if not np.all(lo < hi):
             raise BoundsFitError("lower bound must stay strictly below upper bound")
         gap = float(hi[-1] - lo[-1])
+        end_gap_frac = 2.0 * END_TOLERANCE
         if gap > end_gap_frac * self.target_bitrate_kbps + 1e-9:
             raise BoundsFitError(
                 f"end gap {gap:.2f} exceeds {end_gap_frac:.0%} of target "
@@ -132,30 +146,30 @@ def _cumulative_kbps(trace: EpisodeTrace, duration: float) -> np.ndarray:
 
 
 def _fit_log_curve(xs: np.ndarray, ys: np.ndarray) -> LogBound:
-    def residual(p):
-        a1, a2, a3, a4, a5 = p
-        return a1 * np.log(a2 * xs + a3) + a4 * xs + a5 - ys
+    """Least-squares fit of a1*log(c*x + 1) + a4*x + a5 by variable projection.
 
-    y_span = float(ys[-1] - ys[0])
-    a1_guess = max(abs(y_span) * 0.1, 1.0)
-    # Multi-start over the log corner sharpness: steep-early inits capture
-    # the key-frame jump, flat inits the near-linear regime.
-    best = None
-    for a2_init, a3_init in ((400.0, 0.02), (100.0, 0.05), (20.0, 0.5), (2.0, 1.0)):
-        fit = least_squares(
-            residual,
-            np.array([a1_guess, a2_init, a3_init, y_span, ys[0]]),
-            bounds=(
-                [-np.inf, 1e-6, 1e-6, -np.inf, -np.inf],
-                [np.inf, np.inf, np.inf, np.inf, np.inf],
-            ),
-            max_nfev=5000,
-        )
-        if np.all(np.isfinite(fit.x)) and (best is None or fit.cost < best.cost):
-            best = fit
-    if best is None:
-        raise BoundsFitError("envelope fit produced non-finite parameters")
-    return LogBound(*(float(v) for v in best.x))
+    For a fixed curvature c the curve is linear in (a1, a4, a5), which one
+    3-column solve gives in closed form (Golub & Pereyra 1973). What is left
+    is a bounded 1-D search over log c, started from the best point of a
+    coarse grid over ``CURVATURE_BRACKET``.
+    """
+
+    def project(log_c) -> tuple[np.ndarray, np.ndarray]:
+        basis = np.column_stack([np.log(np.exp(log_c) * xs + 1.0), xs, np.ones_like(xs)])
+        coef = np.linalg.lstsq(basis, ys, rcond=None)[0]
+        return coef, basis @ coef - ys
+
+    lo, hi = np.log(CURVATURE_BRACKET)
+    grid = np.linspace(lo, hi, CURVATURE_GRID)
+    start = grid[np.argmin([np.sum(project(g)[1] ** 2) for g in grid])]
+    # The projected cost is flat near an interior optimum: the default ftol
+    # (1e-8) stops about 1e-12 of the cost short of it.
+    fit = least_squares(lambda p: project(p[0])[1], [start], bounds=(lo, hi), ftol=1e-12)
+    (a1, a4, a5), _ = project(fit.x[0])
+    bound = LogBound(float(a1), float(np.exp(fit.x[0])), 1.0, float(a4), float(a5))
+    if fit.status <= 0 or not np.all(np.isfinite(bound.coefficients())):
+        raise BoundsFitError(f"envelope fit failed (status {fit.status}): {fit.message}")
+    return bound
 
 
 def _shift_constant(bound: LogBound, delta: float) -> LogBound:
@@ -176,26 +190,23 @@ def fit_bounds(
     traces: Sequence[EpisodeTrace],
     target_bitrate_kbps: float,
     coverage: tuple[float, float] = (0.025, 0.975),
-    end_tolerance: float = 0.05,
     min_traces: int = 20,
-    grid_points: int = 101,
-    min_margin_frac: float = 0.005,
 ) -> BoundsModel:
     """Fit the cumulative-bits envelope from training trajectories.
 
     Per-position quantiles of the trajectories (resampled onto a common
     normalized grid) form the raw envelope, padded outward by
-    ``min_margin_frac`` of the target so degenerate (zero-width) envelopes
+    ``MIN_MARGIN_FRAC`` of the target so degenerate (zero-width) envelopes
     stay strictly bracketed; each side is then fitted with the parameterized
     logarithmic form and its endpoint tightened into
-    ``target * (1 +/- end_tolerance)``.
+    ``target * (1 +/- END_TOLERANCE)``.
     """
     if len(traces) < min_traces:
         raise BoundsFitError(f"need at least {min_traces} traces, got {len(traces)}")
     lo_q, hi_q = coverage
     if not 0.0 <= lo_q < hi_q <= 1.0:
         raise ValueError("coverage quantiles must satisfy 0 <= lo < hi <= 1")
-    xs = np.linspace(0.0, 1.0, grid_points)
+    xs = np.linspace(0.0, 1.0, ENVELOPE_POINTS)
     resampled = []
     for trace in traces:
         if abs(trace.target_bitrate_kbps - target_bitrate_kbps) > 1e-6:
@@ -207,7 +218,7 @@ def fit_bounds(
         pos = np.linspace(0.0, 1.0, trace.num_frames + 1)
         resampled.append(np.interp(xs, pos, cum))
     stack = np.vstack(resampled)
-    margin = min_margin_frac * target_bitrate_kbps
+    margin = MIN_MARGIN_FRAC * target_bitrate_kbps
     lower_env = np.quantile(stack, lo_q, axis=0) - margin
     upper_env = np.quantile(stack, hi_q, axis=0) + margin
 
@@ -217,8 +228,8 @@ def fit_bounds(
     # curves bracket the raw envelope pointwise.
     lower = _shift_constant(lower, -max(0.0, float(np.max(lower(xs) - lower_env))))
     upper = _shift_constant(upper, +max(0.0, float(np.max(upper_env - upper(xs)))))
-    lo_clamp = target_bitrate_kbps * (1.0 - end_tolerance)
-    hi_clamp = target_bitrate_kbps * (1.0 + end_tolerance)
+    lo_clamp = target_bitrate_kbps * (1.0 - END_TOLERANCE)
+    hi_clamp = target_bitrate_kbps * (1.0 + END_TOLERANCE)
     lower = _retarget_endpoint(
         lower, min(max(lower(1.0), lo_clamp), target_bitrate_kbps)
     )
@@ -231,7 +242,7 @@ def fit_bounds(
         target_bitrate_kbps=target_bitrate_kbps,
         quantiles=(lo_q, hi_q),
     )
-    model.validate(end_gap_frac=2.0 * end_tolerance)
+    model.validate()
     return model
 
 

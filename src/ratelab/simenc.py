@@ -722,7 +722,8 @@ class Observation:
     """What a policy sees before choosing the QP of frame ``frame_index``.
 
     Depends only on first-pass data and encode history strictly before the
-    current frame. ``prev_qp`` is -1 on the first frame.
+    current frame. ``prev_qp`` is -1 on the first frame; ``state`` is the
+    encoder state before this frame, from which trial encodes start.
     """
 
     width: int
@@ -740,6 +741,7 @@ class Observation:
     prev_mse: float
     cum_bits: float
     rel_cum_bits: float
+    state: EncodeState
 
 
 @dataclass(frozen=True)
@@ -881,6 +883,7 @@ def run_episode(
             prev_mse=prev_mse,
             cum_bits=state.cum_bits,
             rel_cum_bits=state.cum_bits / budget_bits,
+            state=state,
         )
         qp = int(policy_callback(obs))
         b, m, state = encode_frame(video, gop, state, qp, model)

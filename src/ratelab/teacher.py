@@ -13,6 +13,8 @@ across videos and remain predictable from the observations.
 
 from __future__ import annotations
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
@@ -35,6 +37,7 @@ __all__ = [
     "TeacherConfig",
     "es_task_seed",
     "sample_targets",
+    "run_es_tasks",
     "build_teacher_dataset",
     "save_teacher_dataset",
     "load_teacher_dataset",
@@ -163,7 +166,6 @@ def run_es(
     target_bitrate_kbps: float,
     config: EsConfig,
     gop: GopPlan | None = None,
-    baseline_config: baseline_mod.BaselineConfig | None = None,
 ) -> EsResult:
     """Search QP sequences for one (video, target bitrate) pair.
 
@@ -177,11 +179,7 @@ def run_es(
         penalty_per_kbps=config.reward_lambda, bitrate_target_kbps=target_bitrate_kbps
     )
     base_trace = baseline_mod.run_baseline(
-        video,
-        gop,
-        target_bitrate_kbps,
-        config=baseline_config or baseline_mod.BaselineConfig(),
-        reward_config=reward_config,
+        video, gop, target_bitrate_kbps, reward_config=reward_config
     )
 
     def reward_fn(qps: np.ndarray) -> np.ndarray:
@@ -312,22 +310,51 @@ def sample_targets(
     return sorted(float(t) for t in rng.uniform(lo_kbps, hi_kbps, size=count))
 
 
+def _es_task(
+    video: SyntheticVideo, target: float, es: EsConfig, gop_interval: int
+) -> TeacherRecord:
+    gop = simenc.plan_gop(video, gop_interval)
+    result = run_es(video, target, es, gop)
+    return record_from_result(video, result, gop, es.drift_bound)
+
+
+def run_es_tasks(
+    videos: Sequence[SyntheticVideo],
+    targets: Sequence[Sequence[float]],
+    es: EsConfig,
+    seed: int,
+    gop_interval: int,
+    workers: int = 1,
+) -> list[TeacherRecord]:
+    """Verified ES records for each video vi and target ``targets[vi][bi]``,
+    searched with seed ``es_task_seed(seed, vi, bi)``; ``workers > 1`` runs
+    the tasks in a process pool, with the same records."""
+    tasks = [
+        (video, target, replace(es, seed=es_task_seed(seed, vi, bi)), gop_interval)
+        for vi, video in enumerate(videos)
+        for bi, target in enumerate(targets[vi])
+    ]
+    if workers <= 1:
+        return [_es_task(*task) for task in tasks]
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        return list(pool.map(_es_task, *zip(*tasks)))
+
+
 def build_teacher_dataset(
-    videos: Sequence[SyntheticVideo], config: TeacherConfig = TeacherConfig()
+    videos: Sequence[SyntheticVideo],
+    config: TeacherConfig = TeacherConfig(),
+    workers: int = 1,
 ) -> list[TeacherRecord]:
     """Run ES per (video, sampled target bitrate) and collect verified records."""
-    records = []
-    for vi, video in enumerate(videos):
-        gop = simenc.plan_gop(video, config.gop_interval)
-        targets = sample_targets(
+    targets = [
+        sample_targets(
             config.seed, vi, config.bitrates_per_video,
             config.bitrate_min_kbps, config.bitrate_max_kbps,
         )
-        for bi, target in enumerate(targets):
-            es_config = replace(config.es, seed=es_task_seed(config.seed, vi, bi))
-            result = run_es(video, target, es_config, gop)
-            records.append(record_from_result(video, result, gop, config.es.drift_bound))
-    return records
+        for vi in range(len(videos))
+    ]
+    return run_es_tasks(videos, targets, config.es, config.seed, config.gop_interval, workers)
 
 
 def record_to_dict(rec: TeacherRecord) -> dict:

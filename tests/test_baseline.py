@@ -81,8 +81,6 @@ def test_zero_weight_rejected():
 def test_config_validation():
     with pytest.raises(ValueError):
         BaselineConfig(key_boost=0.5)
-    with pytest.raises(ValueError):
-        BaselineConfig(inter_boost=2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from ratelab import inference, simenc
@@ -145,6 +147,37 @@ def test_fit_bounds_needs_enough_traces(envelope_traces):
 def test_fit_bounds_rejects_mixed_targets(envelope_traces):
     with pytest.raises(ValueError):
         fit_bounds(envelope_traces, 480.0)
+
+
+@given(
+    a1=st.floats(-1e3, 1e3),
+    log_c=st.floats(math.log(1e-2), math.log(1e5)),
+    a4=st.floats(-1e3, 1e3),
+    a5=st.floats(-1e3, 1e3),
+)
+def test_fit_recovers_planted_curve(a1, log_c, a4, a5):
+    xs = np.linspace(0.0, 1.0, inference.ENVELOPE_POINTS)
+    ys = LogBound(a1, math.exp(log_c), 1.0, a4, a5)(xs)
+    fit = inference._fit_log_curve(xs, ys)
+    assert np.max(np.abs(fit(xs) - ys)) <= 1e-6 * (1.0 + np.ptp(ys))
+
+
+def test_fitted_curves_carry_unit_a3(envelope_traces):
+    model = fit_bounds(envelope_traces, 512.0)
+    assert model.lower.a3 == model.upper.a3 == 1.0
+
+
+def test_unconverged_fit_raises(envelope_traces, monkeypatch):
+    real = inference.least_squares
+
+    def stalled(*args, **kwargs):
+        fit = real(*args, **kwargs)
+        fit.status = 0
+        return fit
+
+    monkeypatch.setattr(inference, "least_squares", stalled)
+    with pytest.raises(BoundsFitError):
+        fit_bounds(envelope_traces, 512.0)
 
 
 def test_bounds_serialization_roundtrip(tmp_path, envelope_traces):
