@@ -152,50 +152,19 @@ def transformer_embed(
     q = _linear(x, params["attn_wq"], params["attn_bq"])
     k = _linear(x, params["attn_wk"], params["attn_bk"])
     v = _linear(x, params["attn_wv"], params["attn_bv"])
-    scale = 1.0 / math.sqrt(a.dk)
-    head_outs = []
-    for h in range(a.heads):
-        j0, j1 = h * a.dk, (h + 1) * a.dk
-        qh, kh, vh = (ad.slice_cols(t, j0, j1) for t in (q, k, v))
-        scores = ad.mul(ad.matmul(qh, ad.transpose(kh)), scale)
-        table_h = ad.slice_rows(params["rel_bias"], h, h + 1)
-        bias = ad.rel_bias_matrix(_flatten_row(table_h), T, REL_RADIUS)
-        attn = ad.softmax_rows(ad.add(scores, bias))
-        if train_mode and a.dropout_rate > 0.0:
-            attn = ad.mul(attn, Tensor(_dropout_mask(dropout_rng, (T, T), a.dropout_rate)))
-        head_outs.append(ad.matmul(attn, vh))
-    merged = _linear(ad.concat_cols(head_outs), params["attn_wo"], params["attn_bo"])
+    mask = None
+    if train_mode and a.dropout_rate > 0.0:
+        mask = _dropout_mask(dropout_rng, (a.heads, T, T), a.dropout_rate)
+    attn = ad.attention(q, k, v, params["rel_bias"], REL_RADIUS, mask)
+    merged = _linear(attn, params["attn_wo"], params["attn_bo"])
     z = ad.relu(_linear(merged, params["ffn_w1"], params["ffn_b1"]))
     return ad.add(merged, _linear(z, params["ffn_w2"], params["ffn_b2"]))
 
 
-def _flatten_row(t: Tensor) -> Tensor:
-    """(1, n) -> (n,) view preserving gradients."""
-    def backward(g):
-        return ((t, g.reshape(t.data.shape)),)
-
-    return Tensor(t.data.reshape(-1), parents=(t,) if (t.requires_grad or t._parents) else (), backward=backward)
-
-
 def lstm_unroll(params: PolicyParams, inputs: Tensor) -> Tensor:
     """Run the gated recurrent core over (T, dh + bundle) inputs; returns (T, dr)."""
-    a = params.arch
-    T = inputs.data.shape[0]
-    wx, wh, b = params["lstm_wx"], params["lstm_wh"], params["lstm_b"]
-    h = Tensor(np.zeros((1, a.dr)))
-    c = Tensor(np.zeros((1, a.dr)))
-    hs = []
-    for t in range(T):
-        x_t = ad.slice_rows(inputs, t, t + 1)
-        gates = ad.add(ad.add(ad.matmul(x_t, wx), ad.matmul(h, wh)), b)
-        i = ad.sigmoid(ad.slice_cols(gates, 0, a.dr))
-        f = ad.sigmoid(ad.slice_cols(gates, a.dr, 2 * a.dr))
-        g = ad.tanh(ad.slice_cols(gates, 2 * a.dr, 3 * a.dr))
-        o = ad.sigmoid(ad.slice_cols(gates, 3 * a.dr, 4 * a.dr))
-        c = ad.add(ad.mul(f, c), ad.mul(i, g))
-        h = ad.mul(o, ad.tanh(c))
-        hs.append(h)
-    return ad.concat_rows(hs)
+    xw = ad.matmul(inputs, params["lstm_wx"])
+    return ad.lstm(xw, params["lstm_wh"], params["lstm_b"])
 
 
 def _head(params: PolicyParams, prefix: str, x: Tensor) -> Tensor:

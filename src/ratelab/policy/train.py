@@ -163,7 +163,8 @@ def top_k_coverage(
     """(top-1 accuracy, top-k coverage) over all steps, evaluation mode."""
     hits1 = hitsk = total = 0
     for ep in episodes:
-        result = forward(params, ep.first_pass_norm, ep.bundles, train_mode=False)
+        with ad.no_grad():
+            result = forward(params, ep.first_pass_norm, ep.bundles, train_mode=False)
         logits = result.logits.data
         labels = ep.label_qps
         hits1 += int((logits.argmax(axis=1) == labels).sum())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ratelab.policy.autodiff import no_grad
 from ratelab.policy.network import REL_RADIUS, PolicyParams, arch_from_preset, forward
 from ratelab.policy.rollout import eval_head, eval_lstm_step, eval_transformer
 from ratelab.policy.train import episode_loss
@@ -135,29 +136,11 @@ def test_shape_mismatch_rejected(tiny_params, rng):
         forward(tiny_params, fp, bundles[:, :-1])
 
 
-def test_rollout_mirror_matches_tape(tiny_params, rng):
-    """The incremental numpy forward must agree with the training tape."""
-    fp, bundles, _, _ = random_episode(rng, T=9)
-    tape = forward(tiny_params, fp, bundles, train_mode=False)
-    emb = eval_transformer(tiny_params, fp)
-    dr = tiny_params.arch.dr
-    h = np.zeros(dr)
-    c = np.zeros(dr)
-    logits = []
-    bits = []
-    for t in range(fp.shape[0]):
-        x = np.concatenate([emb[t], bundles[t]])
-        h, c = eval_lstm_step(tiny_params, x, h, c)
-        logits.append(eval_head(tiny_params, "qp", h))
-        bits.append(eval_head(tiny_params, "bits", h))
-    assert np.allclose(np.vstack(logits), tape.logits.data, atol=1e-10)
-    assert np.allclose(np.vstack(bits), tape.bits_pred.data, atol=1e-10)
-
-
-def test_rollout_mirror_matches_tape_beyond_radius(rng):
-    """Past ``REL_RADIUS`` both forwards clip offsets to the same edge entries."""
-    T = 300
-    assert T - 1 > REL_RADIUS
+@pytest.mark.parametrize("T", [1, 9, 300])
+def test_rollout_mirror_matches_tape(rng, T):
+    """Rollout steps agree with the training tape; past ``REL_RADIUS``
+    (T = 300) both clip offsets to the same edge entries of the table."""
+    assert 300 - 1 > REL_RADIUS
     params = PolicyParams(arch_from_preset("tiny", 46), seed=5)
     # A nonzero, position-dependent bias table, so clipping shows in the output.
     table = params.tensors["rel_bias"].data
@@ -167,7 +150,24 @@ def test_rollout_mirror_matches_tape_beyond_radius(rng):
     emb = eval_transformer(params, fp)
     h = c = np.zeros(params.arch.dr)
     logits = []
+    bits = []
     for t in range(T):
         h, c = eval_lstm_step(params, np.concatenate([emb[t], bundles[t]]), h, c)
         logits.append(eval_head(params, "qp", h))
+        bits.append(eval_head(params, "bits", h))
     assert np.allclose(np.vstack(logits), tape.logits.data, atol=1e-10)
+    assert np.allclose(np.vstack(bits), tape.bits_pred.data, atol=1e-10)
+
+
+def test_no_grad_records_no_tape(tiny_params, rng):
+    fp, bundles, _, _ = random_episode(rng)
+    with no_grad():
+        result = forward(tiny_params, fp, bundles)
+    for out in (result.logits, result.bits_pred):
+        assert out._parents == () and out._backward is None
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("leaves the block")
+    recorded = forward(tiny_params, fp, bundles)
+    assert recorded.logits._parents and recorded.logits._backward is not None
+    assert np.array_equal(recorded.logits.data, result.logits.data)
