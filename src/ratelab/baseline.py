@@ -10,15 +10,11 @@ so the episode closes on its total budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import simenc
 from .simenc import (
-    DEFAULT_MODEL,
     EncodeState,
-    EncoderModel,
     EpisodeTrace,
     FrameType,
     GopPlan,
@@ -28,7 +24,6 @@ from .simenc import (
 )
 
 __all__ = [
-    "BaselineConfig",
     "AllocationError",
     "allocate_frame_targets",
     "qp_for_target_bits",
@@ -41,31 +36,12 @@ class AllocationError(ValueError):
     """Frame weights sum to zero; no budget split is possible."""
 
 
-@dataclass(frozen=True)
-class BaselineConfig:
-    """Frame-type boosts of the bit split; INTER frames weigh 1."""
-
-    key_boost: float = 4.0
-    alt_ref_boost: float = 3.0
-
-    def __post_init__(self) -> None:
-        if self.key_boost < 1.0 or self.alt_ref_boost < 1.0:
-            raise ValueError("KEY and ALT_REF boosts must be >= 1")
-
-
-def _boost(config: BaselineConfig, frame_type: FrameType) -> float:
-    if frame_type is FrameType.KEY:
-        return config.key_boost
-    if frame_type is FrameType.ALT_REF_HIDDEN:
-        return config.alt_ref_boost
-    return 1.0
+# Weight of each frame type in the bit split.
+FRAME_TYPE_BOOST = {FrameType.KEY: 4.0, FrameType.ALT_REF_HIDDEN: 3.0, FrameType.INTER: 1.0}
 
 
 def allocate_frame_targets(
-    video: SyntheticVideo,
-    gop: GopPlan,
-    target_bitrate_kbps: float,
-    config: BaselineConfig = BaselineConfig(),
+    video: SyntheticVideo, gop: GopPlan, target_bitrate_kbps: float
 ) -> list[float]:
     """Split the total bit budget into per-frame targets.
 
@@ -76,7 +52,7 @@ def allocate_frame_targets(
     if budget <= 0:
         raise ValueError("total bit budget must be positive")
     weights = [
-        fp.coded_error * _boost(config, ft)
+        fp.coded_error * FRAME_TYPE_BOOST[ft]
         for fp, ft in zip(video.first_pass, gop.frame_types)
     ]
     total = sum(weights)
@@ -86,11 +62,7 @@ def allocate_frame_targets(
 
 
 def qp_for_target_bits(
-    video: SyntheticVideo,
-    gop: GopPlan,
-    state: EncodeState,
-    target_bits: float,
-    model: EncoderModel = DEFAULT_MODEL,
+    video: SyntheticVideo, gop: GopPlan, state: EncodeState, target_bits: float
 ) -> int:
     """The largest QP whose trial encode still spends ``target_bits``.
 
@@ -103,7 +75,7 @@ def qp_for_target_bits(
     """
     if target_bits <= 0:
         raise ValueError("target_bits must be positive")
-    bits, _ = simenc.encode_all_qps(video, gop, state, model)
+    bits, _ = simenc.encode_all_qps(video, gop, state)
     return max(0, int(np.count_nonzero(bits >= target_bits)) - 1)
 
 
@@ -115,40 +87,28 @@ class BaselinePolicy:
     every frame.
     """
 
-    def __init__(
-        self,
-        video: SyntheticVideo,
-        gop: GopPlan,
-        target_bitrate_kbps: float,
-        config: BaselineConfig = BaselineConfig(),
-        model: EncoderModel = DEFAULT_MODEL,
-    ) -> None:
+    def __init__(self, video: SyntheticVideo, gop: GopPlan, target_bitrate_kbps: float) -> None:
         self._video = video
         self._gop = gop
-        self._model = model
         self._budget = target_bitrate_kbps * 1000.0 * video.duration
-        self._targets = allocate_frame_targets(video, gop, target_bitrate_kbps, config)
+        self._targets = allocate_frame_targets(video, gop, target_bitrate_kbps)
 
     def __call__(self, obs: Observation) -> int:
         t = obs.frame_index
         remaining_budget = self._budget - obs.state.cum_bits
         remaining_weight = sum(self._targets[t:])
         target = max(1.0, self._targets[t] * remaining_budget / remaining_weight)
-        return qp_for_target_bits(self._video, self._gop, obs.state, target, self._model)
+        return qp_for_target_bits(self._video, self._gop, obs.state, target)
 
 
 def run_baseline(
     video: SyntheticVideo,
     gop: GopPlan | None = None,
     target_bitrate_kbps: float = 512.0,
-    config: BaselineConfig = BaselineConfig(),
     reward_config: RewardConfig | None = None,
-    model: EncoderModel = DEFAULT_MODEL,
 ) -> EpisodeTrace:
     """Encode one video with the heuristic VBR policy."""
     if gop is None:
         gop = simenc.plan_gop(video)
-    policy = BaselinePolicy(video, gop, target_bitrate_kbps, config, model)
-    return simenc.run_episode(
-        video, gop, target_bitrate_kbps, policy, reward_config=reward_config, model=model
-    )
+    policy = BaselinePolicy(video, gop, target_bitrate_kbps)
+    return simenc.run_episode(video, gop, target_bitrate_kbps, policy, reward_config=reward_config)

@@ -138,8 +138,6 @@ def _es_config_from_args(args) -> teacher.EsConfig:
         learning_rate=args.alpha,
         max_steps=args.steps,
         reward_lambda=args.reward_lambda,
-        antithetic=args.antithetic,
-        fitness_shaping=args.shaping,
     )
 
 
@@ -454,8 +452,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p.add_argument("--batch", type=int, default=16)
         p.add_argument("--reward-lambda", type=float, default=0.02)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--antithetic", action="store_true")
-        p.add_argument("--shaping", choices=["none", "centered_rank"], default="none")
         p.add_argument("--gop-interval", type=int, default=16)
         p.add_argument("--workers", type=int, default=1)
 

@@ -40,6 +40,11 @@ __all__ = [
 
 BOUNDS_SCHEMA = "bounds.v1"
 
+# Truncated sampling draws from the SAMPLE_POOL strongest logits; feedback
+# control moves the sampled QP within the CANDIDATE_POOL strongest.
+SAMPLE_POOL = 15
+CANDIDATE_POOL = 40
+
 
 # ---------------------------------------------------------------------------
 # Truncated sampling
@@ -60,11 +65,9 @@ def truncated_keep(logits: np.ndarray, k: int) -> np.ndarray:
     return np.sort(order[:k])
 
 
-def truncated_sample(
-    logits: np.ndarray, rng: np.random.Generator, k: int = 15
-) -> int:
-    """Sample a QP from the renormalized softmax over the top-``k`` logits."""
-    kept = truncated_keep(logits, k)
+def truncated_sample(logits: np.ndarray, rng: np.random.Generator) -> int:
+    """Sample a QP from the renormalized softmax over the top ``SAMPLE_POOL`` logits."""
+    kept = truncated_keep(logits, SAMPLE_POOL)
     z = np.asarray(logits, dtype=np.float64)[kept]
     z = z - z.max()
     p = np.exp(z)
@@ -259,22 +262,16 @@ def _duration_of(trace: EpisodeTrace) -> float:
 
 @dataclass(frozen=True)
 class FeedbackConfig:
-    """Strength and pool sizes of the QP feedback controller."""
+    """Strength of the QP feedback controller."""
 
     alpha: float = 0.05            # index offset per kbps of bound violation
-    candidate_pool: int = 40
-    sample_pool: int = 15
 
     def __post_init__(self) -> None:
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
-        if not 1 <= self.sample_pool <= self.candidate_pool <= 256:
-            raise ValueError("need 1 <= sample_pool <= candidate_pool <= 256")
 
 
-def feedback_adjust(
-    i: int, b_t: float, lower: float, upper: float, alpha: float, pool: int = 40
-) -> int:
+def feedback_adjust(i: int, b_t: float, lower: float, upper: float, alpha: float) -> int:
     """Map a sampled candidate index to its feedback-adjusted index.
 
     ``i`` is 1-based within the QP-ascending candidate list. Undershooting
@@ -282,12 +279,12 @@ def feedback_adjust(
     overshooting the upper bound moves it up. Inside the bounds the index
     is returned unchanged.
     """
-    if not 1 <= i <= pool:
-        raise ValueError(f"candidate index {i} outside 1..{pool}")
+    if not 1 <= i <= CANDIDATE_POOL:
+        raise ValueError(f"candidate index {i} outside 1..{CANDIDATE_POOL}")
     if b_t < lower:
-        return max(1, min(pool, i - round(alpha * (lower - b_t))))
+        return max(1, min(CANDIDATE_POOL, i - round(alpha * (lower - b_t))))
     if b_t > upper:
-        return max(1, min(pool, i + round(alpha * (b_t - upper))))
+        return max(1, min(CANDIDATE_POOL, i + round(alpha * (b_t - upper))))
     return i
 
 
@@ -319,7 +316,7 @@ class FeedbackController:
             self.events = []
             # Nothing has been spent yet; control cannot act on frame 0.
             return sampled_qp
-        candidates = truncated_keep(logits, self.config.candidate_pool)
+        candidates = truncated_keep(logits, CANDIDATE_POOL)
         pos = int(np.searchsorted(candidates, sampled_qp))
         if pos >= candidates.size or candidates[pos] != sampled_qp:
             raise RuntimeError("sampled QP not among the top candidates")
@@ -328,7 +325,7 @@ class FeedbackController:
         b_t = obs.cum_bits / obs.duration / 1000.0
         lower = self.bounds.lower(x)
         upper = self.bounds.upper(x)
-        j = feedback_adjust(i, b_t, lower, upper, self.config.alpha, self.config.candidate_pool)
+        j = feedback_adjust(i, b_t, lower, upper, self.config.alpha)
         self.events.append(
             ControlEvent(
                 frame_index=obs.frame_index,
@@ -360,7 +357,7 @@ def controlled_policy(
     runner = PolicyRunner(
         params,
         spec,
-        sampler=lambda logits: truncated_sample(logits, rng, config.sample_pool),
+        sampler=lambda logits: truncated_sample(logits, rng),
         adjuster=controller,
     )
     return runner, controller

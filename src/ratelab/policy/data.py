@@ -2,9 +2,8 @@
 
 Observations are not stored in the teacher dataset; they are regenerated
 here by replaying the label QPs through the deterministic encoder, which
-reproduces the recorded bits exactly. The mid-episode reward input is
-identically zero (the environment pays only a terminal reward), but it is
-still wired through the bundles.
+reproduces the recorded bits exactly. The bundles keep a previous-reward
+slot, which is always zero: the environment pays only a terminal reward.
 """
 
 from __future__ import annotations
@@ -108,12 +107,7 @@ def episodes_from_records(
     episodes = []
     for record in records:
         video, observations = _record_episode(record, corpus, gop_interval)
-        bundles = np.stack(
-            [
-                build_features(obs, spec, prev_qp=obs.prev_qp, prev_reward=0.0)
-                for obs in observations
-            ]
-        )
+        bundles = np.stack([build_features(obs, spec) for obs in observations])
         episodes.append(
             EpisodeData(
                 video_id=record.video_id,

@@ -1,7 +1,8 @@
 """Observation feature pipeline for the neural policy.
 
 Float features are standardized to zero mean and unit variance with
-statistics fitted on the training corpus; count-like features get a
+statistics fitted on the training corpus; a feature whose training variance
+is below ``_VAR_FLOOR`` is only centered. Count-like features get a
 ``log(1 + x)`` transform instead. The previous QP and the current frame
 type are embedded through fixed random tables created when the spec is
 fitted; the spec is frozen afterwards and serialized with the model.
@@ -120,6 +121,15 @@ class FeatureSpec:
         )
 
 
+def _std_or_one(var: np.ndarray) -> np.ndarray:
+    """Standard deviation, or 1 where the variance is below ``_VAR_FLOOR``.
+
+    Dividing a near-constant feature by its tiny deviation would blow up
+    any value away from the training mean, such as an unseen target.
+    """
+    return np.where(var < _VAR_FLOOR, 1.0, np.sqrt(var))
+
+
 def fit_feature_spec(
     first_pass_matrices: list[np.ndarray],
     scalar_samples: dict[str, list[float]],
@@ -137,14 +147,14 @@ def fit_feature_spec(
         raise FeatureError(f"missing scalar samples for {sorted(missing)}")
     stacked = np.concatenate(first_pass_matrices, axis=0)
     mean = stacked.mean(axis=0)
-    std = np.sqrt(np.maximum(stacked.var(axis=0), _VAR_FLOOR))
+    std = _std_or_one(stacked.var(axis=0))
 
     scalar_mean = {}
     scalar_std = {}
     for name in SCALAR_FLOAT_FEATURES:
         vals = np.asarray(scalar_samples[name], dtype=np.float64)
         scalar_mean[name] = float(vals.mean())
-        scalar_std[name] = float(np.sqrt(max(vals.var(), _VAR_FLOOR)))
+        scalar_std[name] = float(_std_or_one(vals.var()))
 
     rng = np.random.Generator(np.random.PCG64(seed))
     scale = 1.0 / np.sqrt(EMBED_DIM)
@@ -160,14 +170,13 @@ def fit_feature_spec(
     )
 
 
-def build_features(
-    obs: Observation, spec: FeatureSpec, prev_qp: int, prev_reward: float
-) -> np.ndarray:
+def build_features(obs: Observation, spec: FeatureSpec) -> np.ndarray:
     """Assemble one step's input bundle from an observation.
 
-    ``prev_qp`` is passed explicitly (teacher forcing feeds the label QP,
-    rollouts feed the policy's own previous action); ``prev_qp < 0`` means
-    no previous frame and embeds as zeros.
+    The previous QP is the one the episode encoded, ``obs.prev_qp``: the
+    label under teacher forcing, the policy's own action in a rollout. It
+    is -1 on the first frame and embeds as zeros. The environment pays only
+    a terminal reward, so the previous-reward slot is always 0.
     """
     spec.require_fitted()
     static = [
@@ -184,14 +193,14 @@ def build_features(
         (obs.frame_index + 1) / obs.num_frames,
     ]
     type_emb = spec.frame_type_embedding[FRAME_TYPE_ORDER.index(obs.frame_type)]
-    if prev_qp < 0:
+    if obs.prev_qp < 0:
         qp_emb = np.zeros(EMBED_DIM)
     else:
-        qp_emb = spec.qp_embedding[int(prev_qp)]
+        qp_emb = spec.qp_embedding[obs.prev_qp]
     prev = [
         np.log1p(max(obs.prev_bits, 0.0)),
         spec.scalar_transform("prev_mse", obs.prev_mse),
-        float(prev_reward),
+        0.0,
     ]
     cumulative = [np.log1p(obs.cum_bits), obs.rel_cum_bits]
     bundle = np.concatenate(

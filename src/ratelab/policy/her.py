@@ -32,7 +32,6 @@ def her_relabel(
     original_targets_kbps: Sequence[Sequence[float]],
     seed: int = 0,
     gop_interval: int = 16,
-    penalty_per_kbps: float = 0.02,
 ) -> list[TeacherRecord]:
     """Roll out the policy and relabel every episode's goal in hindsight.
 
@@ -55,11 +54,7 @@ def her_relabel(
             achieved = trace.bitrate_kbps
             # Under the achieved-bitrate goal the overshoot penalty vanishes.
             relabeled = simenc.replay_qp_sequence(
-                video,
-                gop,
-                trace.qps,
-                achieved,
-                RewardConfig(penalty_per_kbps=penalty_per_kbps, bitrate_target_kbps=achieved),
+                video, gop, trace.qps, achieved, RewardConfig(bitrate_target_kbps=achieved)
             )
             records.append(
                 TeacherRecord(

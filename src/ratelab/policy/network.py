@@ -73,8 +73,9 @@ class PolicyParams:
         param("attn_wq", (a.n_features, attn_dim), a.n_features)
         param("attn_wk", (a.n_features, attn_dim), a.n_features)
         param("attn_wv", (a.n_features, attn_dim), a.n_features)
+        # No key bias: it adds q_i . b_k to every score of row i, which
+        # softmax cancels.
         zeros("attn_bq", (attn_dim,))
-        zeros("attn_bk", (attn_dim,))
         zeros("attn_bv", (attn_dim,))
         zeros("rel_bias", (a.heads, 2 * REL_RADIUS + 1))
         param("attn_wo", (attn_dim, a.dh), attn_dim)
@@ -114,6 +115,7 @@ class PolicyParams:
         return {name: t.data for name, t in self.tensors.items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Load every parameter by name; arrays of no parameter are ignored."""
         for name, t in self.tensors.items():
             src = np.asarray(arrays[name], dtype=np.float64)
             if src.shape != t.data.shape:
@@ -150,7 +152,7 @@ def transformer_embed(
     T = first_pass_norm.shape[0]
     x = ad.layer_norm_rows(Tensor(first_pass_norm), params["ln_gain"], params["ln_bias"])
     q = _linear(x, params["attn_wq"], params["attn_bq"])
-    k = _linear(x, params["attn_wk"], params["attn_bk"])
+    k = ad.matmul(x, params["attn_wk"])
     v = _linear(x, params["attn_wv"], params["attn_bv"])
     mask = None
     if train_mode and a.dropout_rate > 0.0:

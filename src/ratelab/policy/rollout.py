@@ -82,7 +82,7 @@ class PolicyRunner:
         """Advance the recurrent state and return this frame's QP logits."""
         if obs.frame_index == 0 or self._embed is None:
             self._reset(obs)
-        bundle = build_features(obs, self.spec, prev_qp=obs.prev_qp, prev_reward=0.0)
+        bundle = build_features(obs, self.spec)
         x = np.concatenate([self._embed[obs.frame_index], bundle])
         self._h, self._c = eval_lstm_step(self.params, x, self._h, self._c)
         self.bits_predictions.append(float(eval_head(self.params, "bits", self._h)[0]))

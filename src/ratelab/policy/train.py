@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -41,6 +41,13 @@ __all__ = [
 
 CHECKPOINT_SCHEMA = "policy.v1"
 
+# Adam's moment decays and denominator guard, and the number of optimizer
+# steps over which the learning rate decays by ``TrainConfig.lr_decay``.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+LR_DECAY_STEPS = 100.0
+
 
 class TrainingDiverged(RuntimeError):
     """Loss became non-finite during training."""
@@ -51,11 +58,7 @@ class TrainConfig:
     beta1_frame_bits: float = 2.0
     beta2_total_bits: float = 2.0
     learning_rate: float = 3e-3
-    lr_decay: float = 1.0          # multiplicative decay ...
-    lr_decay_steps: float = 100.0  # ... per this many optimizer steps
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
+    lr_decay: float = 1.0          # multiplicative decay per LR_DECAY_STEPS optimizer steps
     batch_size: int = 8
     epochs: int = 40
     dropout: bool = True
@@ -114,28 +117,24 @@ class Adam:
         self.params = params
         self.lr = config.learning_rate
         self.lr_decay = config.lr_decay
-        self.lr_decay_steps = config.lr_decay_steps
-        self.b1 = config.adam_beta1
-        self.b2 = config.adam_beta2
-        self.eps = config.adam_eps
         self.t = 0
         self.m = {k: np.zeros_like(v.data) for k, v in params.items()}
         self.v = {k: np.zeros_like(v.data) for k, v in params.items()}
 
     def step(self) -> None:
-        lr = self.lr * self.lr_decay ** (self.t / self.lr_decay_steps)
+        lr = self.lr * self.lr_decay ** (self.t / LR_DECAY_STEPS)
         self.t += 1
-        bc1 = 1.0 - self.b1**self.t
-        bc2 = 1.0 - self.b2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for name, tensor in self.params.items():
             g = tensor.grad
             m = self.m[name]
             v = self.v[name]
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            tensor.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            tensor.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 @dataclass
@@ -314,5 +313,7 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParams, FeatureSpec, TrainC
         spec = FeatureSpec.from_arrays(
             {k[len("spec/"):]: bundle[k] for k in bundle.files if k.startswith("spec/")}
         )
-        config = TrainConfig(**meta["train_config"])
+        # Checkpoints from before some settings became constants still load.
+        known = {f.name for f in fields(TrainConfig)}
+        config = TrainConfig(**{k: v for k, v in meta["train_config"].items() if k in known})
     return params, spec, config

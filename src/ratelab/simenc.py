@@ -49,7 +49,6 @@ __all__ = [
     "SyntheticVideo",
     "VideoConfig",
     "GopPlan",
-    "EncoderModel",
     "EncodeState",
     "Observation",
     "RewardConfig",
@@ -466,33 +465,14 @@ def plan_gop(video: SyntheticVideo, gop_interval: int = 16) -> GopPlan:
 # Encoding
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EncoderModel:
-    """Constants of the surrogate rate-distortion model.
-
-    Header bits are specified at a 640x480-equivalent block count (1200
-    blocks) and scale linearly with the actual block count.
-    """
-
-    rd_gain: float = 12.0
-    error_propagation: float = 0.5
-    ref_mix_last: float = 0.7
-    ref_mix_golden: float = 0.3
-    header_key: float = 4000.0
-    header_alt_ref: float = 2500.0
-    header_inter: float = 300.0
-    reference_blocks: int = 1200
-
-    def header_bits(self, frame_type: FrameType, n_blocks: int) -> float:
-        base = {
-            FrameType.KEY: self.header_key,
-            FrameType.ALT_REF_HIDDEN: self.header_alt_ref,
-            FrameType.INTER: self.header_inter,
-        }[frame_type]
-        return base * n_blocks / self.reference_blocks
-
-
-DEFAULT_MODEL = EncoderModel()
+# Constants of the surrogate rate-distortion model. Header bits are given
+# at a 640x480-equivalent block count and scale linearly with the actual one.
+RD_GAIN = 12.0
+ERROR_PROPAGATION = 0.5
+REF_MIX_LAST = 0.7
+REF_MIX_GOLDEN = 0.3
+HEADER_BITS = {FrameType.KEY: 4000.0, FrameType.ALT_REF_HIDDEN: 2500.0, FrameType.INTER: 300.0}
+REFERENCE_BLOCKS = 1200
 
 
 @dataclass(frozen=True)
@@ -542,10 +522,9 @@ _QP_MSE_CAP = np.array([q * q / 12.0 for q in _QP_STEPS])
 
 @dataclass(frozen=True)
 class _FrameConstants:
-    """Per-frame encoder constants of one (video, gop, model), as (T,) arrays."""
+    """Per-frame encoder constants of one (video, gop), as (T,) arrays."""
 
     gop: GopPlan
-    model: EncoderModel
     key_energy: np.ndarray      # intra + noise energy of a KEY frame
     inter_energy: np.ndarray    # inter_fraction * intra + noise, before reference error
     gain: np.ndarray
@@ -554,16 +533,14 @@ class _FrameConstants:
     golden_reset: np.ndarray    # KEY and ALT_REF frames refresh the golden slot
 
 
-def _frame_constants(
-    video: SyntheticVideo, gop: GopPlan, model: EncoderModel
-) -> _FrameConstants:
-    """The per-frame constants of (video, gop, model), cached on the video.
+def _frame_constants(video: SyntheticVideo, gop: GopPlan) -> _FrameConstants:
+    """The per-frame constants of (video, gop), cached on the video.
 
-    The cache is for the last (gop, model) pair used, compared by identity;
-    it holds both, so their ids cannot be reused while it does.
+    The cache is for the last GOP plan used, compared by identity; it holds
+    the plan, so its id cannot be reused while it does.
     """
     cached = video.__dict__.get("_frame_constants")
-    if cached is not None and cached.gop is gop and cached.model is model:
+    if cached is not None and cached.gop is gop:
         return cached
     if len(gop.frame_types) != video.num_frames:
         raise ConfigError(
@@ -572,13 +549,14 @@ def _frame_constants(
     n_blocks = video.n_blocks
     cached = _FrameConstants(
         gop=gop,
-        model=model,
         key_energy=np.array([f.intra_energy + f.noise_energy for f in video.frames]),
         inter_energy=np.array(
             [f.inter_fraction * f.intra_energy + f.noise_energy for f in video.frames]
         ),
-        gain=np.array([model.rd_gain * n_blocks * f.rate_multiplier for f in video.frames]),
-        header=np.array([model.header_bits(ft, n_blocks) for ft in gop.frame_types]),
+        gain=np.array([RD_GAIN * n_blocks * f.rate_multiplier for f in video.frames]),
+        header=np.array(
+            [HEADER_BITS[ft] * n_blocks / REFERENCE_BLOCKS for ft in gop.frame_types]
+        ),
         key=np.array([ft is FrameType.KEY for ft in gop.frame_types]),
         golden_reset=np.array([ft is not FrameType.INTER for ft in gop.frame_types]),
     )
@@ -604,9 +582,8 @@ def _encode_step(
     if c.key[t]:
         energy = c.key_energy[t]
     else:
-        m = c.model
-        d_ref = m.ref_mix_last * d_last + m.ref_mix_golden * d_golden
-        energy = c.inter_energy[t] + m.error_propagation * d_ref
+        d_ref = REF_MIX_LAST * d_last + REF_MIX_GOLDEN * d_golden
+        energy = c.inter_energy[t] + ERROR_PROPAGATION * d_ref
     mse = np.minimum(energy, mse_cap)
     # energy / mse >= 1, so the log is never negative. It is math.log2, not
     # np.log2, for the reason the module docstring gives.
@@ -616,12 +593,7 @@ def _encode_step(
     return bits, mse
 
 
-def encode_batch(
-    video: SyntheticVideo,
-    gop: GopPlan,
-    qps,
-    model: EncoderModel = DEFAULT_MODEL,
-) -> tuple[np.ndarray, np.ndarray]:
+def encode_batch(video: SyntheticVideo, gop: GopPlan, qps) -> tuple[np.ndarray, np.ndarray]:
     """Encode B whole episodes at once: ``qps`` (B, T) -> (bits, mse), each (B, T).
 
     Loops over frames and vectorizes over rows; row i is bitwise equal to
@@ -634,7 +606,7 @@ def encode_batch(
         raise TypeError(f"qps must be integers, got dtype {qps.dtype}")
     if qps.size and (qps.min() < 0 or qps.max() > QP_MAX):
         raise ValueError(f"qps must be in [0, {QP_MAX}]")
-    c = _frame_constants(video, gop, model)
+    c = _frame_constants(video, gop)
     caps = _QP_MSE_CAP[qps.T]                   # (T, B), one row per frame
     bits = np.empty(caps.shape)
     mse = np.empty(caps.shape)
@@ -648,11 +620,7 @@ def encode_batch(
 
 
 def encode_frame(
-    video: SyntheticVideo,
-    gop: GopPlan,
-    state: EncodeState,
-    qp: int,
-    model: EncoderModel = DEFAULT_MODEL,
+    video: SyntheticVideo, gop: GopPlan, state: EncodeState, qp: int
 ) -> tuple[float, float, EncodeState]:
     """Encode the frame at the state's cursor with ``qp``.
 
@@ -663,7 +631,7 @@ def encode_frame(
     if t >= video.num_frames:
         raise EpisodeError(f"episode ended at frame {video.num_frames}, cannot encode frame {t}")
     quantizer_step(qp)  # validates qp
-    c = _frame_constants(video, gop, model)
+    c = _frame_constants(video, gop)
     b, m = _encode_step(
         c, t, _QP_MSE_CAP[qp : qp + 1], np.array([state.d_last]), np.array([state.d_golden])
     )
@@ -679,10 +647,7 @@ def encode_frame(
 
 
 def encode_all_qps(
-    video: SyntheticVideo,
-    gop: GopPlan,
-    state: EncodeState,
-    model: EncoderModel = DEFAULT_MODEL,
+    video: SyntheticVideo, gop: GopPlan, state: EncodeState
 ) -> tuple[np.ndarray, np.ndarray]:
     """Trial-encode the frame at the state's cursor with every QP 0..255.
 
@@ -693,10 +658,8 @@ def encode_all_qps(
     t = state.cursor
     if t >= video.num_frames:
         raise EpisodeError(f"episode ended at frame {video.num_frames}, cannot encode frame {t}")
-    c = _frame_constants(video, gop, model)
-    return _encode_step(
-        c, t, _QP_MSE_CAP, np.array([state.d_last]), np.array([state.d_golden])
-    )
+    c = _frame_constants(video, gop)
+    return _encode_step(c, t, _QP_MSE_CAP, np.array([state.d_last]), np.array([state.d_golden]))
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +817,6 @@ def run_episode(
     target_bitrate_kbps: float,
     policy_callback: Callable[[Observation], int],
     reward_config: RewardConfig | None = None,
-    model: EncoderModel = DEFAULT_MODEL,
 ) -> EpisodeTrace:
     """Encode a full episode, querying ``policy_callback`` once per frame."""
     if target_bitrate_kbps <= 0:
@@ -886,7 +848,7 @@ def run_episode(
             state=state,
         )
         qp = int(policy_callback(obs))
-        b, m, state = encode_frame(video, gop, state, qp, model)
+        b, m, state = encode_frame(video, gop, state, qp)
         qps.append(qp)
         bits.append(b)
         mses.append(m)
@@ -899,7 +861,6 @@ def replay_qp_sequence(
     qps: Sequence[int],
     target_bitrate_kbps: float,
     reward_config: RewardConfig | None = None,
-    model: EncoderModel = DEFAULT_MODEL,
 ) -> EpisodeTrace:
     """Encode a fixed QP sequence without building observations.
 
@@ -909,7 +870,7 @@ def replay_qp_sequence(
     """
     if len(qps) != video.num_frames:
         raise EpisodeError(f"need {video.num_frames} QPs, got {len(qps)}")
-    bits, mses = encode_batch(video, gop, [qps], model)
+    bits, mses = encode_batch(video, gop, [qps])
     return _finalize_trace(
         video, gop, target_bitrate_kbps, qps, bits[0].tolist(), mses[0].tolist(), reward_config
     )

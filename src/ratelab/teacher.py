@@ -1,14 +1,19 @@
 """Evolution-strategies search over QP sequences and teacher dataset assembly.
 
 Each (video, target bitrate) pair is optimized independently: the search
-treats the QP sequence itself as the parameter vector, perturbs it with
-Gaussian noise, and follows the reward-weighted update
+treats the QP sequence itself as the parameter vector, perturbs it with n/2
+mirrored pairs of Gaussian noise (eps and -eps), and follows the
+rank-weighted update of Salimans et al. 2017 (arXiv 1703.03864)
 
-    theta <- theta + alpha * (1 / (n * sigma)) * sum_i F(round(theta + sigma * eps_i)) * eps_i
+    theta <- theta + alpha * (1 / (n * sigma)) * sum_i w_i * eps_i
 
-with the learning rate decaying exponentially. The search is initialized
-from the heuristic VBR policy's QP sequence so the solutions stay coherent
-across videos and remain predictable from the observations.
+where w_i is the centered rank, in [-0.5, 0.5], of the reward
+F(round(theta + sigma * eps_i)) among the n candidates, tied rewards sharing
+their mean rank. The weights do not depend on the reward's scale, and a
+pair whose two rewards are equal cancels. The learning rate decays
+exponentially. The search is initialized from the heuristic VBR policy's QP
+sequence so the solutions stay coherent across videos and remain
+predictable from the observations.
 """
 
 from __future__ import annotations
@@ -45,6 +50,13 @@ __all__ = [
 
 TEACHER_SCHEMA = "teacher.v1"
 
+# The learning rate decays by DECAY_RATE every DECAY_EVERY steps. The
+# learnability guard rejects labels whose mean |label - baseline| QP
+# exceeds DRIFT_BOUND.
+DECAY_RATE = 0.5
+DECAY_EVERY = 100.0
+DRIFT_BOUND = 64.0
+
 
 class TeacherDataError(RuntimeError):
     """Teacher records failed replay verification or the learnability guard."""
@@ -55,29 +67,20 @@ class EsConfig:
     sigma: float = 4.0              # QP units of Gaussian perturbation
     batch_size: int = 16
     learning_rate: float = 16.0
-    decay_rate: float = 0.5         # multiplicative decay ...
-    decay_every: float = 100.0      # ... per this many steps
     max_steps: int = 100
     reward_lambda: float = 0.02     # overshoot penalty per kbps
     seed: int = 0
-    antithetic: bool = False
-    fitness_shaping: str = "none"   # "none" (raw rewards) or "centered_rank"
-    drift_bound: float = 64.0       # learnability guard on mean |label - baseline| QP
 
     def __post_init__(self) -> None:
         if self.sigma <= 0:
             raise ValueError("sigma must be > 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if self.batch_size < 2 or self.batch_size % 2:
+            raise ValueError("batch_size must be even and >= 2 (mirrored pairs)")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if self.antithetic and self.batch_size % 2:
-            raise ValueError("antithetic sampling needs an even batch size")
-        if self.fitness_shaping not in ("none", "centered_rank"):
-            raise ValueError("fitness_shaping must be 'none' or 'centered_rank'")
 
     def step_learning_rate(self, step: int) -> float:
-        return self.learning_rate * self.decay_rate ** (step / self.decay_every)
+        return self.learning_rate * DECAY_RATE ** (step / DECAY_EVERY)
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,13 @@ class EsState:
 
 def _round_clamp(theta: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(theta), 0, simenc.QP_MAX).astype(np.int64)
+
+
+def _centered_ranks(rewards: np.ndarray) -> np.ndarray:
+    """Rank weights in [-0.5, 0.5], lowest reward first; ties share their mean rank."""
+    ordered = np.sort(rewards)
+    ranks = np.searchsorted(ordered, rewards, "left") + np.searchsorted(ordered, rewards, "right")
+    return (ranks - 1) / (2 * (len(rewards) - 1)) - 0.5
 
 
 def es_step(
@@ -108,8 +118,8 @@ def es_step(
     broadcast to every row. ``lead``, when given, is one more QP row scored
     in the same call ahead of the candidates; it competes for best-so-far
     first and takes no part in the update, and ``lead_best`` of the result
-    is the best reward right after it. Rewards are reduced in perturbation
-    order, so the update is deterministic given the noise.
+    is the best reward right after it. Candidates are weighted by centered
+    rank, so the step is invariant to any increasing map of the rewards.
     """
     noise = np.asarray(noise_batch, dtype=np.float64)
     if noise.shape != (config.batch_size, state.theta.size):
@@ -129,14 +139,8 @@ def es_step(
             best_qps = rows[i]
         if i == 0 and lead is not None:
             lead_best = best_reward
-    rewards = scored if lead is None else scored[1:]
+    weights = _centered_ranks(scored if lead is None else scored[1:])
     alpha = config.step_learning_rate(state.step)
-    if config.fitness_shaping == "centered_rank":
-        # Scale-free weights in [-0.5, 0.5]; the raw rule keeps reward units.
-        ranks = np.argsort(np.argsort(rewards))
-        weights = ranks / (config.batch_size - 1) - 0.5 if config.batch_size > 1 else ranks * 0.0
-    else:
-        weights = rewards
     update = alpha / (config.batch_size * config.sigma) * (weights @ noise)
     theta = np.clip(state.theta + update, 0.0, float(simenc.QP_MAX))
     return EsState(
@@ -155,10 +159,9 @@ class EsResult:
 
 
 def _draw_noise(rng: np.random.Generator, config: EsConfig, length: int) -> np.ndarray:
-    if config.antithetic:
-        half = rng.standard_normal((config.batch_size // 2, length))
-        return np.concatenate([half, -half], axis=0)
-    return rng.standard_normal((config.batch_size, length))
+    """Mirrored pairs: rows i and i + batch_size / 2 are opposite perturbations."""
+    half = rng.standard_normal((config.batch_size // 2, length))
+    return np.concatenate([half, -half], axis=0)
 
 
 def run_es(
@@ -264,9 +267,7 @@ class TeacherConfig:
             raise ValueError("bitrate range must be positive and ordered")
 
 
-def record_from_result(
-    video: SyntheticVideo, result: EsResult, gop: GopPlan, drift_bound: float
-) -> TeacherRecord:
+def record_from_result(video: SyntheticVideo, result: EsResult, gop: GopPlan) -> TeacherRecord:
     """Build and verify one ES teacher record."""
     trace = result.best_trace
     reward_config = RewardConfig(bitrate_target_kbps=trace.target_bitrate_kbps)
@@ -278,9 +279,9 @@ def record_from_result(
     drift = float(
         np.mean(np.abs(np.asarray(trace.qps) - np.asarray(result.baseline_trace.qps)))
     )
-    if drift > drift_bound:
+    if drift > DRIFT_BOUND:
         raise TeacherDataError(
-            f"{video.video_id}: label drift {drift:.1f} exceeds bound {drift_bound}"
+            f"{video.video_id}: label drift {drift:.1f} exceeds bound {DRIFT_BOUND}"
         )
     return TeacherRecord(
         video_id=video.video_id,
@@ -315,7 +316,7 @@ def _es_task(
 ) -> TeacherRecord:
     gop = simenc.plan_gop(video, gop_interval)
     result = run_es(video, target, es, gop)
-    return record_from_result(video, result, gop, es.drift_bound)
+    return record_from_result(video, result, gop)
 
 
 def run_es_tasks(

@@ -6,7 +6,6 @@ import pytest
 from ratelab import baseline, simenc
 from ratelab.baseline import (
     AllocationError,
-    BaselineConfig,
     allocate_frame_targets,
     qp_for_target_bits,
     run_baseline,
@@ -76,11 +75,6 @@ def test_zero_weight_rejected():
     )
     with pytest.raises(AllocationError):
         allocate_frame_targets(zeroed, all_inter_gop(3), 512.0)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        BaselineConfig(key_boost=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -123,9 +123,6 @@ def test_build_dataset_and_workers_match(tmp_path, corpus_dir):
         "3",
         "--seed",
         "5",
-        "--antithetic",
-        "--shaping",
-        "centered_rank",
     ]
     assert run(base_args + ["--workers", "1", "--out", str(serial)]) == 0
     assert run(base_args + ["--workers", "2", "--out", str(parallel)]) == 0

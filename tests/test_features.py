@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from ratelab import simenc
+from ratelab.policy import rollout
+from ratelab.policy.autodiff import lstm_cell
+from ratelab.policy.network import PolicyParams, arch_from_preset
 from ratelab.policy.data import collect_observations, episodes_from_records, fit_spec_from_records
 from ratelab.policy.features import (
     EMBED_DIM,
@@ -81,7 +84,8 @@ def test_qp_embedding_lookup(spec, corpus):
     video = next(iter(corpus.values()))
     gop = simenc.plan_gop(video)
     obs = collect_observations(video, gop, [17] * video.num_frames, 500.0)[1]
-    bundle = build_features(obs, spec, prev_qp=17, prev_reward=0.0)
+    assert obs.prev_qp == 17
+    bundle = build_features(obs, spec)
     start = 7 + 2 + EMBED_DIM
     assert bundle[start : start + EMBED_DIM] == pytest.approx(spec.qp_embedding[17])
 
@@ -91,7 +95,7 @@ def test_no_previous_frame_embeds_zero(spec, corpus):
     gop = simenc.plan_gop(video)
     obs = collect_observations(video, gop, [17] * video.num_frames, 500.0)[0]
     assert obs.prev_qp == -1
-    bundle = build_features(obs, spec, prev_qp=obs.prev_qp, prev_reward=0.0)
+    bundle = build_features(obs, spec)
     start = 7 + 2 + EMBED_DIM
     assert np.all(bundle[start : start + EMBED_DIM] == 0.0)
 
@@ -101,9 +105,33 @@ def test_bundle_dim_fixed(spec, corpus):
     gop = simenc.plan_gop(video)
     obs = collect_observations(video, gop, [100] * video.num_frames, 500.0)
     for o in obs[:3]:
-        bundle = build_features(o, spec, prev_qp=o.prev_qp, prev_reward=0.0)
+        bundle = build_features(o, spec)
         assert bundle.shape == (spec.bundle_dim,)
     assert spec.bundle_dim == 46
+
+
+def test_constant_feature_is_centered_not_scaled(spec, corpus, monkeypatch):
+    """Every training record targets 500 kbps: the target is then only
+    centered, so a rollout at another target stays in range."""
+    assert spec.scalar_std["target_bitrate_kbps"] == 1.0
+    assert spec.scalar_transform("target_bitrate_kbps", 2000.0) == 1500.0
+    video = next(iter(corpus.values()))
+    params = PolicyParams(arch_from_preset("tiny", spec.bundle_dim), seed=2)
+    runner = rollout.PolicyRunner(params, spec, sampler=lambda logits: int(np.argmax(logits)))
+    gates = []
+
+    def step(pre, c):
+        h, c, g = lstm_cell(pre, c)
+        gates.append(g)
+        return h, c, g
+
+    monkeypatch.setattr(rollout, "lstm_cell", step)
+    with np.errstate(all="raise"):
+        simenc.run_episode(video, simenc.plan_gop(video), 2000.0, runner)
+    gates = np.array(gates)
+    assert gates.shape[0] == video.num_frames
+    assert np.all(np.isfinite(gates))
+    assert np.all(np.isfinite(runner.bits_predictions))
 
 
 def test_fit_requires_scalar_samples():

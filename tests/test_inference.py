@@ -284,8 +284,6 @@ def test_adjust_index_validation():
 def test_feedback_config_validation():
     with pytest.raises(ValueError):
         FeedbackConfig(alpha=-1.0)
-    with pytest.raises(ValueError):
-        FeedbackConfig(sample_pool=50, candidate_pool=40)
 
 
 # ---------------------------------------------------------------------------

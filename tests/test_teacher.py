@@ -21,16 +21,48 @@ from conftest import FAST_CONFIG
 # es_step update rule
 # ---------------------------------------------------------------------------
 
+def _rewards_by_qp(table):
+    """A reward function of one-frame candidates, looked up by their QP."""
+    return lambda qps: np.array([table[int(q)] for q in qps[:, 0]])
+
+
 def test_update_rule_direct_evaluation():
-    # theta=[128], n=1, eps=[1], sigma=4, alpha=16, F=10 -> theta' = [168].
-    cfg = EsConfig(sigma=4.0, batch_size=1, learning_rate=16.0, seed=0)
+    # theta=[128], eps=+-1, sigma=4, alpha=16: the better candidate (132)
+    # weighs +0.5 and the worse (124) -0.5, so theta' = 128 + 16/8 * 1 = 130.
+    cfg = EsConfig(sigma=4.0, batch_size=2, learning_rate=16.0, seed=0)
     state = EsState(theta=np.array([128.0]), step=0, best_reward=-np.inf, best_qps=np.array([128]))
-    nxt = es_step(state, cfg, lambda qps: 10.0, np.array([[1.0]]))
-    assert nxt.theta == pytest.approx([168.0])
+    nxt = es_step(state, cfg, _rewards_by_qp({132: 10.0, 124: 0.0}), np.array([[1.0], [-1.0]]))
+    assert nxt.theta == pytest.approx([130.0])
     assert nxt.step == 1
 
 
-def test_antithetic_equal_rewards_cancel():
+def test_tied_rewards_share_their_mean_rank():
+    # Rewards 3, 1, 3, 0 rank 2.5, 1, 2.5, 0 of 0..3, weights r/3 - 1/2:
+    # 1/3, -1/6, 1/3, -1/2. Update 16/(4*4) * (1/3 - 2/6 - 1/3 + 1) = 2/3.
+    cfg = EsConfig(sigma=4.0, batch_size=4, learning_rate=16.0)
+    state = EsState(theta=np.array([100.0]), step=0, best_reward=-np.inf, best_qps=np.array([100]))
+    table = {104: 3.0, 108: 1.0, 96: 3.0, 92: 0.0}
+    nxt = es_step(state, cfg, _rewards_by_qp(table), np.array([[1.0], [2.0], [-1.0], [-2.0]]))
+    assert nxt.theta == pytest.approx([100.0 + 2.0 / 3.0])
+
+
+def test_update_invariant_to_increasing_reward_map():
+    cfg = EsConfig(sigma=4.0, batch_size=8, learning_rate=16.0)
+    rng = np.random.default_rng(3)
+    theta = rng.uniform(20.0, 230.0, 5)
+    state = EsState(theta=theta, step=0, best_reward=-np.inf, best_qps=theta.astype(int))
+    noise = rng.standard_normal((8, 5))
+    center = rng.integers(0, 256, 5)
+
+    def reward(qps):
+        return -np.abs(qps - center).sum(axis=1).astype(float)
+
+    a = es_step(state, cfg, reward, noise)
+    b = es_step(state, cfg, lambda qps: 5.0 * np.exp(reward(qps) / 100.0) + 3.0, noise)
+    assert np.array_equal(a.theta, b.theta)
+
+
+def test_mirrored_equal_rewards_cancel():
     cfg = EsConfig(sigma=4.0, batch_size=2, learning_rate=16.0)
     theta = np.array([100.0, 50.0, 200.0])
     state = EsState(theta=theta.copy(), step=0, best_reward=-np.inf, best_qps=theta.astype(int))
@@ -41,10 +73,10 @@ def test_antithetic_equal_rewards_cancel():
 
 
 def test_zero_noise_leaves_theta_unchanged():
-    cfg = EsConfig(sigma=4.0, batch_size=3, learning_rate=16.0)
+    cfg = EsConfig(sigma=4.0, batch_size=4, learning_rate=16.0)
     theta = np.array([10.0, 250.0])
     state = EsState(theta=theta.copy(), step=5, best_reward=-np.inf, best_qps=theta.astype(int))
-    nxt = es_step(state, cfg, lambda qps: 3.0, np.zeros((3, 2)))
+    nxt = es_step(state, cfg, lambda qps: -np.arange(4.0), np.zeros((4, 2)))
     assert nxt.theta == pytest.approx(theta)
 
 
@@ -66,21 +98,23 @@ def test_candidates_always_within_qp_range():
 
 
 def test_theta_clamped_after_update():
-    cfg = EsConfig(sigma=4.0, batch_size=1, learning_rate=1000.0)
+    # A step of 1000 / (2 * 4) = 125 QP toward the better candidate.
+    cfg = EsConfig(sigma=4.0, batch_size=2, learning_rate=1000.0)
+    mirrored = np.array([[1.0], [-1.0]])
     state = EsState(theta=np.array([250.0]), step=0, best_reward=-np.inf, best_qps=np.array([250]))
-    nxt = es_step(state, cfg, lambda qps: 100.0, np.array([[1.0]]))
+    nxt = es_step(state, cfg, lambda qps: qps[:, 0].astype(float), mirrored)
     assert nxt.theta[0] == 255.0
     down = es_step(
         EsState(theta=np.array([5.0]), step=0, best_reward=-np.inf, best_qps=np.array([5])),
         cfg,
-        lambda qps: 100.0,
-        np.array([[-1.0]]),
+        lambda qps: -qps[:, 0].astype(float),
+        mirrored,
     )
     assert down.theta[0] == 0.0
 
 
 def test_learning_rate_decay_schedule():
-    cfg = EsConfig(learning_rate=16.0, decay_rate=0.5, decay_every=100.0)
+    cfg = EsConfig(learning_rate=16.0)
     assert cfg.step_learning_rate(0) == 16.0
     assert cfg.step_learning_rate(100) == pytest.approx(8.0)
     assert cfg.step_learning_rate(200) == pytest.approx(4.0)
@@ -96,10 +130,9 @@ def test_noise_shape_validation():
 def test_config_validation():
     with pytest.raises(ValueError):
         EsConfig(sigma=0.0)
-    with pytest.raises(ValueError):
-        EsConfig(batch_size=3, antithetic=True)
-    with pytest.raises(ValueError):
-        EsConfig(fitness_shaping="ranked")
+    for odd_or_too_small in (0, 1, 3):
+        with pytest.raises(ValueError):
+            EsConfig(batch_size=odd_or_too_small)
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +144,13 @@ def es_video():
     return simenc.generate_video(42, FAST_CONFIG)
 
 
+def test_noise_comes_in_mirrored_pairs():
+    noise = teacher._draw_noise(np.random.default_rng(0), EsConfig(batch_size=6), 5)
+    assert noise.shape == (6, 5)
+    assert np.array_equal(noise[:3], -noise[3:])
+    assert np.all(noise[:3] != 0.0)
+
+
 def test_zero_steps_returns_baseline(es_video):
     cfg = EsConfig(max_steps=0, seed=1)
     res = run_es(es_video, 512.0, cfg)
@@ -119,7 +159,7 @@ def test_zero_steps_returns_baseline(es_video):
 
 
 def test_run_es_deterministic(es_video):
-    cfg = EsConfig(max_steps=10, seed=5, antithetic=True, fitness_shaping="centered_rank")
+    cfg = EsConfig(max_steps=10, seed=5)
     a = run_es(es_video, 512.0, cfg)
     b = run_es(es_video, 512.0, cfg)
     assert a.best_qps == b.best_qps
@@ -127,14 +167,14 @@ def test_run_es_deterministic(es_video):
 
 
 def test_best_reward_monotone(es_video):
-    cfg = EsConfig(max_steps=30, seed=5, antithetic=True, fitness_shaping="centered_rank")
+    cfg = EsConfig(max_steps=30, seed=5)
     res = run_es(es_video, 512.0, cfg)
     hist = (res.baseline_trace.reward,) + res.best_reward_history
     assert all(b >= a for a, b in zip(hist, hist[1:]))
 
 
 def test_run_es_improves_reward(es_video):
-    cfg = EsConfig(max_steps=60, seed=5, antithetic=True, fitness_shaping="centered_rank")
+    cfg = EsConfig(max_steps=60, seed=5)
     res = run_es(es_video, 512.0, cfg)
     assert res.best_trace.reward > res.baseline_trace.reward
 
@@ -148,7 +188,7 @@ def tiny_dataset():
     videos = simenc.generate_corpus(2, master_seed=11, config=FAST_CONFIG)
     cfg = TeacherConfig(
         bitrates_per_video=3,
-        es=EsConfig(max_steps=5, antithetic=True, fitness_shaping="centered_rank"),
+        es=EsConfig(max_steps=5),
         seed=3,
     )
     return videos, build_teacher_dataset(videos, cfg)
@@ -185,11 +225,13 @@ def test_dataset_drift_guard(tiny_dataset):
         assert drift < 64.0
 
 
-def test_drift_guard_rejects_distant_labels(es_video):
+def test_drift_guard_rejects_distant_labels(es_video, monkeypatch):
     gop = simenc.plan_gop(es_video)
     res = run_es(es_video, 512.0, EsConfig(max_steps=0))
+    teacher.record_from_result(es_video, res, gop)
+    monkeypatch.setattr(teacher, "DRIFT_BOUND", -1.0)
     with pytest.raises(TeacherDataError):
-        teacher.record_from_result(es_video, res, gop, drift_bound=-1.0)
+        teacher.record_from_result(es_video, res, gop)
 
 
 def test_dataset_roundtrip(tmp_path, tiny_dataset):
@@ -203,7 +245,7 @@ def test_dataset_build_deterministic(tiny_dataset):
     videos, records = tiny_dataset
     cfg = TeacherConfig(
         bitrates_per_video=3,
-        es=EsConfig(max_steps=5, antithetic=True, fitness_shaping="centered_rank"),
+        es=EsConfig(max_steps=5),
         seed=3,
     )
     again = build_teacher_dataset(videos, cfg)

@@ -14,6 +14,7 @@ from ratelab.policy import (
     top_k_coverage,
     train,
 )
+from ratelab.policy.network import PolicyParams, arch_from_preset
 from ratelab.policy.rollout import PolicyRunner
 from ratelab.inference import truncated_sample
 from ratelab.teacher import EsConfig, TeacherConfig, build_teacher_dataset
@@ -31,7 +32,7 @@ def corpus():
 def records(corpus):
     cfg = TeacherConfig(
         bitrates_per_video=2,
-        es=EsConfig(max_steps=8, antithetic=True, fitness_shaping="centered_rank"),
+        es=EsConfig(max_steps=8),
         seed=23,
     )
     return build_teacher_dataset(list(corpus.values()), cfg)
@@ -132,6 +133,33 @@ def test_checkpoint_schema_guard(tmp_path, episodes, spec):
         np.savez(fh, **arrays)
     with pytest.raises(SchemaError):
         load_checkpoint(bad)
+
+
+def test_loads_checkpoint_with_removed_settings_and_key_bias(tmp_path, spec):
+    """Checkpoints saved before the Adam and decay-step settings became
+    constants, and before the key bias was dropped, still load."""
+    import json
+
+    config = TrainConfig(epochs=1, batch_size=4, seed=7, preset="tiny")
+    params = PolicyParams(arch_from_preset("tiny", spec.bundle_dim), seed=4)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params, spec, config)
+    with np.load(path) as bundle:
+        arrays = {k: bundle[k] for k in bundle.files}
+    meta = json.loads(bytes(arrays["__meta__"]).decode())
+    meta["train_config"].update(
+        lr_decay_steps=100.0, adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8
+    )
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    arrays["param/attn_bk"] = np.full(params["attn_wk"].data.shape[1], 0.25)
+    old = tmp_path / "old.npz"
+    with old.open("wb") as fh:
+        np.savez(fh, **arrays)
+    params2, _, config2 = load_checkpoint(old)
+    assert config2 == config
+    assert params2.tensors.keys() == params.tensors.keys()
+    for name, tensor in params.items():
+        assert np.array_equal(params2[name].data, tensor.data)
 
 
 def test_coverage_metric_counts_topk(episodes, spec):
