@@ -92,12 +92,12 @@ class BaselinePolicy:
         self._gop = gop
         self._budget = target_bitrate_kbps * 1000.0 * video.duration
         self._targets = allocate_frame_targets(video, gop, target_bitrate_kbps)
+        self._remaining = np.cumsum(self._targets[::-1])[::-1].tolist()  # sums from t to the end
 
     def __call__(self, obs: Observation) -> int:
         t = obs.frame_index
         remaining_budget = self._budget - obs.state.cum_bits
-        remaining_weight = sum(self._targets[t:])
-        target = max(1.0, self._targets[t] * remaining_budget / remaining_weight)
+        target = max(1.0, self._targets[t] * remaining_budget / self._remaining[t])
         return qp_for_target_bits(self._video, self._gop, obs.state, target)
 
 

@@ -248,12 +248,12 @@ def cmd_fit_bounds(args) -> int:
     return EXIT_OK
 
 
-def _policy_callback(params, spec, rng, bounds=None, alpha=None):
+def _policy_callback(params, spec, rng, bounds, alpha):
     if bounds is None:
         return PolicyRunner(
             params, spec, sampler=lambda logits: inference.truncated_sample(logits, rng)
         )
-    config = inference.FeedbackConfig(alpha=alpha if alpha is not None else 0.05)
+    config = inference.FeedbackConfig(alpha=alpha)
     runner, _ = inference.controlled_policy(params, spec, bounds, rng, config)
     return runner
 
@@ -291,17 +291,7 @@ def cmd_evaluate(args) -> int:
     simenc.save_traces(out / "policy_traces.jsonl", policy_traces)
     report = metrics.summarize_suite(policy_traces, curves, within_pct=args.within_pct)
     metrics.write_suite_csv(report, out / "eval.csv")
-    summary = {
-        "median_proj_bitrate_diff_pct": report.median_proj_bitrate_diff_pct,
-        "p25_proj_bitrate_diff_pct": report.p25_proj_bitrate_diff_pct,
-        "p75_proj_bitrate_diff_pct": report.p75_proj_bitrate_diff_pct,
-        "median_proj_psnr_diff_db": report.median_proj_psnr_diff_db,
-        "within_target_frac": report.within_target_frac,
-        "under_target_frac": report.under_target_frac,
-        "over_target_frac": report.over_target_frac,
-        "within_pct": report.within_pct,
-        "n_videos": len(policy_traces),
-    }
+    summary = {**report.aggregates(), "n_videos": len(policy_traces)}
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     _write_manifest(out, "evaluate", args)
     print(json.dumps(summary, indent=2))
@@ -313,9 +303,10 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _histogram_rows(values: np.ndarray, n_bins: int = 10) -> list[dict]:
+    """Equal-width bins over the finite values; no rows when there are none."""
     values = values[np.isfinite(values)]
     if values.size == 0:
-        raise ValueError("no finite values to histogram")
+        return []
     lo, hi = float(values.min()), float(values.max())
     if hi - lo < 1e-12:
         lo, hi = lo - 0.5, hi + 0.5
@@ -333,9 +324,13 @@ def _write_histogram(path: Path, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
+def _fmt(value: float | None, fmt: str) -> str:
+    return "n/a" if value is None else format(value, fmt)
+
+
 def cmd_report(args) -> int:
     out = _out_dir(args)
-    labeled: list[tuple[str, list[metrics.SuiteRow]]] = []
+    labeled: list[tuple[str, metrics.SuiteReport]] = []
     for item in args.inputs.split(","):
         label, _, path = item.partition("=")
         if not path:
@@ -343,52 +338,36 @@ def cmd_report(args) -> int:
         rows = metrics.read_suite_csv(_require(path))
         if not rows:
             raise ValueError(f"{path}: empty evaluation input")
-        labeled.append((label, rows))
+        labeled.append((label, metrics.report_from_rows(rows)))
 
     primary_label, primary = labeled[0]
-    rate_diffs = np.array([r.proj_bitrate_diff_pct for r in primary])
-    psnr_diffs = np.array([r.proj_psnr_diff_db for r in primary])
-    bitrates = np.array([r.bitrate_kbps for r in primary])
-    _write_histogram(out / "hist_proj_bitrate_diff_pct.csv", _histogram_rows(rate_diffs))
-    _write_histogram(out / "hist_proj_psnr_diff_db.csv", _histogram_rows(psnr_diffs))
-    _write_histogram(out / "hist_bitrate_kbps.csv", _histogram_rows(bitrates))
+    for name, values in (
+        ("proj_bitrate_diff_pct", [r.proj_bitrate_diff_pct for r in primary.rows]),
+        ("proj_psnr_diff_db", [r.proj_psnr_diff_db for r in primary.rows]),
+        ("bitrate_kbps", [r.bitrate_kbps for r in primary.rows]),
+    ):
+        _write_histogram(out / f"hist_{name}.csv", _histogram_rows(np.array(values)))
 
-    table_rows = []
-    for label, rows in labeled:
-        rel = np.array(
-            [(r.bitrate_kbps - r.target_kbps) / r.target_kbps * 100.0 for r in rows]
-        )
-        table_rows.append(
-            {
-                "variant": label,
-                "median_proj_bitrate_diff_pct": float(
-                    np.nanmedian([r.proj_bitrate_diff_pct for r in rows])
-                ),
-                "median_proj_psnr_diff_db": float(
-                    np.nanmedian([r.proj_psnr_diff_db for r in rows])
-                ),
-                "within_pm5_frac": float(np.mean(np.abs(rel) <= 5.0)),
-                "under_frac": float(np.mean(rel < -5.0)),
-                "over_frac": float(np.mean(rel > 5.0)),
-            }
-        )
+    table_rows = [{"variant": label, **report.aggregates()} for label, report in labeled]
     with (out / "ablation_table.csv").open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(table_rows[0]))
         writer.writeheader()
         writer.writerows(table_rows)
 
-    median_reduction = -float(np.nanmedian(rate_diffs))
+    median = primary.median_proj_bitrate_diff_pct
     lines = [
-        f"evaluation report ({primary_label}, {len(primary)} videos)",
-        f"median projected bitrate reduction: {median_reduction:.2f}%"
+        f"evaluation report ({primary_label}, {len(primary.rows)} videos, "
+        f"{primary.n_projected} projected inside their reference span)",
+        f"median projected bitrate reduction: {_fmt(None if median is None else -median, '.2f')}%"
         f" (full-scale reference: {REFERENCE_FULL_SCALE_MEDIAN_REDUCTION_PCT}%)",
-        f"median projected PSNR difference: {float(np.nanmedian(psnr_diffs)):+.3f} dB",
+        f"median projected PSNR difference: {_fmt(primary.median_proj_psnr_diff_db, '+.3f')} dB",
     ]
     for row in table_rows:
         lines.append(
-            f"  {row['variant']}: proj bitrate {row['median_proj_bitrate_diff_pct']:+.2f}%, "
-            f"within +/-5%: {row['within_pm5_frac']:.0%}, "
-            f"under: {row['under_frac']:.0%}, over: {row['over_frac']:.0%}"
+            f"  {row['variant']}: proj bitrate "
+            f"{_fmt(row['median_proj_bitrate_diff_pct'], '+.2f')}%, "
+            f"within +/-{row['within_pct']:g}%: {row['within_target_frac']:.0%}, "
+            f"under: {row['under_target_frac']:.0%}, over: {row['over_target_frac']:.0%}"
         )
     text = "\n".join(lines) + "\n"
     (out / "summary.txt").write_text(text)
@@ -495,7 +474,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--corpus", required=True)
     p.add_argument("--checkpoint", help="policy checkpoint; omitted = baseline self-test")
     p.add_argument("--bounds", help="bounds JSON enabling feedback control")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float, default=inference.FeedbackConfig().alpha)
     p.add_argument("--target", type=float, default=512.0)
     p.add_argument("--anchors", default="0.5,0.75,1.0,1.25,1.5")
     p.add_argument("--within-pct", type=float, default=5.0)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -30,6 +30,7 @@ __all__ = [
     "rd_curve_from_traces",
     "SuiteRow",
     "SuiteReport",
+    "report_from_rows",
     "summarize_suite",
     "write_suite_csv",
     "SUITE_CSV_COLUMNS",
@@ -181,15 +182,50 @@ class SuiteRow:
 
 @dataclass(frozen=True)
 class SuiteReport:
+    """Aggregates of suite rows. The projected ones cover the ``n_projected``
+    rows projected inside their reference span: None if none, never NaN."""
+
     rows: tuple[SuiteRow, ...]
-    median_proj_bitrate_diff_pct: float
-    p25_proj_bitrate_diff_pct: float
-    p75_proj_bitrate_diff_pct: float
-    median_proj_psnr_diff_db: float
+    median_proj_bitrate_diff_pct: float | None
+    p25_proj_bitrate_diff_pct: float | None
+    p75_proj_bitrate_diff_pct: float | None
+    median_proj_psnr_diff_db: float | None
+    n_projected: int
     within_target_frac: float   # |bitrate - target| <= within_pct of target
     under_target_frac: float    # bitrate < (1 - within_pct) * target
     over_target_frac: float     # bitrate > (1 + within_pct) * target
     within_pct: float
+
+    def aggregates(self) -> dict:
+        """Every field but the rows."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
+
+
+def _projected(values: Sequence[float]) -> np.ndarray:
+    """The values that are not NaN: those of rows projected inside the span."""
+    return np.asarray(values)[~np.isnan(values)]
+
+
+def report_from_rows(rows: Sequence[SuiteRow], within_pct: float = 5.0) -> SuiteReport:
+    """Aggregate suite rows: projected medians and quartiles, and the share
+    of rows within, under and over ``within_pct`` percent of their target."""
+    if not rows:
+        raise ValueError("no suite rows to aggregate")
+    rate = _projected([r.proj_bitrate_diff_pct for r in rows])
+    psnr = _projected([r.proj_psnr_diff_db for r in rows])
+    rel = np.array([(r.bitrate_kbps - r.target_kbps) / r.target_kbps * 100.0 for r in rows])
+    return SuiteReport(
+        rows=tuple(rows),
+        median_proj_bitrate_diff_pct=float(np.median(rate)) if rate.size else None,
+        p25_proj_bitrate_diff_pct=float(np.percentile(rate, 25)) if rate.size else None,
+        p75_proj_bitrate_diff_pct=float(np.percentile(rate, 75)) if rate.size else None,
+        median_proj_psnr_diff_db=float(np.median(psnr)) if psnr.size else None,
+        n_projected=int(rate.size),
+        within_target_frac=float(np.mean(np.abs(rel) <= within_pct)),
+        under_target_frac=float(np.mean(rel < -within_pct)),
+        over_target_frac=float(np.mean(rel > within_pct)),
+        within_pct=within_pct,
+    )
 
 
 def summarize_suite(
@@ -201,11 +237,9 @@ def summarize_suite(
 
     Every trace must have a matching curve (built from the baseline encoded
     at >= 2 bitrates). Traces whose PSNR or bitrate falls outside the
-    reference span get NaN projected diffs and are excluded from the
-    aggregates, which use the remaining rows.
+    reference span get NaN projected diffs and are left out of the
+    projected aggregates (see ``report_from_rows``).
     """
-    if not policy_traces:
-        raise ValueError("no policy traces to summarize")
     rows = []
     for trace in policy_traces:
         if trace.video_id not in baseline_curves:
@@ -231,21 +265,7 @@ def summarize_suite(
                 proj_psnr_diff_db=psnr_diff,
             )
         )
-    rate_diffs = np.array([r.proj_bitrate_diff_pct for r in rows])
-    psnr_diffs = np.array([r.proj_psnr_diff_db for r in rows])
-    rel = np.array([(r.bitrate_kbps - r.target_kbps) / r.target_kbps * 100.0 for r in rows])
-    tol = within_pct
-    return SuiteReport(
-        rows=tuple(rows),
-        median_proj_bitrate_diff_pct=float(np.nanmedian(rate_diffs)),
-        p25_proj_bitrate_diff_pct=float(np.nanpercentile(rate_diffs, 25)),
-        p75_proj_bitrate_diff_pct=float(np.nanpercentile(rate_diffs, 75)),
-        median_proj_psnr_diff_db=float(np.nanmedian(psnr_diffs)),
-        within_target_frac=float(np.mean(np.abs(rel) <= tol)),
-        under_target_frac=float(np.mean(rel < -tol)),
-        over_target_frac=float(np.mean(rel > tol)),
-        within_pct=within_pct,
-    )
+    return report_from_rows(rows, within_pct)
 
 
 def write_suite_csv(report: SuiteReport, path: str | Path) -> None:

@@ -6,17 +6,20 @@ is below ``_VAR_FLOOR`` is only centered. Count-like features get a
 ``log(1 + x)`` transform instead. The previous QP and the current frame
 type are embedded through fixed random tables created when the spec is
 fitted; the spec is frozen afterwards and serialized with the model.
+A bundle joins the columns an episode fixes, ``episode_features``, to those
+its encode history sets, in ``build_features``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from ..simenc import FIRST_PASS_FEATURES, FrameType, Observation
+from ..simenc import FIRST_PASS_FEATURES, FrameType
 
-__all__ = ["FeatureSpec", "FeatureError", "fit_feature_spec", "build_features"]
+__all__ = ["FeatureSpec", "FeatureError", "fit_feature_spec", "episode_features", "build_features"]
 
 EMBED_DIM = 16
 
@@ -67,6 +70,11 @@ class FeatureSpec:
     @property
     def bundle_dim(self) -> int:
         return 7 + 2 + EMBED_DIM + EMBED_DIM + 2 + 1 + 2
+
+    @cached_property
+    def qp_rows(self) -> np.ndarray:
+        """``qp_embedding`` and a zero row, which index -1 (no previous QP) selects."""
+        return np.vstack([self.qp_embedding, np.zeros(EMBED_DIM)])
 
     def require_fitted(self) -> None:
         if not self.fitted:
@@ -170,41 +178,45 @@ def fit_feature_spec(
     )
 
 
-def build_features(obs: Observation, spec: FeatureSpec) -> np.ndarray:
-    """Assemble one step's input bundle from an observation.
+def episode_features(
+    spec: FeatureSpec, video, target_bitrate_kbps: float, encode_speed: int
+) -> np.ndarray:
+    """The (T, 9) bundle columns an episode fixes: 7 static, 2 frame-position.
 
-    The previous QP is the one the episode encoded, ``obs.prev_qp``: the
-    label under teacher forcing, the policy's own action in a rollout. It
-    is -1 on the first frame and embeds as zeros. The environment pays only
-    a terminal reward, so the previous-reward slot is always 0.
+    ``video`` has the video's ``width``, ``height``, ``num_frames``,
+    ``duration`` and ``frame_rate``: a ``SyntheticVideo`` or an ``Observation``.
     """
-    spec.require_fitted()
+    T = video.num_frames
     static = [
-        spec.scalar_transform("width", float(obs.width)),
-        spec.scalar_transform("height", float(obs.height)),
-        np.log1p(float(obs.num_frames)),
-        spec.scalar_transform("duration", obs.duration),
-        spec.scalar_transform("frame_rate", obs.frame_rate),
-        spec.scalar_transform("target_bitrate_kbps", obs.target_bitrate_kbps),
-        float(obs.encode_speed),
+        spec.scalar_transform("width", float(video.width)),
+        spec.scalar_transform("height", float(video.height)),
+        np.log1p(float(T)),
+        spec.scalar_transform("duration", video.duration),
+        spec.scalar_transform("frame_rate", video.frame_rate),
+        spec.scalar_transform("target_bitrate_kbps", target_bitrate_kbps),
+        float(encode_speed),
     ]
-    position = [
-        np.log1p(float(obs.frame_index)),
-        (obs.frame_index + 1) / obs.num_frames,
-    ]
-    type_emb = spec.frame_type_embedding[FRAME_TYPE_ORDER.index(obs.frame_type)]
-    if obs.prev_qp < 0:
-        qp_emb = np.zeros(EMBED_DIM)
-    else:
-        qp_emb = spec.qp_embedding[obs.prev_qp]
-    prev = [
-        np.log1p(max(obs.prev_bits, 0.0)),
-        spec.scalar_transform("prev_mse", obs.prev_mse),
-        0.0,
-    ]
-    cumulative = [np.log1p(obs.cum_bits), obs.rel_cum_bits]
-    bundle = np.concatenate(
-        [np.asarray(static), np.asarray(position), type_emb, qp_emb, np.asarray(prev), np.asarray(cumulative)]
-    )
-    assert bundle.shape == (spec.bundle_dim,)
-    return bundle
+    index = np.arange(T, dtype=np.float64)
+    position = np.column_stack([np.log1p(index), (index + 1.0) / T])
+    return np.concatenate([np.broadcast_to(static, (T, 7)), position], axis=1)
+
+
+def build_features(
+    spec: FeatureSpec, episode, frame_type, prev_qp, prev_bits, prev_mse, cum_bits, rel_cum_bits
+) -> np.ndarray:
+    """Input bundles, (46,) for one step or (T, 46) for T steps at once.
+
+    ``episode`` holds the steps' ``episode_features`` rows; the rest are
+    scalars or (T,) arrays: ``frame_type`` indexes ``FRAME_TYPE_ORDER``,
+    and the others are the ``Observation`` fields of the same name.
+    ``prev_qp`` is the label under teacher forcing, the policy's action in a
+    rollout, and -1 (embedded as zeros) on the first frame. The environment
+    pays only a terminal reward, so the previous-reward slot is always 0.
+    """
+    prev_bits = np.asarray(prev_bits, dtype=np.float64)  # never negative
+    mse = spec.scalar_transform("prev_mse", prev_mse)
+    tail = np.array(
+        [np.log1p(prev_bits), mse, np.zeros(prev_bits.shape), np.log1p(cum_bits), rel_cum_bits]
+    ).T
+    types = spec.frame_type_embedding[frame_type]
+    return np.concatenate([episode, types, spec.qp_rows[prev_qp], tail], axis=-1)

@@ -3,9 +3,11 @@
 Rollouts use the training network's own definition: ``transformer_embed``
 runs once per episode under ``autodiff.no_grad``, and the recurrent core
 advances one ``autodiff.lstm_cell`` step per frame, because each frame's
-input bundle depends on the QPs chosen before it. Only the two small output
-heads have a numpy form here, ``eval_head``, which is two to three times
-faster per frame than a tape pass.
+input bundle depends on the QPs chosen before it; it comes from the feature
+code training uses, ``episode_features`` at frame 0 and one
+``build_features`` row per frame. Only the two small output heads have a
+numpy form here, ``eval_head``, which is two to three times faster per
+frame than a tape pass.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from ..simenc import Observation
 from .autodiff import lstm_cell, no_grad
-from .features import FeatureSpec, build_features
+from .features import FRAME_TYPE_ORDER, FeatureSpec, build_features, episode_features
 from .network import PolicyParams, transformer_embed
 
 __all__ = ["PolicyRunner", "eval_transformer", "eval_head"]
@@ -66,13 +68,14 @@ class PolicyRunner:
         self.spec = spec
         self.sampler = sampler
         self.adjuster = adjuster
-        self._embed: np.ndarray | None = None
+        self._embed = self._episode = None  # (T, dh) and (T, 9), set at frame 0
         self._h = self._c = None
         self.bits_predictions: list[float] = []
 
     def _reset(self, obs: Observation) -> None:
         fp_norm = self.spec.normalize_first_pass(np.asarray(obs.first_pass, dtype=np.float64))
         self._embed = eval_transformer(self.params, fp_norm)
+        self._episode = episode_features(self.spec, obs, obs.target_bitrate_kbps, obs.encode_speed)
         dr = self.params.arch.dr
         self._h = np.zeros(dr)
         self._c = np.zeros(dr)
@@ -82,8 +85,12 @@ class PolicyRunner:
         """Advance the recurrent state and return this frame's QP logits."""
         if obs.frame_index == 0 or self._embed is None:
             self._reset(obs)
-        bundle = build_features(obs, self.spec)
-        x = np.concatenate([self._embed[obs.frame_index], bundle])
+        t = obs.frame_index
+        bundle = build_features(
+            self.spec, self._episode[t], FRAME_TYPE_ORDER.index(obs.frame_type), obs.prev_qp,
+            obs.prev_bits, obs.prev_mse, obs.cum_bits, obs.rel_cum_bits,
+        )
+        x = np.concatenate([self._embed[t], bundle])
         self._h, self._c = eval_lstm_step(self.params, x, self._h, self._c)
         self.bits_predictions.append(float(eval_head(self.params, "bits", self._h)[0]))
         return eval_head(self.params, "qp", self._h)

@@ -47,6 +47,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LR_DECAY_STEPS = 100.0
+TOP_K = 15  # the k of the top-k coverage that training logs and reports
 
 
 class TrainingDiverged(RuntimeError):
@@ -147,29 +148,25 @@ class TrainResult:
     final_top15: float = 0.0
 
 
-def _batch_metrics(result: ForwardResult, labels: np.ndarray) -> tuple[int, int]:
-    logits = result.logits.data
+def _top_k_hits(logits: np.ndarray, labels: np.ndarray, k: int) -> tuple[int, int]:
+    """(top-1 hits, top-k hits): rows whose label is the largest logit, or among the k largest."""
     top1 = int((logits.argmax(axis=1) == labels).sum())
-    # Membership in the 15 largest logits per row.
-    top15_idx = np.argpartition(logits, -15, axis=1)[:, -15:]
-    top15 = int((top15_idx == labels[:, None]).any(axis=1).sum())
-    return top1, top15
+    top_k = np.argpartition(logits, -k, axis=1)[:, -k:]
+    return top1, int((top_k == labels[:, None]).any(axis=1).sum())
 
 
 def top_k_coverage(
-    params: PolicyParams, episodes: Sequence[EpisodeData], k: int = 15
+    params: PolicyParams, episodes: Sequence[EpisodeData], k: int = TOP_K
 ) -> tuple[float, float]:
     """(top-1 accuracy, top-k coverage) over all steps, evaluation mode."""
     hits1 = hitsk = total = 0
     for ep in episodes:
         with ad.no_grad():
             result = forward(params, ep.first_pass_norm, ep.bundles, train_mode=False)
-        logits = result.logits.data
-        labels = ep.label_qps
-        hits1 += int((logits.argmax(axis=1) == labels).sum())
-        idx = np.argpartition(logits, -k, axis=1)[:, -k:]
-        hitsk += int((idx == labels[:, None]).any(axis=1).sum())
-        total += labels.size
+        h1, hk = _top_k_hits(result.logits.data, ep.label_qps, k)
+        hits1 += h1
+        hitsk += hk
+        total += ep.label_qps.size
     return hits1 / total, hitsk / total
 
 
@@ -229,7 +226,7 @@ def train(
                     )
                 loss.backward()
                 agg += (parts.total, parts.qp, parts.frame_bits, parts.total_bits)
-                b_top1, b_top15 = _batch_metrics(result, ep.label_qps)
+                b_top1, b_top15 = _top_k_hits(result.logits.data, ep.label_qps, TOP_K)
                 top1 += b_top1
                 top15 += b_top15
                 steps += ep.label_qps.size

@@ -63,7 +63,6 @@ __all__ = [
     "encode_all_qps",
     "episode_reward",
     "batch_rewards",
-    "step_reward",
     "run_episode",
     "replay_qp_sequence",
     "psnr_from_mse",
@@ -742,15 +741,6 @@ def episode_reward(trace: EpisodeTrace, reward_config: RewardConfig) -> float:
             f"incomplete trace: {len(trace.qps)} of {trace.num_frames} frames encoded"
         )
     return _reward(trace.psnr_db, trace.bitrate_kbps, reward_config)
-
-
-def step_reward(step_index: int, trace: EpisodeTrace, reward_config: RewardConfig) -> float:
-    """Per-step reward: zero everywhere except the final step of the episode."""
-    if not 0 <= step_index < trace.num_frames:
-        raise EpisodeError(f"step {step_index} outside episode of {trace.num_frames} frames")
-    if step_index < trace.num_frames - 1:
-        return 0.0
-    return episode_reward(trace, reward_config)
 
 
 def _quality_and_rate(

@@ -106,6 +106,7 @@ def test_evaluate_baseline_self_comparison(tmp_path, corpus_dir):
     # Baseline evaluated against its own anchored curve: zero projected diff.
     assert abs(summary["median_proj_bitrate_diff_pct"]) < 1e-9
     assert abs(summary["median_proj_psnr_diff_db"]) < 1e-9
+    assert summary["n_projected"] == summary["n_videos"] == 3
     rows = metrics.read_suite_csv(out / "eval.csv")
     assert len(rows) == 3
 
@@ -234,3 +235,23 @@ def test_report_outputs(tmp_path, corpus_dir):
     table = (rep / "ablation_table.csv").read_text().splitlines()
     assert table[0].startswith("variant,median_proj_bitrate_diff_pct")
     assert "full-scale reference: 8.5%" in (rep / "summary.txt").read_text()
+
+
+def test_report_on_suite_with_no_projected_row(tmp_path):
+    row = metrics.SuiteRow("v0", 512.0, 900.0, 40.0, float("nan"), float("nan"), float("nan"))
+    suite = tmp_path / "eval.csv"
+    metrics.write_suite_csv(metrics.report_from_rows([row]), suite)
+    rep = tmp_path / "rep"
+    assert run(["report", "--inputs", f"x={suite}", "--out", str(rep)]) == 0
+    summary = (rep / "summary.txt").read_text()
+    assert "1 videos, 0 projected inside their reference span" in summary
+    assert "median projected bitrate reduction: n/a%" in summary
+    assert "proj bitrate n/a%" in summary
+    table = (rep / "ablation_table.csv").read_text().splitlines()
+    assert table[0] == (
+        "variant,median_proj_bitrate_diff_pct,p25_proj_bitrate_diff_pct,p75_proj_bitrate_diff_pct,"
+        "median_proj_psnr_diff_db,n_projected,within_target_frac,under_target_frac,"
+        "over_target_frac,within_pct"
+    )
+    assert table[1] == "x,,,,,0,0.0,0.0,1.0,5.0"
+    assert (rep / "hist_proj_bitrate_diff_pct.csv").read_text().strip() == "bin_lo,bin_hi,count"

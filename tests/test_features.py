@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,15 +7,17 @@ from ratelab import simenc
 from ratelab.policy import rollout
 from ratelab.policy.autodiff import lstm_cell
 from ratelab.policy.network import PolicyParams, arch_from_preset
-from ratelab.policy.data import collect_observations, episodes_from_records, fit_spec_from_records
+from ratelab.policy.data import episodes_from_records, fit_spec_from_records
 from ratelab.policy.features import (
     EMBED_DIM,
     FeatureError,
     FeatureSpec,
+    FRAME_TYPE_ORDER,
     build_features,
+    episode_features,
     fit_feature_spec,
 )
-from ratelab.teacher import TeacherRecord
+from ratelab.teacher import TeacherDataError, TeacherRecord
 
 from conftest import FAST_CONFIG
 
@@ -80,33 +84,51 @@ def test_first_pass_standardization(spec, corpus):
     assert out[0, j] == pytest.approx(expect, rel=1e-12)
 
 
+def _observations(video, qp, target=500.0):
+    """The observation before every frame of a constant-QP episode."""
+    observations = []
+
+    def record(obs):
+        observations.append(obs)
+        return qp
+
+    simenc.run_episode(video, simenc.plan_gop(video), target, record)
+    return observations
+
+
+def _bundle(obs, spec):
+    episode = episode_features(spec, obs, obs.target_bitrate_kbps, obs.encode_speed)
+    return build_features(
+        spec,
+        episode[obs.frame_index],
+        FRAME_TYPE_ORDER.index(obs.frame_type),
+        obs.prev_qp,
+        obs.prev_bits,
+        obs.prev_mse,
+        obs.cum_bits,
+        obs.rel_cum_bits,
+    )
+
+
 def test_qp_embedding_lookup(spec, corpus):
-    video = next(iter(corpus.values()))
-    gop = simenc.plan_gop(video)
-    obs = collect_observations(video, gop, [17] * video.num_frames, 500.0)[1]
+    obs = _observations(next(iter(corpus.values())), 17)[1]
     assert obs.prev_qp == 17
-    bundle = build_features(obs, spec)
+    bundle = _bundle(obs, spec)
     start = 7 + 2 + EMBED_DIM
     assert bundle[start : start + EMBED_DIM] == pytest.approx(spec.qp_embedding[17])
 
 
 def test_no_previous_frame_embeds_zero(spec, corpus):
-    video = next(iter(corpus.values()))
-    gop = simenc.plan_gop(video)
-    obs = collect_observations(video, gop, [17] * video.num_frames, 500.0)[0]
+    obs = _observations(next(iter(corpus.values())), 17)[0]
     assert obs.prev_qp == -1
-    bundle = build_features(obs, spec)
+    bundle = _bundle(obs, spec)
     start = 7 + 2 + EMBED_DIM
     assert np.all(bundle[start : start + EMBED_DIM] == 0.0)
 
 
 def test_bundle_dim_fixed(spec, corpus):
-    video = next(iter(corpus.values()))
-    gop = simenc.plan_gop(video)
-    obs = collect_observations(video, gop, [100] * video.num_frames, 500.0)
-    for o in obs[:3]:
-        bundle = build_features(o, spec)
-        assert bundle.shape == (spec.bundle_dim,)
+    for o in _observations(next(iter(corpus.values())), 100)[:3]:
+        assert _bundle(o, spec).shape == (spec.bundle_dim,)
     assert spec.bundle_dim == 46
 
 
@@ -157,3 +179,13 @@ def test_episodes_from_records(records, corpus, spec):
         assert ep.label_bits_kbit == pytest.approx(np.asarray(rec.label_bits) / 1000.0)
         video = corpus[rec.video_id]
         assert ep.budget_kbit == pytest.approx(rec.target_bitrate_kbps * video.duration)
+
+
+def test_record_whose_bits_do_not_replay_is_rejected(records, corpus, spec):
+    bits = list(records[0].label_bits)
+    bits[5] = np.nextafter(bits[5], np.inf)
+    tampered = dataclasses.replace(records[0], label_bits=tuple(bits))
+    with pytest.raises(TeacherDataError, match="do not replay"):
+        episodes_from_records([tampered], corpus, spec)
+    with pytest.raises(TeacherDataError, match="do not replay"):
+        fit_spec_from_records([records[1], tampered], corpus)

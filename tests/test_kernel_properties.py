@@ -1,13 +1,20 @@
-"""Property tests: every fast path of the encoder kernel equals its reference."""
+"""Property tests: every fast path of the encoder kernel, and the teacher-forced
+feature bundles, equal their references."""
+
+from unittest import mock
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ratelab import simenc, teacher
 from ratelab.baseline import qp_for_target_bits
+from ratelab.policy import rollout
+from ratelab.policy.data import episodes_from_records, fit_spec_from_records
+from ratelab.policy.features import EMBED_DIM, FRAME_TYPE_ORDER
+from ratelab.policy.network import PolicyParams, arch_from_preset
 from ratelab.simenc import EncodeState, encode_all_qps, encode_batch, encode_frame
-from ratelab.teacher import EsConfig, EsState, es_step
+from ratelab.teacher import EsConfig, EsState, TeacherRecord, es_step
 
 from test_baseline import scan_oracle
 
@@ -147,3 +154,72 @@ def test_batched_es_step_matches_per_candidate_loop(batch, frames, with_lead, se
     assert np.array_equal(nxt.best_qps, best_qps)
     assert nxt.best_reward == best_reward
     assert nxt.lead_best == lead_best
+
+
+TINY_PARAMS = PolicyParams(arch_from_preset("tiny", 46), seed=0)
+
+
+def reference_bundle(obs, spec):
+    """One observation's 46 input columns, each written out on its own."""
+    static = [
+        spec.scalar_transform("width", float(obs.width)),
+        spec.scalar_transform("height", float(obs.height)),
+        np.log1p(float(obs.num_frames)),
+        spec.scalar_transform("duration", obs.duration),
+        spec.scalar_transform("frame_rate", obs.frame_rate),
+        spec.scalar_transform("target_bitrate_kbps", obs.target_bitrate_kbps),
+        float(obs.encode_speed),
+    ]
+    position = [np.log1p(float(obs.frame_index)), (obs.frame_index + 1) / obs.num_frames]
+    type_emb = spec.frame_type_embedding[FRAME_TYPE_ORDER.index(obs.frame_type)]
+    qp_emb = np.zeros(EMBED_DIM) if obs.prev_qp < 0 else spec.qp_embedding[obs.prev_qp]
+    prev = [np.log1p(obs.prev_bits), spec.scalar_transform("prev_mse", obs.prev_mse), 0.0]
+    cumulative = [np.log1p(obs.cum_bits), obs.rel_cum_bits]
+    return np.concatenate([static, position, type_emb, qp_emb, prev, cumulative])
+
+QP_OR_EDGE = st.one_of(st.sampled_from([0, 255]), st.integers(0, 255))
+
+
+@given(
+    qps=st.lists(QP_OR_EDGE, min_size=2, max_size=40),
+    video_seed=st.integers(0, 2**32),
+    gop_interval=st.integers(2, 20),
+)
+@example(qps=[0, 255], video_seed=0, gop_interval=16)
+@example(qps=[255] * 20 + [0] * 20, video_seed=1, gop_interval=16)
+def test_teacher_forced_bundles_equal_rollout_bundles(qps, video_seed, gop_interval):
+    """One open-loop replay and one ``build_features`` call per episode give,
+    bit for bit, the bundles a rollout builds frame by frame from the
+    observations of ``run_episode`` driven along the same QPs, and those
+    the observations give column by column."""
+    frames = len(qps)
+    config = simenc.VideoConfig(num_frames_min=frames, num_frames_max=frames)
+    video = simenc.generate_video(video_seed, config)
+    gop = simenc.plan_gop(video, gop_interval)
+    trace = simenc.replay_qp_sequence(video, gop, qps, 400.0)
+    record = TeacherRecord(
+        video.video_id, 400.0, "ES", trace.qps, trace.bits, trace.qps,
+        trace.psnr_db, trace.bitrate_kbps, trace.reward,
+    )
+    corpus = {video.video_id: video}
+    spec = fit_spec_from_records([record], corpus, gop_interval, seed=3)
+    (episode,) = episodes_from_records([record], corpus, spec, gop_interval)
+
+    rollout_build = rollout.build_features
+    built, reference = [], []
+
+    def spy(*args):
+        built.append(rollout_build(*args))
+        return built[-1]
+
+    def adjuster(obs, logits, qp):
+        """Replaces each sampled QP with the label."""
+        reference.append(reference_bundle(obs, spec))
+        return qps[obs.frame_index]
+
+    runner = rollout.PolicyRunner(TINY_PARAMS, spec, lambda logits: 0, adjuster)
+    with mock.patch.object(rollout, "build_features", spy):
+        rolled = simenc.run_episode(video, gop, 400.0, runner)
+    assert rolled == trace
+    assert np.array(built).tobytes() == episode.bundles.tobytes()
+    assert np.array(reference).tobytes() == episode.bundles.tobytes()

@@ -235,6 +235,26 @@ def test_summarize_buckets():
     assert report.over_target_frac == pytest.approx(1 / 3)
 
 
+def test_summarize_with_no_projected_trace_reports_none():
+    """Traces outside the reference span in both PSNR and bitrate leave no
+    projected aggregate: each is None with a count of 0, not NaN."""
+    traces = [_trace("v0", 900.0, 40.0), _trace("v1", 200.0, 30.0)]
+    report = summarize_suite(traces, {"v0": REF, "v1": REF})
+    assert report.n_projected == 0
+    assert report.median_proj_bitrate_diff_pct is None
+    assert report.p25_proj_bitrate_diff_pct is None
+    assert report.p75_proj_bitrate_diff_pct is None
+    assert report.median_proj_psnr_diff_db is None
+    assert report.over_target_frac == report.under_target_frac == 0.5
+
+
+def test_summarize_counts_projected_traces():
+    traces = [_trace("v0", 512.0, 35.0), _trace("v1", 900.0, 40.0)]
+    report = summarize_suite(traces, {"v0": REF, "v1": REF})
+    assert report.n_projected == 1
+    assert report.median_proj_bitrate_diff_pct == report.rows[0].proj_bitrate_diff_pct
+
+
 def test_suite_csv_roundtrip(tmp_path):
     curves = {"v0": REF}
     report = summarize_suite([_trace("v0", 489.0, 35.0)], curves)

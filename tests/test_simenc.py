@@ -20,7 +20,6 @@ from ratelab.simenc import (
     rate_distortion,
     replay_qp_sequence,
     run_episode,
-    step_reward,
 )
 
 from conftest import FAST_CONFIG, constant_video
@@ -234,13 +233,6 @@ def test_reward_under_target_no_penalty():
 def test_reward_overshoot_penalty():
     cfg = RewardConfig(penalty_per_kbps=0.02, bitrate_target_kbps=512.0)
     assert episode_reward(_trace(40.0, 612.0), cfg) == pytest.approx(38.0, abs=1e-12)
-
-
-def test_step_reward_zero_before_final():
-    cfg = RewardConfig(penalty_per_kbps=0.02, bitrate_target_kbps=512.0)
-    tr = _trace(40.0, 500.0)
-    assert all(step_reward(t, tr, cfg) == 0.0 for t in range(tr.num_frames - 1))
-    assert step_reward(tr.num_frames - 1, tr, cfg) == 40.0
 
 
 def test_reward_incomplete_trace_rejected():
