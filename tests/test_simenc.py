@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -93,6 +94,31 @@ def test_corpus_roundtrip(tmp_path, small_corpus):
     second = tmp_path / "again.jsonl"
     simenc.save_corpus(second, loaded)
     assert path.read_bytes() == second.read_bytes()
+
+
+# Column of each range-checked latent in a corpus row's "frames" lists.
+_CHECKED_LATENTS = {"intra_energy": 0, "inter_fraction": 1, "noise_energy": 2, "rate_multiplier": 3}
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        ("intra_energy", 0.0),
+        ("intra_energy", -1.0),
+        ("inter_fraction", 0.0),
+        ("inter_fraction", 1.5),
+        ("noise_energy", -0.1),
+        ("rate_multiplier", 0.0),
+    ],
+)
+def test_load_corpus_rejects_out_of_range_latent(tmp_path, small_corpus, name, bad):
+    path = tmp_path / "corpus.jsonl"
+    simenc.save_corpus(path, small_corpus[:1])
+    row = json.loads(path.read_text())
+    row["frames"][3][_CHECKED_LATENTS[name]] = bad
+    path.write_text(json.dumps(row) + "\n")
+    with pytest.raises(simenc.ConfigError, match=name):
+        simenc.load_corpus(path)
 
 
 def test_corpus_schema_mismatch(tmp_path, small_corpus):
@@ -194,6 +220,14 @@ def test_encode_monotone_in_qp(video, gop):
     mses = [r[1] for r in results]
     assert all(b1 >= b2 for b1, b2 in zip(bits, bits[1:]))
     assert all(m1 <= m2 for m1, m2 in zip(mses, mses[1:]))
+
+
+def test_gop_of_another_length_rejected(video):
+    short = plan_gop(constant_video(num_frames=video.num_frames - 1))
+    with pytest.raises(simenc.ConfigError):
+        simenc.encode_batch(video, short, np.full((2, video.num_frames), 100))
+    with pytest.raises(simenc.ConfigError):
+        encode_frame(video, short, EncodeState(), 100)
 
 
 def test_encode_past_end_rejected():
