@@ -14,12 +14,13 @@ import numpy as np
 
 from . import simenc
 from .simenc import (
+    FIRST_PASS_FEATURES,
+    PENALTY_PER_KBPS,
     EncodeState,
     EpisodeTrace,
     FrameType,
     GopPlan,
     Observation,
-    RewardConfig,
     SyntheticVideo,
 )
 
@@ -39,6 +40,8 @@ class AllocationError(ValueError):
 # Weight of each frame type in the bit split.
 FRAME_TYPE_BOOST = {FrameType.KEY: 4.0, FrameType.ALT_REF_HIDDEN: 3.0, FrameType.INTER: 1.0}
 
+_CODED_ERROR = FIRST_PASS_FEATURES.index("coded_error")
+
 
 def allocate_frame_targets(
     video: SyntheticVideo, gop: GopPlan, target_bitrate_kbps: float
@@ -51,10 +54,8 @@ def allocate_frame_targets(
     budget = target_bitrate_kbps * 1000.0 * video.duration
     if budget <= 0:
         raise ValueError("total bit budget must be positive")
-    weights = [
-        fp.coded_error * FRAME_TYPE_BOOST[ft]
-        for fp, ft in zip(video.first_pass, gop.frame_types)
-    ]
+    coded_error = video.first_pass[:, _CODED_ERROR].tolist()
+    weights = [e * FRAME_TYPE_BOOST[ft] for e, ft in zip(coded_error, gop.frame_types)]
     total = sum(weights)
     if total <= 0.0:
         raise AllocationError("frame weights sum to zero")
@@ -105,10 +106,10 @@ def run_baseline(
     video: SyntheticVideo,
     gop: GopPlan | None = None,
     target_bitrate_kbps: float = 512.0,
-    reward_config: RewardConfig | None = None,
+    penalty_per_kbps: float = PENALTY_PER_KBPS,
 ) -> EpisodeTrace:
     """Encode one video with the heuristic VBR policy."""
     if gop is None:
         gop = simenc.plan_gop(video)
     policy = BaselinePolicy(video, gop, target_bitrate_kbps)
-    return simenc.run_episode(video, gop, target_bitrate_kbps, policy, reward_config=reward_config)
+    return simenc.run_episode(video, gop, target_bitrate_kbps, policy, penalty_per_kbps)

@@ -429,7 +429,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p.add_argument("--sigma", type=float, default=4.0)
         p.add_argument("--alpha", type=float, default=16.0)
         p.add_argument("--batch", type=int, default=16)
-        p.add_argument("--reward-lambda", type=float, default=0.02)
+        p.add_argument("--reward-lambda", type=float, default=teacher.EsConfig().reward_lambda)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--gop-interval", type=int, default=16)
         p.add_argument("--workers", type=int, default=1)

@@ -1,8 +1,7 @@
 """Rate-distortion comparison metrics.
 
 Curves are interpolated piecewise-linearly in (PSNR, log-bitrate); no
-extrapolation is performed outside a curve's span. BD-rate integrates the
-log-bitrate gap over the overlapped PSNR range of two curves.
+extrapolation is performed outside a curve's span.
 """
 
 from __future__ import annotations
@@ -22,11 +21,9 @@ __all__ = [
     "RDCurve",
     "DegenerateCurveError",
     "SpanError",
-    "NoOverlapError",
     "UnmatchedVideoError",
     "projected_bitrate_diff",
     "projected_psnr_diff",
-    "bd_rate",
     "rd_curve_from_traces",
     "SuiteRow",
     "SuiteReport",
@@ -43,10 +40,6 @@ class DegenerateCurveError(ValueError):
 
 class SpanError(ValueError):
     """Query point lies outside the reference curve's span."""
-
-
-class NoOverlapError(ValueError):
-    """Two RD curves share no PSNR interval of positive length."""
 
 
 class UnmatchedVideoError(KeyError):
@@ -123,30 +116,6 @@ def projected_bitrate_diff(point: RDPoint, reference: RDCurve) -> tuple[float, f
 def projected_psnr_diff(point: RDPoint, reference: RDCurve) -> float:
     """PSNR gap to the reference curve at equal bitrate (dB, positive = better)."""
     return point.psnr_db - reference.psnr_at_bitrate(point.bitrate_kbps)
-
-
-def bd_rate(curve_a: RDCurve, curve_b: RDCurve) -> float:
-    """Average bitrate difference of ``curve_b`` vs ``curve_a`` in percent.
-
-    Computes the mean of log(rate_b) - log(rate_a) over the overlapped PSNR
-    interval under piecewise-linear log-rate interpolation (segment-exact
-    trapezoid integration over the union of knots), exponentiated minus one.
-    Negative means ``curve_b`` saves bitrate.
-    """
-    lo = max(curve_a.psnr_min, curve_b.psnr_min)
-    hi = min(curve_a.psnr_max, curve_b.psnr_max)
-    if not hi > lo:
-        raise NoOverlapError(f"PSNR ranges do not overlap: [{lo}, {hi}]")
-    knots = {lo, hi}
-    for curve in (curve_a, curve_b):
-        knots.update(p.psnr_db for p in curve.points if lo < p.psnr_db < hi)
-    grid = sorted(knots)
-    integral = 0.0
-    values = [curve_b.log_rate_at_psnr(p) - curve_a.log_rate_at_psnr(p) for p in grid]
-    for (p0, p1), (v0, v1) in zip(zip(grid, grid[1:]), zip(values, values[1:])):
-        integral += 0.5 * (v0 + v1) * (p1 - p0)
-    mean_log_diff = integral / (hi - lo)
-    return (math.exp(mean_log_diff) - 1.0) * 100.0
 
 
 def rd_curve_from_traces(traces: Sequence[EpisodeTrace]) -> RDCurve:

@@ -72,7 +72,7 @@ def fit_spec_from_records(
         video, _, _, mse = _replay(record, corpus, gop_interval)
         if video.video_id not in seen_videos:
             seen_videos.add(video.video_id)
-            matrices.append(simenc.first_pass_matrix(video))
+            matrices.append(video.first_pass)
             for name in ("width", "height", "duration", "frame_rate"):
                 scalars[name].append(float(getattr(video, name)))
         scalars["target_bitrate_kbps"].append(record.target_bitrate_kbps)
@@ -104,7 +104,7 @@ def episodes_from_records(
             EpisodeData(
                 video_id=record.video_id,
                 target_bitrate_kbps=record.target_bitrate_kbps,
-                first_pass_norm=spec.normalize_first_pass(simenc.first_pass_matrix(video)),
+                first_pass_norm=spec.normalize_first_pass(video.first_pass),
                 bundles=bundles,
                 label_qps=qps,
                 label_bits_kbit=bits / 1000.0,

@@ -12,7 +12,7 @@ its encode history sets, in ``build_features``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -45,7 +45,7 @@ _VAR_FLOOR = 1e-6
 
 
 class FeatureError(ValueError):
-    """Unknown feature name or use of an unfitted spec."""
+    """Unknown feature name, or inputs a spec cannot be fitted on or applied to."""
 
 
 @dataclass
@@ -58,14 +58,13 @@ class FeatureSpec:
     + 2 cumulative-bits features = 46.
     """
 
-    first_pass_mean: np.ndarray | None = None   # (25,)
-    first_pass_std: np.ndarray | None = None    # (25,)
-    scalar_mean: dict[str, float] = field(default_factory=dict)
-    scalar_std: dict[str, float] = field(default_factory=dict)
-    qp_embedding: np.ndarray | None = None      # (256, 16)
-    frame_type_embedding: np.ndarray | None = None  # (3, 16)
-    seed: int = 0
-    fitted: bool = False
+    first_pass_mean: np.ndarray         # (25,)
+    first_pass_std: np.ndarray          # (25,)
+    scalar_mean: dict[str, float]
+    scalar_std: dict[str, float]
+    qp_embedding: np.ndarray            # (256, 16)
+    frame_type_embedding: np.ndarray    # (3, 16)
+    seed: int
 
     @property
     def bundle_dim(self) -> int:
@@ -76,20 +75,14 @@ class FeatureSpec:
         """``qp_embedding`` and a zero row, which index -1 (no previous QP) selects."""
         return np.vstack([self.qp_embedding, np.zeros(EMBED_DIM)])
 
-    def require_fitted(self) -> None:
-        if not self.fitted:
-            raise FeatureError("feature spec has not been fitted")
-
     def scalar_transform(self, name: str, value: float) -> float:
         """Standardize one named scalar float feature."""
-        self.require_fitted()
         if name not in self.scalar_mean:
             raise FeatureError(f"unknown scalar feature {name!r}")
         return (value - self.scalar_mean[name]) / self.scalar_std[name]
 
     def normalize_first_pass(self, matrix: np.ndarray) -> np.ndarray:
         """Transform a (T, 25) first-pass matrix column-wise."""
-        self.require_fitted()
         if matrix.ndim != 2 or matrix.shape[1] != len(FIRST_PASS_FEATURES):
             raise FeatureError(f"expected (T, {len(FIRST_PASS_FEATURES)}) matrix")
         out = np.empty_like(matrix, dtype=np.float64)
@@ -101,7 +94,6 @@ class FeatureSpec:
         return out
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        self.require_fitted()
         arrays = {
             "first_pass_mean": self.first_pass_mean,
             "first_pass_std": self.first_pass_std,
@@ -125,7 +117,6 @@ class FeatureSpec:
             qp_embedding=np.asarray(arrays["qp_embedding"], dtype=np.float64),
             frame_type_embedding=np.asarray(arrays["frame_type_embedding"], dtype=np.float64),
             seed=int(arrays["seed"]),
-            fitted=True,
         )
 
 
@@ -174,7 +165,6 @@ def fit_feature_spec(
         qp_embedding=rng.normal(0.0, scale, size=(256, EMBED_DIM)),
         frame_type_embedding=rng.normal(0.0, scale, size=(len(FRAME_TYPE_ORDER), EMBED_DIM)),
         seed=seed,
-        fitted=True,
     )
 
 

@@ -10,13 +10,14 @@ and their budget-residual term is exactly zero.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
 from .. import simenc
 from ..inference import truncated_sample
-from ..simenc import RewardConfig, SyntheticVideo
+from ..simenc import SyntheticVideo
 from ..teacher import TeacherRecord
 from .features import FeatureSpec
 from .network import PolicyParams
@@ -51,22 +52,19 @@ def her_relabel(
                 params, spec, sampler=lambda logits, r=rng: truncated_sample(logits, r)
             )
             trace = simenc.run_episode(video, gop, float(target), runner)
-            achieved = trace.bitrate_kbps
             # Under the achieved-bitrate goal the overshoot penalty vanishes.
-            relabeled = simenc.replay_qp_sequence(
-                video, gop, trace.qps, achieved, RewardConfig(bitrate_target_kbps=achieved)
-            )
+            relabeled = replace(trace, target_bitrate_kbps=trace.bitrate_kbps)
             records.append(
                 TeacherRecord(
                     video_id=video.video_id,
-                    target_bitrate_kbps=achieved,
+                    target_bitrate_kbps=relabeled.target_bitrate_kbps,
                     provenance="HER",
                     label_qps=relabeled.qps,
                     label_bits=relabeled.bits,
                     baseline_qps=(),
                     psnr_db=relabeled.psnr_db,
                     bitrate_kbps=relabeled.bitrate_kbps,
-                    reward=relabeled.reward,
+                    reward=simenc.episode_reward(relabeled),
                 )
             )
     return records

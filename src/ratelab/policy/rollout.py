@@ -73,8 +73,7 @@ class PolicyRunner:
         self.bits_predictions: list[float] = []
 
     def _reset(self, obs: Observation) -> None:
-        fp_norm = self.spec.normalize_first_pass(np.asarray(obs.first_pass, dtype=np.float64))
-        self._embed = eval_transformer(self.params, fp_norm)
+        self._embed = eval_transformer(self.params, self.spec.normalize_first_pass(obs.first_pass))
         self._episode = episode_features(self.spec, obs, obs.target_bitrate_kbps, obs.encode_speed)
         dr = self.params.arch.dr
         self._h = np.zeros(dr)

@@ -17,15 +17,17 @@ inter-coded frames includes a fraction of the reference frames' distortion,
 creating the long-horizon coupling), ``Q`` the quantizer step size and
 ``gain = rd_gain * n_blocks * rate_multiplier``.
 
+A video is stored by column: its latents are one structured array and its
+first-pass statistics one (T, 25) matrix, the form policies read them in.
 Every encode runs through one kernel, ``_encode_step``, which computes one
-frame element-wise over rows of QPs and reference states from per-frame
-constants cached on the video. ``encode_batch`` loops it over the frames of
-B whole episodes at once (ES populations); ``encode_frame`` and
-``replay_qp_sequence`` are its one-row cases and ``encode_all_qps`` its
-256-QP trial encode (the baseline's QP search). The kernel takes its
-logarithm with ``math.log2`` element by element, because numpy's
-vectorized ``log2`` can differ from it in the last bit and teacher labels
-are verified by exact replay.
+frame element-wise over rows of QPs and reference states, from (T,) energy
+and gain columns cached on the video and the frame's type in the GOP plan.
+``encode_batch`` loops it over the frames of B whole episodes at once (ES
+populations); ``encode_frame`` and ``replay_qp_sequence`` are its one-row
+cases and ``encode_all_qps`` its 256-QP trial encode (the baseline's QP
+search). The kernel takes its logarithm with ``math.log2`` element by
+element, because numpy's vectorized ``log2`` can differ from it in the last
+bit and teacher labels are verified by exact replay.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -43,15 +46,15 @@ __all__ = [
     "FIRST_PASS_FEATURES",
     "CORPUS_SCHEMA",
     "TRACE_SCHEMA",
+    "LATENT_DTYPE",
+    "LATENT_FIELDS",
+    "PENALTY_PER_KBPS",
     "FrameType",
-    "FrameLatent",
-    "FirstPassFeatures",
     "SyntheticVideo",
     "VideoConfig",
     "GopPlan",
     "EncodeState",
     "Observation",
-    "RewardConfig",
     "EpisodeTrace",
     "generate_video",
     "generate_corpus",
@@ -66,7 +69,6 @@ __all__ = [
     "run_episode",
     "replay_qp_sequence",
     "psnr_from_mse",
-    "first_pass_matrix",
     "save_corpus",
     "load_corpus",
     "save_traces",
@@ -126,88 +128,68 @@ class FrameType(Enum):
     INTER = "INTER"
 
 
-@dataclass(frozen=True)
-class FrameLatent:
-    """Hidden per-frame ground truth the simulator encodes against.
+# Hidden per-frame ground truth the simulator encodes against, one column
+# per latent, in the column order of corpus rows. Values are fixed at
+# generation time; ``rate_multiplier`` carries the scene-dependent
+# multiplicative noise of the QP-to-bits mapping.
+LATENT_DTYPE = np.dtype(
+    [
+        ("intra_energy", np.float64),       # MSE units, > 0
+        ("inter_fraction", np.float64),     # (0, 1]; 1 at scene changes
+        ("noise_energy", np.float64),       # MSE units, >= 0
+        ("rate_multiplier", np.float64),    # > 0, lognormal, clamped
+        ("mv_row_mean", np.float64),
+        ("mv_row_abs", np.float64),
+        ("mv_col_mean", np.float64),
+        ("mv_col_abs", np.float64),
+        ("mv_row_var", np.float64),
+        ("mv_col_var", np.float64),
+        ("mv_in_out", np.float64),
+        ("scene_id", np.int64),
+    ]
+)
+LATENT_FIELDS = LATENT_DTYPE.names
 
-    Values are fixed at generation time and constant for the lifetime of the
-    video. ``rate_multiplier`` carries the scene-dependent multiplicative
-    noise of the QP-to-bits mapping.
+
+@dataclass(frozen=True, eq=False)
+class SyntheticVideo:
+    """One video, stored by column; both arrays are made read-only.
+
+    ``frames`` is a (T,) structured array of ``LATENT_DTYPE``;
+    ``first_pass`` is the (T, 25) float matrix of first-pass statistics, in
+    ``FIRST_PASS_FEATURES`` order. Arrays have no value equality, so neither
+    has the video: compare videos by ``video_to_record``.
     """
 
-    intra_energy: float        # MSE units, > 0
-    inter_fraction: float      # (0, 1]; 1 at scene changes
-    noise_energy: float        # MSE units, >= 0
-    rate_multiplier: float     # > 0, lognormal, clamped
-    mv_row_mean: float
-    mv_row_abs: float
-    mv_col_mean: float
-    mv_col_abs: float
-    mv_row_var: float
-    mv_col_var: float
-    mv_in_out: float
-    scene_id: int
-
-    def __post_init__(self) -> None:
-        if not self.intra_energy > 0.0:
-            raise ConfigError(f"intra_energy must be > 0, got {self.intra_energy}")
-        if not 0.0 < self.inter_fraction <= 1.0:
-            raise ConfigError(f"inter_fraction must be in (0,1], got {self.inter_fraction}")
-        if self.noise_energy < 0.0:
-            raise ConfigError(f"noise_energy must be >= 0, got {self.noise_energy}")
-        if not self.rate_multiplier > 0.0:
-            raise ConfigError(f"rate_multiplier must be > 0, got {self.rate_multiplier}")
-
-
-@dataclass(frozen=True)
-class FirstPassFeatures:
-    """The 25 per-frame statistics computed by the (surrogate) first pass."""
-
-    frame_index: float
-    frame_weight: float
-    intra_error: float
-    coded_error: float
-    sr_coded_error: float
-    frame_noise_energy: float
-    pcnt_inter: float
-    pcnt_motion: float
-    pcnt_second_ref: float
-    pcnt_neutral: float
-    pcnt_intra_low: float
-    pcnt_intra_high: float
-    intra_skip_pct: float
-    intra_smooth_pct: float
-    inactive_zone_rows: float
-    inactive_zone_cols: float
-    MVr: float
-    mvr_abs: float
-    MVc: float
-    mvc_abs: float
-    MVrv: float
-    Mvcv: float
-    mv_in_out_count: float
-    duration: float
-    frame_count: float
-
-    def as_row(self) -> list[float]:
-        return [getattr(self, name) for name in FIRST_PASS_FEATURES]
-
-
-@dataclass(frozen=True)
-class SyntheticVideo:
     video_id: str
     seed: int
     width: int
     height: int
     frame_rate: float
-    frames: tuple[FrameLatent, ...]
-    first_pass: tuple[FirstPassFeatures, ...]
+    frames: np.ndarray
+    first_pass: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.frames) != len(self.first_pass):
-            raise ConfigError("frames and first_pass must have equal length")
-        if len(self.frames) < 2:
+        frames = self.frames
+        if frames.dtype != LATENT_DTYPE or frames.ndim != 1:
+            raise ConfigError("frames must be a (T,) array of LATENT_DTYPE")
+        if len(frames) < 2:
             raise ConfigError("a video needs at least 2 frames")
+        shape = (len(frames), len(FIRST_PASS_FEATURES))
+        if self.first_pass.dtype != np.float64 or self.first_pass.shape != shape:
+            raise ConfigError(f"first_pass must be a {shape} float64 matrix")
+        # Corpus files are outside input: reject latents the encoder cannot take.
+        inter = frames["inter_fraction"]
+        for name, ok, rule in (
+            ("intra_energy", frames["intra_energy"] > 0.0, "> 0"),
+            ("inter_fraction", (inter > 0.0) & (inter <= 1.0), "in (0,1]"),
+            ("noise_energy", frames["noise_energy"] >= 0.0, ">= 0"),
+            ("rate_multiplier", frames["rate_multiplier"] > 0.0, "> 0"),
+        ):
+            if not ok.all():
+                raise ConfigError(f"{name} must be {rule}, got {frames[name][~ok][0]}")
+        frames.flags.writeable = False
+        self.first_pass.flags.writeable = False
 
     @property
     def num_frames(self) -> int:
@@ -221,10 +203,28 @@ class SyntheticVideo:
     def n_blocks(self) -> int:
         return math.ceil(self.width / 16) * math.ceil(self.height / 16)
 
+    # Constants of the encoder kernel: (T,) columns, and header bits by frame type.
 
-def first_pass_matrix(video: SyntheticVideo) -> np.ndarray:
-    """First-pass statistics as a (T, 25) float matrix in feature order."""
-    return np.array([fp.as_row() for fp in video.first_pass], dtype=np.float64)
+    @cached_property
+    def key_energy(self) -> np.ndarray:
+        """Prediction-error energy of each frame coded as KEY: intra + noise."""
+        return self.frames["intra_energy"] + self.frames["noise_energy"]
+
+    @cached_property
+    def inter_energy(self) -> np.ndarray:
+        """Energy of each inter-coded frame before reference error."""
+        f = self.frames
+        return f["inter_fraction"] * f["intra_energy"] + f["noise_energy"]
+
+    @cached_property
+    def gain(self) -> np.ndarray:
+        """Residual bits per unit of ``0.5 * log2(E / D)``: rd_gain * n_blocks * rate_multiplier."""
+        return RD_GAIN * self.n_blocks * self.frames["rate_multiplier"]
+
+    @cached_property
+    def header_bits(self) -> dict[FrameType, float]:
+        """Header bits of a frame of each type, at the video's block count."""
+        return {ft: bits * self.n_blocks / REFERENCE_BLOCKS for ft, bits in HEADER_BITS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -277,51 +277,54 @@ class VideoConfig:
             raise ConfigError("rate multiplier clamp must be positive")
 
 
-def _first_pass_row(
-    latent: FrameLatent, index: int, num_frames: int, frame_rate: float
-) -> FirstPassFeatures:
+def _first_pass_row(latent, index: int, num_frames: int, frame_rate: float) -> list[float]:
     """Derive the published first-pass statistics from one frame's latents.
 
-    The mapping is fixed and deterministic: feature noise comes only from the
-    latents themselves.
+    ``latent`` is one row of ``frames``. The mapping is fixed and
+    deterministic: feature noise comes only from the latents themselves.
+    Returns the row in ``FIRST_PASS_FEATURES`` order.
     """
-    intra = latent.intra_energy + latent.noise_energy
-    coded = latent.inter_fraction * latent.intra_energy + latent.noise_energy
+    intra_energy = latent["intra_energy"]
+    inter_fraction = latent["inter_fraction"]
+    noise_energy = latent["noise_energy"]
+    intra = intra_energy + noise_energy
+    coded = inter_fraction * intra_energy + noise_energy
     # Second (golden) reference predicts slightly worse than the last frame.
-    sr_fraction = latent.inter_fraction + 0.15 * (1.0 - latent.inter_fraction)
-    sr_coded = sr_fraction * latent.intra_energy + latent.noise_energy
+    sr_fraction = inter_fraction + 0.15 * (1.0 - inter_fraction)
+    sr_coded = sr_fraction * intra_energy + noise_energy
 
-    pcnt_inter = _clip01(1.0 - latent.inter_fraction)
-    motion_activity = 1.0 - math.exp(-(latent.mv_row_abs + latent.mv_col_abs) / 2.0)
-    low_variance = math.exp(-latent.intra_energy / 150.0)
+    pcnt_inter = _clip01(1.0 - inter_fraction)
+    motion_activity = 1.0 - math.exp(-(latent["mv_row_abs"] + latent["mv_col_abs"]) / 2.0)
+    low_variance = math.exp(-intra_energy / 150.0)
 
-    return FirstPassFeatures(
-        frame_index=float(index),
-        frame_weight=coded / (coded + 50.0),
-        intra_error=intra,
-        coded_error=coded,
-        sr_coded_error=min(sr_coded, intra),
-        frame_noise_energy=latent.noise_energy,
-        pcnt_inter=pcnt_inter,
-        pcnt_motion=_clip01(pcnt_inter * motion_activity),
-        pcnt_second_ref=_clip01(0.35 * pcnt_inter),
-        pcnt_neutral=_clip01(0.05 + 0.1 * latent.inter_fraction * (1.0 - latent.inter_fraction)),
-        pcnt_intra_low=_clip01(0.6 * latent.inter_fraction * low_variance),
-        pcnt_intra_high=_clip01(0.6 * latent.inter_fraction * (1.0 - low_variance)),
-        intra_skip_pct=_clip01(0.8 * math.exp(-latent.intra_energy / 30.0)),
-        intra_smooth_pct=_clip01(math.exp(-latent.intra_energy / 60.0)),
-        inactive_zone_rows=0.0,
-        inactive_zone_cols=0.0,
-        MVr=latent.mv_row_mean,
-        mvr_abs=latent.mv_row_abs,
-        MVc=latent.mv_col_mean,
-        mvc_abs=latent.mv_col_abs,
-        MVrv=latent.mv_row_var,
-        Mvcv=latent.mv_col_var,
-        mv_in_out_count=latent.mv_in_out,
-        duration=1.0 / frame_rate,
-        frame_count=float(num_frames),
-    )
+    row = {
+        "frame_index": float(index),
+        "frame_weight": coded / (coded + 50.0),
+        "intra_error": intra,
+        "coded_error": coded,
+        "sr_coded_error": min(sr_coded, intra),
+        "frame_noise_energy": noise_energy,
+        "pcnt_inter": pcnt_inter,
+        "pcnt_motion": _clip01(pcnt_inter * motion_activity),
+        "pcnt_second_ref": _clip01(0.35 * pcnt_inter),
+        "pcnt_neutral": _clip01(0.05 + 0.1 * inter_fraction * (1.0 - inter_fraction)),
+        "pcnt_intra_low": _clip01(0.6 * inter_fraction * low_variance),
+        "pcnt_intra_high": _clip01(0.6 * inter_fraction * (1.0 - low_variance)),
+        "intra_skip_pct": _clip01(0.8 * math.exp(-intra_energy / 30.0)),
+        "intra_smooth_pct": _clip01(math.exp(-intra_energy / 60.0)),
+        "inactive_zone_rows": 0.0,
+        "inactive_zone_cols": 0.0,
+        "MVr": latent["mv_row_mean"],
+        "mvr_abs": latent["mv_row_abs"],
+        "MVc": latent["mv_col_mean"],
+        "mvc_abs": latent["mv_col_abs"],
+        "MVrv": latent["mv_row_var"],
+        "Mvcv": latent["mv_col_var"],
+        "mv_in_out_count": latent["mv_in_out"],
+        "duration": 1.0 / frame_rate,
+        "frame_count": float(num_frames),
+    }
+    return [row[name] for name in FIRST_PASS_FEATURES]
 
 
 def _clip01(x: float) -> float:
@@ -345,7 +348,7 @@ def generate_video(seed: int, config: VideoConfig = VideoConfig()) -> SyntheticV
             break
         scene_starts.append(t)
 
-    frames: list[FrameLatent] = []
+    rows: list[tuple] = []
     scene_id = -1
     base_intra = base_noise = base_rho = motion_scale = 0.0
     for index in range(num_frames):
@@ -382,26 +385,17 @@ def generate_video(seed: int, config: VideoConfig = VideoConfig()) -> SyntheticV
         mu_c = float(rng.normal(0.0, 0.4 * motion_scale))
         sd_r = motion_scale * float(np.exp(rng.normal(0.0, 0.2)))
         sd_c = motion_scale * float(np.exp(rng.normal(0.0, 0.2)))
-        frames.append(
-            FrameLatent(
-                intra_energy=intra,
-                inter_fraction=rho,
-                noise_energy=noise,
-                rate_multiplier=w,
-                mv_row_mean=mu_r,
-                mv_row_abs=abs(mu_r) + 0.8 * sd_r,
-                mv_col_mean=mu_c,
-                mv_col_abs=abs(mu_c) + 0.8 * sd_c,
-                mv_row_var=sd_r * sd_r,
-                mv_col_var=sd_c * sd_c,
-                mv_in_out=float(np.clip(rng.normal(0.0, 0.2), -1.0, 1.0)),
-                scene_id=scene_id,
-            )
-        )
+        mv_in_out = float(np.clip(rng.normal(0.0, 0.2), -1.0, 1.0))
+        rows.append((  # in LATENT_FIELDS order
+            intra, rho, noise, w,
+            mu_r, abs(mu_r) + 0.8 * sd_r, mu_c, abs(mu_c) + 0.8 * sd_c, sd_r * sd_r, sd_c * sd_c,
+            mv_in_out, scene_id,
+        ))
 
-    first_pass = tuple(
-        _first_pass_row(latent, i, num_frames, config.frame_rate)
-        for i, latent in enumerate(frames)
+    frames = np.array(rows, dtype=LATENT_DTYPE)
+    first_pass = np.array(
+        [_first_pass_row(f, i, num_frames, config.frame_rate) for i, f in enumerate(frames)],
+        dtype=np.float64,
     )
     return SyntheticVideo(
         video_id=f"sim-{seed & 0xFFFFFFFFFFFFFFFF:016x}",
@@ -409,7 +403,7 @@ def generate_video(seed: int, config: VideoConfig = VideoConfig()) -> SyntheticV
         width=config.width,
         height=config.height,
         frame_rate=config.frame_rate,
-        frames=tuple(frames),
+        frames=frames,
         first_pass=first_pass,
     )
 
@@ -519,53 +513,16 @@ def rate_distortion(
 _QP_MSE_CAP = np.array([q * q / 12.0 for q in _QP_STEPS])
 
 
-@dataclass(frozen=True)
-class _FrameConstants:
-    """Per-frame encoder constants of one (video, gop), as (T,) arrays."""
-
-    gop: GopPlan
-    key_energy: np.ndarray      # intra + noise energy of a KEY frame
-    inter_energy: np.ndarray    # inter_fraction * intra + noise, before reference error
-    gain: np.ndarray
-    header: np.ndarray
-    key: np.ndarray             # KEY frames ignore the reference state
-    golden_reset: np.ndarray    # KEY and ALT_REF frames refresh the golden slot
-
-
-def _frame_constants(video: SyntheticVideo, gop: GopPlan) -> _FrameConstants:
-    """The per-frame constants of (video, gop), cached on the video.
-
-    The cache is for the last GOP plan used, compared by identity; it holds
-    the plan, so its id cannot be reused while it does.
-    """
-    cached = video.__dict__.get("_frame_constants")
-    if cached is not None and cached.gop is gop:
-        return cached
+def _check_gop(video: SyntheticVideo, gop: GopPlan) -> None:
     if len(gop.frame_types) != video.num_frames:
         raise ConfigError(
             f"GOP plans {len(gop.frame_types)} frames, video has {video.num_frames}"
         )
-    n_blocks = video.n_blocks
-    cached = _FrameConstants(
-        gop=gop,
-        key_energy=np.array([f.intra_energy + f.noise_energy for f in video.frames]),
-        inter_energy=np.array(
-            [f.inter_fraction * f.intra_energy + f.noise_energy for f in video.frames]
-        ),
-        gain=np.array([RD_GAIN * n_blocks * f.rate_multiplier for f in video.frames]),
-        header=np.array(
-            [HEADER_BITS[ft] * n_blocks / REFERENCE_BLOCKS for ft in gop.frame_types]
-        ),
-        key=np.array([ft is FrameType.KEY for ft in gop.frame_types]),
-        golden_reset=np.array([ft is not FrameType.INTER for ft in gop.frame_types]),
-    )
-    # A cache, not a field: equality, replace() and persistence ignore it.
-    object.__setattr__(video, "_frame_constants", cached)
-    return cached
 
 
 def _encode_step(
-    c: _FrameConstants,
+    video: SyntheticVideo,
+    frame_type: FrameType,
     t: int,
     mse_cap: np.ndarray,
     d_last: np.ndarray,
@@ -578,17 +535,17 @@ def _encode_step(
     ``d_last``/``d_golden``. Its arithmetic is that of ``rate_distortion``,
     operation for operation, so results are bitwise equal to it.
     """
-    if c.key[t]:
-        energy = c.key_energy[t]
+    if frame_type is FrameType.KEY:  # KEY frames ignore the reference state
+        energy = video.key_energy[t]
     else:
         d_ref = REF_MIX_LAST * d_last + REF_MIX_GOLDEN * d_golden
-        energy = c.inter_energy[t] + ERROR_PROPAGATION * d_ref
+        energy = video.inter_energy[t] + ERROR_PROPAGATION * d_ref
     mse = np.minimum(energy, mse_cap)
     # energy / mse >= 1, so the log is never negative. It is math.log2, not
     # np.log2, for the reason the module docstring gives.
     ratio = (energy / mse).tolist()
     log2 = np.fromiter(map(math.log2, ratio), np.float64, len(ratio))
-    bits = c.header[t] + c.gain[t] * (0.5 * log2)
+    bits = video.header_bits[frame_type] + video.gain[t] * (0.5 * log2)
     return bits, mse
 
 
@@ -605,15 +562,15 @@ def encode_batch(video: SyntheticVideo, gop: GopPlan, qps) -> tuple[np.ndarray, 
         raise TypeError(f"qps must be integers, got dtype {qps.dtype}")
     if qps.size and (qps.min() < 0 or qps.max() > QP_MAX):
         raise ValueError(f"qps must be in [0, {QP_MAX}]")
-    c = _frame_constants(video, gop)
+    _check_gop(video, gop)
     caps = _QP_MSE_CAP[qps.T]                   # (T, B), one row per frame
     bits = np.empty(caps.shape)
     mse = np.empty(caps.shape)
     d_last = d_golden = np.zeros(qps.shape[0])
-    for t in range(video.num_frames):
-        bits[t], mse[t] = _encode_step(c, t, caps[t], d_last, d_golden)
+    for t, frame_type in enumerate(gop.frame_types):
+        bits[t], mse[t] = _encode_step(video, frame_type, t, caps[t], d_last, d_golden)
         d_last = mse[t]
-        if c.golden_reset[t]:
+        if frame_type is not FrameType.INTER:  # KEY and ALT_REF refresh the golden slot
             d_golden = d_last
     return bits.T, mse.T
 
@@ -630,15 +587,17 @@ def encode_frame(
     if t >= video.num_frames:
         raise EpisodeError(f"episode ended at frame {video.num_frames}, cannot encode frame {t}")
     quantizer_step(qp)  # validates qp
-    c = _frame_constants(video, gop)
+    _check_gop(video, gop)
+    frame_type = gop.frame_types[t]
     b, m = _encode_step(
-        c, t, _QP_MSE_CAP[qp : qp + 1], np.array([state.d_last]), np.array([state.d_golden])
+        video, frame_type, t, _QP_MSE_CAP[qp : qp + 1],
+        np.array([state.d_last]), np.array([state.d_golden]),
     )
     bits, mse = float(b[0]), float(m[0])
     next_state = EncodeState(
         cursor=t + 1,
         d_last=mse,
-        d_golden=mse if c.golden_reset[t] else state.d_golden,
+        d_golden=state.d_golden if frame_type is FrameType.INTER else mse,
         cum_bits=state.cum_bits + bits,
         last=(int(qp), bits, mse),
     )
@@ -657,26 +616,19 @@ def encode_all_qps(
     t = state.cursor
     if t >= video.num_frames:
         raise EpisodeError(f"episode ended at frame {video.num_frames}, cannot encode frame {t}")
-    c = _frame_constants(video, gop)
-    return _encode_step(c, t, _QP_MSE_CAP, np.array([state.d_last]), np.array([state.d_golden]))
+    _check_gop(video, gop)
+    return _encode_step(
+        video, gop.frame_types[t], t, _QP_MSE_CAP,
+        np.array([state.d_last]), np.array([state.d_golden]),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Episodes, reward, traces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RewardConfig:
-    """Episodic reward: final PSNR minus a penalty per kbps of overshoot."""
-
-    penalty_per_kbps: float = 0.02
-    bitrate_target_kbps: float = 512.0
-
-    def __post_init__(self) -> None:
-        if not self.penalty_per_kbps > 0.0:
-            raise ConfigError("penalty_per_kbps must be > 0")
-        if not self.bitrate_target_kbps > 0.0:
-            raise ConfigError("bitrate_target_kbps must be > 0")
+# Episodic reward: final PSNR minus this penalty per kbps of overshoot.
+PENALTY_PER_KBPS = 0.02
 
 
 @dataclass(frozen=True)
@@ -695,7 +647,7 @@ class Observation:
     frame_rate: float
     target_bitrate_kbps: float
     encode_speed: int
-    first_pass: np.ndarray  # (T, 25), shared across steps
+    first_pass: np.ndarray  # the video's own read-only (T, 25) matrix
     frame_type: FrameType
     frame_index: int
     prev_qp: int
@@ -729,18 +681,25 @@ def psnr_from_mse(mean_mse: float) -> float:
     return 10.0 * math.log10(255.0 * 255.0 / mean_mse)
 
 
-def _reward(psnr_db: float, bitrate_kbps: float, reward_config: RewardConfig) -> float:
-    overshoot = max(0.0, bitrate_kbps - reward_config.bitrate_target_kbps)
-    return psnr_db - reward_config.penalty_per_kbps * overshoot
+def _check_target(target_bitrate_kbps: float) -> None:
+    if not target_bitrate_kbps > 0:
+        raise ConfigError("target bitrate must be positive")
 
 
-def episode_reward(trace: EpisodeTrace, reward_config: RewardConfig) -> float:
-    """Terminal reward: PSNR - penalty * max(0, bitrate - target)."""
+def _reward(
+    psnr_db: float, bitrate_kbps: float, target_bitrate_kbps: float, penalty_per_kbps: float
+) -> float:
+    overshoot = max(0.0, bitrate_kbps - target_bitrate_kbps)
+    return psnr_db - penalty_per_kbps * overshoot
+
+
+def episode_reward(trace: EpisodeTrace, penalty_per_kbps: float = PENALTY_PER_KBPS) -> float:
+    """Terminal reward: PSNR - penalty * max(0, bitrate - the trace's target)."""
     if len(trace.qps) != trace.num_frames:
         raise EpisodeError(
             f"incomplete trace: {len(trace.qps)} of {trace.num_frames} frames encoded"
         )
-    return _reward(trace.psnr_db, trace.bitrate_kbps, reward_config)
+    return _reward(trace.psnr_db, trace.bitrate_kbps, trace.target_bitrate_kbps, penalty_per_kbps)
 
 
 def _quality_and_rate(
@@ -759,10 +718,10 @@ def _finalize_trace(
     qps: Sequence[int],
     bits: Sequence[float],
     mses: Sequence[float],
-    reward_config: RewardConfig | None,
+    penalty_per_kbps: float,
 ) -> EpisodeTrace:
     psnr, bitrate_kbps = _quality_and_rate(video, gop, bits, mses)
-    trace = EpisodeTrace(
+    return EpisodeTrace(
         video_id=video.video_id,
         num_frames=video.num_frames,
         target_bitrate_kbps=target_bitrate_kbps,
@@ -772,10 +731,8 @@ def _finalize_trace(
         show=gop.show,
         psnr_db=psnr,
         bitrate_kbps=bitrate_kbps,
-        reward=0.0,
+        reward=_reward(psnr, bitrate_kbps, target_bitrate_kbps, penalty_per_kbps),
     )
-    cfg = reward_config or RewardConfig(bitrate_target_kbps=target_bitrate_kbps)
-    return replace(trace, reward=episode_reward(trace, cfg))
 
 
 def batch_rewards(
@@ -784,17 +741,20 @@ def batch_rewards(
     bits: np.ndarray,
     mses: np.ndarray,
     target_bitrate_kbps: float,
-    reward_config: RewardConfig | None = None,
+    penalty_per_kbps: float = PENALTY_PER_KBPS,
 ) -> np.ndarray:
     """Terminal rewards of the rows of an ``encode_batch`` result, shape (B,).
 
     Row i equals the ``reward`` of the trace that replaying row i builds:
     the reductions are the same exact ``math.fsum`` sums.
     """
-    cfg = reward_config or RewardConfig(bitrate_target_kbps=target_bitrate_kbps)
+    _check_target(target_bitrate_kbps)
     return np.array(
         [
-            _reward(*_quality_and_rate(video, gop, b.tolist(), m.tolist()), cfg)
+            _reward(
+                *_quality_and_rate(video, gop, b.tolist(), m.tolist()),
+                target_bitrate_kbps, penalty_per_kbps,
+            )
             for b, m in zip(bits, mses)
         ],
         dtype=np.float64,
@@ -806,12 +766,10 @@ def run_episode(
     gop: GopPlan,
     target_bitrate_kbps: float,
     policy_callback: Callable[[Observation], int],
-    reward_config: RewardConfig | None = None,
+    penalty_per_kbps: float = PENALTY_PER_KBPS,
 ) -> EpisodeTrace:
     """Encode a full episode, querying ``policy_callback`` once per frame."""
-    if target_bitrate_kbps <= 0:
-        raise ConfigError("target bitrate must be positive")
-    fp_matrix = first_pass_matrix(video)
+    _check_target(target_bitrate_kbps)
     budget_bits = target_bitrate_kbps * 1000.0 * video.duration
     state = EncodeState()
     qps: list[int] = []
@@ -827,7 +785,7 @@ def run_episode(
             frame_rate=video.frame_rate,
             target_bitrate_kbps=target_bitrate_kbps,
             encode_speed=0,
-            first_pass=fp_matrix,
+            first_pass=video.first_pass,
             frame_type=gop.frame_types[t],
             frame_index=t,
             prev_qp=prev_qp,
@@ -842,7 +800,7 @@ def run_episode(
         qps.append(qp)
         bits.append(b)
         mses.append(m)
-    return _finalize_trace(video, gop, target_bitrate_kbps, qps, bits, mses, reward_config)
+    return _finalize_trace(video, gop, target_bitrate_kbps, qps, bits, mses, penalty_per_kbps)
 
 
 def replay_qp_sequence(
@@ -850,7 +808,7 @@ def replay_qp_sequence(
     gop: GopPlan,
     qps: Sequence[int],
     target_bitrate_kbps: float,
-    reward_config: RewardConfig | None = None,
+    penalty_per_kbps: float = PENALTY_PER_KBPS,
 ) -> EpisodeTrace:
     """Encode a fixed QP sequence without building observations.
 
@@ -860,31 +818,16 @@ def replay_qp_sequence(
     """
     if len(qps) != video.num_frames:
         raise EpisodeError(f"need {video.num_frames} QPs, got {len(qps)}")
+    _check_target(target_bitrate_kbps)
     bits, mses = encode_batch(video, gop, [qps])
     return _finalize_trace(
-        video, gop, target_bitrate_kbps, qps, bits[0].tolist(), mses[0].tolist(), reward_config
+        video, gop, target_bitrate_kbps, qps, bits[0].tolist(), mses[0].tolist(), penalty_per_kbps
     )
 
 
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
-
-_LATENT_FIELDS = (
-    "intra_energy",
-    "inter_fraction",
-    "noise_energy",
-    "rate_multiplier",
-    "mv_row_mean",
-    "mv_row_abs",
-    "mv_col_mean",
-    "mv_col_abs",
-    "mv_row_var",
-    "mv_col_var",
-    "mv_in_out",
-    "scene_id",
-)
-
 
 def video_to_record(video: SyntheticVideo) -> dict:
     return {
@@ -893,26 +836,20 @@ def video_to_record(video: SyntheticVideo) -> dict:
         "width": video.width,
         "height": video.height,
         "frame_rate": video.frame_rate,
-        "frames": [[getattr(f, name) for name in _LATENT_FIELDS] for f in video.frames],
-        "first_pass": [fp.as_row() for fp in video.first_pass],
+        "frames": video.frames.tolist(),
+        "first_pass": video.first_pass.tolist(),
     }
 
 
 def video_from_record(rec: dict) -> SyntheticVideo:
-    frames = tuple(
-        FrameLatent(**dict(zip(_LATENT_FIELDS, row))) for row in rec["frames"]
-    )
-    first_pass = tuple(
-        FirstPassFeatures(**dict(zip(FIRST_PASS_FEATURES, row))) for row in rec["first_pass"]
-    )
     return SyntheticVideo(
         video_id=rec["video_id"],
         seed=rec["seed"],
         width=rec["width"],
         height=rec["height"],
         frame_rate=rec["frame_rate"],
-        frames=frames,
-        first_pass=first_pass,
+        frames=np.array([tuple(row) for row in rec["frames"]], dtype=LATENT_DTYPE),
+        first_pass=np.array(rec["first_pass"], dtype=np.float64),
     )
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import baseline as baseline_mod
 from . import simenc
 from .io import read_jsonl, write_jsonl
-from .simenc import EpisodeTrace, GopPlan, RewardConfig, SyntheticVideo
+from .simenc import PENALTY_PER_KBPS, EpisodeTrace, GopPlan, SyntheticVideo
 
 __all__ = [
     "TEACHER_SCHEMA",
@@ -68,7 +68,7 @@ class EsConfig:
     batch_size: int = 16
     learning_rate: float = 16.0
     max_steps: int = 100
-    reward_lambda: float = 0.02     # overshoot penalty per kbps
+    reward_lambda: float = PENALTY_PER_KBPS  # overshoot penalty per kbps
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -78,6 +78,8 @@ class EsConfig:
             raise ValueError("batch_size must be even and >= 2 (mirrored pairs)")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
+        if not self.reward_lambda > 0:
+            raise ValueError("reward_lambda must be > 0")
 
     def step_learning_rate(self, step: int) -> float:
         return self.learning_rate * DECAY_RATE ** (step / DECAY_EVERY)
@@ -178,16 +180,13 @@ def run_es(
     """
     if gop is None:
         gop = simenc.plan_gop(video)
-    reward_config = RewardConfig(
-        penalty_per_kbps=config.reward_lambda, bitrate_target_kbps=target_bitrate_kbps
-    )
-    base_trace = baseline_mod.run_baseline(
-        video, gop, target_bitrate_kbps, reward_config=reward_config
-    )
+    base_trace = baseline_mod.run_baseline(video, gop, target_bitrate_kbps, config.reward_lambda)
 
     def reward_fn(qps: np.ndarray) -> np.ndarray:
         bits, mse = simenc.encode_batch(video, gop, qps)
-        return simenc.batch_rewards(video, gop, bits, mse, target_bitrate_kbps, reward_config)
+        return simenc.batch_rewards(
+            video, gop, bits, mse, target_bitrate_kbps, config.reward_lambda
+        )
 
     theta0 = np.asarray(base_trace.qps, dtype=np.float64)
     state = EsState(
@@ -216,7 +215,7 @@ def run_es(
 
     best_qps = tuple(int(q) for q in state.best_qps)
     best_trace = simenc.replay_qp_sequence(
-        video, gop, best_qps, target_bitrate_kbps, reward_config
+        video, gop, best_qps, target_bitrate_kbps, config.reward_lambda
     )
     return EsResult(
         best_qps=best_qps,
@@ -270,10 +269,7 @@ class TeacherConfig:
 def record_from_result(video: SyntheticVideo, result: EsResult, gop: GopPlan) -> TeacherRecord:
     """Build and verify one ES teacher record."""
     trace = result.best_trace
-    reward_config = RewardConfig(bitrate_target_kbps=trace.target_bitrate_kbps)
-    verify = simenc.replay_qp_sequence(
-        video, gop, trace.qps, trace.target_bitrate_kbps, reward_config
-    )
+    verify = simenc.replay_qp_sequence(video, gop, trace.qps, trace.target_bitrate_kbps)
     if verify.bits != trace.bits or verify.mse != trace.mse:
         raise TeacherDataError(f"{video.video_id}: label replay mismatch")
     drift = float(

@@ -46,7 +46,7 @@ def constant_video(
     frame_rate=30.0,
 ):
     """Hand-built video with identical latents on every frame."""
-    latent = simenc.FrameLatent(
+    latent = dict(
         intra_energy=intra_energy,
         inter_fraction=inter_fraction,
         noise_energy=noise_energy,
@@ -60,9 +60,10 @@ def constant_video(
         mv_in_out=0.0,
         scene_id=0,
     )
-    frames = tuple(latent for _ in range(num_frames))
-    first_pass = tuple(
-        simenc._first_pass_row(latent, i, num_frames, frame_rate) for i in range(num_frames)
+    row = tuple(latent[name] for name in simenc.LATENT_FIELDS)
+    frames = np.array([row] * num_frames, dtype=simenc.LATENT_DTYPE)
+    first_pass = np.array(
+        [simenc._first_pass_row(f, i, num_frames, frame_rate) for i, f in enumerate(frames)]
     )
     return simenc.SyntheticVideo(
         video_id="const",

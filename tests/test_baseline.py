@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -61,18 +62,9 @@ def test_targets_sum_to_budget(video, gop):
 
 def test_zero_weight_rejected():
     v = constant_video(num_frames=3)
-    zeroed = simenc.SyntheticVideo(
-        video_id=v.video_id,
-        seed=v.seed,
-        width=v.width,
-        height=v.height,
-        frame_rate=v.frame_rate,
-        frames=v.frames,
-        first_pass=tuple(
-            simenc.FirstPassFeatures(**{**fp.__dict__, "coded_error": 0.0})
-            for fp in v.first_pass
-        ),
-    )
+    first_pass = v.first_pass.copy()
+    first_pass[:, simenc.FIRST_PASS_FEATURES.index("coded_error")] = 0.0
+    zeroed = dataclasses.replace(v, first_pass=first_pass)
     with pytest.raises(AllocationError):
         allocate_frame_targets(zeroed, all_inter_gop(3), 512.0)
 

@@ -55,11 +55,6 @@ def spec(records, corpus):
     return fit_spec_from_records(records, corpus, seed=7)
 
 
-def test_unfitted_spec_rejected():
-    with pytest.raises(FeatureError):
-        FeatureSpec().scalar_transform("width", 640.0)
-
-
 def test_unknown_scalar_feature(spec):
     with pytest.raises(FeatureError):
         spec.scalar_transform("no_such_feature", 1.0)
@@ -72,7 +67,7 @@ def test_mean_value_normalizes_to_zero(spec):
 
 def test_first_pass_standardization(spec, corpus):
     video = next(iter(corpus.values()))
-    mat = simenc.first_pass_matrix(video)
+    mat = video.first_pass
     out = spec.normalize_first_pass(mat)
     # Count features use log1p: frame_index 0 maps to exactly 0.
     j = simenc.FIRST_PASS_FEATURES.index("frame_index")

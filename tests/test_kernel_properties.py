@@ -70,17 +70,18 @@ def test_bits_nonincreasing_mse_nondecreasing_in_qp(case):
 def test_kernel_equals_scalar_closed_form(case):
     """Bitwise equal to ``rate_distortion``, which uses ``math.log2``."""
     video, gop, state = case
-    latent, frame_type = video.frames[state.cursor], gop.frame_types[state.cursor]
+    latent = dict(zip(simenc.LATENT_FIELDS, video.frames[state.cursor].tolist()))
+    frame_type = gop.frame_types[state.cursor]
     if frame_type is simenc.FrameType.KEY:
-        energy = latent.intra_energy + latent.noise_energy
+        energy = latent["intra_energy"] + latent["noise_energy"]
     else:
         d_ref = simenc.REF_MIX_LAST * state.d_last + simenc.REF_MIX_GOLDEN * state.d_golden
         energy = (
-            latent.inter_fraction * latent.intra_energy
-            + latent.noise_energy
+            latent["inter_fraction"] * latent["intra_energy"]
+            + latent["noise_energy"]
             + simenc.ERROR_PROPAGATION * d_ref
         )
-    gain = simenc.RD_GAIN * video.n_blocks * latent.rate_multiplier
+    gain = simenc.RD_GAIN * video.n_blocks * latent["rate_multiplier"]
     header = simenc.HEADER_BITS[frame_type] * video.n_blocks / simenc.REFERENCE_BLOCKS
     bits, mse = encode_all_qps(video, gop, state)
     expected = [

@@ -6,12 +6,10 @@ import pytest
 from ratelab import metrics
 from ratelab.metrics import (
     DegenerateCurveError,
-    NoOverlapError,
     RDCurve,
     RDPoint,
     SpanError,
     UnmatchedVideoError,
-    bd_rate,
     projected_bitrate_diff,
     projected_psnr_diff,
     summarize_suite,
@@ -33,26 +31,6 @@ def random_curve(rng, n_points=4):
     while np.min(np.diff(psnrs)) < 0.2:
         psnrs = np.sort(rng.uniform(28.0, 44.0, size=n_points))
     return curve(*zip(rates, psnrs))
-
-
-def bd_rate_grid_oracle(curve_a, curve_b, n=20001):
-    """Independent numerical integration on a fine grid including all knots."""
-    lo = max(curve_a.psnr_min, curve_b.psnr_min)
-    hi = min(curve_a.psnr_max, curve_b.psnr_max)
-    grid = np.unique(
-        np.concatenate(
-            [
-                np.linspace(lo, hi, n),
-                [p.psnr_db for p in curve_a.points if lo <= p.psnr_db <= hi],
-                [p.psnr_db for p in curve_b.points if lo <= p.psnr_db <= hi],
-            ]
-        )
-    )
-    diffs = np.array(
-        [curve_b.log_rate_at_psnr(p) - curve_a.log_rate_at_psnr(p) for p in grid]
-    )
-    integral = np.trapezoid(diffs, grid)
-    return (math.exp(integral / (hi - lo)) - 1.0) * 100.0
 
 
 # ---------------------------------------------------------------------------
@@ -130,62 +108,6 @@ def test_projected_diff_out_of_span():
         projected_bitrate_diff(RDPoint(500.0, 33.0), REF)
     with pytest.raises(SpanError):
         projected_psnr_diff(RDPoint(399.0, 35.0), REF)
-
-
-# ---------------------------------------------------------------------------
-# BD-rate
-# ---------------------------------------------------------------------------
-
-def test_bd_rate_identity():
-    c = curve((400.0, 34.0), (520.0, 35.1), (610.0, 36.0), (800.0, 37.5))
-    assert bd_rate(c, c) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_bd_rate_scaled_curve_exact():
-    c = curve((400.0, 34.0), (520.0, 35.1), (610.0, 36.0), (800.0, 37.5))
-    scaled = curve(*((p.bitrate_kbps * 0.9, p.psnr_db) for p in c.points))
-    assert bd_rate(c, scaled) == pytest.approx(-10.0, abs=1e-12)
-
-
-def test_bd_rate_matches_grid_oracle(rng):
-    for _ in range(50):
-        a = random_curve(rng)
-        b = random_curve(rng)
-        lo = max(a.psnr_min, b.psnr_min)
-        hi = min(a.psnr_max, b.psnr_max)
-        if hi - lo <= 0.5:
-            continue
-        assert bd_rate(a, b) == pytest.approx(bd_rate_grid_oracle(a, b), abs=1e-9)
-
-
-def test_bd_rate_common_scale_invariance(rng):
-    a = random_curve(rng)
-    b = random_curve(rng)
-    lo = max(a.psnr_min, b.psnr_min)
-    hi = min(a.psnr_max, b.psnr_max)
-    if hi <= lo:
-        pytest.skip("sampled curves do not overlap")
-    scale = 3.7
-    a2 = curve(*((p.bitrate_kbps * scale, p.psnr_db) for p in a.points))
-    b2 = curve(*((p.bitrate_kbps * scale, p.psnr_db) for p in b.points))
-    assert bd_rate(a2, b2) == pytest.approx(bd_rate(a, b), abs=1e-9)
-
-
-def test_bd_rate_asymmetry_bound():
-    # For a scaled pair the log-mean definition gives
-    # bd(a,b) + bd(b,a) = 100 (s-1)^2 / s, bounded by bd(a,b)^2.
-    c = curve((400.0, 34.0), (600.0, 36.0))
-    scaled = curve(*((p.bitrate_kbps * 0.9, p.psnr_db) for p in c.points))
-    forward = bd_rate(c, scaled)
-    backward = bd_rate(scaled, c)
-    assert abs(forward + backward) <= forward**2
-
-
-def test_bd_rate_requires_overlap():
-    a = curve((400.0, 30.0), (600.0, 32.0))
-    b = curve((400.0, 40.0), (600.0, 42.0))
-    with pytest.raises(NoOverlapError):
-        bd_rate(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,9 @@ def test_config_validation():
     for odd_or_too_small in (0, 1, 3):
         with pytest.raises(ValueError):
             EsConfig(batch_size=odd_or_too_small)
+    for penalty in (0.0, -0.02):
+        with pytest.raises(ValueError):
+            EsConfig(reward_lambda=penalty)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +174,15 @@ def test_best_reward_monotone(es_video):
     res = run_es(es_video, 512.0, cfg)
     hist = (res.baseline_trace.reward,) + res.best_reward_history
     assert all(b >= a for a, b in zip(hist, hist[1:]))
+
+
+def test_run_es_scores_with_its_reward_lambda(es_video):
+    # At 1 kbps even QP 255 overshoots, so every reward carries the penalty.
+    res = run_es(es_video, 1.0, EsConfig(max_steps=2, batch_size=4, reward_lambda=0.5))
+    for trace in (res.baseline_trace, res.best_trace):
+        assert trace.bitrate_kbps > 1.0
+        assert trace.reward == simenc.episode_reward(trace, 0.5)
+    assert res.best_reward_history[-1] == res.best_trace.reward
 
 
 def test_run_es_improves_reward(es_video):

@@ -201,6 +201,7 @@ def test_her_labels_replayable(trained, corpus):
     replay = simenc.replay_qp_sequence(video, gop, rec.label_qps, rec.target_bitrate_kbps)
     assert replay.bits == rec.label_bits
     assert replay.psnr_db == rec.psnr_db
+    assert replay.reward == rec.reward
 
 
 def test_her_deterministic(trained, corpus):
