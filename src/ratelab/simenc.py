@@ -21,13 +21,14 @@ A video is stored by column: its latents are one structured array and its
 first-pass statistics one (T, 25) matrix, the form policies read them in.
 Every encode runs through one kernel, ``_encode_step``, which computes one
 frame element-wise over rows of QPs and reference states, from (T,) energy
-and gain columns cached on the video and the frame's type in the GOP plan.
-``encode_batch`` loops it over the frames of B whole episodes at once (ES
-populations); ``encode_frame`` and ``replay_qp_sequence`` are its one-row
-cases and ``encode_all_qps`` its 256-QP trial encode (the baseline's QP
-search). The kernel takes its logarithm with ``math.log2`` element by
-element, because numpy's vectorized ``log2`` can differ from it in the last
-bit and teacher labels are verified by exact replay.
+and gain columns cached on the video and (T,) frame-type constants cached
+on the GOP plan. ``encode_batch`` loops it over the frames of B whole
+episodes at once (ES populations); ``encode_frame`` and
+``replay_qp_sequence`` are its one-row cases and ``encode_all_qps`` its
+256-QP trial encode (the baseline's QP search). The kernel takes its
+logarithm with ``math.log2`` element by element, because numpy's
+vectorized ``log2`` can differ from it in the last bit and teacher labels
+are verified by exact replay.
 """
 
 from __future__ import annotations
@@ -199,11 +200,11 @@ class SyntheticVideo:
     def duration(self) -> float:
         return self.num_frames / self.frame_rate
 
-    @property
+    @cached_property
     def n_blocks(self) -> int:
         return math.ceil(self.width / 16) * math.ceil(self.height / 16)
 
-    # Constants of the encoder kernel: (T,) columns, and header bits by frame type.
+    # Per-frame constants of the encoder kernel, (T,) each.
 
     @cached_property
     def key_energy(self) -> np.ndarray:
@@ -220,11 +221,6 @@ class SyntheticVideo:
     def gain(self) -> np.ndarray:
         """Residual bits per unit of ``0.5 * log2(E / D)``: rd_gain * n_blocks * rate_multiplier."""
         return RD_GAIN * self.n_blocks * self.frames["rate_multiplier"]
-
-    @cached_property
-    def header_bits(self) -> dict[FrameType, float]:
-        """Header bits of a frame of each type, at the video's block count."""
-        return {ft: bits * self.n_blocks / REFERENCE_BLOCKS for ft, bits in HEADER_BITS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +431,25 @@ class GopPlan:
     show: tuple[bool, ...]
     references: tuple[tuple[str, ...], ...]  # subset of ("LAST", "GOLDEN")
 
+    # Per-frame constants of the encoder kernel, (T,) each. The kernel reads
+    # them once per frame step, where comparing or hashing an enum member
+    # would cost more than the tuple lookup.
+
+    @cached_property
+    def key(self) -> tuple[bool, ...]:
+        """KEY frames, which ignore the reference state."""
+        return tuple(ft is FrameType.KEY for ft in self.frame_types)
+
+    @cached_property
+    def refreshes_golden(self) -> tuple[bool, ...]:
+        """KEY and ALT_REF frames, which refresh the golden reference slot."""
+        return tuple(ft is not FrameType.INTER for ft in self.frame_types)
+
+    @cached_property
+    def header_bits(self) -> tuple[float, ...]:
+        """Header bits at ``REFERENCE_BLOCKS`` blocks, which the kernel scales."""
+        return tuple(HEADER_BITS[ft] for ft in self.frame_types)
+
 
 def plan_gop(video: SyntheticVideo, gop_interval: int = 16) -> GopPlan:
     """Fixed-interval GOP: frame 0 is KEY, then a hidden alternate reference
@@ -522,7 +537,7 @@ def _check_gop(video: SyntheticVideo, gop: GopPlan) -> None:
 
 def _encode_step(
     video: SyntheticVideo,
-    frame_type: FrameType,
+    gop: GopPlan,
     t: int,
     mse_cap: np.ndarray,
     d_last: np.ndarray,
@@ -535,7 +550,7 @@ def _encode_step(
     ``d_last``/``d_golden``. Its arithmetic is that of ``rate_distortion``,
     operation for operation, so results are bitwise equal to it.
     """
-    if frame_type is FrameType.KEY:  # KEY frames ignore the reference state
+    if gop.key[t]:
         energy = video.key_energy[t]
     else:
         d_ref = REF_MIX_LAST * d_last + REF_MIX_GOLDEN * d_golden
@@ -545,7 +560,8 @@ def _encode_step(
     # np.log2, for the reason the module docstring gives.
     ratio = (energy / mse).tolist()
     log2 = np.fromiter(map(math.log2, ratio), np.float64, len(ratio))
-    bits = video.header_bits[frame_type] + video.gain[t] * (0.5 * log2)
+    header = gop.header_bits[t] * video.n_blocks / REFERENCE_BLOCKS
+    bits = header + video.gain[t] * (0.5 * log2)
     return bits, mse
 
 
@@ -567,10 +583,10 @@ def encode_batch(video: SyntheticVideo, gop: GopPlan, qps) -> tuple[np.ndarray, 
     bits = np.empty(caps.shape)
     mse = np.empty(caps.shape)
     d_last = d_golden = np.zeros(qps.shape[0])
-    for t, frame_type in enumerate(gop.frame_types):
-        bits[t], mse[t] = _encode_step(video, frame_type, t, caps[t], d_last, d_golden)
+    for t in range(video.num_frames):
+        bits[t], mse[t] = _encode_step(video, gop, t, caps[t], d_last, d_golden)
         d_last = mse[t]
-        if frame_type is not FrameType.INTER:  # KEY and ALT_REF refresh the golden slot
+        if gop.refreshes_golden[t]:
             d_golden = d_last
     return bits.T, mse.T
 
@@ -588,16 +604,15 @@ def encode_frame(
         raise EpisodeError(f"episode ended at frame {video.num_frames}, cannot encode frame {t}")
     quantizer_step(qp)  # validates qp
     _check_gop(video, gop)
-    frame_type = gop.frame_types[t]
     b, m = _encode_step(
-        video, frame_type, t, _QP_MSE_CAP[qp : qp + 1],
+        video, gop, t, _QP_MSE_CAP[qp : qp + 1],
         np.array([state.d_last]), np.array([state.d_golden]),
     )
     bits, mse = float(b[0]), float(m[0])
     next_state = EncodeState(
         cursor=t + 1,
         d_last=mse,
-        d_golden=state.d_golden if frame_type is FrameType.INTER else mse,
+        d_golden=mse if gop.refreshes_golden[t] else state.d_golden,
         cum_bits=state.cum_bits + bits,
         last=(int(qp), bits, mse),
     )
@@ -618,7 +633,7 @@ def encode_all_qps(
         raise EpisodeError(f"episode ended at frame {video.num_frames}, cannot encode frame {t}")
     _check_gop(video, gop)
     return _encode_step(
-        video, gop.frame_types[t], t, _QP_MSE_CAP,
+        video, gop, t, _QP_MSE_CAP,
         np.array([state.d_last]), np.array([state.d_golden]),
     )
 
