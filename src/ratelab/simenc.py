@@ -704,6 +704,8 @@ def _check_target(target_bitrate_kbps: float) -> None:
 def _reward(
     psnr_db: float, bitrate_kbps: float, target_bitrate_kbps: float, penalty_per_kbps: float
 ) -> float:
+    if not penalty_per_kbps > 0:
+        raise ConfigError("overshoot penalty must be positive")
     overshoot = max(0.0, bitrate_kbps - target_bitrate_kbps)
     return psnr_db - penalty_per_kbps * overshoot
 

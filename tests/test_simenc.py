@@ -276,6 +276,14 @@ def test_reward_incomplete_trace_rejected():
         episode_reward(bad)
 
 
+def test_reward_config_validation(video, gop):
+    trace = _trace(40.0, 612.0, target=512.0)
+    for penalty in (0.0, -0.02):
+        with pytest.raises(simenc.ConfigError):
+            episode_reward(trace, penalty)
+        with pytest.raises(simenc.ConfigError):
+            replay_qp_sequence(video, gop, [128] * video.num_frames, 512.0, penalty)
+
 # ---------------------------------------------------------------------------
 # Episodes
 # ---------------------------------------------------------------------------
