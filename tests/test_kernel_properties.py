@@ -102,6 +102,19 @@ def test_qp_search_matches_scan_oracle(case, scale):
     )
 
 
+@given(reachable_states(), st.one_of(st.sampled_from([0, 255]), st.integers(0, 255)),
+       st.sampled_from([-np.inf, None, np.inf]))
+def test_qp_search_at_bit_edges(case, qp, toward):
+    """Targets at one QP's bits and one ulp either side, where a search that
+    misplaces its boundary is off by one."""
+    video, gop, state = case
+    bits = encode_frame(video, gop, state, qp)[0]
+    target = bits if toward is None else float(np.nextafter(bits, toward))
+    assert qp_for_target_bits(video, gop, state, target) == scan_oracle(
+        video, gop, state, target
+    )
+
+
 def reference_es_step(state, config, row_reward, noise, lead=None):
     """The per-candidate ES step: one reward call per row, lead first."""
     best_reward, best_qps, lead_best = state.best_reward, state.best_qps, None

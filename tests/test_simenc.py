@@ -311,6 +311,21 @@ def test_replay_matches_run_episode(video, gop, rng):
     assert via_callback == via_replay
 
 
+def test_replay_rejects_bad_qps():
+    v = constant_video(num_frames=3)
+    gop = plan_gop(v)
+    for qps, error in (
+        ([30, 1.5, 30], TypeError),
+        ([True, False, True], TypeError),
+        ([30, -1, 30], ValueError),
+        ([30, 256, 30], ValueError),
+        ([30, 30], simenc.EpisodeError),
+        ([30, 30, 30, 30], simenc.EpisodeError),
+    ):
+        with pytest.raises(error):
+            replay_qp_sequence(v, gop, qps, 512.0)
+
+
 def test_replay_deterministic(video, gop, rng):
     qps = [int(q) for q in rng.integers(0, 256, size=video.num_frames)]
     assert replay_qp_sequence(video, gop, qps, 512.0) == replay_qp_sequence(
