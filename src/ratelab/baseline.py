@@ -3,9 +3,9 @@
 Mirrors the qualitative behavior of a production VBR rate controller:
 per-frame bit targets proportional to first-pass frame weights with strong
 boosts for key and alternate-reference frames, realized frame by frame by
-trial-encoding every QP at once and taking the largest one that still
-spends the target, with the remaining budget recomputed after every frame
-so the episode closes on its total budget.
+bisecting for the largest QP whose trial encode still spends the target,
+with the remaining budget recomputed after every frame so the episode
+closes on its total budget.
 """
 
 from __future__ import annotations
@@ -67,17 +67,27 @@ def qp_for_target_bits(
 ) -> int:
     """The largest QP whose trial encode still spends ``target_bits``.
 
-    Trial-encodes all 256 QPs in one vector. Frame bits are nonincreasing
-    in QP, so the QPs reaching the target form a prefix and the answer is
-    its last element: the least-overspending choice, with exact hits
-    resolving to the highest QP achieving them. Clamps to 0 when even the
+    Frame bits are nonincreasing in QP, so the QPs reaching the target form
+    a prefix and the answer is its last element: the least-overspending
+    choice, with exact hits resolving to the highest QP achieving them.
+    Bisection finds the prefix's length with at most 9 trial encodes
+    (``simenc.rate_distortion`` at one QP each). Clamps to 0 when even the
     finest quantizer cannot reach the target and to 255 when the coarsest
     one already exceeds it. Trial encodes never commit ``state``.
     """
     if target_bits <= 0:
         raise ValueError("target_bits must be positive")
-    bits, _ = simenc.encode_all_qps(video, gop, state)
-    return max(0, int(np.count_nonzero(bits >= target_bits)) - 1)
+    energy, gain, header = simenc.rd_terms(video, gop, state)
+    # QPs below ``reaching`` reach the target; QPs from ``beyond`` on fall short.
+    reaching, beyond = 0, simenc.QP_MAX + 1
+    while reaching < beyond:
+        qp = (reaching + beyond) // 2
+        bits, _ = simenc.rate_distortion(energy, simenc.quantizer_step(qp), gain, header)
+        if bits >= target_bits:
+            reaching = qp + 1
+        else:
+            beyond = qp
+    return max(0, reaching - 1)
 
 
 class BaselinePolicy:

@@ -1,11 +1,12 @@
 """Conversion of teacher records into training episodes.
 
 Observations are not stored in the teacher dataset. Each record's labels
-are re-encoded open-loop as one ``encode_batch`` row, which must reproduce
-the recorded bits exactly (else ``TeacherDataError``). Under teacher
-forcing, step t sees label t - 1 as its previous frame, so one
-``build_features`` call, the code rollouts run per frame, builds all of an
-episode's bundles. Episodes encode at speed 0, as ``run_episode`` does.
+are re-encoded open-loop by ``replay_qp_sequence``, as teacher verification
+re-encodes them, and must reproduce the recorded bits exactly (else
+``TeacherDataError``). Under teacher forcing, step t sees label t - 1 as its
+previous frame, so one ``build_features`` call, the code rollouts run per
+frame, builds all of an episode's bundles. Episodes encode at speed 0, as
+``run_episode`` does.
 """
 
 from __future__ import annotations
@@ -45,12 +46,12 @@ def _replay(
         raise KeyError(f"teacher record references unknown video {record.video_id!r}")
     video = corpus[record.video_id]
     gop = simenc.plan_gop(video, gop_interval)
-    bits, mse = simenc.encode_batch(video, gop, [record.label_qps])
-    if bits[0].tolist() != list(record.label_bits):
+    trace = simenc.replay_qp_sequence(video, gop, record.label_qps, record.target_bitrate_kbps)
+    if list(trace.bits) != list(record.label_bits):
         raise TeacherDataError(
             f"{record.video_id} at {record.target_bitrate_kbps} kbps: label bits do not replay"
         )
-    return video, gop, bits[0], mse[0]
+    return video, gop, np.array(trace.bits), np.array(trace.mse)
 
 
 def _previous(values: np.ndarray, first) -> np.ndarray:

@@ -19,16 +19,17 @@ creating the long-horizon coupling), ``Q`` the quantizer step size and
 
 A video is stored by column: its latents are one structured array and its
 first-pass statistics one (T, 25) matrix, the form policies read them in.
-Every encode runs through one kernel, ``_encode_step``, which computes one
-frame element-wise over rows of QPs and reference states, from (T,) energy
-and gain columns cached on the video and (T,) frame-type constants cached
-on the GOP plan. ``encode_batch`` loops it over the frames of B whole
-episodes at once (ES populations); ``encode_frame`` and
-``replay_qp_sequence`` are its one-row cases and ``encode_all_qps`` its
-256-QP trial encode (the baseline's QP search). The kernel takes its
-logarithm with ``math.log2`` element by element, because numpy's
-vectorized ``log2`` can differ from it in the last bit and teacher labels
-are verified by exact replay.
+The encoder formula has two forms with one set of inputs. ``_frame_terms``
+gives a frame's energy, gain and header from per-frame constants cached as
+(T,) tuples on the video and on the GOP plan, and from the reference state.
+``rate_distortion`` is the scalar form: ``encode_frame`` and
+``replay_qp_sequence``, which walks it, encode one row on Python floats, and
+the baseline's QP search bisects over it through ``rd_terms``.
+``_encode_step`` is the row form: ``encode_batch`` loops it over the frames
+of B whole episodes at once (ES populations). Both take the logarithm with
+``math.log2``, because numpy's vectorized ``log2`` can differ from it in the
+last bit and teacher labels are verified by exact replay; property tests
+pin the two forms equal bit for bit.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ __all__ = [
     "plan_gop",
     "quantizer_step",
     "rate_distortion",
+    "rd_terms",
     "encode_frame",
     "encode_batch",
-    "encode_all_qps",
     "episode_reward",
     "batch_rewards",
     "run_episode",
@@ -204,23 +205,24 @@ class SyntheticVideo:
     def n_blocks(self) -> int:
         return math.ceil(self.width / 16) * math.ceil(self.height / 16)
 
-    # Per-frame constants of the encoder kernel, (T,) each.
+    # Per-frame constants of the encoder, (T,) tuples of Python floats: the
+    # scalar path computes on them without numpy's per-element overhead.
 
     @cached_property
-    def key_energy(self) -> np.ndarray:
+    def key_energy(self) -> tuple[float, ...]:
         """Prediction-error energy of each frame coded as KEY: intra + noise."""
-        return self.frames["intra_energy"] + self.frames["noise_energy"]
+        return tuple((self.frames["intra_energy"] + self.frames["noise_energy"]).tolist())
 
     @cached_property
-    def inter_energy(self) -> np.ndarray:
+    def inter_energy(self) -> tuple[float, ...]:
         """Energy of each inter-coded frame before reference error."""
         f = self.frames
-        return f["inter_fraction"] * f["intra_energy"] + f["noise_energy"]
+        return tuple((f["inter_fraction"] * f["intra_energy"] + f["noise_energy"]).tolist())
 
     @cached_property
-    def gain(self) -> np.ndarray:
+    def gain(self) -> tuple[float, ...]:
         """Residual bits per unit of ``0.5 * log2(E / D)``: rd_gain * n_blocks * rate_multiplier."""
-        return RD_GAIN * self.n_blocks * self.frames["rate_multiplier"]
+        return tuple((RD_GAIN * self.n_blocks * self.frames["rate_multiplier"]).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +537,36 @@ def _check_gop(video: SyntheticVideo, gop: GopPlan) -> None:
         )
 
 
+def _frame_terms(video: SyntheticVideo, gop: GopPlan, t: int, d_last, d_golden):
+    """(energy, gain, header) of frame ``t``: what ``rate_distortion`` takes
+    besides the quantizer step.
+
+    The reference distortions ``d_last``/``d_golden`` are floats, or
+    (rows,) arrays, for which the energy is (rows,) too.
+    """
+    if gop.key[t]:
+        energy = video.key_energy[t]
+    else:
+        d_ref = REF_MIX_LAST * d_last + REF_MIX_GOLDEN * d_golden
+        energy = video.inter_energy[t] + ERROR_PROPAGATION * d_ref
+    return energy, video.gain[t], gop.header_bits[t] * video.n_blocks / REFERENCE_BLOCKS
+
+
+def rd_terms(
+    video: SyntheticVideo, gop: GopPlan, state: EncodeState
+) -> tuple[float, float, float]:
+    """(energy, gain, header) of the frame at the state's cursor.
+
+    ``rate_distortion(energy, quantizer_step(qp), gain, header)`` is then
+    that frame's (bits, mse) at ``qp``, as ``encode_frame`` computes them.
+    """
+    t = state.cursor
+    if t >= video.num_frames:
+        raise EpisodeError(f"episode ended at frame {video.num_frames}, cannot encode frame {t}")
+    _check_gop(video, gop)
+    return _frame_terms(video, gop, t, state.d_last, state.d_golden)
+
+
 def _encode_step(
     video: SyntheticVideo,
     gop: GopPlan,
@@ -543,25 +575,20 @@ def _encode_step(
     d_last: np.ndarray,
     d_golden: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The encoder kernel: bits and MSE of frame ``t``, element-wise.
+    """The row form of the encoder: bits and MSE of frame ``t``, element-wise.
 
-    ``mse_cap`` holds ``Q^2 / 12`` of the QPs being encoded, one per row;
-    it broadcasts against the (rows,) or (1,) reference state
-    ``d_last``/``d_golden``. Its arithmetic is that of ``rate_distortion``,
-    operation for operation, so results are bitwise equal to it.
+    ``mse_cap`` holds ``Q^2 / 12`` of the QPs being encoded, one per row,
+    and ``d_last``/``d_golden`` the rows' reference states. Its arithmetic
+    is that of ``rate_distortion``, operation for operation, so results are
+    bitwise equal to it.
     """
-    if gop.key[t]:
-        energy = video.key_energy[t]
-    else:
-        d_ref = REF_MIX_LAST * d_last + REF_MIX_GOLDEN * d_golden
-        energy = video.inter_energy[t] + ERROR_PROPAGATION * d_ref
+    energy, gain, header = _frame_terms(video, gop, t, d_last, d_golden)
     mse = np.minimum(energy, mse_cap)
     # energy / mse >= 1, so the log is never negative. It is math.log2, not
     # np.log2, for the reason the module docstring gives.
     ratio = (energy / mse).tolist()
     log2 = np.fromiter(map(math.log2, ratio), np.float64, len(ratio))
-    header = gop.header_bits[t] * video.n_blocks / REFERENCE_BLOCKS
-    bits = header + video.gain[t] * (0.5 * log2)
+    bits = header + gain * (0.5 * log2)
     return bits, mse
 
 
@@ -599,16 +626,9 @@ def encode_frame(
     Pure: identical inputs produce identical outputs. Returns
     (bits, mse, next_state).
     """
+    energy, gain, header = rd_terms(video, gop, state)
+    bits, mse = rate_distortion(energy, quantizer_step(qp), gain, header)
     t = state.cursor
-    if t >= video.num_frames:
-        raise EpisodeError(f"episode ended at frame {video.num_frames}, cannot encode frame {t}")
-    quantizer_step(qp)  # validates qp
-    _check_gop(video, gop)
-    b, m = _encode_step(
-        video, gop, t, _QP_MSE_CAP[qp : qp + 1],
-        np.array([state.d_last]), np.array([state.d_golden]),
-    )
-    bits, mse = float(b[0]), float(m[0])
     next_state = EncodeState(
         cursor=t + 1,
         d_last=mse,
@@ -617,25 +637,6 @@ def encode_frame(
         last=(int(qp), bits, mse),
     )
     return bits, mse, next_state
-
-
-def encode_all_qps(
-    video: SyntheticVideo, gop: GopPlan, state: EncodeState
-) -> tuple[np.ndarray, np.ndarray]:
-    """Trial-encode the frame at the state's cursor with every QP 0..255.
-
-    Returns (bits, mse), each (256,) and indexed by QP; entry ``qp`` is
-    bitwise equal to ``encode_frame(video, gop, state, qp)``. Does not
-    advance ``state``.
-    """
-    t = state.cursor
-    if t >= video.num_frames:
-        raise EpisodeError(f"episode ended at frame {video.num_frames}, cannot encode frame {t}")
-    _check_gop(video, gop)
-    return _encode_step(
-        video, gop, t, _QP_MSE_CAP,
-        np.array([state.d_last]), np.array([state.d_golden]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -829,17 +830,20 @@ def replay_qp_sequence(
 ) -> EpisodeTrace:
     """Encode a fixed QP sequence without building observations.
 
-    A one-row ``encode_batch``: the same kernel as ``encode_frame``, so the
-    trace is bitwise equal to ``run_episode`` with a callback that replays
-    the same QPs.
+    Walks ``encode_frame`` as ``run_episode`` does, so the trace is bitwise
+    equal to ``run_episode`` with a callback that replays the same QPs.
     """
     if len(qps) != video.num_frames:
         raise EpisodeError(f"need {video.num_frames} QPs, got {len(qps)}")
     _check_target(target_bitrate_kbps)
-    bits, mses = encode_batch(video, gop, [qps])
-    return _finalize_trace(
-        video, gop, target_bitrate_kbps, qps, bits[0].tolist(), mses[0].tolist(), penalty_per_kbps
-    )
+    state = EncodeState()
+    bits: list[float] = []
+    mses: list[float] = []
+    for qp in qps:
+        b, m, state = encode_frame(video, gop, state, qp)
+        bits.append(b)
+        mses.append(m)
+    return _finalize_trace(video, gop, target_bitrate_kbps, qps, bits, mses, penalty_per_kbps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 import dataclasses
 import math
+from unittest import mock
 
-import numpy as np
 import pytest
 
-from ratelab import baseline, simenc
+from ratelab import simenc
 from ratelab.baseline import (
     AllocationError,
     allocate_frame_targets,
@@ -92,6 +92,20 @@ def test_qp_search_matches_scan_oracle(video, gop, rng):
             assert qp_for_target_bits(video, gop, state, target) == scan_oracle(
                 video, gop, state, target
             )
+        _, _, state = encode_frame(video, gop, state, int(rng.integers(80, 200)))
+
+
+def test_qp_search_trial_encodes_at_most_nine_qps(video, gop, rng):
+    """A bisection over 256 QPs needs at most ceil(log2(257)) = 9 probes."""
+    state = EncodeState()
+    for step in range(12):
+        hi, _, _ = encode_frame(video, gop, state, 0)
+        for target in (hi * 2, hi * 1e-3, float(rng.uniform(0.0, hi))):
+            with mock.patch.object(
+                simenc, "rate_distortion", wraps=simenc.rate_distortion
+            ) as spy:
+                qp_for_target_bits(video, gop, state, target)
+            assert 1 <= spy.call_count <= 9
         _, _, state = encode_frame(video, gop, state, int(rng.integers(80, 200)))
 
 

@@ -13,7 +13,7 @@ from ratelab.policy import rollout
 from ratelab.policy.data import episodes_from_records, fit_spec_from_records
 from ratelab.policy.features import EMBED_DIM, FRAME_TYPE_ORDER
 from ratelab.policy.network import PolicyParams, arch_from_preset
-from ratelab.simenc import EncodeState, encode_all_qps, encode_batch, encode_frame
+from ratelab.simenc import EncodeState, encode_batch, encode_frame
 from ratelab.teacher import EsConfig, EsState, TeacherRecord, es_step
 
 from test_baseline import scan_oracle
@@ -34,12 +34,20 @@ def episodes(draw, max_frames=40):
 
 @st.composite
 def reachable_states(draw):
-    """A video, its GOP and an encoder state reached by encoding a QP prefix."""
+    """A video, its GOP, a QP row and the encoder state reached by encoding
+    the row's first ``state.cursor`` QPs."""
     video, gop, qps = draw(episodes())
+    row = qps[0]
     state = EncodeState()
-    for qp in qps[0, : draw(st.integers(0, video.num_frames - 1))]:
+    for qp in row[: draw(st.integers(0, video.num_frames - 1))]:
         _, _, state = encode_frame(video, gop, state, int(qp))
-    return video, gop, state
+    return video, gop, row, state
+
+
+def all_qps(video, gop, state):
+    """(bits, mse) of the frame at the state's cursor at each QP 0..255."""
+    bits, mse, _ = zip(*(encode_frame(video, gop, state, qp) for qp in range(256)))
+    return np.array(bits), np.array(mse)
 
 
 @given(episodes())
@@ -58,18 +66,25 @@ def test_batch_rows_equal_replay_and_run_episode(case):
 
 @given(reachable_states())
 def test_bits_nonincreasing_mse_nondecreasing_in_qp(case):
-    video, gop, state = case
-    bits, mse = encode_all_qps(video, gop, state)
+    """Also: 256 ``encode_batch`` rows that share the state's QP prefix and
+    differ at its cursor give, at the cursor, ``encode_frame``'s bits and
+    MSE at every QP, bit for bit."""
+    video, gop, row, state = case
+    bits, mse = all_qps(video, gop, state)
     assert np.all(np.diff(bits) <= 0.0)
     assert np.all(np.diff(mse) >= 0.0)
-    for qp in (0, 77, 128, 255):
-        assert (bits[qp], mse[qp]) == encode_frame(video, gop, state, qp)[:2]
+    rows = np.tile(row, (256, 1))
+    rows[:, state.cursor] = np.arange(256)
+    batch_bits, batch_mse = encode_batch(video, gop, rows)
+    assert batch_bits[:, state.cursor].tobytes() == bits.tobytes()
+    assert batch_mse[:, state.cursor].tobytes() == mse.tobytes()
 
 
 @given(reachable_states())
 def test_kernel_equals_scalar_closed_form(case):
-    """Bitwise equal to ``rate_distortion``, which uses ``math.log2``."""
-    video, gop, state = case
+    """``encode_frame`` is ``rate_distortion``, which uses ``math.log2``, at
+    an energy, gain and header computed here from the latents."""
+    video, gop, _, state = case
     latent = dict(zip(simenc.LATENT_FIELDS, video.frames[state.cursor].tolist()))
     frame_type = gop.frame_types[state.cursor]
     if frame_type is simenc.FrameType.KEY:
@@ -83,7 +98,7 @@ def test_kernel_equals_scalar_closed_form(case):
         )
     gain = simenc.RD_GAIN * video.n_blocks * latent["rate_multiplier"]
     header = simenc.HEADER_BITS[frame_type] * video.n_blocks / simenc.REFERENCE_BLOCKS
-    bits, mse = encode_all_qps(video, gop, state)
+    bits, mse = all_qps(video, gop, state)
     expected = [
         simenc.rate_distortion(energy, simenc.quantizer_step(qp), gain, header)
         for qp in range(256)
@@ -93,10 +108,10 @@ def test_kernel_equals_scalar_closed_form(case):
 
 @given(reachable_states(), st.floats(0.3, 1.5))
 def test_qp_search_matches_scan_oracle(case, scale):
-    video, gop, state = case
-    bits, _ = encode_all_qps(video, gop, state)
+    video, gop, _, state = case
+    finest, _, _ = encode_frame(video, gop, state, 0)
     # Targets span both clamps and every QP in between.
-    target = float(scale * bits[0])
+    target = float(scale * finest)
     assert qp_for_target_bits(video, gop, state, target) == scan_oracle(
         video, gop, state, target
     )
@@ -107,7 +122,7 @@ def test_qp_search_matches_scan_oracle(case, scale):
 def test_qp_search_at_bit_edges(case, qp, toward):
     """Targets at one QP's bits and one ulp either side, where a search that
     misplaces its boundary is off by one."""
-    video, gop, state = case
+    video, gop, _, state = case
     bits = encode_frame(video, gop, state, qp)[0]
     target = bits if toward is None else float(np.nextafter(bits, toward))
     assert qp_for_target_bits(video, gop, state, target) == scan_oracle(

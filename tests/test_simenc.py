@@ -11,7 +11,6 @@ from ratelab.simenc import (
     EncodeState,
     EpisodeTrace,
     FrameType,
-    VideoConfig,
     encode_frame,
     episode_reward,
     generate_video,
@@ -317,6 +316,7 @@ def test_replay_rejects_bad_qps():
     for qps, error in (
         ([30, 1.5, 30], TypeError),
         ([True, False, True], TypeError),
+        ([30, True, 30], TypeError),
         ([30, -1, 30], ValueError),
         ([30, 256, 30], ValueError),
         ([30, 30], simenc.EpisodeError),
