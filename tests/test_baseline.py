@@ -98,7 +98,7 @@ def test_qp_search_matches_scan_oracle(video, gop, rng):
 def test_qp_search_trial_encodes_at_most_nine_qps(video, gop, rng):
     """A bisection over 256 QPs needs at most ceil(log2(257)) = 9 probes."""
     state = EncodeState()
-    for step in range(12):
+    for _ in range(12):
         hi, _, _ = encode_frame(video, gop, state, 0)
         for target in (hi * 2, hi * 1e-3, float(rng.uniform(0.0, hi))):
             with mock.patch.object(

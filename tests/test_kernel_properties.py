@@ -44,6 +44,9 @@ def reachable_states(draw):
     return video, gop, row, state
 
 
+QP_OR_EDGE = st.one_of(st.sampled_from([0, 255]), st.integers(0, 255))
+
+
 def all_qps(video, gop, state):
     """(bits, mse) of the frame at the state's cursor at each QP 0..255."""
     bits, mse, _ = zip(*(encode_frame(video, gop, state, qp) for qp in range(256)))
@@ -66,9 +69,9 @@ def test_batch_rows_equal_replay_and_run_episode(case):
 
 @given(reachable_states())
 def test_bits_nonincreasing_mse_nondecreasing_in_qp(case):
-    """Also: 256 ``encode_batch`` rows that share the state's QP prefix and
-    differ at its cursor give, at the cursor, ``encode_frame``'s bits and
-    MSE at every QP, bit for bit."""
+    """And 256 ``encode_batch`` rows that share the state's QP prefix and
+    differ at its cursor give there ``encode_frame``'s bits and MSE at
+    every QP, bit for bit."""
     video, gop, row, state = case
     bits, mse = all_qps(video, gop, state)
     assert np.all(np.diff(bits) <= 0.0)
@@ -117,8 +120,7 @@ def test_qp_search_matches_scan_oracle(case, scale):
     )
 
 
-@given(reachable_states(), st.one_of(st.sampled_from([0, 255]), st.integers(0, 255)),
-       st.sampled_from([-np.inf, None, np.inf]))
+@given(reachable_states(), QP_OR_EDGE, st.sampled_from([-np.inf, None, np.inf]))
 def test_qp_search_at_bit_edges(case, qp, toward):
     """Targets at one QP's bits and one ulp either side, where a search that
     misplaces its boundary is off by one."""
@@ -205,8 +207,6 @@ def reference_bundle(obs, spec):
     prev = [np.log1p(obs.prev_bits), spec.scalar_transform("prev_mse", obs.prev_mse), 0.0]
     cumulative = [np.log1p(obs.cum_bits), obs.rel_cum_bits]
     return np.concatenate([static, position, type_emb, qp_emb, prev, cumulative])
-
-QP_OR_EDGE = st.one_of(st.sampled_from([0, 255]), st.integers(0, 255))
 
 
 @given(
