@@ -35,7 +35,6 @@ from .policy import (
     save_checkpoint,
     train,
 )
-from .policy.rollout import PolicyRunner
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -248,22 +247,13 @@ def cmd_fit_bounds(args) -> int:
     return EXIT_OK
 
 
-def _policy_callback(params, spec, rng, bounds, alpha):
-    if bounds is None:
-        return PolicyRunner(
-            params, spec, sampler=lambda logits: inference.truncated_sample(logits, rng)
-        )
-    config = inference.FeedbackConfig(alpha=alpha)
-    runner, _ = inference.controlled_policy(params, spec, bounds, rng, config)
-    return runner
-
-
 def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     videos = simenc.load_corpus(_require(args.corpus))
     anchors = _parse_floats(args.anchors)
     if len(anchors) < 2:
         raise ValueError("need at least two anchor multipliers for the reference curve")
+    feedback = inference.FeedbackConfig(alpha=args.alpha)
     params = spec = bounds = None
     if args.checkpoint:
         params, spec, _ = load_checkpoint(_require(args.checkpoint))
@@ -284,7 +274,7 @@ def cmd_evaluate(args) -> int:
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence((args.seed, vi)))
             )
-            callback = _policy_callback(params, spec, rng, bounds, args.alpha)
+            callback, _ = inference.controlled_policy(params, spec, bounds, rng, feedback)
             policy_traces.append(
                 simenc.run_episode(video, gop, args.target, callback)
             )

@@ -321,8 +321,8 @@ class FeedbackController:
         if pos >= candidates.size or candidates[pos] != sampled_qp:
             raise RuntimeError("sampled QP not among the top candidates")
         i = pos + 1
-        x = obs.frame_index / obs.num_frames
-        b_t = obs.cum_bits / obs.duration / 1000.0
+        x = obs.frame_index / obs.video.num_frames
+        b_t = obs.state.cum_bits / obs.video.duration / 1000.0
         lower = self.bounds.lower(x)
         upper = self.bounds.upper(x)
         j = feedback_adjust(i, b_t, lower, upper, self.config.alpha)
@@ -342,18 +342,19 @@ class FeedbackController:
 def controlled_policy(
     params,
     spec,
-    bounds: BoundsModel,
+    bounds: BoundsModel | None,
     rng: np.random.Generator,
     config: FeedbackConfig = FeedbackConfig(),
 ):
-    """Build a ``run_episode`` callback: truncated sampling + feedback control.
+    """Build a ``run_episode`` callback: truncated sampling, plus feedback
+    control when ``bounds`` is given.
 
-    Returns (callback, controller); the controller exposes the per-step
-    activation log after the episode.
+    Returns (callback, controller); the controller, None without bounds,
+    exposes the per-step activation log after the episode.
     """
     from .policy.rollout import PolicyRunner
 
-    controller = FeedbackController(bounds=bounds, config=config)
+    controller = None if bounds is None else FeedbackController(bounds=bounds, config=config)
     runner = PolicyRunner(
         params,
         spec,

@@ -5,8 +5,8 @@ are re-encoded open-loop by ``replay_qp_sequence``, as teacher verification
 re-encodes them, and must reproduce the recorded bits exactly (else
 ``TeacherDataError``). Under teacher forcing, step t sees label t - 1 as its
 previous frame, so one ``build_features`` call, the code rollouts run per
-frame, builds all of an episode's bundles. Episodes encode at speed 0, as
-``run_episode`` does.
+frame, builds all of an episode's bundles from the replay's columns, in
+place of the ``EncodeState`` a rollout reads them from.
 """
 
 from __future__ import annotations
@@ -93,13 +93,13 @@ def episodes_from_records(
     for record in records:
         video, gop, bits, mse = _replay(record, corpus, gop_interval)
         qps = np.asarray(record.label_qps, dtype=np.int64)
-        cum_bits = _previous(np.cumsum(bits), 0.0)
         bundles = build_features(
             spec,
-            episode_features(spec, video, record.target_bitrate_kbps, encode_speed=0),
+            episode_features(spec, video, record.target_bitrate_kbps),
             [FRAME_TYPE_ORDER.index(ft) for ft in gop.frame_types],
             _previous(qps, -1), _previous(bits, 0.0), _previous(mse, 0.0),
-            cum_bits, cum_bits / (record.target_bitrate_kbps * 1000.0 * video.duration),
+            _previous(np.cumsum(bits), 0.0),
+            record.target_bitrate_kbps * 1000.0 * video.duration,
         )
         episodes.append(
             EpisodeData(

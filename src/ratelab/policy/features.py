@@ -168,13 +168,13 @@ def fit_feature_spec(
     )
 
 
-def episode_features(
-    spec: FeatureSpec, video, target_bitrate_kbps: float, encode_speed: int
-) -> np.ndarray:
+def episode_features(spec: FeatureSpec, video, target_bitrate_kbps: float) -> np.ndarray:
     """The (T, 9) bundle columns an episode fixes: 7 static, 2 frame-position.
 
-    ``video`` has the video's ``width``, ``height``, ``num_frames``,
-    ``duration`` and ``frame_rate``: a ``SyntheticVideo`` or an ``Observation``.
+    ``video`` is a ``SyntheticVideo``; only its metadata is read. The last
+    static column is the encode-speed slot, always 0 because the surrogate
+    encoder has one speed; it keeps ``bundle_dim`` at 46, so saved
+    checkpoints still load.
     """
     T = video.num_frames
     static = [
@@ -184,7 +184,7 @@ def episode_features(
         spec.scalar_transform("duration", video.duration),
         spec.scalar_transform("frame_rate", video.frame_rate),
         spec.scalar_transform("target_bitrate_kbps", target_bitrate_kbps),
-        float(encode_speed),
+        0.0,
     ]
     index = np.arange(T, dtype=np.float64)
     position = np.column_stack([np.log1p(index), (index + 1.0) / T])
@@ -192,21 +192,27 @@ def episode_features(
 
 
 def build_features(
-    spec: FeatureSpec, episode, frame_type, prev_qp, prev_bits, prev_mse, cum_bits, rel_cum_bits
+    spec: FeatureSpec, episode, frame_type, prev_qp, prev_bits, prev_mse, cum_bits, budget_bits
 ) -> np.ndarray:
     """Input bundles, (46,) for one step or (T, 46) for T steps at once.
 
     ``episode`` holds the steps' ``episode_features`` rows; the rest are
-    scalars or (T,) arrays: ``frame_type`` indexes ``FRAME_TYPE_ORDER``,
-    and the others are the ``Observation`` fields of the same name.
-    ``prev_qp`` is the label under teacher forcing, the policy's action in a
-    rollout, and -1 (embedded as zeros) on the first frame. The environment
-    pays only a terminal reward, so the previous-reward slot is always 0.
+    scalars or (T,) arrays: ``frame_type`` indexes ``FRAME_TYPE_ORDER``;
+    ``prev_qp``, ``prev_bits`` and ``prev_mse`` are ``EncodeState.last`` of
+    each step and ``cum_bits`` its ``EncodeState.cum_bits``; ``budget_bits``
+    is the episode's ``target_bitrate_kbps * 1000.0 * duration``, the
+    denominator of the cumulative-bits ratio. ``prev_qp`` is the label under
+    teacher forcing, the policy's action in a rollout, and -1 (embedded as
+    zeros) on the first frame. The environment pays only a terminal reward,
+    so the previous-reward slot is always 0.
     """
     prev_bits = np.asarray(prev_bits, dtype=np.float64)  # never negative
     mse = spec.scalar_transform("prev_mse", prev_mse)
     tail = np.array(
-        [np.log1p(prev_bits), mse, np.zeros(prev_bits.shape), np.log1p(cum_bits), rel_cum_bits]
+        [
+            np.log1p(prev_bits), mse, np.zeros(prev_bits.shape),
+            np.log1p(cum_bits), cum_bits / budget_bits,
+        ]
     ).T
     types = spec.frame_type_embedding[frame_type]
     return np.concatenate([episode, types, spec.qp_rows[prev_qp], tail], axis=-1)

@@ -16,12 +16,11 @@ from typing import Sequence
 import numpy as np
 
 from .. import simenc
-from ..inference import truncated_sample
+from ..inference import controlled_policy
 from ..simenc import SyntheticVideo
 from ..teacher import TeacherRecord
 from .features import FeatureSpec
 from .network import PolicyParams
-from .rollout import PolicyRunner
 
 __all__ = ["her_relabel"]
 
@@ -48,9 +47,7 @@ def her_relabel(
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence((seed, vi, ti)))
             )
-            runner = PolicyRunner(
-                params, spec, sampler=lambda logits, r=rng: truncated_sample(logits, r)
-            )
+            runner, _ = controlled_policy(params, spec, None, rng)
             trace = simenc.run_episode(video, gop, float(target), runner)
             # Under the achieved-bitrate goal the overshoot penalty vanishes.
             relabeled = replace(trace, target_bitrate_kbps=trace.bitrate_kbps)

@@ -4,10 +4,11 @@ Rollouts use the training network's own definition: ``transformer_embed``
 runs once per episode under ``autodiff.no_grad``, and the recurrent core
 advances one ``autodiff.lstm_cell`` step per frame, because each frame's
 input bundle depends on the QPs chosen before it; it comes from the feature
-code training uses, ``episode_features`` at frame 0 and one
-``build_features`` row per frame. Only the two small output heads have a
-numpy form here, ``eval_head``, which is two to three times faster per
-frame than a tape pass.
+code training uses, ``episode_features`` of the observation's video at
+frame 0 and one ``build_features`` row per frame, from the observation's
+``EncodeState``. Only the two small output heads have a numpy form here,
+``eval_head``, which is two to three times faster per frame than a tape
+pass.
 """
 
 from __future__ import annotations
@@ -68,13 +69,17 @@ class PolicyRunner:
         self.spec = spec
         self.sampler = sampler
         self.adjuster = adjuster
-        self._embed = self._episode = None  # (T, dh) and (T, 9), set at frame 0
+        # (T, dh), (T, 9) and the episode's bit budget, set at frame 0
+        self._embed = self._episode = self._budget_bits = None
         self._h = self._c = None
         self.bits_predictions: list[float] = []
 
     def _reset(self, obs: Observation) -> None:
-        self._embed = eval_transformer(self.params, self.spec.normalize_first_pass(obs.first_pass))
-        self._episode = episode_features(self.spec, obs, obs.target_bitrate_kbps, obs.encode_speed)
+        video = obs.video
+        fp_norm = self.spec.normalize_first_pass(video.first_pass)
+        self._embed = eval_transformer(self.params, fp_norm)
+        self._episode = episode_features(self.spec, video, obs.target_bitrate_kbps)
+        self._budget_bits = obs.target_bitrate_kbps * 1000.0 * video.duration
         dr = self.params.arch.dr
         self._h = np.zeros(dr)
         self._c = np.zeros(dr)
@@ -84,10 +89,12 @@ class PolicyRunner:
         """Advance the recurrent state and return this frame's QP logits."""
         if obs.frame_index == 0 or self._embed is None:
             self._reset(obs)
-        t = obs.frame_index
+        state = obs.state
+        t = state.cursor
+        prev_qp, prev_bits, prev_mse = state.last
         bundle = build_features(
-            self.spec, self._episode[t], FRAME_TYPE_ORDER.index(obs.frame_type), obs.prev_qp,
-            obs.prev_bits, obs.prev_mse, obs.cum_bits, obs.rel_cum_bits,
+            self.spec, self._episode[t], FRAME_TYPE_ORDER.index(obs.gop.frame_types[t]), prev_qp,
+            prev_bits, prev_mse, state.cum_bits, self._budget_bits,
         )
         x = np.concatenate([self._embed[t], bundle])
         self._h, self._c = eval_lstm_step(self.params, x, self._h, self._c)

@@ -30,6 +30,11 @@ of B whole episodes at once (ES populations). Both take the logarithm with
 ``math.log2``, because numpy's vectorized ``log2`` can differ from it in the
 last bit and teacher labels are verified by exact replay; property tests
 pin the two forms equal bit for bit.
+
+``run_episode`` asks a policy callback for each frame's QP, passing an
+``Observation``: the video, its GOP plan, the target and the encoder state
+before that frame. Policies derive their inputs from these at the source.
+``replay_qp_sequence`` encodes a fixed QP sequence without observations.
 """
 
 from __future__ import annotations
@@ -427,11 +432,10 @@ def generate_corpus(
 
 @dataclass(frozen=True)
 class GopPlan:
-    """Frame types, show flags and reference-slot usage for one video."""
+    """Frame types and show flags for one video."""
 
     frame_types: tuple[FrameType, ...]
     show: tuple[bool, ...]
-    references: tuple[tuple[str, ...], ...]  # subset of ("LAST", "GOLDEN")
 
     # Per-frame constants of the encoder kernel, (T,) each. The kernel reads
     # them once per frame step, where comparing or hashing an enum member
@@ -467,8 +471,7 @@ def plan_gop(video: SyntheticVideo, gop_interval: int = 16) -> GopPlan:
         else:
             types.append(FrameType.INTER)
     show = tuple(ft is not FrameType.ALT_REF_HIDDEN for ft in types)
-    refs = tuple(() if ft is FrameType.KEY else ("LAST", "GOLDEN") for ft in types)
-    return GopPlan(frame_types=tuple(types), show=show, references=refs)
+    return GopPlan(frame_types=tuple(types), show=show)
 
 
 # ---------------------------------------------------------------------------
@@ -649,29 +652,24 @@ PENALTY_PER_KBPS = 0.02
 
 @dataclass(frozen=True)
 class Observation:
-    """What a policy sees before choosing the QP of frame ``frame_index``.
+    """What a policy sees before choosing the QP of the frame at ``state.cursor``.
 
-    Depends only on first-pass data and encode history strictly before the
-    current frame. ``prev_qp`` is -1 on the first frame; ``state`` is the
-    encoder state before this frame, from which trial encodes start.
+    The episode's fixed inputs and the encoder state, nothing derived from
+    them. Policies read the video's first-pass matrix and metadata (size,
+    frame rate, length, duration), never its latent ``frames``, and the
+    encode history strictly before the current frame: ``state.last`` is the
+    previous frame's (qp, bits, mse), with qp -1 on the first frame, and
+    ``state`` is where trial encodes start.
     """
 
-    width: int
-    height: int
-    num_frames: int
-    duration: float
-    frame_rate: float
+    video: SyntheticVideo
+    gop: GopPlan
     target_bitrate_kbps: float
-    encode_speed: int
-    first_pass: np.ndarray  # the video's own read-only (T, 25) matrix
-    frame_type: FrameType
-    frame_index: int
-    prev_qp: int
-    prev_bits: float
-    prev_mse: float
-    cum_bits: float
-    rel_cum_bits: float
     state: EncodeState
+
+    @property
+    def frame_index(self) -> int:
+        return self.state.cursor
 
 
 @dataclass(frozen=True)
@@ -788,32 +786,12 @@ def run_episode(
 ) -> EpisodeTrace:
     """Encode a full episode, querying ``policy_callback`` once per frame."""
     _check_target(target_bitrate_kbps)
-    budget_bits = target_bitrate_kbps * 1000.0 * video.duration
     state = EncodeState()
     qps: list[int] = []
     bits: list[float] = []
     mses: list[float] = []
-    for t in range(video.num_frames):
-        prev_qp, prev_bits, prev_mse = state.last
-        obs = Observation(
-            width=video.width,
-            height=video.height,
-            num_frames=video.num_frames,
-            duration=video.duration,
-            frame_rate=video.frame_rate,
-            target_bitrate_kbps=target_bitrate_kbps,
-            encode_speed=0,
-            first_pass=video.first_pass,
-            frame_type=gop.frame_types[t],
-            frame_index=t,
-            prev_qp=prev_qp,
-            prev_bits=prev_bits,
-            prev_mse=prev_mse,
-            cum_bits=state.cum_bits,
-            rel_cum_bits=state.cum_bits / budget_bits,
-            state=state,
-        )
-        qp = int(policy_callback(obs))
+    for _ in range(video.num_frames):
+        qp = int(policy_callback(Observation(video, gop, target_bitrate_kbps, state)))
         b, m, state = encode_frame(video, gop, state, qp)
         qps.append(qp)
         bits.append(b)

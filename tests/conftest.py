@@ -3,6 +3,8 @@ import pytest
 from hypothesis import settings
 
 from ratelab import simenc
+from ratelab.policy.features import fit_feature_spec
+from ratelab.policy.network import PolicyParams, arch_from_preset
 
 # Property tests run the same examples on every run and never time out, so
 # tier-1 stays reproducible on slow or loaded machines.
@@ -77,16 +79,23 @@ def constant_video(
 
 
 def all_inter_gop(num_frames):
-    """GOP with every frame INTER (for allocation symmetry tests).
-
-    Frame 0 still references nothing, matching an empty reference state.
-    """
+    """GOP with every frame INTER (for allocation symmetry tests)."""
     types = tuple(simenc.FrameType.INTER for _ in range(num_frames))
-    return simenc.GopPlan(
-        frame_types=types,
-        show=tuple(True for _ in range(num_frames)),
-        references=tuple(("LAST", "GOLDEN") for _ in range(num_frames)),
+    return simenc.GopPlan(frame_types=types, show=tuple(True for _ in range(num_frames)))
+
+
+def tiny_policy(videos, target_bitrate_kbps=512.0, seed=0):
+    """Untrained tiny-preset params and a feature spec fitted on ``videos``."""
+    scalars = {
+        name: [float(getattr(v, name)) for v in videos]
+        for name in ("width", "height", "duration", "frame_rate")
+    }
+    spec = fit_feature_spec(
+        [v.first_pass for v in videos],
+        {**scalars, "target_bitrate_kbps": [target_bitrate_kbps], "prev_mse": [1.0, 20.0]},
+        seed=seed,
     )
+    return PolicyParams(arch_from_preset("tiny", spec.bundle_dim), seed=seed), spec
 
 
 @pytest.fixture

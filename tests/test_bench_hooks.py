@@ -6,7 +6,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from ratelab import inference, simenc
+from ratelab.inference import BoundsModel, LogBound
+
+from conftest import tiny_policy
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -35,3 +41,26 @@ def test_every_traced_name_resolves(tracing):
             assert attr in vars(owner), f"{module_name}.{cls_name}.{attr} is gone"
         else:
             assert callable(getattr(owner, attr, None)), f"{module_name}.{attr} is gone"
+
+
+def test_traced_rollout_counts_one_feedback_event_per_frame_after_the_first(
+    tracing, video, gop
+):
+    """``feedback_after`` reads the controller's observation; a traced
+    evaluate round breaks if it can no longer."""
+    params, spec = tiny_policy([video])
+    bounds = BoundsModel(
+        lower=LogBound(0.0, 1.0, 1.0, 480.0, 0.0),
+        upper=LogBound(0.0, 1.0, 1.0, 482.0, 1.0),
+        target_bitrate_kbps=512.0,
+        quantiles=(0.025, 0.975),
+    )
+    runner, controller = inference.controlled_policy(
+        params, spec, bounds, np.random.default_rng(3)
+    )
+    with tracing.installed(tracing.Tracer()) as tracer:
+        simenc.run_episode(video, gop, 512.0, runner)
+    assert tracer.counts["inference.feedback.events"] == video.num_frames - 1
+    assert tracer.counts["inference.feedback.triggered"] == sum(
+        e.triggered for e in controller.events
+    )

@@ -178,6 +178,12 @@ def test_schema_mismatch_exit_code(tmp_path, corpus_dir):
     )
 
 
+def test_negative_alpha_rejected(tmp_path, corpus_dir):
+    corpus = str(corpus_dir / "corpus.jsonl")
+    args = ["evaluate", "--corpus", corpus, "--alpha", "-1", "--out", str(tmp_path)]
+    assert run(args) == 1
+
+
 def test_invalid_flags_exit_code(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["gen-videos", "--count", "NaNsense", "--out", str(tmp_path)])

@@ -92,22 +92,21 @@ def _observations(video, qp, target=500.0):
 
 
 def _bundle(obs, spec):
-    episode = episode_features(spec, obs, obs.target_bitrate_kbps, obs.encode_speed)
+    video, state, t = obs.video, obs.state, obs.frame_index
+    episode = episode_features(spec, video, obs.target_bitrate_kbps)
     return build_features(
         spec,
-        episode[obs.frame_index],
-        FRAME_TYPE_ORDER.index(obs.frame_type),
-        obs.prev_qp,
-        obs.prev_bits,
-        obs.prev_mse,
-        obs.cum_bits,
-        obs.rel_cum_bits,
+        episode[t],
+        FRAME_TYPE_ORDER.index(obs.gop.frame_types[t]),
+        *state.last,
+        state.cum_bits,
+        obs.target_bitrate_kbps * 1000.0 * video.duration,
     )
 
 
 def test_qp_embedding_lookup(spec, corpus):
     obs = _observations(next(iter(corpus.values())), 17)[1]
-    assert obs.prev_qp == 17
+    assert obs.state.last[0] == 17
     bundle = _bundle(obs, spec)
     start = 7 + 2 + EMBED_DIM
     assert bundle[start : start + EMBED_DIM] == pytest.approx(spec.qp_embedding[17])
@@ -115,7 +114,7 @@ def test_qp_embedding_lookup(spec, corpus):
 
 def test_no_previous_frame_embeds_zero(spec, corpus):
     obs = _observations(next(iter(corpus.values())), 17)[0]
-    assert obs.prev_qp == -1
+    assert obs.state.last[0] == -1
     bundle = _bundle(obs, spec)
     start = 7 + 2 + EMBED_DIM
     assert np.all(bundle[start : start + EMBED_DIM] == 0.0)

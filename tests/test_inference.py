@@ -14,6 +14,7 @@ from ratelab.inference import (
     FeedbackConfig,
     FeedbackController,
     LogBound,
+    controlled_policy,
     feedback_adjust,
     fit_bounds,
     load_bounds,
@@ -21,8 +22,9 @@ from ratelab.inference import (
     truncated_keep,
     truncated_sample,
 )
+from ratelab.policy.rollout import PolicyRunner
 
-from conftest import FAST_CONFIG
+from conftest import FAST_CONFIG, tiny_policy
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +320,11 @@ def test_controller_never_leaves_candidate_set(rng, video, gop):
 
     simenc.run_episode(video, gop, 512.0, policy)
     assert any(e.triggered for e in controller.events)
+    # The envelope is read at the episode position t / T of each frame.
+    T = video.num_frames
+    assert [e.lower for e in controller.events] == pytest.approx(
+        [480.0 * t / T for t in range(1, T)], rel=1e-12
+    )
 
 
 def test_infinite_bounds_noop(rng, video, gop):
@@ -334,3 +341,18 @@ def test_infinite_bounds_noop(rng, video, gop):
     trace = simenc.run_episode(video, gop, 512.0, policy)
     assert list(trace.qps) == picked
     assert not any(e.triggered for e in controller.events)
+    # One event per frame after the first, at the kbps spent before it.
+    assert [e.frame_index for e in controller.events] == list(range(1, video.num_frames))
+    spent_kbps = np.cumsum(trace.bits)[:-1] / video.duration / 1000.0
+    assert [e.b_t for e in controller.events] == pytest.approx(spent_kbps.tolist(), rel=1e-12)
+
+
+def test_controlled_policy_without_bounds_is_plain_truncated_sampling(video, gop):
+    params, spec = tiny_policy([video])
+    runner, controller = controlled_policy(params, spec, None, np.random.default_rng(5))
+    assert controller is None and runner.adjuster is None
+    plain_rng = np.random.default_rng(5)
+    plain = PolicyRunner(params, spec, sampler=lambda logits: truncated_sample(logits, plain_rng))
+    trace = simenc.run_episode(video, gop, 512.0, runner)
+    assert trace == simenc.run_episode(video, gop, 512.0, plain)
+    assert len(set(trace.qps)) > 1

@@ -192,20 +192,26 @@ TINY_PARAMS = PolicyParams(arch_from_preset("tiny", 46), seed=0)
 
 def reference_bundle(obs, spec):
     """One observation's 46 input columns, each written out on its own."""
+    video, state, target = obs.video, obs.state, obs.target_bitrate_kbps
+    t = state.cursor
+    prev_qp, prev_bits, prev_mse = state.last
     static = [
-        spec.scalar_transform("width", float(obs.width)),
-        spec.scalar_transform("height", float(obs.height)),
-        np.log1p(float(obs.num_frames)),
-        spec.scalar_transform("duration", obs.duration),
-        spec.scalar_transform("frame_rate", obs.frame_rate),
-        spec.scalar_transform("target_bitrate_kbps", obs.target_bitrate_kbps),
-        float(obs.encode_speed),
+        spec.scalar_transform("width", float(video.width)),
+        spec.scalar_transform("height", float(video.height)),
+        np.log1p(float(video.num_frames)),
+        spec.scalar_transform("duration", video.duration),
+        spec.scalar_transform("frame_rate", video.frame_rate),
+        spec.scalar_transform("target_bitrate_kbps", target),
+        0.0,
     ]
-    position = [np.log1p(float(obs.frame_index)), (obs.frame_index + 1) / obs.num_frames]
-    type_emb = spec.frame_type_embedding[FRAME_TYPE_ORDER.index(obs.frame_type)]
-    qp_emb = np.zeros(EMBED_DIM) if obs.prev_qp < 0 else spec.qp_embedding[obs.prev_qp]
-    prev = [np.log1p(obs.prev_bits), spec.scalar_transform("prev_mse", obs.prev_mse), 0.0]
-    cumulative = [np.log1p(obs.cum_bits), obs.rel_cum_bits]
+    position = [np.log1p(float(t)), (t + 1) / video.num_frames]
+    type_emb = spec.frame_type_embedding[FRAME_TYPE_ORDER.index(obs.gop.frame_types[t])]
+    qp_emb = np.zeros(EMBED_DIM) if prev_qp < 0 else spec.qp_embedding[prev_qp]
+    prev = [np.log1p(prev_bits), spec.scalar_transform("prev_mse", prev_mse), 0.0]
+    cumulative = [
+        np.log1p(state.cum_bits),
+        state.cum_bits / (target * 1000.0 * video.duration),
+    ]
     return np.concatenate([static, position, type_emb, qp_emb, prev, cumulative])
 
 
