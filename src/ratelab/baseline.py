@@ -15,7 +15,6 @@ import numpy as np
 from . import simenc
 from .simenc import (
     FIRST_PASS_FEATURES,
-    PENALTY_PER_KBPS,
     EncodeState,
     EpisodeTrace,
     FrameType,
@@ -116,10 +115,9 @@ def run_baseline(
     video: SyntheticVideo,
     gop: GopPlan | None = None,
     target_bitrate_kbps: float = 512.0,
-    penalty_per_kbps: float = PENALTY_PER_KBPS,
 ) -> EpisodeTrace:
     """Encode one video with the heuristic VBR policy."""
     if gop is None:
         gop = simenc.plan_gop(video)
     policy = BaselinePolicy(video, gop, target_bitrate_kbps)
-    return simenc.run_episode(video, gop, target_bitrate_kbps, policy, penalty_per_kbps)
+    return simenc.run_episode(video, gop, target_bitrate_kbps, policy)

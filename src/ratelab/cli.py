@@ -7,7 +7,17 @@ report emission. Every run writes a manifest (resolved configuration, its
 hash, seeds, package version) next to its artifacts so results can be
 replayed exactly.
 
-Exit codes: 0 success, 2 invalid flags (argparse), 3 missing input file,
+Settings that every stage must share are constants, not flags, so the
+stages cannot disagree: the GOP plan (``simenc.plan_gop``, an alternate
+reference every 16 frames), the reward's overshoot penalty
+(``simenc.PENALTY_PER_KBPS``), the latent distributions of generated videos
+(``simenc`` module constants) and a constant training learning rate.
+``fit-bounds`` reads its target from its traces, which must share one, and
+``evaluate`` rejects bounds without a checkpoint or fitted at another target
+before it encodes anything.
+
+Exit codes: 0 success, 2 invalid flags (argparse) or a config-file key no
+subcommand takes, 3 missing input file,
 4 artifact schema mismatch, 1 any other failure.
 """
 
@@ -52,6 +62,10 @@ MANIFEST_SCHEMA = "manifest.v1"
 
 class MissingInputError(FileNotFoundError):
     pass
+
+
+class IncompatibleInputError(ValueError):
+    """Inputs that cannot go together in one run, e.g. bounds fitted for another target."""
 
 
 def _require(path: str | Path) -> Path:
@@ -117,7 +131,7 @@ def cmd_run_baseline(args) -> int:
     targets = _parse_floats(args.targets)
     traces = []
     for video in videos:
-        gop = simenc.plan_gop(video, args.gop_interval)
+        gop = simenc.plan_gop(video)
         for target in targets:
             traces.append(baseline.run_baseline(video, gop, target))
     n = simenc.save_traces(out / "baseline_traces.jsonl", traces)
@@ -136,7 +150,6 @@ def _es_config_from_args(args) -> teacher.EsConfig:
         batch_size=args.batch,
         learning_rate=args.alpha,
         max_steps=args.steps,
-        reward_lambda=args.reward_lambda,
     )
 
 
@@ -145,8 +158,7 @@ def cmd_run_es(args) -> int:
     videos = simenc.load_corpus(_require(args.corpus))
     targets = _parse_floats(args.targets)
     records = teacher.run_es_tasks(
-        videos, [targets] * len(videos), _es_config_from_args(args), args.seed,
-        args.gop_interval, args.workers,
+        videos, [targets] * len(videos), _es_config_from_args(args), args.seed, args.workers
     )
     n = teacher.save_teacher_dataset(out / "es_records.jsonl", records)
     _write_manifest(out, "run-es", args)
@@ -164,7 +176,6 @@ def cmd_build_dataset(args) -> int:
         bitrate_max_kbps=hi,
         es=_es_config_from_args(args),
         seed=args.seed,
-        gop_interval=args.gop_interval,
     )
     records = teacher.build_teacher_dataset(videos, config, args.workers)
     n = teacher.save_teacher_dataset(out / "teacher.jsonl", records)
@@ -182,13 +193,12 @@ def cmd_train(args) -> int:
     videos = simenc.load_corpus(_require(args.corpus))
     records = teacher.load_teacher_dataset(_require(args.dataset))
     corpus = {v.video_id: v for v in videos}
-    spec = fit_spec_from_records(records, corpus, args.gop_interval, seed=args.seed)
-    episodes = episodes_from_records(records, corpus, spec, args.gop_interval)
+    spec = fit_spec_from_records(records, corpus, seed=args.seed)
+    episodes = episodes_from_records(records, corpus, spec)
     config = TrainConfig(
         beta1_frame_bits=args.beta1,
         beta2_total_bits=args.beta2,
         learning_rate=args.learning_rate,
-        lr_decay=args.lr_decay,
         batch_size=args.batch_size,
         epochs=args.epochs,
         dropout=not args.no_dropout,
@@ -222,7 +232,6 @@ def cmd_her_refine(args) -> int:
         ordered,
         [targets_by_video[v.video_id] for v in ordered],
         seed=args.seed,
-        gop_interval=args.gop_interval,
     )
     n = teacher.save_teacher_dataset(out / "her.jsonl", her_records)
     _write_manifest(out, "her-refine", args)
@@ -238,8 +247,13 @@ def cmd_fit_bounds(args) -> int:
     out = _out_dir(args)
     traces = simenc.load_traces(_require(args.traces))
     lo_q, hi_q = _parse_floats(args.quantiles)
+    targets = sorted({trace.target_bitrate_kbps for trace in traces})
+    if len(targets) != 1:
+        raise inference.BoundsFitError(
+            f"{args.traces}: the traces must share one target bitrate, found {targets}"
+        )
     model = inference.fit_bounds(
-        traces, args.target, coverage=(lo_q, hi_q), min_traces=args.min_traces
+        traces, targets[0], coverage=(lo_q, hi_q), min_traces=args.min_traces
     )
     inference.save_bounds(out / "bounds.json", model)
     _write_manifest(out, "fit-bounds", args)
@@ -255,15 +269,22 @@ def cmd_evaluate(args) -> int:
         raise ValueError("need at least two anchor multipliers for the reference curve")
     feedback = inference.FeedbackConfig(alpha=args.alpha)
     params = spec = bounds = None
+    if args.bounds and not args.checkpoint:
+        raise IncompatibleInputError("--bounds controls a policy: it needs --checkpoint")
     if args.checkpoint:
         params, spec, _ = load_checkpoint(_require(args.checkpoint))
     if args.bounds:
         bounds = inference.load_bounds(_require(args.bounds))
+        if abs(bounds.target_bitrate_kbps - args.target) > inference.TARGET_TOLERANCE_KBPS:
+            raise IncompatibleInputError(
+                f"{args.bounds} was fitted at {bounds.target_bitrate_kbps} kbps, "
+                f"this run targets {args.target}"
+            )
 
     curves = {}
     policy_traces = []
     for vi, video in enumerate(videos):
-        gop = simenc.plan_gop(video, args.gop_interval)
+        gop = simenc.plan_gop(video)
         anchor_traces = [
             baseline.run_baseline(video, gop, m * args.target) for m in anchors
         ]
@@ -411,7 +432,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = add("run-baseline", cmd_run_baseline, help="run the heuristic VBR policy")
     p.add_argument("--corpus", required=True)
     p.add_argument("--targets", default="512", help="comma-separated kbps targets")
-    p.add_argument("--gop-interval", type=int, default=16)
 
     def add_es_args(p):
         p.add_argument("--corpus", required=True)
@@ -419,9 +439,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p.add_argument("--sigma", type=float, default=4.0)
         p.add_argument("--alpha", type=float, default=16.0)
         p.add_argument("--batch", type=int, default=16)
-        p.add_argument("--reward-lambda", type=float, default=teacher.EsConfig().reward_lambda)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--gop-interval", type=int, default=16)
         p.add_argument("--workers", type=int, default=1)
 
     p = add("run-es", cmd_run_es, help="search QP sequences at fixed targets")
@@ -440,23 +458,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--epochs", type=int, default=40)
     p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--learning-rate", type=float, default=3e-3)
-    p.add_argument("--lr-decay", type=float, default=1.0)
     p.add_argument("--beta1", type=float, default=2.0)
     p.add_argument("--beta2", type=float, default=2.0)
     p.add_argument("--no-dropout", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gop-interval", type=int, default=16)
 
     p = add("her-refine", cmd_her_refine, help="hindsight-relabel policy rollouts")
     p.add_argument("--corpus", required=True)
     p.add_argument("--dataset", required=True, help="dataset providing original targets")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gop-interval", type=int, default=16)
 
     p = add("fit-bounds", cmd_fit_bounds, help="fit the cumulative-bits envelope")
     p.add_argument("--traces", required=True)
-    p.add_argument("--target", type=float, default=512.0)
     p.add_argument("--quantiles", default="0.025,0.975")
     p.add_argument("--min-traces", type=int, default=20)
 
@@ -469,7 +483,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--anchors", default="0.5,0.75,1.0,1.25,1.5")
     p.add_argument("--within-pct", type=float, default=5.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gop-interval", type=int, default=16)
 
     p = add("report", cmd_report, help="emit histograms and the ablation table")
     p.add_argument(
@@ -512,6 +525,12 @@ def main(argv: list[str] | None = None) -> int:
     except MissingInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
+    known = {action.dest for subparser in registry.values() for action in subparser._actions}
+    unknown = sorted(set(defaults) - known)
+    if unknown:
+        # A key for a removed or misspelt setting would otherwise do nothing.
+        print(f"error: {pre.config}: no subcommand takes {', '.join(unknown)}", file=sys.stderr)
+        return EXIT_USAGE
     if defaults:
         _apply_config_defaults(registry, defaults)
     args = parser.parse_args(argv)

@@ -110,11 +110,14 @@ class LogBound:
 
 # Envelope grid points, its outward margin and end tolerance (fractions of
 # the target), and the bracket and start grid of the fitted curvature a2/a3.
+# Traces, and the runs bounds steer, must match the bounds' target to within
+# TARGET_TOLERANCE_KBPS.
 ENVELOPE_POINTS = 101
 MIN_MARGIN_FRAC = 0.005
 END_TOLERANCE = 0.05
 CURVATURE_BRACKET = (1e-3, 1e6)
 CURVATURE_GRID = 64
+TARGET_TOLERANCE_KBPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -212,7 +215,7 @@ def fit_bounds(
     xs = np.linspace(0.0, 1.0, ENVELOPE_POINTS)
     resampled = []
     for trace in traces:
-        if abs(trace.target_bitrate_kbps - target_bitrate_kbps) > 1e-6:
+        if abs(trace.target_bitrate_kbps - target_bitrate_kbps) > TARGET_TOLERANCE_KBPS:
             raise ValueError(
                 f"trace targeted {trace.target_bitrate_kbps} kbps, expected "
                 f"{target_bitrate_kbps}"

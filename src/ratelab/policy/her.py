@@ -31,7 +31,6 @@ def her_relabel(
     videos: Sequence[SyntheticVideo],
     original_targets_kbps: Sequence[Sequence[float]],
     seed: int = 0,
-    gop_interval: int = 16,
 ) -> list[TeacherRecord]:
     """Roll out the policy and relabel every episode's goal in hindsight.
 
@@ -42,7 +41,7 @@ def her_relabel(
         raise ValueError("need one target list per video")
     records = []
     for vi, (video, targets) in enumerate(zip(videos, original_targets_kbps)):
-        gop = simenc.plan_gop(video, gop_interval)
+        gop = simenc.plan_gop(video)
         for ti, target in enumerate(targets):
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence((seed, vi, ti)))

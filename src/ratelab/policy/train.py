@@ -41,12 +41,10 @@ __all__ = [
 
 CHECKPOINT_SCHEMA = "policy.v1"
 
-# Adam's moment decays and denominator guard, and the number of optimizer
-# steps over which the learning rate decays by ``TrainConfig.lr_decay``.
+# Adam's moment decays and denominator guard.
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-LR_DECAY_STEPS = 100.0
 TOP_K = 15  # the k of the top-k coverage that training logs and reports
 
 
@@ -59,7 +57,6 @@ class TrainConfig:
     beta1_frame_bits: float = 2.0
     beta2_total_bits: float = 2.0
     learning_rate: float = 3e-3
-    lr_decay: float = 1.0          # multiplicative decay per LR_DECAY_STEPS optimizer steps
     batch_size: int = 8
     epochs: int = 40
     dropout: bool = True
@@ -117,13 +114,11 @@ class Adam:
     def __init__(self, params: PolicyParams, config: TrainConfig):
         self.params = params
         self.lr = config.learning_rate
-        self.lr_decay = config.lr_decay
         self.t = 0
         self.m = {k: np.zeros_like(v.data) for k, v in params.items()}
         self.v = {k: np.zeros_like(v.data) for k, v in params.items()}
 
     def step(self) -> None:
-        lr = self.lr * self.lr_decay ** (self.t / LR_DECAY_STEPS)
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
@@ -135,7 +130,7 @@ class Adam:
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * g * g
-            tensor.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            tensor.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 @dataclass

@@ -234,32 +234,36 @@ class SyntheticVideo:
 # Synthetic video generation
 # ---------------------------------------------------------------------------
 
+# Latent distributions of generated videos. Scene lengths are geometric
+# with this mean; each scene draws its intra energy (lognormal, clamped to
+# its range), noise energy and inter fraction (uniform over their ranges)
+# and a motion scale, and each frame scatters around its scene's values by
+# log-scale jitter. Rate multipliers are lognormal per frame, clamped.
+MEAN_SCENE_LENGTH = 45.0
+INTRA_ENERGY_LOG_MEAN = math.log(120.0)
+INTRA_ENERGY_LOG_SIGMA = 0.7
+INTRA_ENERGY_RANGE = (10.0, 1200.0)
+NOISE_ENERGY_RANGE = (0.5, 6.0)
+INTER_FRACTION_RANGE = (0.08, 0.55)
+RATE_MULTIPLIER_SIGMA_LOG = 0.15
+RATE_MULTIPLIER_RANGE = (0.6, 1.8)
+INTRA_JITTER = 0.08
+NOISE_JITTER = 0.10
+INTER_FRACTION_JITTER = 0.06
+
+
 @dataclass(frozen=True)
 class VideoConfig:
-    """Ranges and distributions for synthetic video generation."""
+    """Length range, frame size and frame rate of generated videos.
+
+    The latent distributions are the module constants above.
+    """
 
     num_frames_min: int = 100
     num_frames_max: int = 150
     width: int = 640
     height: int = 480
     frame_rate: float = 30.0
-    mean_scene_length: float = 45.0
-    intra_energy_log_mean: float = math.log(120.0)
-    intra_energy_log_sigma: float = 0.7
-    intra_energy_min: float = 10.0
-    intra_energy_max: float = 1200.0
-    noise_energy_min: float = 0.5
-    noise_energy_max: float = 6.0
-    inter_fraction_min: float = 0.08
-    inter_fraction_max: float = 0.55
-    rate_multiplier_sigma_log: float = 0.15
-    rate_multiplier_min: float = 0.6
-    rate_multiplier_max: float = 1.8
-    # Per-frame log-scale jitter around the scene-level values; zero gives
-    # constant latents within a scene.
-    intra_jitter: float = 0.08
-    noise_jitter: float = 0.10
-    inter_fraction_jitter: float = 0.06
 
     def validate(self) -> None:
         if self.num_frames_min < 2:
@@ -270,14 +274,6 @@ class VideoConfig:
             raise ConfigError("resolution must be at least one 16x16 block")
         if self.frame_rate <= 0:
             raise ConfigError("frame_rate must be positive")
-        if self.intra_energy_min <= 0 or self.intra_energy_max < self.intra_energy_min:
-            raise ConfigError("intra energy range must be positive and ordered")
-        if self.noise_energy_min < 0 or self.noise_energy_max < self.noise_energy_min:
-            raise ConfigError("noise energy range must be nonnegative and ordered")
-        if not (0.0 < self.inter_fraction_min <= self.inter_fraction_max <= 1.0):
-            raise ConfigError("inter fraction range must lie in (0,1]")
-        if self.rate_multiplier_min <= 0:
-            raise ConfigError("rate multiplier clamp must be positive")
 
 
 def _first_pass_row(latent, index: int, num_frames: int, frame_rate: float) -> list[float]:
@@ -345,7 +341,7 @@ def generate_video(seed: int, config: VideoConfig = VideoConfig()) -> SyntheticV
     scene_starts = [0]
     t = 0
     while True:
-        length = max(4, int(rng.geometric(1.0 / config.mean_scene_length)))
+        length = max(4, int(rng.geometric(1.0 / MEAN_SCENE_LENGTH)))
         t += length
         if t >= num_frames:
             break
@@ -360,29 +356,24 @@ def generate_video(seed: int, config: VideoConfig = VideoConfig()) -> SyntheticV
             scene_id += 1
             base_intra = float(
                 np.clip(
-                    rng.lognormal(config.intra_energy_log_mean, config.intra_energy_log_sigma),
-                    config.intra_energy_min,
-                    config.intra_energy_max,
+                    rng.lognormal(INTRA_ENERGY_LOG_MEAN, INTRA_ENERGY_LOG_SIGMA),
+                    *INTRA_ENERGY_RANGE,
                 )
             )
-            base_noise = float(rng.uniform(config.noise_energy_min, config.noise_energy_max))
-            base_rho = float(rng.uniform(config.inter_fraction_min, config.inter_fraction_max))
+            base_noise = float(rng.uniform(*NOISE_ENERGY_RANGE))
+            base_rho = float(rng.uniform(*INTER_FRACTION_RANGE))
             motion_scale = float(rng.lognormal(math.log(2.0), 0.6))
 
-        intra = base_intra * float(np.exp(rng.normal(0.0, config.intra_jitter)))
-        noise = base_noise * float(np.exp(rng.normal(0.0, config.noise_jitter)))
+        intra = base_intra * float(np.exp(rng.normal(0.0, INTRA_JITTER)))
+        noise = base_noise * float(np.exp(rng.normal(0.0, NOISE_JITTER)))
         if at_scene_start:
             rho = 1.0  # no usable previous frame across a cut
         else:
             rho = float(
-                np.clip(base_rho * np.exp(rng.normal(0.0, config.inter_fraction_jitter)), 1e-3, 1.0)
+                np.clip(base_rho * np.exp(rng.normal(0.0, INTER_FRACTION_JITTER)), 1e-3, 1.0)
             )
         w = float(
-            np.clip(
-                np.exp(rng.normal(0.0, config.rate_multiplier_sigma_log)),
-                config.rate_multiplier_min,
-                config.rate_multiplier_max,
-            )
+            np.clip(np.exp(rng.normal(0.0, RATE_MULTIPLIER_SIGMA_LOG)), *RATE_MULTIPLIER_RANGE)
         )
         mu_r = float(rng.normal(0.0, 0.4 * motion_scale))
         mu_c = float(rng.normal(0.0, 0.4 * motion_scale))
@@ -700,22 +691,18 @@ def _check_target(target_bitrate_kbps: float) -> None:
         raise ConfigError("target bitrate must be positive")
 
 
-def _reward(
-    psnr_db: float, bitrate_kbps: float, target_bitrate_kbps: float, penalty_per_kbps: float
-) -> float:
-    if not penalty_per_kbps > 0:
-        raise ConfigError("overshoot penalty must be positive")
+def _reward(psnr_db: float, bitrate_kbps: float, target_bitrate_kbps: float) -> float:
     overshoot = max(0.0, bitrate_kbps - target_bitrate_kbps)
-    return psnr_db - penalty_per_kbps * overshoot
+    return psnr_db - PENALTY_PER_KBPS * overshoot
 
 
-def episode_reward(trace: EpisodeTrace, penalty_per_kbps: float = PENALTY_PER_KBPS) -> float:
-    """Terminal reward: PSNR - penalty * max(0, bitrate - the trace's target)."""
+def episode_reward(trace: EpisodeTrace) -> float:
+    """Terminal reward: PSNR - PENALTY_PER_KBPS * max(0, bitrate - the trace's target)."""
     if len(trace.qps) != trace.num_frames:
         raise EpisodeError(
             f"incomplete trace: {len(trace.qps)} of {trace.num_frames} frames encoded"
         )
-    return _reward(trace.psnr_db, trace.bitrate_kbps, trace.target_bitrate_kbps, penalty_per_kbps)
+    return _reward(trace.psnr_db, trace.bitrate_kbps, trace.target_bitrate_kbps)
 
 
 def _quality_and_rate(
@@ -734,7 +721,6 @@ def _finalize_trace(
     qps: Sequence[int],
     bits: Sequence[float],
     mses: Sequence[float],
-    penalty_per_kbps: float,
 ) -> EpisodeTrace:
     psnr, bitrate_kbps = _quality_and_rate(video, gop, bits, mses)
     return EpisodeTrace(
@@ -747,7 +733,7 @@ def _finalize_trace(
         show=gop.show,
         psnr_db=psnr,
         bitrate_kbps=bitrate_kbps,
-        reward=_reward(psnr, bitrate_kbps, target_bitrate_kbps, penalty_per_kbps),
+        reward=_reward(psnr, bitrate_kbps, target_bitrate_kbps),
     )
 
 
@@ -757,7 +743,6 @@ def batch_rewards(
     bits: np.ndarray,
     mses: np.ndarray,
     target_bitrate_kbps: float,
-    penalty_per_kbps: float = PENALTY_PER_KBPS,
 ) -> np.ndarray:
     """Terminal rewards of the rows of an ``encode_batch`` result, shape (B,).
 
@@ -767,10 +752,7 @@ def batch_rewards(
     _check_target(target_bitrate_kbps)
     return np.array(
         [
-            _reward(
-                *_quality_and_rate(video, gop, b.tolist(), m.tolist()),
-                target_bitrate_kbps, penalty_per_kbps,
-            )
+            _reward(*_quality_and_rate(video, gop, b.tolist(), m.tolist()), target_bitrate_kbps)
             for b, m in zip(bits, mses)
         ],
         dtype=np.float64,
@@ -782,7 +764,6 @@ def run_episode(
     gop: GopPlan,
     target_bitrate_kbps: float,
     policy_callback: Callable[[Observation], int],
-    penalty_per_kbps: float = PENALTY_PER_KBPS,
 ) -> EpisodeTrace:
     """Encode a full episode, querying ``policy_callback`` once per frame."""
     _check_target(target_bitrate_kbps)
@@ -796,7 +777,7 @@ def run_episode(
         qps.append(qp)
         bits.append(b)
         mses.append(m)
-    return _finalize_trace(video, gop, target_bitrate_kbps, qps, bits, mses, penalty_per_kbps)
+    return _finalize_trace(video, gop, target_bitrate_kbps, qps, bits, mses)
 
 
 def replay_qp_sequence(
@@ -804,7 +785,6 @@ def replay_qp_sequence(
     gop: GopPlan,
     qps: Sequence[int],
     target_bitrate_kbps: float,
-    penalty_per_kbps: float = PENALTY_PER_KBPS,
 ) -> EpisodeTrace:
     """Encode a fixed QP sequence without building observations.
 
@@ -821,7 +801,7 @@ def replay_qp_sequence(
         b, m, state = encode_frame(video, gop, state, qp)
         bits.append(b)
         mses.append(m)
-    return _finalize_trace(video, gop, target_bitrate_kbps, qps, bits, mses, penalty_per_kbps)
+    return _finalize_trace(video, gop, target_bitrate_kbps, qps, bits, mses)
 
 
 # ---------------------------------------------------------------------------

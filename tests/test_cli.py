@@ -2,7 +2,10 @@ import json
 
 import pytest
 
-from ratelab import cli, metrics, simenc, teacher
+from ratelab import cli, inference, metrics, simenc, teacher
+from ratelab.policy import TrainConfig, save_checkpoint
+
+from conftest import tiny_policy
 
 
 def run(args):
@@ -157,6 +160,91 @@ def test_build_dataset_matches_library(tmp_path, corpus_dir):
     assert teacher.load_teacher_dataset(out / "teacher.jsonl") == expected
 
 
+def test_run_es_matches_build_dataset_at_one_target(tmp_path, corpus_dir):
+    """``run-es`` at one target writes what ``build-dataset`` samples from a
+    range that holds only that target."""
+    common = ["--corpus", str(corpus_dir / "corpus.jsonl"), "--steps", "3", "--seed", "4"]
+    es_out, dataset_out = tmp_path / "es", tmp_path / "dataset"
+    assert run(["run-es", *common, "--targets", "512", "--out", str(es_out)]) == 0
+    assert run([
+        "build-dataset", *common, "--per-video", "1", "--bitrate-range", "512,512",
+        "--out", str(dataset_out),
+    ]) == 0
+    written = (es_out / "es_records.jsonl").read_bytes()
+    assert written == (dataset_out / "teacher.jsonl").read_bytes()
+    assert len(teacher.load_teacher_dataset(es_out / "es_records.jsonl")) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "run-baseline --corpus c --gop-interval",
+        "run-es --corpus c --gop-interval",
+        "run-es --corpus c --reward-lambda",
+        "build-dataset --corpus c --gop-interval",
+        "build-dataset --corpus c --reward-lambda",
+        "train --corpus c --dataset d --gop-interval",
+        "train --corpus c --dataset d --lr-decay",
+        "her-refine --corpus c --dataset d --checkpoint k --gop-interval",
+        "fit-bounds --traces t --target",
+        "evaluate --corpus c --gop-interval",
+    ],
+)
+def test_removed_flags_exit_code(tmp_path, capsys, argv):
+    # Every required flag is given, so the removed one, last, is the only error.
+    with pytest.raises(SystemExit) as exc:
+        run([*argv.split(), "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv.split()[-1]} 1" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def bounds_640(tmp_path_factory, corpus_dir):
+    """Bounds that ``fit-bounds`` fits on the corpus's 640 kbps baseline traces."""
+    out = tmp_path_factory.mktemp("bounds")
+    corpus = str(corpus_dir / "corpus.jsonl")
+    assert run(["run-baseline", "--corpus", corpus, "--targets", "640", "--out", str(out)]) == 0
+    traces = str(out / "baseline_traces.jsonl")
+    assert run(["fit-bounds", "--traces", traces, "--min-traces", "3", "--out", str(out)]) == 0
+    return out / "bounds.json"
+
+
+def test_fit_bounds_reads_its_target_from_the_traces(tmp_path, capsys, corpus_dir, bounds_640):
+    assert inference.load_bounds(bounds_640).target_bitrate_kbps == 640.0
+    corpus = str(corpus_dir / "corpus.jsonl")
+    mixed = ["run-baseline", "--corpus", corpus, "--targets", "384,512", "--out", str(tmp_path)]
+    assert run(mixed) == 0
+    traces = str(tmp_path / "baseline_traces.jsonl")
+    capsys.readouterr()
+    assert run(["fit-bounds", "--traces", traces, "--min-traces", "3", "--out", str(tmp_path)]) == 1
+    assert "BoundsFitError" in capsys.readouterr().err
+    assert not (tmp_path / "bounds.json").exists()
+
+
+def test_evaluate_rejects_bounds_without_checkpoint(tmp_path, capsys, corpus_dir, bounds_640):
+    corpus = str(corpus_dir / "corpus.jsonl")
+    args = ["evaluate", "--corpus", corpus, "--bounds", str(bounds_640), "--target", "640"]
+    assert run([*args, "--out", str(tmp_path)]) == 1
+    assert "IncompatibleInputError" in capsys.readouterr().err
+    assert not (tmp_path / "policy_traces.jsonl").exists()
+
+
+def test_evaluate_rejects_bounds_at_another_target(tmp_path, capsys, corpus_dir, bounds_640):
+    videos = simenc.load_corpus(corpus_dir / "corpus.jsonl")
+    checkpoint = tmp_path / "checkpoint.npz"
+    params, spec = tiny_policy(videos)
+    save_checkpoint(checkpoint, params, spec, TrainConfig())
+    args = [
+        "evaluate", "--corpus", str(corpus_dir / "corpus.jsonl"), "--checkpoint",
+        str(checkpoint), "--bounds", str(bounds_640), "--anchors", "0.75,1.25",
+    ]
+    assert run([*args, "--target", "640", "--out", str(tmp_path / "at640")]) == 0
+    capsys.readouterr()
+    assert run([*args, "--target", "768", "--out", str(tmp_path / "at768")]) == 1
+    assert "IncompatibleInputError" in capsys.readouterr().err
+    assert not (tmp_path / "at768" / "policy_traces.jsonl").exists()
+
+
 def test_missing_input_exit_code(tmp_path):
     assert run(["run-baseline", "--corpus", "nope.jsonl", "--out", str(tmp_path)]) == 3
 
@@ -168,8 +256,6 @@ def test_schema_mismatch_exit_code(tmp_path, corpus_dir):
                 "fit-bounds",
                 "--traces",
                 str(corpus_dir / "corpus.jsonl"),
-                "--target",
-                "512",
                 "--out",
                 str(tmp_path),
             ]
@@ -207,6 +293,14 @@ def test_config_file_defaults(tmp_path):
     out2 = tmp_path / "gen2"
     assert run(["--config", str(cfg), "gen-videos", "--count", "4", "--out", str(out2)]) == 0
     assert len(simenc.load_corpus(out2 / "corpus.jsonl")) == 4
+
+
+def test_config_file_key_no_subcommand_takes(tmp_path, capsys):
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text("[corpus]\ncount = 2\n[encoder]\ngop_interval = 8\n")
+    assert run(["--config", str(cfg), "gen-videos", "--out", str(tmp_path)]) == 2
+    assert "no subcommand takes gop_interval" in capsys.readouterr().err
+    assert not (tmp_path / "corpus.jsonl").exists()
 
 
 def test_missing_config_file(tmp_path):

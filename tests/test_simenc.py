@@ -40,19 +40,6 @@ def test_generation_seed_sensitivity():
     assert not np.array_equal(a.frames["intra_energy"], b.frames["intra_energy"])
 
 
-def test_single_scene_constant_latents():
-    cfg = dataclasses.replace(
-        FAST_CONFIG,
-        mean_scene_length=10_000.0,
-        intra_jitter=0.0,
-        noise_jitter=0.0,
-        inter_fraction_jitter=0.0,
-    )
-    v = generate_video(5, cfg)
-    assert np.all(v.frames["scene_id"] == 0)
-    assert len(set(v.frames["intra_energy"].tolist())) == 1
-
-
 def test_generation_invariants(video):
     assert video.frames.shape == (video.num_frames,)
     assert video.first_pass.shape == (video.num_frames, len(simenc.FIRST_PASS_FEATURES))
@@ -77,10 +64,14 @@ def test_generation_invariants(video):
 
 
 def test_invalid_config_rejected():
-    with pytest.raises(simenc.ConfigError):
-        generate_video(1, dataclasses.replace(FAST_CONFIG, num_frames_min=1))
-    with pytest.raises(simenc.ConfigError):
-        generate_video(1, dataclasses.replace(FAST_CONFIG, intra_energy_min=-5.0))
+    for bad in (
+        dict(num_frames_min=1),
+        dict(num_frames_max=39),
+        dict(width=15),
+        dict(frame_rate=0.0),
+    ):
+        with pytest.raises(simenc.ConfigError):
+            generate_video(1, dataclasses.replace(FAST_CONFIG, **bad))
 
 
 def test_corpus_roundtrip(tmp_path, small_corpus):
@@ -263,7 +254,6 @@ def test_reward_under_target_no_penalty():
 def test_reward_overshoot_penalty():
     trace = _trace(40.0, 612.0, target=512.0)
     assert episode_reward(trace) == pytest.approx(38.0, abs=1e-12)
-    assert episode_reward(trace, 0.05) == pytest.approx(35.0, abs=1e-12)
 
 
 def test_reward_incomplete_trace_rejected():
@@ -271,14 +261,6 @@ def test_reward_incomplete_trace_rejected():
     with pytest.raises(simenc.EpisodeError):
         episode_reward(bad)
 
-
-def test_reward_config_validation(video, gop):
-    trace = _trace(40.0, 612.0, target=512.0)
-    for penalty in (0.0, -0.02):
-        with pytest.raises(simenc.ConfigError):
-            episode_reward(trace, penalty)
-        with pytest.raises(simenc.ConfigError):
-            replay_qp_sequence(video, gop, [128] * video.num_frames, 512.0, penalty)
 
 # ---------------------------------------------------------------------------
 # Episodes

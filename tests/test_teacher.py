@@ -133,9 +133,6 @@ def test_config_validation():
     for odd_or_too_small in (0, 1, 3):
         with pytest.raises(ValueError):
             EsConfig(batch_size=odd_or_too_small)
-    for penalty in (0.0, -0.02):
-        with pytest.raises(ValueError):
-            EsConfig(reward_lambda=penalty)
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +173,24 @@ def test_best_reward_monotone(es_video):
     assert all(b >= a for a, b in zip(hist, hist[1:]))
 
 
-def test_run_es_scores_with_its_reward_lambda(es_video):
+def test_run_es_scores_with_the_overshoot_penalty(es_video):
     # At 1 kbps even QP 255 overshoots, so every reward carries the penalty.
-    res = run_es(es_video, 1.0, EsConfig(max_steps=2, batch_size=4, reward_lambda=0.5))
+    res = run_es(es_video, 1.0, EsConfig(max_steps=2, batch_size=4))
     for trace in (res.baseline_trace, res.best_trace):
         assert trace.bitrate_kbps > 1.0
-        assert trace.reward == simenc.episode_reward(trace, 0.5)
+        overshoot = trace.bitrate_kbps - 1.0
+        assert trace.reward == trace.psnr_db - simenc.PENALTY_PER_KBPS * overshoot
+        assert trace.reward == simenc.episode_reward(trace)
     assert res.best_reward_history[-1] == res.best_trace.reward
+
+
+def test_run_es_rejects_a_best_row_its_replay_scores_differently(es_video, monkeypatch):
+    # The batch scorer credits every row 1 dB that a frame-by-frame replay
+    # does not give, so the first candidate beats the heuristic on paper.
+    batch_rewards = simenc.batch_rewards
+    monkeypatch.setattr(simenc, "batch_rewards", lambda *args: batch_rewards(*args) + 1.0)
+    with pytest.raises(TeacherDataError, match="replay scores"):
+        run_es(es_video, 512.0, EsConfig(max_steps=1, batch_size=4))
 
 
 def test_run_es_improves_reward(es_video):
@@ -238,12 +246,11 @@ def test_dataset_drift_guard(tiny_dataset):
 
 
 def test_drift_guard_rejects_distant_labels(es_video, monkeypatch):
-    gop = simenc.plan_gop(es_video)
     res = run_es(es_video, 512.0, EsConfig(max_steps=0))
-    teacher.record_from_result(es_video, res, gop)
+    teacher.record_from_result(es_video, res)
     monkeypatch.setattr(teacher, "DRIFT_BOUND", -1.0)
     with pytest.raises(TeacherDataError):
-        teacher.record_from_result(es_video, res, gop)
+        teacher.record_from_result(es_video, res)
 
 
 def test_dataset_roundtrip(tmp_path, tiny_dataset):

@@ -136,8 +136,8 @@ def test_checkpoint_schema_guard(tmp_path, episodes, spec):
 
 
 def test_loads_checkpoint_with_removed_settings_and_key_bias(tmp_path, spec):
-    """Checkpoints saved before the Adam and decay-step settings became
-    constants, and before the key bias was dropped, still load."""
+    """Checkpoints saved before the Adam and learning-rate decay settings
+    were removed, and before the key bias was dropped, still load."""
     import json
 
     config = TrainConfig(epochs=1, batch_size=4, seed=7, preset="tiny")
@@ -148,7 +148,7 @@ def test_loads_checkpoint_with_removed_settings_and_key_bias(tmp_path, spec):
         arrays = {k: bundle[k] for k in bundle.files}
     meta = json.loads(bytes(arrays["__meta__"]).decode())
     meta["train_config"].update(
-        lr_decay_steps=100.0, adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8
+        lr_decay=1.0, lr_decay_steps=100.0, adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8
     )
     arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     arrays["param/attn_bk"] = np.full(params["attn_wk"].data.shape[1], 0.25)
