@@ -3,12 +3,15 @@
 Mirrors the qualitative behavior of a production VBR rate controller:
 per-frame bit targets proportional to first-pass frame weights with strong
 boosts for key and alternate-reference frames, realized frame by frame by
-bisecting for the largest QP whose trial encode still spends the target,
-with the remaining budget recomputed after every frame so the episode
-closes on its total budget.
+the largest QP whose trial encode still spends the target (found from the
+inverse of the RD formula, then settled by trial encodes), with the
+remaining budget recomputed after every frame so the episode closes on its
+total budget.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -41,6 +44,8 @@ FRAME_TYPE_BOOST = {FrameType.KEY: 4.0, FrameType.ALT_REF_HIDDEN: 3.0, FrameType
 
 _CODED_ERROR = FIRST_PASS_FEATURES.index("coded_error")
 
+_MSE_CAPS = simenc.QP_MSE_CAP.tolist()
+
 
 def allocate_frame_targets(
     video: SyntheticVideo, gop: GopPlan, target_bitrate_kbps: float
@@ -69,23 +74,32 @@ def qp_for_target_bits(
     Frame bits are nonincreasing in QP, so the QPs reaching the target form
     a prefix and the answer is its last element: the least-overspending
     choice, with exact hits resolving to the highest QP achieving them.
-    Bisection finds the prefix's length with at most 9 trial encodes
-    (``simenc.rate_distortion`` at one QP each). Clamps to 0 when even the
-    finest quantizer cannot reach the target and to 255 when the coarsest
-    one already exceeds it. Trial encodes never commit ``state``.
+    The inverse of the RD formula gives the prefix's length up to rounding;
+    trial encodes (``simenc.rate_distortion`` at one QP each) then move it
+    to the exact edge, in at most 3 probes when the inverse is at most one
+    QP off. Clamps to 0 when even the finest quantizer cannot reach the
+    target and to 255 when the coarsest one already exceeds it. Trial
+    encodes never commit ``state``.
     """
-    if target_bits <= 0:
+    if not target_bits > 0:
         raise ValueError("target_bits must be positive")
     energy, gain, header = simenc.rd_terms(video, gop, state)
-    # QPs below ``reaching`` reach the target; QPs from ``beyond`` on fall short.
-    reaching, beyond = 0, simenc.QP_MAX + 1
-    while reaching < beyond:
-        qp = (reaching + beyond) // 2
+
+    def reaches(qp: int) -> bool:
         bits, _ = simenc.rate_distortion(energy, simenc.quantizer_step(qp), gain, header)
-        if bits >= target_bits:
-            reaching = qp + 1
-        else:
-            beyond = qp
+        return bits >= target_bits
+
+    # QPs below ``reaching`` reach the target: every QP when the header
+    # alone does, else those whose MSE cap is at most E * 2^(-2 (target -
+    # header) / gain), where the residual bits meet the rest of the target.
+    if target_bits <= header:
+        reaching = simenc.QP_MAX + 1
+    else:
+        reaching = bisect_right(_MSE_CAPS, energy * 2.0 ** (-2.0 * (target_bits - header) / gain))
+    while reaching > 0 and not reaches(reaching - 1):
+        reaching -= 1
+    while reaching <= simenc.QP_MAX and reaches(reaching):
+        reaching += 1
     return max(0, reaching - 1)
 
 

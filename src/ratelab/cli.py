@@ -16,9 +16,9 @@ reference every 16 frames), the reward's overshoot penalty
 ``evaluate`` rejects bounds without a checkpoint or fitted at another target
 before it encodes anything.
 
-Exit codes: 0 success, 2 invalid flags (argparse) or a config-file key no
-subcommand takes, 3 missing input file,
-4 artifact schema mismatch, 1 any other failure.
+Exit codes: 0 success, 2 invalid flags (argparse), or a config-file key no
+subcommand takes or two sections set to different values, 3 missing input
+file, 4 artifact schema mismatch, 1 any other failure.
 """
 
 from __future__ import annotations
@@ -62,6 +62,10 @@ MANIFEST_SCHEMA = "manifest.v1"
 
 class MissingInputError(FileNotFoundError):
     pass
+
+
+class ConfigFileError(ValueError):
+    """A ``--config`` key no subcommand takes, or one set to two values."""
 
 
 class IncompatibleInputError(ValueError):
@@ -391,7 +395,12 @@ def cmd_report(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _load_config_defaults(path: str | None) -> dict[str, str]:
+def _load_config_defaults(path: str | None, known: set[str]) -> dict[str, str]:
+    """The ``--config`` file's keys and values, its sections merged.
+
+    Section names carry no meaning, so a key set to two values in two
+    sections, or one no subcommand in ``known`` takes, is a ``ConfigFileError``.
+    """
     if not path:
         return {}
     parser = configparser.ConfigParser()
@@ -401,7 +410,15 @@ def _load_config_defaults(path: str | None) -> dict[str, str]:
     flat: dict[str, str] = {}
     for section in parser.sections():
         for key, value in parser.items(section):
-            flat[key.replace("-", "_")] = value
+            key = key.replace("-", "_")
+            if flat.setdefault(key, value) != value:
+                raise ConfigFileError(
+                    f"{path}: {key} is set in two sections, to {flat[key]!r} and {value!r}"
+                )
+    unknown = sorted(set(flat) - known)
+    if unknown:
+        # A key for a removed or misspelt setting would otherwise do nothing.
+        raise ConfigFileError(f"{path}: no subcommand takes {', '.join(unknown)}")
     return flat
 
 
@@ -520,16 +537,14 @@ def main(argv: list[str] | None = None) -> int:
     pre_parser = argparse.ArgumentParser(add_help=False)
     pre_parser.add_argument("--config")
     pre, _ = pre_parser.parse_known_args(argv)
+    known = {action.dest for subparser in registry.values() for action in subparser._actions}
     try:
-        defaults = _load_config_defaults(pre.config)
+        defaults = _load_config_defaults(pre.config, known)
     except MissingInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    known = {action.dest for subparser in registry.values() for action in subparser._actions}
-    unknown = sorted(set(defaults) - known)
-    if unknown:
-        # A key for a removed or misspelt setting would otherwise do nothing.
-        print(f"error: {pre.config}: no subcommand takes {', '.join(unknown)}", file=sys.stderr)
+    except ConfigFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if defaults:
         _apply_config_defaults(registry, defaults)

@@ -19,14 +19,15 @@ creating the long-horizon coupling), ``Q`` the quantizer step size and
 
 A video is stored by column: its latents are one structured array and its
 first-pass statistics one (T, 25) matrix, the form policies read them in.
-The encoder formula has two forms with one set of inputs. ``_frame_terms``
-gives a frame's energy, gain and header from per-frame constants cached as
-(T,) tuples on the video and on the GOP plan, and from the reference state.
+The encoder formula has two forms with one set of inputs: a frame's energy,
+from ``_frame_energy`` on the reference state, and its gain and header, from
+per-frame constants cached as (T,) tuples on the video and on the GOP plan.
 ``rate_distortion`` is the scalar form: ``encode_frame`` and
 ``replay_qp_sequence``, which walks it, encode one row on Python floats, and
-the baseline's QP search bisects over it through ``rd_terms``.
-``_encode_step`` is the row form: ``encode_batch`` loops it over the frames
-of B whole episodes at once (ES populations). Both take the logarithm with
+the baseline's QP search probes it through ``rd_terms``. ``encode_batch`` is
+the row form, for B whole episodes at once (ES populations): its frame loop
+carries the energies and MSEs the reference state needs, and the bits of
+every frame follow in one pass after it. Both take the logarithm with
 ``math.log2``, because numpy's vectorized ``log2`` can differ from it in the
 last bit and teacher labels are verified by exact replay; property tests
 pin the two forms equal bit for bit.
@@ -272,8 +273,8 @@ class VideoConfig:
             raise ConfigError("num_frames_max must be >= num_frames_min")
         if self.width < 16 or self.height < 16:
             raise ConfigError("resolution must be at least one 16x16 block")
-        if self.frame_rate <= 0:
-            raise ConfigError("frame_rate must be positive")
+        if not 0 < self.frame_rate < math.inf:
+            raise ConfigError(f"frame_rate must be positive and finite, got {self.frame_rate}")
 
 
 def _first_pass_row(latent, index: int, num_frames: int, frame_rate: float) -> list[float]:
@@ -520,8 +521,9 @@ def rate_distortion(
     return bits, mse
 
 
-# Saturation distortion ``Q^2 / 12`` of every QP, as ``rate_distortion`` computes it.
-_QP_MSE_CAP = np.array([q * q / 12.0 for q in _QP_STEPS])
+# Saturation distortion ``Q^2 / 12`` of every QP, as ``rate_distortion``
+# computes it; increasing in QP.
+QP_MSE_CAP = np.array([q * q / 12.0 for q in _QP_STEPS])
 
 
 def _check_gop(video: SyntheticVideo, gop: GopPlan) -> None:
@@ -531,19 +533,21 @@ def _check_gop(video: SyntheticVideo, gop: GopPlan) -> None:
         )
 
 
-def _frame_terms(video: SyntheticVideo, gop: GopPlan, t: int, d_last, d_golden):
-    """(energy, gain, header) of frame ``t``: what ``rate_distortion`` takes
-    besides the quantizer step.
+def _frame_energy(video: SyntheticVideo, gop: GopPlan, t: int, d_last, d_golden):
+    """Prediction-error energy of frame ``t`` given the reference state.
 
     The reference distortions ``d_last``/``d_golden`` are floats, or
-    (rows,) arrays, for which the energy is (rows,) too.
+    (rows,) arrays, for which an inter frame's energy is (rows,) too.
     """
     if gop.key[t]:
-        energy = video.key_energy[t]
-    else:
-        d_ref = REF_MIX_LAST * d_last + REF_MIX_GOLDEN * d_golden
-        energy = video.inter_energy[t] + ERROR_PROPAGATION * d_ref
-    return energy, video.gain[t], gop.header_bits[t] * video.n_blocks / REFERENCE_BLOCKS
+        return video.key_energy[t]
+    d_ref = REF_MIX_LAST * d_last + REF_MIX_GOLDEN * d_golden
+    return video.inter_energy[t] + ERROR_PROPAGATION * d_ref
+
+
+def _frame_header(video: SyntheticVideo, header_bits):
+    """Header bits at the video's block count: a float, or a (T,) column."""
+    return header_bits * video.n_blocks / REFERENCE_BLOCKS
 
 
 def rd_terms(
@@ -558,39 +562,18 @@ def rd_terms(
     if t >= video.num_frames:
         raise EpisodeError(f"episode ended at frame {video.num_frames}, cannot encode frame {t}")
     _check_gop(video, gop)
-    return _frame_terms(video, gop, t, state.d_last, state.d_golden)
-
-
-def _encode_step(
-    video: SyntheticVideo,
-    gop: GopPlan,
-    t: int,
-    mse_cap: np.ndarray,
-    d_last: np.ndarray,
-    d_golden: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The row form of the encoder: bits and MSE of frame ``t``, element-wise.
-
-    ``mse_cap`` holds ``Q^2 / 12`` of the QPs being encoded, one per row,
-    and ``d_last``/``d_golden`` the rows' reference states. Its arithmetic
-    is that of ``rate_distortion``, operation for operation, so results are
-    bitwise equal to it.
-    """
-    energy, gain, header = _frame_terms(video, gop, t, d_last, d_golden)
-    mse = np.minimum(energy, mse_cap)
-    # energy / mse >= 1, so the log is never negative. It is math.log2, not
-    # np.log2, for the reason the module docstring gives.
-    ratio = (energy / mse).tolist()
-    log2 = np.fromiter(map(math.log2, ratio), np.float64, len(ratio))
-    bits = header + gain * (0.5 * log2)
-    return bits, mse
+    energy = _frame_energy(video, gop, t, state.d_last, state.d_golden)
+    return energy, video.gain[t], _frame_header(video, gop.header_bits[t])
 
 
 def encode_batch(video: SyntheticVideo, gop: GopPlan, qps) -> tuple[np.ndarray, np.ndarray]:
     """Encode B whole episodes at once: ``qps`` (B, T) -> (bits, mse), each (B, T).
 
-    Loops over frames and vectorizes over rows; row i is bitwise equal to
-    encoding ``qps[i]`` frame by frame with ``encode_frame``.
+    The row form of the encoder; row i is bitwise equal to encoding
+    ``qps[i]`` frame by frame with ``encode_frame``. The frame loop carries
+    only the recurrence, each frame's energy and MSE over the B rows; the
+    bits of all (T, B) elements follow in one pass, with the arithmetic of
+    ``rate_distortion``, operation for operation.
     """
     qps = np.asarray(qps)
     if qps.ndim != 2 or qps.shape[1] != video.num_frames:
@@ -600,15 +583,22 @@ def encode_batch(video: SyntheticVideo, gop: GopPlan, qps) -> tuple[np.ndarray, 
     if qps.size and (qps.min() < 0 or qps.max() > QP_MAX):
         raise ValueError(f"qps must be in [0, {QP_MAX}]")
     _check_gop(video, gop)
-    caps = _QP_MSE_CAP[qps.T]                   # (T, B), one row per frame
-    bits = np.empty(caps.shape)
+    caps = QP_MSE_CAP[qps.T]                    # (T, B), one row per frame
+    energy = np.empty(caps.shape)
     mse = np.empty(caps.shape)
     d_last = d_golden = np.zeros(qps.shape[0])
-    for t in range(video.num_frames):
-        bits[t], mse[t] = _encode_step(video, gop, t, caps[t], d_last, d_golden)
-        d_last = mse[t]
+    for t, (energy_t, cap_t, mse_t) in enumerate(zip(energy, caps, mse)):
+        energy_t[...] = _frame_energy(video, gop, t, d_last, d_golden)
+        d_last = np.minimum(energy_t, cap_t, out=mse_t)
         if gop.refreshes_golden[t]:
             d_golden = d_last
+    # energy / mse >= 1, so the log is never negative. It is math.log2, not
+    # np.log2, for the reason the module docstring gives.
+    ratio = (energy / mse).ravel().tolist()
+    log2 = np.fromiter(map(math.log2, ratio), np.float64, len(ratio)).reshape(mse.shape)
+    header = _frame_header(video, np.array(gop.header_bits))[:, None]
+    gain = np.array(video.gain)[:, None]
+    bits = header + gain * (0.5 * log2)
     return bits.T, mse.T
 
 
@@ -706,12 +696,11 @@ def episode_reward(trace: EpisodeTrace) -> float:
 
 
 def _quality_and_rate(
-    video: SyntheticVideo, gop: GopPlan, bits: Sequence[float], mses: Sequence[float]
+    video: SyntheticVideo, bits: Sequence[float], shown_mses: Sequence[float]
 ) -> tuple[float, float]:
-    """(PSNR over shown frames, bitrate in kbps) of one episode's frames."""
+    """(PSNR over the shown frames' MSEs, bitrate in kbps) of one episode."""
     bitrate_kbps = math.fsum(bits) / video.duration / 1000.0
-    show_mses = [m for m, s in zip(mses, gop.show) if s]
-    return psnr_from_mse(math.fsum(show_mses) / len(show_mses)), bitrate_kbps
+    return psnr_from_mse(math.fsum(shown_mses) / len(shown_mses)), bitrate_kbps
 
 
 def _finalize_trace(
@@ -722,7 +711,8 @@ def _finalize_trace(
     bits: Sequence[float],
     mses: Sequence[float],
 ) -> EpisodeTrace:
-    psnr, bitrate_kbps = _quality_and_rate(video, gop, bits, mses)
+    shown_mses = [m for m, s in zip(mses, gop.show) if s]
+    psnr, bitrate_kbps = _quality_and_rate(video, bits, shown_mses)
     return EpisodeTrace(
         video_id=video.video_id,
         num_frames=video.num_frames,
@@ -750,10 +740,11 @@ def batch_rewards(
     the reductions are the same exact ``math.fsum`` sums.
     """
     _check_target(target_bitrate_kbps)
+    shown_mses = mses[:, np.array(gop.show)]
     return np.array(
         [
-            _reward(*_quality_and_rate(video, gop, b.tolist(), m.tolist()), target_bitrate_kbps)
-            for b, m in zip(bits, mses)
+            _reward(*_quality_and_rate(video, b, m), target_bitrate_kbps)
+            for b, m in zip(bits.tolist(), shown_mses.tolist())
         ],
         dtype=np.float64,
     )

@@ -66,7 +66,7 @@ def test_zero_weight_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Binary search vs linear-scan oracle
+# QP search vs linear-scan oracle
 # ---------------------------------------------------------------------------
 
 def test_qp_search_clamps(video, gop):
@@ -91,17 +91,21 @@ def test_qp_search_matches_scan_oracle(video, gop, rng):
         _, _, state = encode_frame(video, gop, state, int(rng.integers(80, 200)))
 
 
-def test_qp_search_trial_encodes_at_most_nine_qps(video, gop, rng):
-    """A bisection over 256 QPs needs at most ceil(log2(257)) = 9 probes."""
+def probes_of_search(video, gop, state, target):
+    """``simenc.rate_distortion`` calls one ``qp_for_target_bits`` makes."""
+    with mock.patch.object(simenc, "rate_distortion", wraps=simenc.rate_distortion) as spy:
+        qp_for_target_bits(video, gop, state, target)
+    return spy.call_count
+
+
+def test_qp_search_trial_encodes_at_most_three_qps(video, gop, rng):
+    """The closed-form start is at most one QP off, so settling it takes at
+    most 3 probes: both sides of the edge, and one more when it moved."""
     state = EncodeState()
     for _ in range(12):
         hi, _, _ = encode_frame(video, gop, state, 0)
         for target in (hi * 2, hi * 1e-3, float(rng.uniform(0.0, hi))):
-            with mock.patch.object(
-                simenc, "rate_distortion", wraps=simenc.rate_distortion
-            ) as spy:
-                qp_for_target_bits(video, gop, state, target)
-            assert 1 <= spy.call_count <= 9
+            assert 1 <= probes_of_search(video, gop, state, target) <= 3
         _, _, state = encode_frame(video, gop, state, int(rng.integers(80, 200)))
 
 
@@ -117,6 +121,12 @@ def test_qp_search_exact_hit_prefers_highest_qp(video, gop):
 def test_qp_search_rejects_nonpositive_target(video, gop):
     with pytest.raises(ValueError):
         qp_for_target_bits(video, gop, EncodeState(), 0.0)
+
+
+def test_qp_search_rejects_nan_target(video, gop):
+    """As it rejects a nonpositive one; a NaN target reaches no QP."""
+    with pytest.raises(ValueError, match="target_bits must be positive"):
+        qp_for_target_bits(video, gop, EncodeState(), math.nan)
 
 
 # ---------------------------------------------------------------------------

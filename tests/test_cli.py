@@ -303,6 +303,25 @@ def test_config_file_key_no_subcommand_takes(tmp_path, capsys):
     assert not (tmp_path / "corpus.jsonl").exists()
 
 
+def test_config_file_key_set_in_two_sections(tmp_path, capsys):
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text("[gen-videos]\nseed = 0\n[train]\nseed = 3\n")
+    assert run(["--config", str(cfg), "gen-videos", "--out", str(tmp_path)]) == 2
+    assert "seed is set in two sections, to '0' and '3'" in capsys.readouterr().err
+    assert not (tmp_path / "corpus.jsonl").exists()
+    # One value set in two sections is not ambiguous.
+    cfg.write_text("[gen-videos]\ncount = 2\nseed = 3\n[train]\nseed = 3\n")
+    args = ["--config", str(cfg), "gen-videos", "--frames-max", "100", "--out", str(tmp_path)]
+    assert run(args) == 0
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_gen_videos_rejects_non_finite_frame_rate(tmp_path, capsys, rate):
+    assert run(["gen-videos", "--count", "1", "--frame-rate", rate, "--out", str(tmp_path)]) != 0
+    assert "frame_rate must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "corpus.jsonl").exists()
+
+
 def test_missing_config_file(tmp_path):
     assert run(["--config", str(tmp_path / "none.ini"), "gen-videos", "--out", str(tmp_path)]) == 3
 

@@ -16,16 +16,18 @@ from ratelab.policy.network import PolicyParams, arch_from_preset
 from ratelab.simenc import EncodeState, encode_batch, encode_frame
 from ratelab.teacher import EsConfig, EsState, TeacherRecord, es_step
 
-from test_baseline import scan_oracle
+from test_baseline import probes_of_search, scan_oracle
 
 
 @st.composite
-def episodes(draw, max_frames=40):
-    """A short video, a GOP plan for it and a (B, T) batch of QP rows."""
-    frames = draw(st.integers(2, max_frames))
+def episodes(draw, max_frames=40, hidden_alt_ref=False):
+    """A short video, a GOP plan for it and a (B, T) batch of QP rows; with
+    ``hidden_alt_ref``, the plan has a hidden alternate reference frame."""
+    gop_interval = draw(st.integers(2, 20))
+    frames = draw(st.integers(gop_interval + 1 if hidden_alt_ref else 2, max_frames))
     config = simenc.VideoConfig(num_frames_min=frames, num_frames_max=frames)
     video = simenc.generate_video(draw(st.integers(0, 2**32)), config)
-    gop = simenc.plan_gop(video, draw(st.integers(2, 20)))
+    gop = simenc.plan_gop(video, gop_interval)
     rows = draw(st.integers(1, 5))
     seed = draw(st.integers(0, 2**32))
     qps = np.random.default_rng(seed).integers(0, 256, size=(rows, frames))
@@ -65,6 +67,29 @@ def test_batch_rows_equal_replay_and_run_episode(case):
         assert tuple(bits[i].tolist()) == replay.bits
         assert tuple(mse[i].tolist()) == replay.mse
         assert rewards[i] == replay.reward
+
+
+@given(episodes(hidden_alt_ref=True))
+def test_batch_rows_equal_encode_frame_across_hidden_alt_refs(case):
+    """A hidden alternate reference refreshes the golden slot without being
+    shown: the row form carries that slot, and ``batch_rewards`` leaves the
+    frame out of the PSNR, as a frame-by-frame encode does."""
+    video, gop, qps = case
+    assert not all(gop.show) and any(gop.refreshes_golden[1:])
+    bits, mse = encode_batch(video, gop, qps)
+    rewards = simenc.batch_rewards(video, gop, bits, mse, 400.0)
+    for i, row in enumerate(qps.tolist()):
+        state = EncodeState()
+        for t, qp in enumerate(row):
+            frame_bits, frame_mse, state = encode_frame(video, gop, state, qp)
+            assert (bits[i, t], mse[i, t]) == (frame_bits, frame_mse)
+        assert rewards[i] == simenc.replay_qp_sequence(video, gop, row, 400.0).reward
+
+
+def test_batch_of_no_rows(video, gop):
+    bits, mse = encode_batch(video, gop, np.empty((0, video.num_frames), dtype=int))
+    assert bits.shape == mse.shape == (0, video.num_frames)
+    assert simenc.batch_rewards(video, gop, bits, mse, 400.0).shape == (0,)
 
 
 @given(reachable_states())
@@ -130,6 +155,22 @@ def test_qp_search_at_bit_edges(case, qp, toward):
     assert qp_for_target_bits(video, gop, state, target) == scan_oracle(
         video, gop, state, target
     )
+
+
+BIT_EDGE = st.tuples(QP_OR_EDGE, st.sampled_from([-np.inf, None, np.inf]))
+
+
+@given(reachable_states(), st.one_of(st.floats(0.3, 1.5), BIT_EDGE))
+def test_qp_search_trial_encodes_at_most_three_qps_at_any_target(case, where):
+    """Over random targets and the bit edges of ``test_qp_search_at_bit_edges``."""
+    video, gop, _, state = case
+    if isinstance(where, float):
+        target = where * encode_frame(video, gop, state, 0)[0]
+    else:
+        qp, toward = where
+        bits = encode_frame(video, gop, state, qp)[0]
+        target = bits if toward is None else float(np.nextafter(bits, toward))
+    assert 1 <= probes_of_search(video, gop, state, target) <= 3
 
 
 def reference_es_step(state, config, row_reward, noise, lead=None):

@@ -69,6 +69,8 @@ def test_invalid_config_rejected():
         dict(num_frames_max=39),
         dict(width=15),
         dict(frame_rate=0.0),
+        dict(frame_rate=math.nan),
+        dict(frame_rate=math.inf),
     ):
         with pytest.raises(simenc.ConfigError):
             generate_video(1, dataclasses.replace(FAST_CONFIG, **bad))
