@@ -6,6 +6,11 @@ fitted envelope and, when outside it, shifts the sampled QP along the
 sorted top-candidate list proportionally to the violation, steering the
 episode back toward the target without leaving the model's preferred
 actions.
+
+Both run at every frame of a rollout. The ranking sorts once, stably only
+when the k-th logit is tied; the sample inverts the cdf at one uniform
+draw; the controller evaluates the envelope once per episode. Each equals
+its plain form (``lexsort``, ``rng.choice``, a bound per frame) bit for bit.
 """
 
 from __future__ import annotations
@@ -58,21 +63,36 @@ def truncated_keep(logits: np.ndarray, k: int) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
     if logits.shape != (256,):
         raise ValueError(f"expected 256 logits, got shape {logits.shape}")
-    if not np.all(np.isfinite(logits)):
+    neg = -logits
+    order = neg.argsort()
+    # Sorts put -inf first and +inf, then NaN, last: the ends show any
+    # non-finite logit.
+    if not (math.isfinite(neg[order[0]]) and math.isfinite(neg[order[-1]])):
         raise ValueError("logits must be finite")
-    # lexsort: primary key descending logit, secondary ascending QP index.
-    order = np.lexsort((np.arange(256), -logits))
-    return np.sort(order[:k])
+    # The k strongest form one set unless the k-th and the next are tied;
+    # then a stable sort keeps equal logits in ascending QP order.
+    if 0 < k < neg.size and neg[order[k - 1]] == neg[order[k]]:
+        order = neg.argsort(kind="stable")
+    kept = order[:k]
+    kept.sort()
+    return kept
 
 
 def truncated_sample(logits: np.ndarray, rng: np.random.Generator) -> int:
-    """Sample a QP from the renormalized softmax over the top ``SAMPLE_POOL`` logits."""
+    """Sample a QP from the renormalized softmax over the top ``SAMPLE_POOL`` logits.
+
+    The draw inverts the cumulative distribution at one ``rng.random()``,
+    which is what ``rng.choice(kept, p=p)`` does on the same stream, without
+    its checks of ``p``.
+    """
     kept = truncated_keep(logits, SAMPLE_POOL)
-    z = np.asarray(logits, dtype=np.float64)[kept]
-    z = z - z.max()
-    p = np.exp(z)
+    p = np.asarray(logits, dtype=np.float64)[kept]
+    p -= p.max()
+    np.exp(p, out=p)
     p /= p.sum()
-    return int(rng.choice(kept, p=p))
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(kept[cdf.searchsorted(rng.random(), side="right")])
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +328,27 @@ class ControlEvent:
 @dataclass
 class FeedbackController:
     """Per-episode adjuster: remaps sampled QPs along the top-candidate list
-    whenever the cumulative-bits trajectory leaves the envelope."""
+    whenever the cumulative-bits trajectory leaves the envelope.
+
+    At frame 0, which every episode starts with, it evaluates both bounds
+    once at every later frame's episode position t / T.
+    """
 
     bounds: BoundsModel
     config: FeedbackConfig = field(default_factory=FeedbackConfig)
     events: list[ControlEvent] = field(default_factory=list)
+    # The lower and upper bound at t / T for t = 1 .. T - 1, set at frame 0.
+    _envelope: tuple[list[float], list[float]] = field(
+        default=([], []), init=False, repr=False
+    )
 
     def __call__(self, obs: Observation, logits: np.ndarray, sampled_qp: int) -> int:
-        if obs.frame_index == 0:
+        t = obs.frame_index
+        if t == 0:
             self.events = []
+            num_frames = obs.video.num_frames
+            xs = np.arange(1, num_frames) / num_frames
+            self._envelope = (self.bounds.lower(xs).tolist(), self.bounds.upper(xs).tolist())
             # Nothing has been spent yet; control cannot act on frame 0.
             return sampled_qp
         candidates = truncated_keep(logits, CANDIDATE_POOL)
@@ -324,14 +356,13 @@ class FeedbackController:
         if pos >= candidates.size or candidates[pos] != sampled_qp:
             raise RuntimeError("sampled QP not among the top candidates")
         i = pos + 1
-        x = obs.frame_index / obs.video.num_frames
         b_t = obs.state.cum_bits / obs.video.duration / 1000.0
-        lower = self.bounds.lower(x)
-        upper = self.bounds.upper(x)
+        lower = self._envelope[0][t - 1]
+        upper = self._envelope[1][t - 1]
         j = feedback_adjust(i, b_t, lower, upper, self.config.alpha)
         self.events.append(
             ControlEvent(
-                frame_index=obs.frame_index,
+                frame_index=t,
                 b_t=b_t,
                 lower=lower,
                 upper=upper,

@@ -7,9 +7,12 @@ explicit backward closure. All math is 64-bit.
 
 Two ops are fused, one tape node each with a hand-written backward:
 ``attention`` (multi-head self-attention with a clipped relative-position
-bias) and ``lstm`` (the recurrent core over a whole sequence, stepping the
-numpy ``lstm_cell`` that rollouts also call). Inside ``no_grad()`` ops
-record nothing, so a forward pass keeps no intermediates alive.
+bias, added through a read-only strided Toeplitz view of one gather per
+call) and ``lstm`` (the recurrent core over a whole sequence, stepping the
+numpy ``lstm_cell`` that rollouts also call, in place on preallocated
+arrays). Both give the values and gradients of their plain per-element
+formulas bit for bit. Inside ``no_grad()`` ops record nothing, so a forward
+pass keeps no intermediates alive.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import math
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["Tensor", "no_grad", "attention", "lstm", "lstm_cell"]
 
@@ -229,6 +233,17 @@ def relative_offsets(length: int, radius: int) -> np.ndarray:
     return np.clip(idx[:, None] - idx[None, :], -radius, radius) + radius
 
 
+def relative_bias(table: np.ndarray, length: int, radius: int) -> np.ndarray:
+    """Read-only (H, length, length) view of ``table[h][relative_offsets(length, radius)]``.
+
+    Entry (i, j) depends only on i - j, so each head's matrix is a Toeplitz
+    window, with negative row stride, over one gather of the 2*length - 1
+    offsets from length - 1 down to 1 - length.
+    """
+    diagonals = np.clip(np.arange(length - 1, -length, -1), -radius, radius) + radius
+    return sliding_window_view(table[:, diagonals], length, axis=1)[:, ::-1]
+
+
 def attention(
     q: Tensor,
     k: Tensor,
@@ -241,7 +256,8 @@ def attention(
 
     ``q``, ``k`` and ``v`` are (T, H*dk), head h in columns h*dk to
     (h+1)*dk; ``rel_bias`` is the (H, 2*radius + 1) table, read at
-    ``relative_offsets(T, radius)``. Head h returns
+    ``relative_offsets(T, radius)`` through the strided ``relative_bias``
+    view. Head h returns
     ``(softmax(q_h k_hᵀ / sqrt(dk) + bias_h) * dropout[h]) @ v_h``, where
     ``dropout`` is an optional (H, T, T) keep mask already scaled by
     1 / (1 - rate). Heads run one at a time: at T = 300 that is faster than
@@ -251,7 +267,7 @@ def attention(
     T, width = q.data.shape
     dk = width // heads
     scale = 1.0 / math.sqrt(dk)
-    offsets = relative_offsets(T, radius)
+    bias = relative_bias(rel_bias.data, T, radius)
     cols = [slice(h * dk, (h + 1) * dk) for h in range(heads)]
     out_data = np.empty((T, width))
     # Each head's probabilities are kept for the backward pass only when the
@@ -262,7 +278,7 @@ def attention(
     for h, c in enumerate(cols):
         p = q.data[:, c] @ k.data[:, c].T
         p *= scale
-        p += rel_bias.data[h][offsets]
+        p += bias[h]
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
@@ -273,6 +289,7 @@ def attention(
     def backward(g):
         dq, dkey, dv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
         dtable = np.empty_like(rel_bias.data)
+        offsets = relative_offsets(T, radius)
         for h, c in enumerate(cols):
             p, gh = probs[h], g[:, c]
             dv[:, c] = (p if dropout is None else p * dropout[h]).T @ gh
@@ -289,19 +306,31 @@ def attention(
     return Tensor(out_data, parents=_tracked((q, k, v, rel_bias)), backward=backward)
 
 
-def lstm_cell(pre: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One step of the recurrent core: ``(h, c, gates)`` from ``(pre, c)``.
+def lstm_cell(
+    pre: np.ndarray, c: np.ndarray, out: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One step of the recurrent core: writes and returns ``out = (h, c, gates)``.
 
     ``pre`` holds the (..., 4n) gate pre-activations in the order input,
     forget, cell, output, and ``c`` the previous (..., n) cell state.
     ``gates`` are the activations: sigmoid, except tanh for the cell gate.
+    Training and rollouts both step here, each into arrays it allocated
+    once.
     """
     n = c.shape[-1]
-    gates = 1.0 / (1.0 + np.exp(-pre))
-    gates[..., 2 * n : 3 * n] = np.tanh(pre[..., 2 * n : 3 * n])
+    h, c_next, gates = out
+    np.negative(pre, out=gates)
+    np.exp(gates, out=gates)
+    gates += 1.0
+    np.divide(1.0, gates, out=gates)
+    np.tanh(pre[..., 2 * n : 3 * n], out=gates[..., 2 * n : 3 * n])
     i, f, g, o = (gates[..., j * n : (j + 1) * n] for j in range(4))
-    c = f * c + i * g
-    return o * np.tanh(c), c, gates
+    np.multiply(f, c, out=c_next)
+    np.multiply(i, g, out=h)
+    c_next += h
+    np.tanh(c_next, out=h)
+    h *= o
+    return out
 
 
 def lstm(xw: Tensor, wh: Tensor, b: Tensor) -> Tensor:
@@ -309,32 +338,53 @@ def lstm(xw: Tensor, wh: Tensor, b: Tensor) -> Tensor:
 
     ``xw`` is the input projection ``inputs @ W_x`` (T, 4n), computed once
     for all steps. From zero states, step t is
-    ``lstm_cell(xw[t] + h[t-1] @ wh + b, c[t-1])``. The backward pass runs
-    through time by hand and forms ``dwh = H[t-1]ᵀ · dpre`` as one matmul.
+    ``lstm_cell(xw[t] + h[t-1] @ wh + b, c[t-1])``, written in place into
+    preallocated (T + 1, n) state arrays. The backward pass runs through
+    time by hand. Its step-independent factors come first, in (T, ·)
+    passes, and dpre[t] is then ``((d * p1[t]) * p2[t]) * p3[t]``: d is the
+    cell gradient for the input, forget and cell gates and the hidden
+    gradient for the output gate. Each element is computed in the order of
+    the per-step gate derivatives, dc·g·i·(1−i), dc·c[t−1]·f·(1−f),
+    dc·i·(1−g²) and dh·tanh(c)·o·(1−o), and equals them bit for bit.
+    ``dwh = H[t-1]ᵀ · dpre`` is one matmul.
     """
     T, n = xw.data.shape[0], wh.data.shape[0]
     hs = np.zeros((T + 1, n))  # hs[t + 1] = h[t]; hs[0] is the zero state
     cs = np.zeros((T + 1, n))
     gates = np.empty_like(xw.data)
+    pre = np.empty(4 * n)
     for t in range(T):
-        pre = xw.data[t] + hs[t] @ wh.data + b.data
-        hs[t + 1], cs[t + 1], gates[t] = lstm_cell(pre, cs[t])
+        np.matmul(hs[t], wh.data, out=pre)
+        pre += xw.data[t]
+        pre += b.data
+        lstm_cell(pre, cs[t], (hs[t + 1], cs[t + 1], gates[t]))
 
     def backward(g):
+        i, f, gc, o = (gates[:, j * n : (j + 1) * n] for j in range(4))
+        tc = np.tanh(cs[1:])
+        dtanh = 1.0 - tc * tc
+        # The cell gate's two factors take an exact third factor of 1.0.
+        p1 = np.concatenate([gc, cs[:-1], i, tc], axis=1)
+        p2 = np.concatenate([i, f, 1.0 - gc * gc, o], axis=1)
+        p3 = np.concatenate([1.0 - i, 1.0 - f, np.ones((T, n)), 1.0 - o], axis=1)
+        p1_cell, p1_out = p1[:, : 3 * n].reshape(T, 3, n), p1[:, 3 * n :]
         dpre = np.empty_like(gates)
+        dpre_cell, dpre_out = dpre[:, : 3 * n].reshape(T, 3, n), dpre[:, 3 * n :]
+        wh_t = wh.data.T
         dh = np.zeros(n)
         dc = np.zeros(n)
+        step = np.empty(n)
         for t in range(T - 1, -1, -1):
-            i, f, gc, o = (gates[t, j * n : (j + 1) * n] for j in range(4))
-            tc = np.tanh(cs[t + 1])
-            dh = g[t] + dh
-            dc = dh * o * (1.0 - tc * tc) + dc
-            dpre[t, :n] = dc * gc * i * (1.0 - i)
-            dpre[t, n : 2 * n] = dc * cs[t] * f * (1.0 - f)
-            dpre[t, 2 * n : 3 * n] = dc * i * (1.0 - gc * gc)
-            dpre[t, 3 * n :] = dh * tc * o * (1.0 - o)
-            dc = dc * f
-            dh = dpre[t] @ wh.data.T
+            dh += g[t]
+            np.multiply(dh, o[t], out=step)
+            step *= dtanh[t]
+            dc += step
+            np.multiply(dc, p1_cell[t], out=dpre_cell[t])
+            np.multiply(dh, p1_out[t], out=dpre_out[t])
+            dpre[t] *= p2[t]
+            dpre[t] *= p3[t]
+            dc *= f[t]
+            np.matmul(dpre[t], wh_t, out=dh)
         return ((xw, dpre), (wh, hs[:-1].T @ dpre), (b, dpre.sum(axis=0)))
 
     return Tensor(hs[1:], parents=_tracked((xw, wh, b)), backward=backward)

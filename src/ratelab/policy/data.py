@@ -45,6 +45,11 @@ def _replay(
     if record.video_id not in corpus:
         raise KeyError(f"teacher record references unknown video {record.video_id!r}")
     video = corpus[record.video_id]
+    if len(record.label_qps) != video.num_frames:
+        raise TeacherDataError(
+            f"{record.video_id} at {record.target_bitrate_kbps} kbps: "
+            f"{len(record.label_qps)} labels for a {video.num_frames}-frame video"
+        )
     gop = simenc.plan_gop(video, gop_interval)
     trace = simenc.replay_qp_sequence(video, gop, record.label_qps, record.target_bitrate_kbps)
     if list(trace.bits) != list(record.label_bits):

@@ -6,9 +6,11 @@ advances one ``autodiff.lstm_cell`` step per frame, because each frame's
 input bundle depends on the QPs chosen before it; it comes from the feature
 code training uses, ``episode_features`` of the observation's video at
 frame 0 and one ``build_features`` row per frame, from the observation's
-``EncodeState``. Only the two small output heads have a numpy form here,
-``eval_head``, which is two to three times faster per frame than a tape
-pass.
+``EncodeState``. The runner holds the weight arrays it reads and steps the
+cell in place on per-episode (T + 1, n) state arrays. Only the two small
+output heads have a numpy form here, ``eval_head``, two to three times
+faster per frame than a tape pass. The QP head runs per frame; the bits
+head runs once over the stored hidden states when its predictions are read.
 """
 
 from __future__ import annotations
@@ -22,11 +24,7 @@ from .autodiff import lstm_cell, no_grad
 from .features import FRAME_TYPE_ORDER, FeatureSpec, build_features, episode_features
 from .network import PolicyParams, transformer_embed
 
-__all__ = ["PolicyRunner", "eval_transformer", "eval_head"]
-
-
-def _np(params: PolicyParams, name: str) -> np.ndarray:
-    return params.tensors[name].data
+__all__ = ["PolicyRunner", "eval_transformer", "head_weights", "eval_head"]
 
 
 def eval_transformer(params: PolicyParams, fp_norm: np.ndarray) -> np.ndarray:
@@ -35,18 +33,17 @@ def eval_transformer(params: PolicyParams, fp_norm: np.ndarray) -> np.ndarray:
         return transformer_embed(params, fp_norm).data
 
 
-def eval_lstm_step(
-    params: PolicyParams, x: np.ndarray, h: np.ndarray, c: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    pre = x @ _np(params, "lstm_wx") + h @ _np(params, "lstm_wh") + _np(params, "lstm_b")
-    h_next, c_next, _ = lstm_cell(pre, c)
-    return h_next, c_next
+def head_weights(params: PolicyParams, prefix: str) -> tuple[np.ndarray, ...]:
+    """(w1, b1, w2, b2, w3, b3) of the ``prefix`` output head."""
+    return tuple(params[f"{prefix}_{name}"].data for name in ("w1", "b1", "w2", "b2", "w3", "b3"))
 
 
-def eval_head(params: PolicyParams, prefix: str, h: np.ndarray) -> np.ndarray:
-    z = np.maximum(0.0, h @ _np(params, f"{prefix}_w1") + _np(params, f"{prefix}_b1"))
-    z = np.maximum(0.0, z @ _np(params, f"{prefix}_w2") + _np(params, f"{prefix}_b2"))
-    return z @ _np(params, f"{prefix}_w3") + _np(params, f"{prefix}_b3")
+def eval_head(weights: tuple[np.ndarray, ...], h: np.ndarray) -> np.ndarray:
+    """An output head on one hidden state (n,) or on a stack of them (T, n)."""
+    w1, b1, w2, b2, w3, b3 = weights
+    z = np.maximum(0.0, h @ w1 + b1)
+    z = np.maximum(0.0, z @ w2 + b2)
+    return z @ w3 + b3
 
 
 class PolicyRunner:
@@ -69,10 +66,15 @@ class PolicyRunner:
         self.spec = spec
         self.sampler = sampler
         self.adjuster = adjuster
+        self._lstm = tuple(params[name].data for name in ("lstm_wx", "lstm_wh", "lstm_b"))
+        self._qp_head = head_weights(params, "qp")
+        self._bits_head = head_weights(params, "bits")
         # (T, dh), (T, 9) and the episode's bit budget, set at frame 0
         self._embed = self._episode = self._budget_bits = None
-        self._h = self._c = None
-        self.bits_predictions: list[float] = []
+        # (T + 1, dr) hidden and cell states, row t + 1 after frame t, and
+        # the (4 dr,) gate buffer of the step
+        self._hs = self._cs = self._gates = None
+        self._steps = 0
 
     def _reset(self, obs: Observation) -> None:
         video = obs.video
@@ -81,9 +83,17 @@ class PolicyRunner:
         self._episode = episode_features(self.spec, video, obs.target_bitrate_kbps)
         self._budget_bits = obs.target_bitrate_kbps * 1000.0 * video.duration
         dr = self.params.arch.dr
-        self._h = np.zeros(dr)
-        self._c = np.zeros(dr)
-        self.bits_predictions = []
+        self._hs = np.zeros((video.num_frames + 1, dr))
+        self._cs = np.zeros((video.num_frames + 1, dr))
+        self._gates = np.empty(4 * dr)
+        self._steps = 0
+
+    @property
+    def bits_predictions(self) -> list[float]:
+        """The bits head (kilobits) at every frame of the episode so far."""
+        if self._hs is None:
+            return []
+        return eval_head(self._bits_head, self._hs[1 : self._steps + 1])[:, 0].tolist()
 
     def logits_for(self, obs: Observation) -> np.ndarray:
         """Advance the recurrent state and return this frame's QP logits."""
@@ -96,10 +106,13 @@ class PolicyRunner:
             self.spec, self._episode[t], FRAME_TYPE_ORDER.index(obs.gop.frame_types[t]), prev_qp,
             prev_bits, prev_mse, state.cum_bits, self._budget_bits,
         )
-        x = np.concatenate([self._embed[t], bundle])
-        self._h, self._c = eval_lstm_step(self.params, x, self._h, self._c)
-        self.bits_predictions.append(float(eval_head(self.params, "bits", self._h)[0]))
-        return eval_head(self.params, "qp", self._h)
+        wx, wh, b = self._lstm
+        pre = np.concatenate([self._embed[t], bundle]) @ wx
+        pre += self._hs[t] @ wh
+        pre += b
+        h, _, _ = lstm_cell(pre, self._cs[t], (self._hs[t + 1], self._cs[t + 1], self._gates))
+        self._steps = t + 1
+        return eval_head(self._qp_head, h)
 
     def __call__(self, obs: Observation) -> int:
         logits = self.logits_for(obs)

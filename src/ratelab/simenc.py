@@ -178,6 +178,12 @@ class SyntheticVideo:
     first_pass: np.ndarray
 
     def __post_init__(self) -> None:
+        # Corpus files are outside input: reject metadata and latents the
+        # encoder cannot take.
+        for name in ("width", "height", "frame_rate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         frames = self.frames
         if frames.dtype != LATENT_DTYPE or frames.ndim != 1:
             raise ConfigError("frames must be a (T,) array of LATENT_DTYPE")
@@ -186,7 +192,6 @@ class SyntheticVideo:
         shape = (len(frames), len(FIRST_PASS_FEATURES))
         if self.first_pass.dtype != np.float64 or self.first_pass.shape != shape:
             raise ConfigError(f"first_pass must be a {shape} float64 matrix")
-        # Corpus files are outside input: reject latents the encoder cannot take.
         inter = frames["inter_fraction"]
         for name, ok, rule in (
             ("intra_energy", frames["intra_energy"] > 0.0, "> 0"),

@@ -1,23 +1,36 @@
-"""Byte pins of the pipeline's first artifacts.
+"""Byte pins of the pipeline's artifacts.
 
 The corpus, the heuristic's traces and the ES teacher labels feed every
 later stage, and teacher labels are verified by exact replay, so a refactor
 of the encoder or its video representation must leave these bytes alone.
-The digests were taken from the code as it stood before the video became
-columnar; change them only with a change that means to change the bytes.
+Those digests were taken from the code as it stood before the video became
+columnar. The policy path's pins (a tiny-preset training log and checkpoint,
+and a controlled rollout's traces, bounds and control events) were taken
+from the code as it stood before the rollout and recurrent-core fast paths.
+Change a digest only with a change that means to change the bytes.
 """
 
+import dataclasses
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
-from ratelab import baseline, simenc, teacher
+from ratelab import baseline, inference, simenc, teacher
+from ratelab.policy import data
+from ratelab.policy.train import TrainConfig, save_checkpoint, train, write_training_log
 
 from conftest import FAST_CONFIG
 
 CORPUS_SHA256 = "83dbd353a8d56eec7ab1fe92d0fd95db77d696f760932bd4ab1944fe6b56a41c"
 BASELINE_TRACES_SHA256 = "c62a835cc49e66e8b26fdfe92c0dccc0a7c825d35212f93c8a89277930a5bd38"
 TEACHER_SHA256 = "221fc06ad830c4cb837f57bf66feb5c260ecfd8a55488e5db0589246704de88e"
+TRAIN_LOG_SHA256 = "ff1eabca69ea4057b63e99713201f1930d3cb33a3423a3e3ff0687ac444d6d2e"
+CHECKPOINT_SHA256 = "e638db6f0c600796976e01f4ec68c14ab5c13a7c3adec3cdbf1451c15ce00b9d"
+POLICY_TRACES_SHA256 = "13bc7551d68bd8a7b2ee64ec7444624748480058a079be9ca4ffc1d292f53659"
+BOUNDS_SHA256 = "1c4e358179616ed65d428a3194c293cabea9462a4a09829b3d41fc7a803a9380"
+CONTROL_EVENTS_SHA256 = "c13de1425d1e22cf237dad0a1b2d4930787b23ccd9b17cfabcb182915003cabe"
 
 
 def _sha256(path) -> str:
@@ -40,9 +53,50 @@ def test_baseline_trace_bytes(tmp_path, videos):
     assert _sha256(tmp_path / "traces.jsonl") == BASELINE_TRACES_SHA256
 
 
-def test_teacher_dataset_bytes(tmp_path, videos):
+@pytest.fixture(scope="module")
+def records(videos):
     config = teacher.TeacherConfig(es=teacher.EsConfig(max_steps=2, batch_size=4))
-    teacher.save_teacher_dataset(
-        tmp_path / "teacher.jsonl", teacher.build_teacher_dataset(videos, config)
-    )
+    return teacher.build_teacher_dataset(videos, config)
+
+
+@pytest.fixture(scope="module")
+def trained(videos, records):
+    corpus = {v.video_id: v for v in videos}
+    spec = data.fit_spec_from_records(records, corpus)
+    episodes = data.episodes_from_records(records, corpus, spec)
+    config = TrainConfig(epochs=2, batch_size=2, preset="tiny")
+    return train(episodes, spec, config)
+
+
+def test_teacher_dataset_bytes(tmp_path, records):
+    teacher.save_teacher_dataset(tmp_path / "teacher.jsonl", records)
     assert _sha256(tmp_path / "teacher.jsonl") == TEACHER_SHA256
+
+
+def test_train_log_and_checkpoint_bytes(tmp_path, trained):
+    write_training_log(tmp_path / "train_log.csv", trained.log_rows)
+    save_checkpoint(tmp_path / "checkpoint.npz", trained.params, trained.spec, trained.config)
+    assert _sha256(tmp_path / "train_log.csv") == TRAIN_LOG_SHA256
+    assert _sha256(tmp_path / "checkpoint.npz") == CHECKPOINT_SHA256
+
+
+def test_controlled_rollout_bytes(tmp_path, videos, trained):
+    gops = [simenc.plan_gop(v) for v in videos]
+    calibration = [baseline.run_baseline(v, g, 512.0) for v, g in zip(videos, gops)]
+    bounds = inference.fit_bounds(calibration, 512.0, min_traces=len(calibration))
+    traces, events = [], []
+    for vi, (video, gop) in enumerate(zip(videos, gops)):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((7, vi))))
+        callback, controller = inference.controlled_policy(
+            trained.params, trained.spec, bounds, rng, inference.FeedbackConfig(alpha=5.0)
+        )
+        traces.append(simenc.run_episode(video, gop, 512.0, callback))
+        events.extend(dataclasses.asdict(e) for e in controller.events)
+    # The pin covers steps the controller moved as well as steps it kept.
+    assert 0 < sum(e["sampled_index"] != e["adjusted_index"] for e in events) < len(events)
+    simenc.save_traces(tmp_path / "policy_traces.jsonl", traces)
+    inference.save_bounds(tmp_path / "bounds.json", bounds)
+    (tmp_path / "events.json").write_text(json.dumps(events))
+    assert _sha256(tmp_path / "policy_traces.jsonl") == POLICY_TRACES_SHA256
+    assert _sha256(tmp_path / "bounds.json") == BOUNDS_SHA256
+    assert _sha256(tmp_path / "events.json") == CONTROL_EVENTS_SHA256

@@ -113,7 +113,9 @@ def test_lstm_cell_matches_gate_formulas(rng):
     n = 5
     pre = rng.normal(size=4 * n) * 3
     c = rng.normal(size=n)
-    h_next, c_next, gates = ad.lstm_cell(pre, c)
+    buffers = (np.empty(n), np.empty(n), np.empty(4 * n))
+    h_next, c_next, gates = ad.lstm_cell(pre, c, buffers)
+    assert all(a is buf for a, buf in zip((h_next, c_next, gates), buffers))
 
     def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))

@@ -136,9 +136,9 @@ def test_constant_feature_is_centered_not_scaled(spec, corpus, monkeypatch):
     runner = rollout.PolicyRunner(params, spec, sampler=lambda logits: int(np.argmax(logits)))
     gates = []
 
-    def step(pre, c):
-        h, c, g = lstm_cell(pre, c)
-        gates.append(g)
+    def step(pre, c, out):
+        h, c, g = lstm_cell(pre, c, out)
+        gates.append(g.copy())
         return h, c, g
 
     monkeypatch.setattr(rollout, "lstm_cell", step)
@@ -183,3 +183,17 @@ def test_record_whose_bits_do_not_replay_is_rejected(records, corpus, spec):
         episodes_from_records([tampered], corpus, spec)
     with pytest.raises(TeacherDataError, match="do not replay"):
         fit_spec_from_records([records[1], tampered], corpus)
+
+
+def test_record_of_another_length_is_rejected(records, corpus, spec):
+    """A record made on another corpus whose video shares the id (ids depend
+    only on the seed and the index) names itself, not a bare encoder error."""
+    short = dataclasses.replace(
+        records[0], label_qps=records[0].label_qps[:3], label_bits=records[0].label_bits[:3]
+    )
+    T = corpus[short.video_id].num_frames
+    match = rf"{short.video_id} at 500.0 kbps: 3 labels for a {T}-frame video"
+    with pytest.raises(TeacherDataError, match=match):
+        episodes_from_records([short], corpus, spec)
+    with pytest.raises(TeacherDataError, match=match):
+        fit_spec_from_records([records[1], short], corpus)

@@ -114,6 +114,31 @@ def test_load_corpus_rejects_out_of_range_latent(tmp_path, small_corpus, name, b
         simenc.load_corpus(path)
 
 
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        ("frame_rate", float("nan")),
+        ("frame_rate", float("inf")),
+        ("frame_rate", 0.0),
+        ("frame_rate", -30.0),
+        ("width", 0),
+        ("width", float("inf")),
+        ("height", -16),
+        ("height", float("nan")),
+    ],
+)
+def test_load_corpus_rejects_bad_metadata(tmp_path, small_corpus, name, bad):
+    """A hand-edited corpus cannot carry a size or frame rate the encoder
+    cannot take: before, a NaN frame rate loaded and every bitrate was NaN."""
+    path = tmp_path / "corpus.jsonl"
+    simenc.save_corpus(path, small_corpus[:1])
+    row = json.loads(path.read_text())
+    row[name] = bad
+    path.write_text(json.dumps(row) + "\n")
+    with pytest.raises(simenc.ConfigError, match=name):
+        simenc.load_corpus(path)
+
+
 def test_corpus_schema_mismatch(tmp_path, small_corpus):
     path = tmp_path / "corpus.jsonl"
     simenc.save_traces(path, [])  # wrong schema on disk
