@@ -1,9 +1,11 @@
 """Command-line pipeline tying the lab together.
 
-Subcommands cover the full experiment flow: corpus generation, baseline and
-search runs, teacher dataset assembly, policy training, hindsight
-refinement, envelope fitting, evaluation against baseline RD curves, and
-report emission. Every run writes a manifest (resolved configuration, its
+Subcommands cover the full experiment flow, each stage reading an earlier
+one's artifact: corpus generation (``gen-videos``), teacher dataset assembly
+by ES (``build-dataset``), policy training (``train``), the heuristic's
+traces (``run-baseline``), envelope fitting on them (``fit-bounds``),
+evaluation against baseline RD curves (``evaluate``), and report emission
+(``report``). Every run writes a manifest (resolved configuration, its
 hash, seeds, package version) next to its artifacts so results can be
 replayed exactly.
 
@@ -28,6 +30,7 @@ import configparser
 import csv
 import datetime as _dt
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -40,7 +43,6 @@ from .policy import (
     TrainConfig,
     episodes_from_records,
     fit_spec_from_records,
-    her_relabel,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -145,30 +147,8 @@ def cmd_run_baseline(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# run-es / build-dataset
+# build-dataset
 # ---------------------------------------------------------------------------
-
-def _es_config_from_args(args) -> teacher.EsConfig:
-    return teacher.EsConfig(
-        sigma=args.sigma,
-        batch_size=args.batch,
-        learning_rate=args.alpha,
-        max_steps=args.steps,
-    )
-
-
-def cmd_run_es(args) -> int:
-    out = _out_dir(args)
-    videos = simenc.load_corpus(_require(args.corpus))
-    targets = _parse_floats(args.targets)
-    records = teacher.run_es_tasks(
-        videos, [targets] * len(videos), _es_config_from_args(args), args.seed, args.workers
-    )
-    n = teacher.save_teacher_dataset(out / "es_records.jsonl", records)
-    _write_manifest(out, "run-es", args)
-    print(f"wrote {n} search records to {out / 'es_records.jsonl'}")
-    return EXIT_OK
-
 
 def cmd_build_dataset(args) -> int:
     out = _out_dir(args)
@@ -178,7 +158,12 @@ def cmd_build_dataset(args) -> int:
         bitrates_per_video=args.per_video,
         bitrate_min_kbps=lo,
         bitrate_max_kbps=hi,
-        es=_es_config_from_args(args),
+        es=teacher.EsConfig(
+            sigma=args.sigma,
+            batch_size=args.batch,
+            learning_rate=args.alpha,
+            max_steps=args.steps,
+        ),
         seed=args.seed,
     )
     records = teacher.build_teacher_dataset(videos, config, args.workers)
@@ -189,7 +174,7 @@ def cmd_build_dataset(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# train / her-refine
+# train
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
@@ -217,29 +202,6 @@ def cmd_train(args) -> int:
         f"top15 coverage {result.final_top15:.3f}"
     )
     print(f"checkpoint at {out / 'checkpoint.npz'}")
-    return EXIT_OK
-
-
-def cmd_her_refine(args) -> int:
-    out = _out_dir(args)
-    videos = simenc.load_corpus(_require(args.corpus))
-    records = teacher.load_teacher_dataset(_require(args.dataset))
-    params, spec, _ = load_checkpoint(_require(args.checkpoint))
-    corpus = {v.video_id: v for v in videos}
-    targets_by_video: dict[str, list[float]] = {}
-    for rec in records:
-        targets_by_video.setdefault(rec.video_id, []).append(rec.target_bitrate_kbps)
-    ordered = [v for v in videos if v.video_id in targets_by_video]
-    her_records = her_relabel(
-        params,
-        spec,
-        ordered,
-        [targets_by_video[v.video_id] for v in ordered],
-        seed=args.seed,
-    )
-    n = teacher.save_teacher_dataset(out / "her.jsonl", her_records)
-    _write_manifest(out, "her-refine", args)
-    print(f"wrote {n} hindsight-relabeled records to {out / 'her.jsonl'}")
     return EXIT_OK
 
 
@@ -271,6 +233,8 @@ def cmd_evaluate(args) -> int:
     anchors = _parse_floats(args.anchors)
     if len(anchors) < 2:
         raise ValueError("need at least two anchor multipliers for the reference curve")
+    if not 0 <= args.within_pct < math.inf:
+        raise ValueError(f"--within-pct must be >= 0 and finite, got {args.within_pct}")
     feedback = inference.FeedbackConfig(alpha=args.alpha)
     params = spec = bounds = None
     if args.bounds and not args.checkpoint:
@@ -285,14 +249,19 @@ def cmd_evaluate(args) -> int:
                 f"this run targets {args.target}"
             )
 
-    curves = {}
+    curves: dict[str, metrics.RDCurve | None] = {}
     policy_traces = []
     for vi, video in enumerate(videos):
         gop = simenc.plan_gop(video)
         anchor_traces = [
             baseline.run_baseline(video, gop, m * args.target) for m in anchors
         ]
-        curves[video.video_id] = metrics.rd_curve_from_traces(anchor_traces)
+        try:
+            curves[video.video_id] = metrics.rd_curve_from_traces(anchor_traces)
+        except metrics.DegenerateCurveError:
+            # Anchors that clamp at one QP repeat an RD point, so there is no
+            # reference curve: the video is reported, unprojected.
+            curves[video.video_id] = None
         if params is None:
             policy_traces.append(baseline.run_baseline(video, gop, args.target))
         else:
@@ -306,10 +275,12 @@ def cmd_evaluate(args) -> int:
     simenc.save_traces(out / "policy_traces.jsonl", policy_traces)
     report = metrics.summarize_suite(policy_traces, curves, within_pct=args.within_pct)
     metrics.write_suite_csv(report, out / "eval.csv")
-    summary = {**report.aggregates(), "n_videos": len(policy_traces)}
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    summary = json.dumps(
+        {**report.aggregates(), "n_videos": len(policy_traces)}, indent=2, allow_nan=False
+    )
+    (out / "summary.json").write_text(summary + "\n")
     _write_manifest(out, "evaluate", args)
-    print(json.dumps(summary, indent=2))
+    print(summary)
     return EXIT_OK
 
 
@@ -450,21 +421,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--corpus", required=True)
     p.add_argument("--targets", default="512", help="comma-separated kbps targets")
 
-    def add_es_args(p):
-        p.add_argument("--corpus", required=True)
-        p.add_argument("--steps", type=int, default=100)
-        p.add_argument("--sigma", type=float, default=4.0)
-        p.add_argument("--alpha", type=float, default=16.0)
-        p.add_argument("--batch", type=int, default=16)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
-
-    p = add("run-es", cmd_run_es, help="search QP sequences at fixed targets")
-    add_es_args(p)
-    p.add_argument("--targets", default="512")
-
     p = add("build-dataset", cmd_build_dataset, help="assemble the teacher dataset")
-    add_es_args(p)
+    p.add_argument("--corpus", required=True)
+    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--sigma", type=float, default=4.0)
+    p.add_argument("--alpha", type=float, default=16.0)
+    p.add_argument("--batch", type=int, default=16)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--per-video", type=int, default=4)
     p.add_argument("--bitrate-range", default="256,768")
 
@@ -478,12 +442,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--beta1", type=float, default=2.0)
     p.add_argument("--beta2", type=float, default=2.0)
     p.add_argument("--no-dropout", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("her-refine", cmd_her_refine, help="hindsight-relabel policy rollouts")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--dataset", required=True, help="dataset providing original targets")
-    p.add_argument("--checkpoint", required=True)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("fit-bounds", cmd_fit_bounds, help="fit the cumulative-bits envelope")

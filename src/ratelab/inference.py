@@ -412,7 +412,7 @@ def save_bounds(path: str | Path, model: BoundsModel) -> None:
         "lower": dict(zip("a1 a2 a3 a4 a5".split(), model.lower.coefficients())),
         "upper": dict(zip("a1 a2 a3 a4 a5".split(), model.upper.coefficients())),
     }
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def load_bounds(path: str | Path) -> BoundsModel:

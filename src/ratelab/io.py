@@ -22,17 +22,23 @@ def write_jsonl(path: str | Path, records: Iterable[dict], schema: str) -> int:
     """Write records to a JSON Lines file, tagging each row with ``schema``.
 
     Returns the number of rows written. Output is byte-deterministic for a
-    given record sequence (insertion-ordered keys, no whitespace variation).
+    given record sequence (insertion-ordered keys, no whitespace variation)
+    and strict JSON: a NaN or infinite value raises ``ValueError`` and
+    leaves no file behind.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     n = 0
-    with path.open("w", encoding="utf-8") as fh:
-        for rec in records:
-            row = {"schema": schema}
-            row.update(rec)
-            fh.write(json.dumps(row, separators=(",", ":")) + "\n")
-            n += 1
+    try:
+        with path.open("w", encoding="utf-8") as fh:
+            for rec in records:
+                row = {"schema": schema}
+                row.update(rec)
+                fh.write(json.dumps(row, separators=(",", ":"), allow_nan=False) + "\n")
+                n += 1
+    except Exception:
+        path.unlink()
+        raise
     return n
 
 

@@ -6,6 +6,7 @@ extrapolation is performed outside a curve's span.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass, fields
@@ -199,15 +200,16 @@ def report_from_rows(rows: Sequence[SuiteRow], within_pct: float = 5.0) -> Suite
 
 def summarize_suite(
     policy_traces: Sequence[EpisodeTrace],
-    baseline_curves: Mapping[str, RDCurve],
+    baseline_curves: Mapping[str, RDCurve | None],
     within_pct: float = 5.0,
 ) -> SuiteReport:
     """Project each policy trace onto its video's baseline RD curve.
 
-    Every trace must have a matching curve (built from the baseline encoded
-    at >= 2 bitrates). Traces whose PSNR or bitrate falls outside the
-    reference span get NaN projected diffs and are left out of the
-    projected aggregates (see ``report_from_rows``).
+    Every trace must have a matching entry: a curve built from the baseline
+    encoded at >= 2 bitrates, or ``None`` when those encodes collapsed to
+    one RD point. Traces with no curve, or whose PSNR or bitrate falls
+    outside the reference span, get NaN projected diffs and are left out of
+    the projected aggregates (see ``report_from_rows``).
     """
     rows = []
     for trace in policy_traces:
@@ -215,14 +217,12 @@ def summarize_suite(
             raise UnmatchedVideoError(trace.video_id)
         curve = baseline_curves[trace.video_id]
         point = RDPoint(trace.bitrate_kbps, trace.psnr_db)
-        try:
-            diff_kbps, diff_pct = projected_bitrate_diff(point, curve)
-        except SpanError:
-            diff_kbps = diff_pct = float("nan")
-        try:
-            psnr_diff = projected_psnr_diff(point, curve)
-        except SpanError:
-            psnr_diff = float("nan")
+        diff_kbps = diff_pct = psnr_diff = float("nan")
+        if curve is not None:
+            with contextlib.suppress(SpanError):
+                diff_kbps, diff_pct = projected_bitrate_diff(point, curve)
+            with contextlib.suppress(SpanError):
+                psnr_diff = projected_psnr_diff(point, curve)
         rows.append(
             SuiteRow(
                 video_id=trace.video_id,

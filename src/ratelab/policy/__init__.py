@@ -1,8 +1,7 @@
-"""Neural rate-control policy: features, network, trainer, rollouts, HER."""
+"""Neural rate-control policy: teacher-data replay, features, network, trainer, rollouts."""
 
 from .data import EpisodeData, episodes_from_records, fit_spec_from_records
 from .features import FeatureSpec, FeatureError, build_features, fit_feature_spec
-from .her import her_relabel
 from .network import ArchConfig, PRESETS, PolicyParams, forward
 from .rollout import PolicyRunner
 from .train import (
@@ -35,7 +34,6 @@ __all__ = [
     "fit_feature_spec",
     "fit_spec_from_records",
     "forward",
-    "her_relabel",
     "load_checkpoint",
     "save_checkpoint",
     "top_k_coverage",

@@ -682,8 +682,10 @@ def psnr_from_mse(mean_mse: float) -> float:
 
 
 def _check_target(target_bitrate_kbps: float) -> None:
-    if not target_bitrate_kbps > 0:
-        raise ConfigError("target bitrate must be positive")
+    if not 0 < target_bitrate_kbps < math.inf:
+        raise ConfigError(
+            f"target bitrate must be positive and finite, got {target_bitrate_kbps}"
+        )
 
 
 def _reward(psnr_db: float, bitrate_kbps: float, target_bitrate_kbps: float) -> float:

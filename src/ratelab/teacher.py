@@ -18,6 +18,7 @@ predictable from the observations.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -42,7 +43,6 @@ __all__ = [
     "TeacherConfig",
     "es_task_seed",
     "sample_targets",
-    "run_es_tasks",
     "build_teacher_dataset",
     "save_teacher_dataset",
     "load_teacher_dataset",
@@ -232,10 +232,10 @@ class TeacherRecord:
 
     video_id: str
     target_bitrate_kbps: float
-    provenance: str                 # "ES" or "HER"
+    provenance: str                 # "ES"; older files may hold "HER" rows, which still load
     label_qps: tuple[int, ...]
     label_bits: tuple[float, ...]
-    baseline_qps: tuple[int, ...]   # empty for HER records
+    baseline_qps: tuple[int, ...]   # the heuristic's sequence; empty in older "HER" rows
     psnr_db: float
     bitrate_kbps: float
     reward: float
@@ -252,8 +252,8 @@ class TeacherConfig:
     def __post_init__(self) -> None:
         if self.bitrates_per_video < 1:
             raise ValueError("bitrates_per_video must be >= 1")
-        if not 0 < self.bitrate_min_kbps <= self.bitrate_max_kbps:
-            raise ValueError("bitrate range must be positive and ordered")
+        if not 0 < self.bitrate_min_kbps <= self.bitrate_max_kbps < math.inf:
+            raise ValueError("bitrate range must be positive, finite and ordered")
 
 
 def record_from_result(video: SyntheticVideo, result: EsResult) -> TeacherRecord:
@@ -298,42 +298,29 @@ def _es_task(video: SyntheticVideo, target: float, es: EsConfig) -> TeacherRecor
     return record_from_result(video, run_es(video, target, es))
 
 
-def run_es_tasks(
+def build_teacher_dataset(
     videos: Sequence[SyntheticVideo],
-    targets: Sequence[Sequence[float]],
-    es: EsConfig,
-    seed: int,
+    config: TeacherConfig = TeacherConfig(),
     workers: int = 1,
 ) -> list[TeacherRecord]:
-    """Verified ES records for each video vi and target ``targets[vi][bi]``,
-    searched with seed ``es_task_seed(seed, vi, bi)``; ``workers > 1`` runs
-    the tasks in a process pool, with the same records."""
+    """Verified ES records for each video vi at its ``sample_targets``, the
+    bi-th searched with seed ``es_task_seed(config.seed, vi, bi)``;
+    ``workers > 1`` runs the tasks in a process pool, with the same records."""
     tasks = [
-        (video, target, replace(es, seed=es_task_seed(seed, vi, bi)))
+        (video, target, replace(config.es, seed=es_task_seed(config.seed, vi, bi)))
         for vi, video in enumerate(videos)
-        for bi, target in enumerate(targets[vi])
+        for bi, target in enumerate(
+            sample_targets(
+                config.seed, vi, config.bitrates_per_video,
+                config.bitrate_min_kbps, config.bitrate_max_kbps,
+            )
+        )
     ]
     if workers <= 1:
         return [_es_task(*task) for task in tasks]
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         return list(pool.map(_es_task, *zip(*tasks)))
-
-
-def build_teacher_dataset(
-    videos: Sequence[SyntheticVideo],
-    config: TeacherConfig = TeacherConfig(),
-    workers: int = 1,
-) -> list[TeacherRecord]:
-    """Run ES per (video, sampled target bitrate) and collect verified records."""
-    targets = [
-        sample_targets(
-            config.seed, vi, config.bitrates_per_video,
-            config.bitrate_min_kbps, config.bitrate_max_kbps,
-        )
-        for vi in range(len(videos))
-    ]
-    return run_es_tasks(videos, targets, config.es, config.seed, workers)
 
 
 def record_to_dict(rec: TeacherRecord) -> dict:

@@ -1,8 +1,11 @@
 import json
+import math
+from pathlib import Path
 
 import pytest
 
 from ratelab import cli, inference, metrics, simenc, teacher
+from ratelab.io import write_jsonl
 from ratelab.policy import TrainConfig, save_checkpoint
 
 from conftest import tiny_policy
@@ -160,32 +163,14 @@ def test_build_dataset_matches_library(tmp_path, corpus_dir):
     assert teacher.load_teacher_dataset(out / "teacher.jsonl") == expected
 
 
-def test_run_es_matches_build_dataset_at_one_target(tmp_path, corpus_dir):
-    """``run-es`` at one target writes what ``build-dataset`` samples from a
-    range that holds only that target."""
-    common = ["--corpus", str(corpus_dir / "corpus.jsonl"), "--steps", "3", "--seed", "4"]
-    es_out, dataset_out = tmp_path / "es", tmp_path / "dataset"
-    assert run(["run-es", *common, "--targets", "512", "--out", str(es_out)]) == 0
-    assert run([
-        "build-dataset", *common, "--per-video", "1", "--bitrate-range", "512,512",
-        "--out", str(dataset_out),
-    ]) == 0
-    written = (es_out / "es_records.jsonl").read_bytes()
-    assert written == (dataset_out / "teacher.jsonl").read_bytes()
-    assert len(teacher.load_teacher_dataset(es_out / "es_records.jsonl")) == 3
-
-
 @pytest.mark.parametrize(
     "argv",
     [
         "run-baseline --corpus c --gop-interval",
-        "run-es --corpus c --gop-interval",
-        "run-es --corpus c --reward-lambda",
         "build-dataset --corpus c --gop-interval",
         "build-dataset --corpus c --reward-lambda",
         "train --corpus c --dataset d --gop-interval",
         "train --corpus c --dataset d --lr-decay",
-        "her-refine --corpus c --dataset d --checkpoint k --gop-interval",
         "fit-bounds --traces t --target",
         "evaluate --corpus c --gop-interval",
     ],
@@ -196,6 +181,98 @@ def test_removed_flags_exit_code(tmp_path, capsys, argv):
         run([*argv.split(), "1", "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {argv.split()[-1]} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run-es", "her-refine"])
+def test_removed_subcommands_exit_code(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--corpus", "c", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+
+def test_pipeline_runs_every_stage_on_earlier_artifacts(tmp_path):
+    """gen-videos -> build-dataset -> train -> run-baseline -> fit-bounds ->
+    evaluate -> report, at toy size."""
+    corpus, dataset, trained, base, bounds, evaluated, reported = (
+        tmp_path / name
+        for name in ("corpus", "dataset", "train", "base", "bounds", "eval", "report")
+    )
+    corpus_file = str(corpus / "corpus.jsonl")
+    stages = [
+        ["gen-videos", "--count", "3", "--frames-min", "40", "--frames-max", "50",
+         "--out", str(corpus)],
+        ["build-dataset", "--corpus", corpus_file, "--steps", "2", "--per-video", "2",
+         "--out", str(dataset)],
+        ["train", "--corpus", corpus_file, "--dataset", str(dataset / "teacher.jsonl"),
+         "--epochs", "1", "--out", str(trained)],
+        ["run-baseline", "--corpus", corpus_file, "--out", str(base)],
+        ["fit-bounds", "--traces", str(base / "baseline_traces.jsonl"), "--min-traces", "3",
+         "--out", str(bounds)],
+        ["evaluate", "--corpus", corpus_file, "--checkpoint", str(trained / "checkpoint.npz"),
+         "--bounds", str(bounds / "bounds.json"), "--out", str(evaluated)],
+        ["report", "--inputs", f"policy={evaluated / 'eval.csv'}", "--out", str(reported)],
+    ]
+    # The pipeline is every subcommand the parser offers, each once.
+    assert sorted(argv[0] for argv in stages) == sorted(cli.build_parser()[1])
+    for argv in stages:
+        assert run(argv) == 0, argv[0]
+        manifest = json.loads((Path(argv[-1]) / "manifest.json").read_text())
+        assert manifest["command"] == argv[0]
+    assert len(teacher.load_teacher_dataset(dataset / "teacher.jsonl")) == 6
+    assert len((trained / "train_log.csv").read_text().splitlines()) > 1
+    assert json.loads((evaluated / "summary.json").read_text())["n_videos"] == 3
+    assert "evaluation report (policy, 3 videos" in (reported / "summary.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, artifact",
+    [
+        ("evaluate --target inf", "policy_traces.jsonl"),
+        ("evaluate --within-pct nan", "policy_traces.jsonl"),
+        ("run-baseline --targets inf", "baseline_traces.jsonl"),
+        ("build-dataset --bitrate-range 256,inf", "teacher.jsonl"),
+    ],
+)
+def test_non_finite_input_refused_before_any_artifact(tmp_path, capsys, corpus_dir, argv, artifact):
+    command, *flags = argv.split()
+    corpus = str(corpus_dir / "corpus.jsonl")
+    assert run([command, "--corpus", corpus, *flags, "--out", str(tmp_path)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / artifact).exists()
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_write_jsonl_refuses_nan(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    with pytest.raises(ValueError):
+        write_jsonl(path, [{"x": 1.0}, {"x": float("nan")}], "test.v1")
+    assert not path.exists()
+
+
+def test_evaluate_reports_a_collapsed_anchor_curve_as_unprojected(tmp_path, corpus_dir):
+    """At 16x16 and 0.5 fps every anchor clamps at one QP, so that video's
+    reference curve is one RD point; the others still project."""
+    tiny = tmp_path / "tiny"
+    gen = [
+        "gen-videos", "--count", "1", "--seed", "8", "--width", "16", "--height", "16",
+        "--frame-rate", "0.5", "--frames-min", "20", "--frames-max", "30",
+    ]
+    assert run([*gen, "--out", str(tiny)]) == 0
+    corpus = tmp_path / "mixed.jsonl"
+    corpus.write_text(
+        (corpus_dir / "corpus.jsonl").read_text() + (tiny / "corpus.jsonl").read_text()
+    )
+    out = tmp_path / "eval"
+    assert run(["evaluate", "--corpus", str(corpus), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_videos"] == 4
+    assert summary["n_projected"] == 3
+    rows = metrics.read_suite_csv(out / "eval.csv")
+    (collapsed,) = simenc.load_corpus(tiny / "corpus.jsonl")
+    assert [r.video_id for r in rows if math.isnan(r.proj_bitrate_diff_pct)] == [
+        collapsed.video_id
+    ]
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,6 @@ from ratelab.policy import (
     episodes_from_records,
     fit_spec_from_records,
     forward,
-    her_relabel,
     load_checkpoint,
     save_checkpoint,
     top_k_coverage,
@@ -170,45 +169,12 @@ def test_coverage_metric_counts_topk(episodes, spec):
 
 
 # ---------------------------------------------------------------------------
-# HER
+# Rollouts
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def trained(episodes, spec):
     return train(episodes, spec, TrainConfig(epochs=4, batch_size=4, seed=3, preset="tiny"))
-
-
-def test_her_relabels_to_achieved_bitrate(trained, corpus):
-    videos = list(corpus.values())[:2]
-    records = her_relabel(
-        trained.params, trained.spec, videos, [[512.0], [400.0]], seed=5
-    )
-    assert len(records) == 2
-    for rec in records:
-        assert rec.provenance == "HER"
-        assert rec.target_bitrate_kbps == rec.bitrate_kbps
-        video = corpus[rec.video_id]
-        # Budget residual of the relabeled episode is exactly zero.
-        budget_kbit = rec.target_bitrate_kbps * video.duration
-        assert sum(rec.label_bits) / 1000.0 == pytest.approx(budget_kbit, rel=1e-12)
-
-
-def test_her_labels_replayable(trained, corpus):
-    videos = list(corpus.values())[:1]
-    rec = her_relabel(trained.params, trained.spec, videos, [[512.0]], seed=5)[0]
-    video = corpus[rec.video_id]
-    gop = simenc.plan_gop(video)
-    replay = simenc.replay_qp_sequence(video, gop, rec.label_qps, rec.target_bitrate_kbps)
-    assert replay.bits == rec.label_bits
-    assert replay.psnr_db == rec.psnr_db
-    assert replay.reward == rec.reward
-
-
-def test_her_deterministic(trained, corpus):
-    videos = list(corpus.values())[:2]
-    a = her_relabel(trained.params, trained.spec, videos, [[512.0], [400.0]], seed=9)
-    b = her_relabel(trained.params, trained.spec, videos, [[512.0], [400.0]], seed=9)
-    assert a == b
 
 
 def test_rollout_runner_qps_valid(trained, corpus):
