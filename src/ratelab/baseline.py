@@ -6,7 +6,9 @@ boosts for key and alternate-reference frames, realized frame by frame by
 the largest QP whose trial encode still spends the target (found from the
 inverse of the RD formula, then settled by trial encodes), with the
 remaining budget recomputed after every frame so the episode closes on its
-total budget.
+total budget. The episode runs on ``simenc.encode_episode``: each frame's
+search starts from the frame's RD terms, and its winning trial is the
+frame's encode, so no QP is encoded twice.
 """
 
 from __future__ import annotations
@@ -18,11 +20,9 @@ import numpy as np
 from . import simenc
 from .simenc import (
     FIRST_PASS_FEATURES,
-    EncodeState,
     EpisodeTrace,
     FrameType,
     GopPlan,
-    Observation,
     SyntheticVideo,
 )
 
@@ -30,7 +30,6 @@ __all__ = [
     "AllocationError",
     "allocate_frame_targets",
     "qp_for_target_bits",
-    "BaselinePolicy",
     "run_baseline",
 ]
 
@@ -44,6 +43,7 @@ FRAME_TYPE_BOOST = {FrameType.KEY: 4.0, FrameType.ALT_REF_HIDDEN: 3.0, FrameType
 
 _CODED_ERROR = FIRST_PASS_FEATURES.index("coded_error")
 
+_STEPS = [simenc.quantizer_step(qp) for qp in range(simenc.QP_MAX + 1)]
 _MSE_CAPS = simenc.QP_MSE_CAP.tolist()
 
 
@@ -67,27 +67,24 @@ def allocate_frame_targets(
 
 
 def qp_for_target_bits(
-    video: SyntheticVideo, gop: GopPlan, state: EncodeState, target_bits: float
-) -> int:
-    """The largest QP whose trial encode still spends ``target_bits``.
+    energy: float, gain: float, header: float, target_bits: float
+) -> tuple[int, float, float]:
+    """(qp, bits, mse) of the largest QP whose encode still spends ``target_bits``.
 
-    Frame bits are nonincreasing in QP, so the QPs reaching the target form
-    a prefix and the answer is its last element: the least-overspending
-    choice, with exact hits resolving to the highest QP achieving them.
-    The inverse of the RD formula gives the prefix's length up to rounding;
-    trial encodes (``simenc.rate_distortion`` at one QP each) then move it
-    to the exact edge, in at most 3 probes when the inverse is at most one
-    QP off. Clamps to 0 when even the finest quantizer cannot reach the
-    target and to 255 when the coarsest one already exceeds it. Trial
-    encodes never commit ``state``.
+    ``energy``, ``gain`` and ``header`` are the frame's RD terms, as
+    ``simenc.rd_terms`` gives them. Frame bits are nonincreasing in QP, so
+    the QPs reaching the target form a prefix and the answer is its last
+    element: the least-overspending choice, with exact hits resolving to the
+    highest QP achieving them. The inverse of the RD formula gives the
+    prefix's length up to rounding; trial encodes (``simenc.rate_distortion``
+    at one QP each) then move it to the exact edge, in at most 3 when the
+    inverse is at most one QP off. The winning trial is returned: it is the
+    frame's encode at that QP. Clamps to 0 when even the finest quantizer
+    cannot reach the target and to 255 when the coarsest one already
+    exceeds it.
     """
     if not target_bits > 0:
         raise ValueError("target_bits must be positive")
-    energy, gain, header = simenc.rd_terms(video, gop, state)
-
-    def reaches(qp: int) -> bool:
-        bits, _ = simenc.rate_distortion(energy, simenc.quantizer_step(qp), gain, header)
-        return bits >= target_bits
 
     # QPs below ``reaching`` reach the target: every QP when the header
     # alone does, else those whose MSE cap is at most E * 2^(-2 (target -
@@ -96,33 +93,18 @@ def qp_for_target_bits(
         reaching = simenc.QP_MAX + 1
     else:
         reaching = bisect_right(_MSE_CAPS, energy * 2.0 ** (-2.0 * (target_bits - header) / gain))
-    while reaching > 0 and not reaches(reaching - 1):
-        reaching -= 1
-    while reaching <= simenc.QP_MAX and reaches(reaching):
-        reaching += 1
-    return max(0, reaching - 1)
-
-
-class BaselinePolicy:
-    """Per-episode callback for :func:`ratelab.simenc.run_episode`.
-
-    Trial-encodes from the encoder state each observation carries, and
-    rescales the remaining per-frame targets to the remaining budget before
-    every frame.
-    """
-
-    def __init__(self, video: SyntheticVideo, gop: GopPlan, target_bitrate_kbps: float) -> None:
-        self._video = video
-        self._gop = gop
-        self._budget = target_bitrate_kbps * 1000.0 * video.duration
-        self._targets = allocate_frame_targets(video, gop, target_bitrate_kbps)
-        self._remaining = np.cumsum(self._targets[::-1])[::-1].tolist()  # sums from t to the end
-
-    def __call__(self, obs: Observation) -> int:
-        t = obs.frame_index
-        remaining_budget = self._budget - obs.state.cum_bits
-        target = max(1.0, self._targets[t] * remaining_budget / self._remaining[t])
-        return qp_for_target_bits(self._video, self._gop, obs.state, target)
+    # Step up while the next QP still reaches; down while this one does not.
+    qp = min(reaching, simenc.QP_MAX)
+    bits, mse = simenc.rate_distortion(energy, _STEPS[qp], gain, header)
+    while bits >= target_bits and qp < simenc.QP_MAX:
+        above = simenc.rate_distortion(energy, _STEPS[qp + 1], gain, header)
+        if above[0] < target_bits:
+            break
+        qp, (bits, mse) = qp + 1, above
+    while bits < target_bits and qp > 0:
+        qp -= 1
+        bits, mse = simenc.rate_distortion(energy, _STEPS[qp], gain, header)
+    return qp, bits, mse
 
 
 def run_baseline(
@@ -133,5 +115,12 @@ def run_baseline(
     """Encode one video with the heuristic VBR policy."""
     if gop is None:
         gop = simenc.plan_gop(video)
-    policy = BaselinePolicy(video, gop, target_bitrate_kbps)
-    return simenc.run_episode(video, gop, target_bitrate_kbps, policy)
+    budget = target_bitrate_kbps * 1000.0 * video.duration
+    targets = allocate_frame_targets(video, gop, target_bitrate_kbps)
+    remaining = np.cumsum(targets[::-1])[::-1].tolist()  # sums from t to the end
+
+    def search(t, cum_bits, energy, gain, header):
+        target = max(1.0, targets[t] * (budget - cum_bits) / remaining[t])
+        return qp_for_target_bits(energy, gain, header, target)
+
+    return simenc.encode_episode(video, gop, target_bitrate_kbps, search)

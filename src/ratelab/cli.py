@@ -100,7 +100,8 @@ def _write_manifest(out: Path, command: str, args: argparse.Namespace) -> None:
         "package_version": __version__,
         "created_utc": _dt.datetime.now(_dt.timezone.utc).isoformat(),
     }
-    (out / "manifest.json").write_text(json.dumps(doc, indent=2, default=str) + "\n")
+    text = json.dumps(doc, indent=2, default=str, allow_nan=False)
+    (out / "manifest.json").write_text(text + "\n")
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -178,12 +179,6 @@ def cmd_build_dataset(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    out = _out_dir(args)
-    videos = simenc.load_corpus(_require(args.corpus))
-    records = teacher.load_teacher_dataset(_require(args.dataset))
-    corpus = {v.video_id: v for v in videos}
-    spec = fit_spec_from_records(records, corpus, seed=args.seed)
-    episodes = episodes_from_records(records, corpus, spec)
     config = TrainConfig(
         beta1_frame_bits=args.beta1,
         beta2_total_bits=args.beta2,
@@ -194,6 +189,12 @@ def cmd_train(args) -> int:
         seed=args.seed,
         preset=args.preset,
     )
+    out = _out_dir(args)
+    videos = simenc.load_corpus(_require(args.corpus))
+    records = teacher.load_teacher_dataset(_require(args.dataset))
+    corpus = {v.video_id: v for v in videos}
+    spec = fit_spec_from_records(records, corpus, seed=args.seed)
+    episodes = episodes_from_records(records, corpus, spec)
     result = train(episodes, spec, config, log_path=out / "train_log.csv")
     save_checkpoint(out / "checkpoint.npz", result.params, spec, config)
     _write_manifest(out, "train", args)

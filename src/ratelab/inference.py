@@ -290,8 +290,8 @@ class FeedbackConfig:
     alpha: float = 0.05            # index offset per kbps of bound violation
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
 
 
 def feedback_adjust(i: int, b_t: float, lower: float, upper: float, alpha: float) -> int:

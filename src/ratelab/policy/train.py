@@ -64,8 +64,11 @@ class TrainConfig:
     preset: str = "tiny"
 
     def __post_init__(self) -> None:
-        if self.beta1_frame_bits < 0 or self.beta2_total_bits < 0:
-            raise ValueError("loss weights must be >= 0")
+        betas = (self.beta1_frame_bits, self.beta2_total_bits)
+        if not all(math.isfinite(beta) and beta >= 0 for beta in betas):
+            raise ValueError("loss weights must be finite and >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
 

@@ -22,9 +22,11 @@ first-pass statistics one (T, 25) matrix, the form policies read them in.
 The encoder formula has two forms with one set of inputs: a frame's energy,
 from ``_frame_energy`` on the reference state, and its gain and header, from
 per-frame constants cached as (T,) tuples on the video and on the GOP plan.
-``rate_distortion`` is the scalar form: ``encode_frame`` and
-``replay_qp_sequence``, which walks it, encode one row on Python floats, and
-the baseline's QP search probes it through ``rd_terms``. ``encode_batch`` is
+``rate_distortion`` is the scalar form, on Python floats. ``encode_frame``
+calls it, and so do the choosers of ``encode_episode``, a loop that carries
+the reference state as floats and takes each frame's (qp, bits, mse) from
+its chooser: ``replay_qp_sequence`` encodes the given QP, and the
+baseline's QP search returns its winning trial encode. ``encode_batch`` is
 the row form, for B whole episodes at once (ES populations): its frame loop
 carries the energies and MSEs the reference state needs, and the bits of
 every frame follow in one pass after it. Both take the logarithm with
@@ -32,10 +34,11 @@ every frame follow in one pass after it. Both take the logarithm with
 last bit and teacher labels are verified by exact replay; property tests
 pin the two forms equal bit for bit.
 
-``run_episode`` asks a policy callback for each frame's QP, passing an
-``Observation``: the video, its GOP plan, the target and the encoder state
-before that frame. Policies derive their inputs from these at the source.
-``replay_qp_sequence`` encodes a fixed QP sequence without observations.
+There are two episode loops. ``run_episode``, for learned policies, asks a
+policy callback for each frame's QP, passing an ``Observation``: the video,
+its GOP plan, the target and the ``EncodeState`` before that frame. Policies
+derive their inputs from these at the source. ``encode_episode`` builds
+neither observations nor encoder states.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ __all__ = [
     "episode_reward",
     "batch_rewards",
     "run_episode",
+    "encode_episode",
     "replay_qp_sequence",
     "psnr_from_mse",
     "save_corpus",
@@ -778,6 +782,32 @@ def run_episode(
     return _finalize_trace(video, gop, target_bitrate_kbps, qps, bits, mses)
 
 
+def encode_episode(
+    video: SyntheticVideo,
+    gop: GopPlan,
+    target_bitrate_kbps: float,
+    choose: Callable[[int, float, float, float, float], tuple[int, float, float]],
+) -> EpisodeTrace:
+    """Encode a full episode, carrying the reference state as Python floats.
+
+    ``choose(t, cum_bits, energy, gain, header)`` returns frame ``t``'s
+    (qp, bits, mse), with ``cum_bits`` spent before it: (bits, mse) must be
+    ``rate_distortion(energy, quantizer_step(qp), gain, header)``.
+    """
+    _check_target(target_bitrate_kbps)
+    _check_gop(video, gop)
+    d_last = d_golden = cum_bits = 0.0
+    encoded: list[tuple[int, float, float]] = []
+    for t, (gain, header_bits) in enumerate(zip(video.gain, gop.header_bits)):
+        energy = _frame_energy(video, gop, t, d_last, d_golden)
+        encoded.append(choose(t, cum_bits, energy, gain, _frame_header(video, header_bits)))
+        _, bits, d_last = encoded[-1]
+        if gop.refreshes_golden[t]:
+            d_golden = d_last
+        cum_bits += bits
+    return _finalize_trace(video, gop, target_bitrate_kbps, *zip(*encoded))
+
+
 def replay_qp_sequence(
     video: SyntheticVideo,
     gop: GopPlan,
@@ -786,20 +816,16 @@ def replay_qp_sequence(
 ) -> EpisodeTrace:
     """Encode a fixed QP sequence without building observations.
 
-    Walks ``encode_frame`` as ``run_episode`` does, so the trace is bitwise
-    equal to ``run_episode`` with a callback that replays the same QPs.
+    The trace is bitwise equal to ``run_episode`` with a callback that
+    replays the same QPs; an invalid QP raises as ``quantizer_step`` does.
     """
     if len(qps) != video.num_frames:
         raise EpisodeError(f"need {video.num_frames} QPs, got {len(qps)}")
-    _check_target(target_bitrate_kbps)
-    state = EncodeState()
-    bits: list[float] = []
-    mses: list[float] = []
-    for qp in qps:
-        b, m, state = encode_frame(video, gop, state, qp)
-        bits.append(b)
-        mses.append(m)
-    return _finalize_trace(video, gop, target_bitrate_kbps, qps, bits, mses)
+
+    def replay(t, cum_bits, energy, gain, header):
+        return (qps[t], *rate_distortion(energy, quantizer_step(qps[t]), gain, header))
+
+    return encode_episode(video, gop, target_bitrate_kbps, replay)
 
 
 # ---------------------------------------------------------------------------

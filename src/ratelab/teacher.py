@@ -71,12 +71,12 @@ class EsConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         if self.batch_size < 2 or self.batch_size % 2:
             raise ValueError("batch_size must be even and >= 2 (mirrored pairs)")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
     def step_learning_rate(self, step: int) -> float:
         return self.learning_rate * DECAY_RATE ** (step / DECAY_EVERY)

@@ -1,10 +1,11 @@
 import dataclasses
 import math
+from bisect import bisect_right
 from unittest import mock
 
 import pytest
 
-from ratelab import simenc
+from ratelab import baseline, simenc
 from ratelab.baseline import (
     AllocationError,
     allocate_frame_targets,
@@ -17,14 +18,20 @@ from conftest import FAST_CONFIG, all_inter_gop, constant_video
 
 
 def scan_oracle(video, gop, state, target_bits):
-    """Independent linear scan: largest QP whose bits still reach the target;
-    0 when no QP reaches it."""
+    """Independent linear scan: largest QP whose bits still reach the target,
+    0 when no QP reaches it; with that QP's (bits, mse) from ``encode_frame``."""
     best = None
     for qp in range(256):
         bits, _, _ = encode_frame(video, gop, state, qp)
         if bits >= target_bits:
             best = qp
-    return 0 if best is None else best
+    qp = 0 if best is None else best
+    return (qp, *encode_frame(video, gop, state, qp)[:2])
+
+
+def search(video, gop, state, target_bits):
+    """``qp_for_target_bits`` on the RD terms of the frame at the state's cursor."""
+    return qp_for_target_bits(*simenc.rd_terms(video, gop, state), target_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +80,8 @@ def test_qp_search_clamps(video, gop):
     state = EncodeState()
     huge, _, _ = encode_frame(video, gop, state, 0)
     tiny, _, _ = encode_frame(video, gop, state, 255)
-    assert qp_for_target_bits(video, gop, state, huge * 2) == 0
-    assert qp_for_target_bits(video, gop, state, tiny * 0.5) == 255
+    for target, qp in ((huge * 2, 0), (tiny * 0.5, 255)):
+        assert search(video, gop, state, target) == (qp, *encode_frame(video, gop, state, qp)[:2])
 
 
 def test_qp_search_matches_scan_oracle(video, gop, rng):
@@ -85,16 +92,15 @@ def test_qp_search_matches_scan_oracle(video, gop, rng):
         hi, _, _ = encode_frame(video, gop, state, 0)
         for _ in range(8):
             target = float(rng.uniform(lo * 0.5, hi * 1.2))
-            assert qp_for_target_bits(video, gop, state, target) == scan_oracle(
-                video, gop, state, target
-            )
+            assert search(video, gop, state, target) == scan_oracle(video, gop, state, target)
         _, _, state = encode_frame(video, gop, state, int(rng.integers(80, 200)))
 
 
 def probes_of_search(video, gop, state, target):
     """``simenc.rate_distortion`` calls one ``qp_for_target_bits`` makes."""
+    terms = simenc.rd_terms(video, gop, state)
     with mock.patch.object(simenc, "rate_distortion", wraps=simenc.rate_distortion) as spy:
-        qp_for_target_bits(video, gop, state, target)
+        qp_for_target_bits(*terms, target)
     return spy.call_count
 
 
@@ -109,24 +115,40 @@ def test_qp_search_trial_encodes_at_most_three_qps(video, gop, rng):
         _, _, state = encode_frame(video, gop, state, int(rng.integers(80, 200)))
 
 
+@pytest.mark.parametrize("shift", [-3, -1, 1, 3])
+def test_qp_search_settles_any_misplaced_start(video, gop, rng, monkeypatch, shift):
+    """Rounding alone never puts the inverse's start more than one QP past
+    the edge, so shifting it exercises the walk in each direction."""
+    monkeypatch.setattr(
+        baseline, "bisect_right", lambda caps, x: min(max(bisect_right(caps, x) + shift, 0), 256)
+    )
+    state = EncodeState()
+    for _ in range(12):
+        lo, _, _ = encode_frame(video, gop, state, 255)
+        hi, _, _ = encode_frame(video, gop, state, 0)
+        edge, _, _ = encode_frame(video, gop, state, int(rng.integers(0, 256)))
+        for target in (lo * 0.5, float(rng.uniform(lo, hi)), hi * 1.2, edge):
+            assert search(video, gop, state, target) == scan_oracle(video, gop, state, target)
+        _, _, state = encode_frame(video, gop, state, int(rng.integers(80, 200)))
+
+
 def test_qp_search_exact_hit_prefers_highest_qp(video, gop):
     state = EncodeState()
     bits_at_100, _, _ = encode_frame(video, gop, state, 100)
-    qp = qp_for_target_bits(video, gop, state, bits_at_100)
-    assert qp == scan_oracle(video, gop, state, bits_at_100)
-    found, _, _ = encode_frame(video, gop, state, qp)
+    qp, found, mse = search(video, gop, state, bits_at_100)
+    assert (qp, found, mse) == scan_oracle(video, gop, state, bits_at_100)
     assert found >= bits_at_100
 
 
 def test_qp_search_rejects_nonpositive_target(video, gop):
     with pytest.raises(ValueError):
-        qp_for_target_bits(video, gop, EncodeState(), 0.0)
+        search(video, gop, EncodeState(), 0.0)
 
 
 def test_qp_search_rejects_nan_target(video, gop):
     """As it rejects a nonpositive one; a NaN target reaches no QP."""
     with pytest.raises(ValueError, match="target_bits must be positive"):
-        qp_for_target_bits(video, gop, EncodeState(), math.nan)
+        search(video, gop, EncodeState(), math.nan)
 
 
 # ---------------------------------------------------------------------------

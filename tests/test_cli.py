@@ -232,6 +232,11 @@ def test_pipeline_runs_every_stage_on_earlier_artifacts(tmp_path):
         ("evaluate --within-pct nan", "policy_traces.jsonl"),
         ("run-baseline --targets inf", "baseline_traces.jsonl"),
         ("build-dataset --bitrate-range 256,inf", "teacher.jsonl"),
+        ("evaluate --alpha nan", "policy_traces.jsonl"),
+        ("evaluate --alpha inf", "policy_traces.jsonl"),
+        ("build-dataset --steps 2 --alpha inf", "teacher.jsonl"),
+        ("build-dataset --steps 2 --alpha nan", "teacher.jsonl"),
+        ("build-dataset --steps 2 --sigma nan", "teacher.jsonl"),
     ],
 )
 def test_non_finite_input_refused_before_any_artifact(tmp_path, capsys, corpus_dir, argv, artifact):
@@ -241,6 +246,26 @@ def test_non_finite_input_refused_before_any_artifact(tmp_path, capsys, corpus_d
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / artifact).exists()
     assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.fixture(scope="module")
+def dataset_file(tmp_path_factory, corpus_dir):
+    out = tmp_path_factory.mktemp("dataset")
+    corpus = str(corpus_dir / "corpus.jsonl")
+    argv = ["build-dataset", "--corpus", corpus, "--steps", "2", "--per-video", "1"]
+    assert run([*argv, "--out", str(out)]) == 0
+    return out / "teacher.jsonl"
+
+
+@pytest.mark.parametrize("flags", ["--learning-rate nan", "--learning-rate inf"])
+def test_train_refuses_non_finite_settings_before_any_artifact(
+    tmp_path, capsys, corpus_dir, dataset_file, flags
+):
+    corpus = str(corpus_dir / "corpus.jsonl")
+    argv = ["train", "--corpus", corpus, "--dataset", str(dataset_file), "--epochs", "1"]
+    assert run([*argv, *flags.split(), "--out", str(tmp_path)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == []
 
 
 def test_write_jsonl_refuses_nan(tmp_path):

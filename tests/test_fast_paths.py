@@ -1,18 +1,22 @@
-"""Property tests: each fast path of the controlled rollout and of the
-recurrent core equals the code it replaced, which is kept here as the
-reference. Every comparison is exact, except the bits head, which now runs
-once per episode over the stacked hidden states and is in no artifact."""
+"""Property tests: each fast path of the heuristic baseline, of the
+controlled rollout and of the recurrent core equals the code it replaced,
+which is kept here as the reference. Every comparison is exact, except the
+bits head, which now runs once per episode over the stacked hidden states
+and is in no artifact."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ratelab import inference, simenc
+from ratelab import baseline, inference, simenc
+from ratelab.baseline import allocate_frame_targets, run_baseline
 from ratelab.inference import (
     CANDIDATE_POOL,
     SAMPLE_POOL,
@@ -30,6 +34,8 @@ from ratelab.policy.network import REL_RADIUS
 from ratelab.policy.rollout import PolicyRunner, eval_transformer
 
 from conftest import FAST_CONFIG, tiny_policy
+
+MSE_CAPS = simenc.QP_MSE_CAP.tolist()
 
 # ---------------------------------------------------------------------------
 # References: the replaced code
@@ -143,6 +149,48 @@ def reference_lstm(xw, wh, b, g):
         dc = dc * f
         dh = dpre[t] @ wh.T
     return hs[1:], dpre, hs[:-1].T @ dpre, dpre.sum(axis=0)
+
+
+def reference_qp_for_target_bits(video, gop, state, target_bits):
+    """The search that returned only the QP, from the encoder state."""
+    if not target_bits > 0:
+        raise ValueError("target_bits must be positive")
+    energy, gain, header = simenc.rd_terms(video, gop, state)
+
+    def reaches(qp: int) -> bool:
+        bits, _ = simenc.rate_distortion(energy, simenc.quantizer_step(qp), gain, header)
+        return bits >= target_bits
+
+    # QPs below ``reaching`` reach the target: every QP when the header
+    # alone does, else those whose MSE cap is at most E * 2^(-2 (target -
+    # header) / gain), where the residual bits meet the rest of the target.
+    if target_bits <= header:
+        reaching = simenc.QP_MAX + 1
+    else:
+        reaching = bisect_right(MSE_CAPS, energy * 2.0 ** (-2.0 * (target_bits - header) / gain))
+    while reaching > 0 and not reaches(reaching - 1):
+        reaching -= 1
+    while reaching <= simenc.QP_MAX and reaches(reaching):
+        reaching += 1
+    return max(0, reaching - 1)
+
+
+class ReferenceBaselinePolicy:
+    """The baseline as a ``run_episode`` callback, which ``encode_frame``
+    then re-encodes at the QP its search chose."""
+
+    def __init__(self, video, gop, target_bitrate_kbps):
+        self._video = video
+        self._gop = gop
+        self._budget = target_bitrate_kbps * 1000.0 * video.duration
+        self._targets = allocate_frame_targets(video, gop, target_bitrate_kbps)
+        self._remaining = np.cumsum(self._targets[::-1])[::-1].tolist()  # sums from t to the end
+
+    def __call__(self, obs):
+        t = obs.frame_index
+        remaining_budget = self._budget - obs.state.cum_bits
+        target = max(1.0, self._targets[t] * remaining_budget / self._remaining[t])
+        return reference_qp_for_target_bits(self._video, self._gop, obs.state, target)
 
 
 # ---------------------------------------------------------------------------
@@ -292,3 +340,66 @@ def test_lstm_cell_matches_reference(n, seed):
         ad.lstm_cell(pre, c, (np.empty(n), np.empty(n), np.empty(4 * n))), reference_cell(pre, c)
     ):
         assert np.array_equal(got, expected)
+
+
+# ---------------------------------------------------------------------------
+# Heuristic baseline
+# ---------------------------------------------------------------------------
+
+
+@given(
+    frames=st.integers(2, 300),
+    width=st.integers(16, 16384),
+    height=st.integers(16, 16384),
+    frame_rate=st.floats(1e-3, 1e4),
+    gop_interval=st.integers(2, 32),
+    seed=st.integers(0, 2**32),
+    target=st.floats(1e-3, 1e6),
+)
+# Every frame clamps: at QP 255, where the headers alone overspend, and at
+# QP 0, where no quantizer spends the budget.
+@example(frames=40, width=16384, height=16384, frame_rate=30.0, gop_interval=16, seed=0,
+         target=1e-3)
+@example(frames=40, width=16, height=16, frame_rate=30.0, gop_interval=16, seed=0, target=1e6)
+def test_baseline_matches_reference_policy(
+    frames, width, height, frame_rate, gop_interval, seed, target
+):
+    config = simenc.VideoConfig(frames, frames, width, height, frame_rate)
+    video = simenc.generate_video(seed, config)
+    gop = simenc.plan_gop(video, gop_interval)
+    policy = ReferenceBaselinePolicy(video, gop, target)
+    assert run_baseline(video, gop, target) == simenc.run_episode(video, gop, target, policy)
+
+
+def test_baseline_and_replay_encode_without_encoder_states(video, gop, monkeypatch):
+    """Neither calls ``encode_frame`` nor builds an ``EncodeState``, and each
+    baseline frame makes at most 3 ``rate_distortion`` calls, all in its QP
+    search, whose winning trial is the frame's encode."""
+    built = []
+    init = simenc.EncodeState.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args or kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(simenc.EncodeState, "__init__", counting_init)
+    monkeypatch.setattr(simenc, "encode_frame", mock.Mock(side_effect=AssertionError))
+    spy = mock.Mock(wraps=simenc.rate_distortion)
+    monkeypatch.setattr(simenc, "rate_distortion", spy)
+    search = baseline.qp_for_target_bits
+    per_frame = []
+
+    def counted_search(*args):
+        before = spy.call_count
+        found = search(*args)
+        per_frame.append(spy.call_count - before)
+        return found
+
+    monkeypatch.setattr(baseline, "qp_for_target_bits", counted_search)
+    for target in (256.0, 512.0, 768.0):
+        trace = run_baseline(video, gop, target)
+        assert simenc.replay_qp_sequence(video, gop, trace.qps, target) == trace
+    assert built == []
+    assert len(per_frame) == 3 * video.num_frames
+    assert max(per_frame) <= 3
+    assert spy.call_count == sum(per_frame) + 3 * video.num_frames  # the replays' encodes

@@ -8,7 +8,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ratelab import simenc, teacher
-from ratelab.baseline import qp_for_target_bits
 from ratelab.policy import rollout
 from ratelab.policy.data import episodes_from_records, fit_spec_from_records
 from ratelab.policy.features import EMBED_DIM, FRAME_TYPE_ORDER
@@ -16,7 +15,7 @@ from ratelab.policy.network import PolicyParams, arch_from_preset
 from ratelab.simenc import EncodeState, encode_batch, encode_frame
 from ratelab.teacher import EsConfig, EsState, TeacherRecord, es_step
 
-from test_baseline import probes_of_search, scan_oracle
+from test_baseline import probes_of_search, scan_oracle, search
 
 
 @st.composite
@@ -140,9 +139,7 @@ def test_qp_search_matches_scan_oracle(case, scale):
     finest, _, _ = encode_frame(video, gop, state, 0)
     # Targets span both clamps and every QP in between.
     target = float(scale * finest)
-    assert qp_for_target_bits(video, gop, state, target) == scan_oracle(
-        video, gop, state, target
-    )
+    assert search(video, gop, state, target) == scan_oracle(video, gop, state, target)
 
 
 @given(reachable_states(), QP_OR_EDGE, st.sampled_from([-np.inf, None, np.inf]))
@@ -152,9 +149,7 @@ def test_qp_search_at_bit_edges(case, qp, toward):
     video, gop, _, state = case
     bits = encode_frame(video, gop, state, qp)[0]
     target = bits if toward is None else float(np.nextafter(bits, toward))
-    assert qp_for_target_bits(video, gop, state, target) == scan_oracle(
-        video, gop, state, target
-    )
+    assert search(video, gop, state, target) == scan_oracle(video, gop, state, target)
 
 
 BIT_EDGE = st.tuples(QP_OR_EDGE, st.sampled_from([-np.inf, None, np.inf]))

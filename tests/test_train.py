@@ -95,6 +95,21 @@ def test_divergence_detected(episodes, spec):
         train(poisoned, spec, config)
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"beta1_frame_bits": float("nan")},
+        {"beta2_total_bits": float("inf")},
+        {"learning_rate": float("nan")},
+        {"learning_rate": 0.0},
+    ],
+    ids=["beta1-nan", "beta2-inf", "learning-rate-nan", "learning-rate-zero"],
+)
+def test_non_finite_setting_rejected(setting):
+    with pytest.raises(ValueError, match="must be finite"):
+        TrainConfig(**setting)
+
+
 def test_empty_dataset_rejected(spec):
     with pytest.raises(ValueError):
         train([], spec, TrainConfig())
