@@ -68,7 +68,13 @@ class FeatureSpec:
 
     @property
     def bundle_dim(self) -> int:
-        return 7 + 2 + EMBED_DIM + EMBED_DIM + 2 + 1 + 2
+        return self.fixed_dim + EMBED_DIM + 2 + 1 + 2
+
+    @property
+    def fixed_dim(self) -> int:
+        """The leading bundle columns fixed before an episode starts:
+        ``episode_features`` and the frame-type embedding, 25 of 46."""
+        return 7 + 2 + EMBED_DIM
 
     @cached_property
     def qp_rows(self) -> np.ndarray:

@@ -6,11 +6,15 @@ advances one ``autodiff.lstm_cell`` step per frame, because each frame's
 input bundle depends on the QPs chosen before it; it comes from the feature
 code training uses, ``episode_features`` of the observation's video at
 frame 0 and one ``build_features`` row per frame, from the observation's
-``EncodeState``. The runner holds the weight arrays it reads and steps the
-cell in place on per-episode (T + 1, n) state arrays. Only the two small
-output heads have a numpy form here, ``eval_head``, two to three times
-faster per frame than a tape pass. The QP head runs per frame; the bits
-head runs once over the stored hidden states when its predictions are read.
+``EncodeState``. The core's input projection is split: at frame 0 one
+product projects every frame's embedding and the bundle's first
+``fixed_dim`` columns, which the episode fixes, and each frame multiplies
+only the rest, its history columns; the sums differ from training's one
+product in their last bits. The runner steps the cell in place on
+per-episode (T + 1, n) state arrays. Only the two small output heads have
+a numpy form here, ``eval_head``, two to three times faster per frame than
+a tape pass. The QP head runs per frame; the bits head runs once over the
+stored hidden states when its predictions are read.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..simenc import Observation
+from ..simenc import Observation, check_gop
 from .autodiff import lstm_cell, no_grad
 from .features import FRAME_TYPE_ORDER, FeatureSpec, build_features, episode_features
 from .network import PolicyParams, transformer_embed
@@ -66,11 +70,14 @@ class PolicyRunner:
         self.spec = spec
         self.sampler = sampler
         self.adjuster = adjuster
-        self._lstm = tuple(params[name].data for name in ("lstm_wx", "lstm_wh", "lstm_b"))
+        wx, self._wh, self._b = (params[name].data for name in ("lstm_wx", "lstm_wh", "lstm_b"))
+        # input-projection rows of the episode-fixed inputs, and of the rest
+        k = params.arch.dh + spec.fixed_dim
+        self._wx_fixed, self._wx_history = wx[:k], wx[k:]
         self._qp_head = head_weights(params, "qp")
         self._bits_head = head_weights(params, "bits")
-        # (T, dh), (T, 9) and the episode's bit budget, set at frame 0
-        self._embed = self._episode = self._budget_bits = None
+        # set at frame 0: features, frame types, bit budget, (T, 4 dr) fixed projection
+        self._episode = self._types = self._budget_bits = self._fixed = None
         # (T + 1, dr) hidden and cell states, row t + 1 after frame t, and
         # the (4 dr,) gate buffer of the step
         self._hs = self._cs = self._gates = None
@@ -78,10 +85,15 @@ class PolicyRunner:
 
     def _reset(self, obs: Observation) -> None:
         video = obs.video
+        check_gop(video, obs.gop)
         fp_norm = self.spec.normalize_first_pass(video.first_pass)
-        self._embed = eval_transformer(self.params, fp_norm)
+        embed = eval_transformer(self.params, fp_norm)
         self._episode = episode_features(self.spec, video, obs.target_bitrate_kbps)
+        self._types = [FRAME_TYPE_ORDER.index(f) for f in obs.gop.frame_types]
         self._budget_bits = obs.target_bitrate_kbps * 1000.0 * video.duration
+        type_embed = self.spec.frame_type_embedding[self._types]
+        self._fixed = np.concatenate([embed, self._episode, type_embed], axis=1) @ self._wx_fixed
+        self._fixed += self._b
         dr = self.params.arch.dr
         self._hs = np.zeros((video.num_frames + 1, dr))
         self._cs = np.zeros((video.num_frames + 1, dr))
@@ -97,19 +109,18 @@ class PolicyRunner:
 
     def logits_for(self, obs: Observation) -> np.ndarray:
         """Advance the recurrent state and return this frame's QP logits."""
-        if obs.frame_index == 0 or self._embed is None:
+        if obs.frame_index == 0 or self._fixed is None:
             self._reset(obs)
         state = obs.state
         t = state.cursor
         prev_qp, prev_bits, prev_mse = state.last
         bundle = build_features(
-            self.spec, self._episode[t], FRAME_TYPE_ORDER.index(obs.gop.frame_types[t]), prev_qp,
-            prev_bits, prev_mse, state.cum_bits, self._budget_bits,
+            self.spec, self._episode[t], self._types[t], prev_qp, prev_bits, prev_mse,
+            state.cum_bits, self._budget_bits,
         )
-        wx, wh, b = self._lstm
-        pre = np.concatenate([self._embed[t], bundle]) @ wx
-        pre += self._hs[t] @ wh
-        pre += b
+        pre = self._hs[t] @ self._wh
+        pre += self._fixed[t]
+        pre += bundle[self.spec.fixed_dim :] @ self._wx_history
         h, _, _ = lstm_cell(pre, self._cs[t], (self._hs[t + 1], self._cs[t + 1], self._gates))
         self._steps = t + 1
         return eval_head(self._qp_head, h)

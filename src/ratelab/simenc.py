@@ -70,6 +70,7 @@ __all__ = [
     "generate_video",
     "generate_corpus",
     "plan_gop",
+    "check_gop",
     "quantizer_step",
     "rate_distortion",
     "rd_terms",
@@ -535,7 +536,8 @@ def rate_distortion(
 QP_MSE_CAP = np.array([q * q / 12.0 for q in _QP_STEPS])
 
 
-def _check_gop(video: SyntheticVideo, gop: GopPlan) -> None:
+def check_gop(video: SyntheticVideo, gop: GopPlan) -> None:
+    """Raise ``ConfigError`` unless ``gop`` plans exactly the video's frames."""
     if len(gop.frame_types) != video.num_frames:
         raise ConfigError(
             f"GOP plans {len(gop.frame_types)} frames, video has {video.num_frames}"
@@ -570,7 +572,7 @@ def rd_terms(
     t = state.cursor
     if t >= video.num_frames:
         raise EpisodeError(f"episode ended at frame {video.num_frames}, cannot encode frame {t}")
-    _check_gop(video, gop)
+    check_gop(video, gop)
     energy = _frame_energy(video, gop, t, state.d_last, state.d_golden)
     return energy, video.gain[t], _frame_header(video, gop.header_bits[t])
 
@@ -591,7 +593,7 @@ def encode_batch(video: SyntheticVideo, gop: GopPlan, qps) -> tuple[np.ndarray, 
         raise TypeError(f"qps must be integers, got dtype {qps.dtype}")
     if qps.size and (qps.min() < 0 or qps.max() > QP_MAX):
         raise ValueError(f"qps must be in [0, {QP_MAX}]")
-    _check_gop(video, gop)
+    check_gop(video, gop)
     caps = QP_MSE_CAP[qps.T]                    # (T, B), one row per frame
     energy = np.empty(caps.shape)
     mse = np.empty(caps.shape)
@@ -795,7 +797,7 @@ def encode_episode(
     ``rate_distortion(energy, quantizer_step(qp), gain, header)``.
     """
     _check_target(target_bitrate_kbps)
-    _check_gop(video, gop)
+    check_gop(video, gop)
     d_last = d_golden = cum_bits = 0.0
     encoded: list[tuple[int, float, float]] = []
     for t, (gain, header_bits) in enumerate(zip(video.gain, gop.header_bits)):

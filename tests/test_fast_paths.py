@@ -1,8 +1,10 @@
 """Property tests: each fast path of the heuristic baseline, of the
 controlled rollout and of the recurrent core equals the code it replaced,
 which is kept here as the reference. Every comparison is exact, except the
-bits head, which now runs once per episode over the stacked hidden states
-and is in no artifact."""
+rollout's logits and bits head, whose sums run in another order: the
+runner projects the recurrent core's episode-fixed inputs once per
+episode, and the bits head runs once over the stacked hidden states. The
+rollout's traces and control events stay exact."""
 
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from ratelab.inference import (
     truncated_sample,
 )
 from ratelab.policy import autodiff as ad
+from ratelab.policy import rollout
 from ratelab.policy.autodiff import Tensor, relative_bias, relative_offsets
 from ratelab.policy.features import FRAME_TYPE_ORDER, build_features, episode_features
 from ratelab.policy.network import REL_RADIUS
@@ -281,9 +284,69 @@ def test_bits_predictions_match_per_frame_head():
         assert simenc.run_episode(video, gop, 400.0, fast) == simenc.run_episode(
             video, gop, 400.0, ref
         )
-        assert np.array_equal(np.array(logits), np.array(ref.logits))
+        np.testing.assert_allclose(np.array(logits), np.array(ref.logits), rtol=0, atol=1e-12)
         assert len(fast.bits_predictions) == video.num_frames
         np.testing.assert_allclose(fast.bits_predictions, ref.bits_predictions, rtol=1e-12)
+
+
+class ProjectedRows:
+    """Stands in for a weight matrix and records each left operand of ``@``."""
+
+    __array_ufunc__ = None  # makes ``ndarray @ self`` call ``__rmatmul__``
+
+    def __init__(self, w):
+        self.w, self.rows = w, []
+
+    def __rmatmul__(self, x):
+        self.rows.append(x.copy())
+        return x @ self.w
+
+
+@given(st.integers(2, 300), st.integers(0, 2**32))
+@example(2, 0)  # frame 0's zero prev-QP row is half of the bundles
+def test_split_projection_matches_full_product(frames, seed):
+    """The runner projects the episode-fixed inputs once and each frame's
+    history columns per frame; the reference projects each frame's whole
+    (dh + bundle_dim,) input."""
+    video = simenc.generate_video(seed, simenc.VideoConfig(frames, frames))
+    gop = simenc.plan_gop(video)
+    params, spec = tiny_policy([video])
+    bounds = _bounds(video, gop)
+    embed = eval_transformer(params, spec.normalize_first_pass(video.first_pass))
+    for alpha in (0.05, 5.0):
+        config = FeedbackConfig(alpha=alpha)
+        fast, controller = inference.controlled_policy(
+            params, spec, bounds, np.random.default_rng(seed), config
+        )
+        projected = fast._wx_fixed = ProjectedRows(fast._wx_fixed)
+        logits_for, logits, bundles = fast.logits_for, [], []
+        fast.logits_for = lambda obs: logits.append(logits_for(obs)) or logits[-1]
+
+        def spy(*args):
+            bundles.append(build_features(*args))
+            return bundles[-1]
+
+        with mock.patch.object(rollout, "build_features", spy):
+            trace = simenc.run_episode(video, gop, 512.0, fast)
+        ref_rng = np.random.default_rng(seed)
+        ref_controller = ReferenceController(bounds, config)
+        ref = ReferenceRunner(params, spec, lambda z: reference_sample(z, ref_rng), ref_controller)
+        assert trace == simenc.run_episode(video, gop, 512.0, ref)
+        assert [asdict(e) for e in controller.events] == [asdict(e) for e in ref_controller.events]
+        np.testing.assert_allclose(np.array(logits), np.array(ref.logits), rtol=0, atol=1e-12)
+        (inputs,) = projected.rows
+        fixed = np.array(bundles)[:, : spec.fixed_dim]
+        assert np.concatenate([embed, fixed], axis=1).tobytes() == inputs.tobytes()
+
+
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_runner_rejects_gop_of_another_length(offset):
+    video = simenc.generate_video(3, FAST_CONFIG)
+    other = simenc.generate_video(3, simenc.VideoConfig(*(video.num_frames + offset,) * 2))
+    params, spec = tiny_policy([video])
+    runner = PolicyRunner(params, spec, lambda z: int(np.argmax(z)))
+    with pytest.raises(simenc.ConfigError, match="GOP plans"):
+        simenc.run_episode(video, simenc.plan_gop(other), 512.0, runner)
 
 
 def test_bits_predictions_empty_before_any_frame():
