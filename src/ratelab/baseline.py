@@ -107,14 +107,8 @@ def qp_for_target_bits(
     return qp, bits, mse
 
 
-def run_baseline(
-    video: SyntheticVideo,
-    gop: GopPlan | None = None,
-    target_bitrate_kbps: float = 512.0,
-) -> EpisodeTrace:
+def run_baseline(video: SyntheticVideo, gop: GopPlan, target_bitrate_kbps: float) -> EpisodeTrace:
     """Encode one video with the heuristic VBR policy."""
-    if gop is None:
-        gop = simenc.plan_gop(video)
     budget = target_bitrate_kbps * 1000.0 * video.duration
     targets = allocate_frame_targets(video, gop, target_bitrate_kbps)
     remaining = np.cumsum(targets[::-1])[::-1].tolist()  # sums from t to the end

@@ -13,14 +13,16 @@ Settings that every stage must share are constants, not flags, so the
 stages cannot disagree: the GOP plan (``simenc.plan_gop``, an alternate
 reference every 16 frames), the reward's overshoot penalty
 (``simenc.PENALTY_PER_KBPS``), the latent distributions of generated videos
-(``simenc`` module constants) and a constant training learning rate.
+(``simenc`` module constants), a constant training learning rate, and the
+target tolerance that ``evaluate`` and ``report`` share (``metrics.WITHIN_PCT``).
 ``fit-bounds`` reads its target from its traces, which must share one, and
 ``evaluate`` rejects bounds without a checkpoint or fitted at another target
 before it encodes anything.
 
-Exit codes: 0 success, 2 invalid flags (argparse), or a config-file key no
-subcommand takes or two sections set to different values, 3 missing input
-file, 4 artifact schema mismatch, 1 any other failure.
+Exit codes: 0 success, 2 invalid flags (argparse) or ``--config`` file (a
+malformed one, a section that names no subcommand, a key its subcommand does
+not take, or a value its flag cannot parse), 3 missing input file, 4 artifact
+schema mismatch, 1 any other failure.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import configparser
 import csv
 import datetime as _dt
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -40,6 +41,7 @@ import numpy as np
 from . import __version__, baseline, inference, metrics, simenc, teacher
 from .io import SchemaError, config_digest
 from .policy import (
+    PRESETS,
     TrainConfig,
     episodes_from_records,
     fit_spec_from_records,
@@ -67,7 +69,7 @@ class MissingInputError(FileNotFoundError):
 
 
 class ConfigFileError(ValueError):
-    """A ``--config`` key no subcommand takes, or one set to two values."""
+    """A ``--config`` section that names no subcommand, or a key its subcommand does not take."""
 
 
 class IncompatibleInputError(ValueError):
@@ -234,8 +236,6 @@ def cmd_evaluate(args) -> int:
     anchors = _parse_floats(args.anchors)
     if len(anchors) < 2:
         raise ValueError("need at least two anchor multipliers for the reference curve")
-    if not 0 <= args.within_pct < math.inf:
-        raise ValueError(f"--within-pct must be >= 0 and finite, got {args.within_pct}")
     feedback = inference.FeedbackConfig(alpha=args.alpha)
     params = spec = bounds = None
     if args.bounds and not args.checkpoint:
@@ -274,7 +274,7 @@ def cmd_evaluate(args) -> int:
                 simenc.run_episode(video, gop, args.target, callback)
             )
     simenc.save_traces(out / "policy_traces.jsonl", policy_traces)
-    report = metrics.summarize_suite(policy_traces, curves, within_pct=args.within_pct)
+    report = metrics.summarize_suite(policy_traces, curves)
     metrics.write_suite_csv(report, out / "eval.csv")
     summary = json.dumps(
         {**report.aggregates(), "n_videos": len(policy_traces)}, indent=2, allow_nan=False
@@ -367,38 +367,44 @@ def cmd_report(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _load_config_defaults(path: str | None, known: set[str]) -> dict[str, str]:
-    """The ``--config`` file's keys and values, its sections merged.
+def _apply_config_file(path: str, registry: dict[str, argparse.ArgumentParser]) -> None:
+    """Install the ``--config`` file's values as typed defaults.
 
-    Section names carry no meaning, so a key set to two values in two
-    sections, or one no subcommand in ``known`` takes, is a ``ConfigFileError``.
+    Each section names a subcommand and sets only that subcommand's flags.
+    A section no subcommand has, or a key its subcommand does not take, is a
+    ``ConfigFileError``, because it would otherwise do nothing; a value its
+    flag's type cannot parse is a ``ValueError``.
     """
-    if not path:
-        return {}
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    # ``[DEFAULT]`` supplies no defaults to other sections: it names no subcommand.
+    parser = configparser.ConfigParser(default_section="")
+    if not parser.read(path):
         raise MissingInputError(f"config file not found: {path}")
-    flat: dict[str, str] = {}
     for section in parser.sections():
-        for key, value in parser.items(section):
-            key = key.replace("-", "_")
-            if flat.setdefault(key, value) != value:
-                raise ConfigFileError(
-                    f"{path}: {key} is set in two sections, to {flat[key]!r} and {value!r}"
-                )
-    unknown = sorted(set(flat) - known)
-    if unknown:
-        # A key for a removed or misspelt setting would otherwise do nothing.
-        raise ConfigFileError(f"{path}: no subcommand takes {', '.join(unknown)}")
-    return flat
+        if section not in registry:
+            raise ConfigFileError(f"[{section}] names no subcommand of {sorted(registry)}")
+        actions = {action.dest: action for action in registry[section]._actions}
+        values = {key.replace("-", "_"): value for key, value in parser.items(section)}
+        unknown = sorted(values.keys() - actions.keys())
+        if unknown:
+            raise ConfigFileError(f"{section} takes no {', '.join(unknown)}")
+        typed = {}
+        for dest, raw in values.items():
+            action = actions[dest]
+            if isinstance(action, argparse._StoreTrueAction):
+                typed[dest] = raw.strip().lower() in ("1", "true", "yes", "on")
+            elif action.type is not None:
+                typed[dest] = action.type(raw)
+            else:
+                typed[dest] = raw
+            action.required = False
+        registry[section].set_defaults(**typed)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="ratelab", description="desk-scale rate-control laboratory"
     )
-    parser.add_argument("--config", help="INI config file; flags override its values")
+    parser.add_argument("--config", help="INI file, a section per subcommand; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
     registry: dict[str, argparse.ArgumentParser] = {}
 
@@ -409,46 +415,50 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         registry[name] = p
         return p
 
+    video = simenc.VideoConfig()
     p = add("gen-videos", cmd_gen_videos, help="generate a synthetic video corpus")
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--frames-min", type=int, default=100)
-    p.add_argument("--frames-max", type=int, default=150)
-    p.add_argument("--width", type=int, default=640)
-    p.add_argument("--height", type=int, default=480)
-    p.add_argument("--frame-rate", type=float, default=30.0)
+    p.add_argument("--frames-min", type=int, default=video.num_frames_min)
+    p.add_argument("--frames-max", type=int, default=video.num_frames_max)
+    p.add_argument("--width", type=int, default=video.width)
+    p.add_argument("--height", type=int, default=video.height)
+    p.add_argument("--frame-rate", type=float, default=video.frame_rate)
 
     p = add("run-baseline", cmd_run_baseline, help="run the heuristic VBR policy")
     p.add_argument("--corpus", required=True)
     p.add_argument("--targets", default="512", help="comma-separated kbps targets")
 
+    teacher_config = teacher.TeacherConfig()
     p = add("build-dataset", cmd_build_dataset, help="assemble the teacher dataset")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--sigma", type=float, default=4.0)
-    p.add_argument("--alpha", type=float, default=16.0)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--steps", type=int, default=teacher_config.es.max_steps)
+    p.add_argument("--sigma", type=float, default=teacher_config.es.sigma)
+    p.add_argument("--alpha", type=float, default=teacher_config.es.learning_rate)
+    p.add_argument("--batch", type=int, default=teacher_config.es.batch_size)
+    p.add_argument("--seed", type=int, default=teacher_config.seed)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--per-video", type=int, default=4)
-    p.add_argument("--bitrate-range", default="256,768")
+    p.add_argument("--per-video", type=int, default=teacher_config.bitrates_per_video)
+    bitrates = (teacher_config.bitrate_min_kbps, teacher_config.bitrate_max_kbps)
+    p.add_argument("--bitrate-range", default=",".join(f"{kbps:g}" for kbps in bitrates))
 
+    train_config = TrainConfig()
     p = add("train", cmd_train, help="train the neural policy by imitation")
     p.add_argument("--corpus", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--preset", choices=["tiny", "paper"], default="tiny")
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--learning-rate", type=float, default=3e-3)
-    p.add_argument("--beta1", type=float, default=2.0)
-    p.add_argument("--beta2", type=float, default=2.0)
+    p.add_argument("--preset", choices=sorted(PRESETS), default=train_config.preset)
+    p.add_argument("--epochs", type=int, default=train_config.epochs)
+    p.add_argument("--batch-size", type=int, default=train_config.batch_size)
+    p.add_argument("--learning-rate", type=float, default=train_config.learning_rate)
+    p.add_argument("--beta1", type=float, default=train_config.beta1_frame_bits)
+    p.add_argument("--beta2", type=float, default=train_config.beta2_total_bits)
     p.add_argument("--no-dropout", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=train_config.seed)
 
     p = add("fit-bounds", cmd_fit_bounds, help="fit the cumulative-bits envelope")
     p.add_argument("--traces", required=True)
-    p.add_argument("--quantiles", default="0.025,0.975")
-    p.add_argument("--min-traces", type=int, default=20)
+    p.add_argument("--quantiles", default=",".join(f"{q:g}" for q in inference.COVERAGE))
+    p.add_argument("--min-traces", type=int, default=inference.MIN_TRACES)
 
     p = add("evaluate", cmd_evaluate, help="evaluate a policy against baseline curves")
     p.add_argument("--corpus", required=True)
@@ -457,7 +467,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--alpha", type=float, default=inference.FeedbackConfig().alpha)
     p.add_argument("--target", type=float, default=512.0)
     p.add_argument("--anchors", default="0.5,0.75,1.0,1.25,1.5")
-    p.add_argument("--within-pct", type=float, default=5.0)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("report", cmd_report, help="emit histograms and the ablation table")
@@ -470,25 +479,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, registry
 
 
-def _apply_config_defaults(
-    registry: dict[str, argparse.ArgumentParser], defaults: dict[str, str]
-) -> None:
-    """Install config-file values as typed defaults on every subcommand."""
-    for subparser in registry.values():
-        typed = {}
-        for action in subparser._actions:
-            if action.dest in defaults:
-                raw = defaults[action.dest]
-                if isinstance(action, argparse._StoreTrueAction):
-                    typed[action.dest] = raw.strip().lower() in ("1", "true", "yes", "on")
-                elif action.type is not None:
-                    typed[action.dest] = action.type(raw)
-                else:
-                    typed[action.dest] = raw
-                action.required = False
-        subparser.set_defaults(**typed)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser, registry = build_parser()
     # Extract --config up front so its values can become defaults before the
@@ -496,17 +486,15 @@ def main(argv: list[str] | None = None) -> int:
     pre_parser = argparse.ArgumentParser(add_help=False)
     pre_parser.add_argument("--config")
     pre, _ = pre_parser.parse_known_args(argv)
-    known = {action.dest for subparser in registry.values() for action in subparser._actions}
     try:
-        defaults = _load_config_defaults(pre.config, known)
+        if pre.config:
+            _apply_config_file(pre.config, registry)
     except MissingInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    except ConfigFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, configparser.Error) as exc:  # ConfigFileError, or a malformed file
+        print(f"error: {pre.config}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if defaults:
-        _apply_config_defaults(registry, defaults)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -138,6 +138,10 @@ END_TOLERANCE = 0.05
 CURVATURE_BRACKET = (1e-3, 1e6)
 CURVATURE_GRID = 64
 TARGET_TOLERANCE_KBPS = 1e-6
+# Default per-position quantiles the envelope covers, and the fewest traces
+# it is fitted on.
+COVERAGE = (0.025, 0.975)
+MIN_TRACES = 20
 
 
 @dataclass(frozen=True)
@@ -215,8 +219,8 @@ def _retarget_endpoint(bound: LogBound, end_value: float) -> LogBound:
 def fit_bounds(
     traces: Sequence[EpisodeTrace],
     target_bitrate_kbps: float,
-    coverage: tuple[float, float] = (0.025, 0.975),
-    min_traces: int = 20,
+    coverage: tuple[float, float] = COVERAGE,
+    min_traces: int = MIN_TRACES,
 ) -> BoundsModel:
     """Fit the cumulative-bits envelope from training trajectories.
 

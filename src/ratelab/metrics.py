@@ -32,6 +32,7 @@ __all__ = [
     "summarize_suite",
     "write_suite_csv",
     "SUITE_CSV_COLUMNS",
+    "WITHIN_PCT",
 ]
 
 
@@ -128,6 +129,11 @@ def rd_curve_from_traces(traces: Sequence[EpisodeTrace]) -> RDCurve:
 # Suite summaries
 # ---------------------------------------------------------------------------
 
+# Tolerance, in percent of the target, of the within/under/over-target
+# shares. ``eval.csv`` does not record it, so ``report`` recomputes the
+# shares from the rows with this same constant.
+WITHIN_PCT = 5.0
+
 SUITE_CSV_COLUMNS = (
     "video_id",
     "target_kbps",
@@ -176,9 +182,9 @@ def _projected(values: Sequence[float]) -> np.ndarray:
     return np.asarray(values)[~np.isnan(values)]
 
 
-def report_from_rows(rows: Sequence[SuiteRow], within_pct: float = 5.0) -> SuiteReport:
+def report_from_rows(rows: Sequence[SuiteRow]) -> SuiteReport:
     """Aggregate suite rows: projected medians and quartiles, and the share
-    of rows within, under and over ``within_pct`` percent of their target."""
+    of rows within, under and over ``WITHIN_PCT`` percent of their target."""
     if not rows:
         raise ValueError("no suite rows to aggregate")
     rate = _projected([r.proj_bitrate_diff_pct for r in rows])
@@ -191,17 +197,16 @@ def report_from_rows(rows: Sequence[SuiteRow], within_pct: float = 5.0) -> Suite
         p75_proj_bitrate_diff_pct=float(np.percentile(rate, 75)) if rate.size else None,
         median_proj_psnr_diff_db=float(np.median(psnr)) if psnr.size else None,
         n_projected=int(rate.size),
-        within_target_frac=float(np.mean(np.abs(rel) <= within_pct)),
-        under_target_frac=float(np.mean(rel < -within_pct)),
-        over_target_frac=float(np.mean(rel > within_pct)),
-        within_pct=within_pct,
+        within_target_frac=float(np.mean(np.abs(rel) <= WITHIN_PCT)),
+        under_target_frac=float(np.mean(rel < -WITHIN_PCT)),
+        over_target_frac=float(np.mean(rel > WITHIN_PCT)),
+        within_pct=WITHIN_PCT,
     )
 
 
 def summarize_suite(
     policy_traces: Sequence[EpisodeTrace],
     baseline_curves: Mapping[str, RDCurve | None],
-    within_pct: float = 5.0,
 ) -> SuiteReport:
     """Project each policy trace onto its video's baseline RD curve.
 
@@ -234,7 +239,7 @@ def summarize_suite(
                 proj_psnr_diff_db=psnr_diff,
             )
         )
-    return report_from_rows(rows, within_pct)
+    return report_from_rows(rows)
 
 
 def write_suite_csv(report: SuiteReport, path: str | Path) -> None:

@@ -179,8 +179,14 @@ def episode_features(spec: FeatureSpec, video, target_bitrate_kbps: float) -> np
 
     ``video`` is a ``SyntheticVideo``; only its metadata is read. The last
     static column is the encode-speed slot, always 0 because the surrogate
-    encoder has one speed; it keeps ``bundle_dim`` at 46, so saved
-    checkpoints still load.
+    encoder has one speed. Dropping it and the previous-reward slot would
+    shift every later parameter's initial draw, to which training under the
+    current loss, dominated by its total-bits term, is sensitive.
+
+    Width, height and frame rate are constant in a corpus that one
+    ``gen-videos`` call makes, so standardization maps them to 0 there and
+    their ``lstm_wx`` rows get no gradient. They stay because a mixed
+    corpus varies them.
     """
     T = video.num_frames
     static = [

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..simenc import FIRST_PASS_FEATURES
 from . import autodiff as ad
 from .autodiff import Tensor
 
@@ -21,18 +22,20 @@ __all__ = ["ArchConfig", "PRESETS", "PolicyParams", "forward", "ForwardResult"]
 
 N_QP = 256
 REL_RADIUS = 256  # offsets farther apart than this share the edge bias entry
+N_FEATURES = len(FIRST_PASS_FEATURES)
+DROPOUT_RATE = 0.1  # attention dropout in train mode
+HEAD_HIDDEN = (32, 16)  # hidden sizes of both output heads
 
 
 @dataclass(frozen=True)
 class ArchConfig:
-    heads: int = 16
-    dk: int = 16          # per-head key/query/value size
-    dh: int = 128         # transformer output size
-    dr: int = 128         # recurrent hidden size
-    bundle_dim: int = 46
-    n_features: int = 25
-    dropout_rate: float = 0.1
-    head_hidden: tuple[int, int] = (32, 16)
+    """The sizes a preset sets, and the width of the input bundle."""
+
+    heads: int
+    dk: int               # per-head key/query/value size
+    dh: int               # transformer output size
+    dr: int               # recurrent hidden size
+    bundle_dim: int
 
 
 PRESETS: dict[str, dict] = {
@@ -52,7 +55,6 @@ class PolicyParams:
 
     def __init__(self, arch: ArchConfig, seed: int = 0):
         self.arch = arch
-        self.seed = seed
         rng = np.random.Generator(np.random.PCG64(seed))
         self.tensors: dict[str, Tensor] = {}
 
@@ -68,11 +70,11 @@ class PolicyParams:
         a = arch
         attn_dim = a.heads * a.dk
         # Transformer block
-        zeros("ln_bias", (a.n_features,))
-        self.tensors["ln_gain"] = Tensor(np.ones(a.n_features), requires_grad=True, name="ln_gain")
-        param("attn_wq", (a.n_features, attn_dim), a.n_features)
-        param("attn_wk", (a.n_features, attn_dim), a.n_features)
-        param("attn_wv", (a.n_features, attn_dim), a.n_features)
+        zeros("ln_bias", (N_FEATURES,))
+        self.tensors["ln_gain"] = Tensor(np.ones(N_FEATURES), requires_grad=True, name="ln_gain")
+        param("attn_wq", (N_FEATURES, attn_dim), N_FEATURES)
+        param("attn_wk", (N_FEATURES, attn_dim), N_FEATURES)
+        param("attn_wv", (N_FEATURES, attn_dim), N_FEATURES)
         # No key bias: it adds q_i . b_k to every score of row i, which
         # softmax cancels.
         zeros("attn_bq", (attn_dim,))
@@ -92,7 +94,7 @@ class PolicyParams:
         # Encourage remembering early in training.
         self.tensors["lstm_b"].data[a.dr : 2 * a.dr] = 1.0
         # Output heads
-        h1, h2 = a.head_hidden
+        h1, h2 = HEAD_HIDDEN
         for head, out_dim in (("qp", N_QP), ("bits", 1)):
             param(f"{head}_w1", (a.dr, h1), a.dr)
             zeros(f"{head}_b1", (h1,))
@@ -115,7 +117,10 @@ class PolicyParams:
         return {name: t.data for name, t in self.tensors.items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Load every parameter by name; arrays of no parameter are ignored."""
+        """Load every parameter by name; the names must match exactly."""
+        unmatched = arrays.keys() ^ self.tensors.keys()
+        if unmatched:
+            raise ValueError(f"arrays and parameters differ in {sorted(unmatched)}")
         for name, t in self.tensors.items():
             src = np.asarray(arrays[name], dtype=np.float64)
             if src.shape != t.data.shape:
@@ -134,13 +139,6 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return ad.add(ad.matmul(x, w), b)
 
 
-def _dropout_mask(rng: np.random.Generator | None, shape: tuple[int, ...], rate: float) -> np.ndarray:
-    if rng is None:
-        raise ValueError("train-mode forward needs a dropout rng")
-    keep = rng.random(shape) >= rate
-    return keep / (1.0 - rate)
-
-
 def transformer_embed(
     params: PolicyParams,
     first_pass_norm: np.ndarray,
@@ -155,8 +153,11 @@ def transformer_embed(
     k = ad.matmul(x, params["attn_wk"])
     v = _linear(x, params["attn_wv"], params["attn_bv"])
     mask = None
-    if train_mode and a.dropout_rate > 0.0:
-        mask = _dropout_mask(dropout_rng, (a.heads, T, T), a.dropout_rate)
+    if train_mode:
+        if dropout_rng is None:
+            raise ValueError("train-mode forward needs a dropout rng")
+        keep = dropout_rng.random((a.heads, T, T)) >= DROPOUT_RATE
+        mask = keep / (1.0 - DROPOUT_RATE)
     attn = ad.attention(q, k, v, params["rel_bias"], REL_RADIUS, mask)
     merged = _linear(attn, params["attn_wo"], params["attn_bo"])
     z = ad.relu(_linear(merged, params["ffn_w1"], params["ffn_b1"]))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import EpisodeData
 from .features import FeatureSpec
-from .network import ArchConfig, ForwardResult, PolicyParams, arch_from_preset, forward
+from .network import ForwardResult, PolicyParams, arch_from_preset, forward
 
 __all__ = [
     "TrainConfig",
@@ -39,7 +39,7 @@ __all__ = [
     "CHECKPOINT_SCHEMA",
 ]
 
-CHECKPOINT_SCHEMA = "policy.v1"
+CHECKPOINT_SCHEMA = "policy.v2"
 
 # Adam's moment decays and denominator guard.
 ADAM_BETA1 = 0.9
@@ -269,15 +269,19 @@ def write_training_log(path: str | Path, rows: Sequence[dict]) -> None:
 def save_checkpoint(
     path: str | Path, params: PolicyParams, spec: FeatureSpec, config: TrainConfig
 ) -> None:
-    """Single-file npz container: parameters + feature spec + config."""
+    """Single-file npz container: parameters + feature spec + config.
+
+    Loading rebuilds the architecture from ``config.preset`` and the spec's
+    bundle width, as ``train`` does, so params of another one are refused.
+    """
+    arch = arch_from_preset(config.preset, spec.bundle_dim)
+    if params.arch != arch:
+        raise ValueError(
+            f"params have architecture {params.arch}, but preset {config.preset!r} builds {arch}"
+        )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "schema": CHECKPOINT_SCHEMA,
-        "arch": asdict(params.arch),
-        "train_config": asdict(config),
-        "param_seed": params.seed,
-    }
+    meta = {"schema": CHECKPOINT_SCHEMA, "train_config": asdict(config)}
     arrays: dict[str, np.ndarray] = {
         "__meta__": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     }
@@ -298,17 +302,12 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParams, FeatureSpec, TrainC
             raise SchemaError(
                 f"{path}: expected schema {CHECKPOINT_SCHEMA!r}, found {meta.get('schema')!r}"
             )
-        arch_cfg = meta["arch"]
-        arch_cfg["head_hidden"] = tuple(arch_cfg["head_hidden"])
-        arch = ArchConfig(**arch_cfg)
-        params = PolicyParams(arch, seed=meta["param_seed"])
-        params.load_state_arrays(
-            {k[len("param/"):]: bundle[k] for k in bundle.files if k.startswith("param/")}
-        )
+        config = TrainConfig(**meta["train_config"])
         spec = FeatureSpec.from_arrays(
             {k[len("spec/"):]: bundle[k] for k in bundle.files if k.startswith("spec/")}
         )
-        # Checkpoints from before some settings became constants still load.
-        known = {f.name for f in fields(TrainConfig)}
-        config = TrainConfig(**{k: v for k, v in meta["train_config"].items() if k in known})
+        params = PolicyParams(arch_from_preset(config.preset, spec.bundle_dim))
+        params.load_state_arrays(
+            {k[len("param/"):]: bundle[k] for k in bundle.files if k.startswith("param/")}
+        )
     return params, spec, config

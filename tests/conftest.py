@@ -3,8 +3,8 @@ import pytest
 from hypothesis import settings
 
 from ratelab import simenc
-from ratelab.policy.features import fit_feature_spec
-from ratelab.policy.network import PolicyParams, arch_from_preset
+
+from helpers import FAST_CONFIG
 
 # Property tests run the same examples on every run and never time out, so
 # tier-1 stays reproducible on slow or loaded machines.
@@ -12,9 +12,6 @@ settings.register_profile(
     "ratelab", derandomize=True, deadline=None, max_examples=40, database=None
 )
 settings.load_profile("ratelab")
-
-# Short videos keep the suites fast; the encoder model is scale-free in T.
-FAST_CONFIG = simenc.VideoConfig(num_frames_min=40, num_frames_max=60)
 
 
 @pytest.fixture(scope="session")
@@ -35,67 +32,6 @@ def gop(video):
 @pytest.fixture(scope="session")
 def small_corpus():
     return simenc.generate_corpus(6, master_seed=99, config=FAST_CONFIG)
-
-
-def constant_video(
-    num_frames=4,
-    intra_energy=99.0,
-    noise_energy=1.0,
-    inter_fraction=0.5,
-    rate_multiplier=1.0,
-    width=160,
-    height=240,
-    frame_rate=30.0,
-):
-    """Hand-built video with identical latents on every frame."""
-    latent = dict(
-        intra_energy=intra_energy,
-        inter_fraction=inter_fraction,
-        noise_energy=noise_energy,
-        rate_multiplier=rate_multiplier,
-        mv_row_mean=0.0,
-        mv_row_abs=0.5,
-        mv_col_mean=0.0,
-        mv_col_abs=0.5,
-        mv_row_var=0.25,
-        mv_col_var=0.25,
-        mv_in_out=0.0,
-        scene_id=0,
-    )
-    row = tuple(latent[name] for name in simenc.LATENT_FIELDS)
-    frames = np.array([row] * num_frames, dtype=simenc.LATENT_DTYPE)
-    first_pass = np.array(
-        [simenc._first_pass_row(f, i, num_frames, frame_rate) for i, f in enumerate(frames)]
-    )
-    return simenc.SyntheticVideo(
-        video_id="const",
-        seed=0,
-        width=width,
-        height=height,
-        frame_rate=frame_rate,
-        frames=frames,
-        first_pass=first_pass,
-    )
-
-
-def all_inter_gop(num_frames):
-    """GOP with every frame INTER (for allocation symmetry tests)."""
-    types = tuple(simenc.FrameType.INTER for _ in range(num_frames))
-    return simenc.GopPlan(frame_types=types, show=tuple(True for _ in range(num_frames)))
-
-
-def tiny_policy(videos, target_bitrate_kbps=512.0, seed=0):
-    """Untrained tiny-preset params and a feature spec fitted on ``videos``."""
-    scalars = {
-        name: [float(getattr(v, name)) for v in videos]
-        for name in ("width", "height", "duration", "frame_rate")
-    }
-    spec = fit_feature_spec(
-        [v.first_pass for v in videos],
-        {**scalars, "target_bitrate_kbps": [target_bitrate_kbps], "prev_mse": [1.0, 20.0]},
-        seed=seed,
-    )
-    return PolicyParams(arch_from_preset("tiny", spec.bundle_dim), seed=seed), spec
 
 
 @pytest.fixture

@@ -6,7 +6,9 @@ of the encoder or its video representation must leave these bytes alone.
 Those digests were taken from the code as it stood before the video became
 columnar. The policy path's pins (a tiny-preset training log and checkpoint,
 and a controlled rollout's traces, bounds and control events) were taken
-from the code as it stood before the rollout and recurrent-core fast paths.
+from the code as it stood before the rollout and recurrent-core fast paths;
+the checkpoint's was retaken when its metadata became ``policy.v2``, with
+every parameter and spec array unchanged.
 Change a digest only with a change that means to change the bytes.
 """
 
@@ -21,13 +23,13 @@ from ratelab import baseline, inference, simenc, teacher
 from ratelab.policy import data
 from ratelab.policy.train import TrainConfig, save_checkpoint, train, write_training_log
 
-from conftest import FAST_CONFIG
+from helpers import FAST_CONFIG
 
 CORPUS_SHA256 = "83dbd353a8d56eec7ab1fe92d0fd95db77d696f760932bd4ab1944fe6b56a41c"
 BASELINE_TRACES_SHA256 = "c62a835cc49e66e8b26fdfe92c0dccc0a7c825d35212f93c8a89277930a5bd38"
 TEACHER_SHA256 = "221fc06ad830c4cb837f57bf66feb5c260ecfd8a55488e5db0589246704de88e"
 TRAIN_LOG_SHA256 = "ff1eabca69ea4057b63e99713201f1930d3cb33a3423a3e3ff0687ac444d6d2e"
-CHECKPOINT_SHA256 = "e638db6f0c600796976e01f4ec68c14ab5c13a7c3adec3cdbf1451c15ce00b9d"
+CHECKPOINT_SHA256 = "f31c2dea273e2f10a4e49386520f6fabfd778fbbd3e9d7a43811374a5f9873bf"
 POLICY_TRACES_SHA256 = "13bc7551d68bd8a7b2ee64ec7444624748480058a079be9ca4ffc1d292f53659"
 BOUNDS_SHA256 = "1c4e358179616ed65d428a3194c293cabea9462a4a09829b3d41fc7a803a9380"
 CONTROL_EVENTS_SHA256 = "c13de1425d1e22cf237dad0a1b2d4930787b23ccd9b17cfabcb182915003cabe"

@@ -14,7 +14,7 @@ from ratelab.baseline import (
 )
 from ratelab.simenc import EncodeState, FrameType, encode_frame, plan_gop
 
-from conftest import FAST_CONFIG, all_inter_gop, constant_video
+from helpers import FAST_CONFIG, all_inter_gop, constant_video
 
 
 def scan_oracle(video, gop, state, target_bits):

@@ -12,7 +12,7 @@ import pytest
 from ratelab import inference, simenc
 from ratelab.inference import BoundsModel, LogBound
 
-from conftest import tiny_policy
+from helpers import tiny_policy
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 

@@ -8,7 +8,7 @@ from ratelab import cli, inference, metrics, simenc, teacher
 from ratelab.io import write_jsonl
 from ratelab.policy import TrainConfig, save_checkpoint
 
-from conftest import tiny_policy
+from helpers import tiny_policy
 
 
 def run(args):
@@ -173,6 +173,7 @@ def test_build_dataset_matches_library(tmp_path, corpus_dir):
         "train --corpus c --dataset d --lr-decay",
         "fit-bounds --traces t --target",
         "evaluate --corpus c --gop-interval",
+        "evaluate --corpus c --within-pct",
     ],
 )
 def test_removed_flags_exit_code(tmp_path, capsys, argv):
@@ -229,7 +230,6 @@ def test_pipeline_runs_every_stage_on_earlier_artifacts(tmp_path):
     "argv, artifact",
     [
         ("evaluate --target inf", "policy_traces.jsonl"),
-        ("evaluate --within-pct nan", "policy_traces.jsonl"),
         ("run-baseline --targets inf", "baseline_traces.jsonl"),
         ("build-dataset --bitrate-range 256,inf", "teacher.jsonl"),
         ("evaluate --alpha nan", "policy_traces.jsonl"),
@@ -386,7 +386,7 @@ def test_report_requires_columns(tmp_path):
 
 def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "lab.ini"
-    cfg.write_text("[corpus]\ncount = 2\nseed = 9\nframes_min = 40\nframes_max = 45\n")
+    cfg.write_text("[gen-videos]\ncount = 2\nseed = 9\nframes_min = 40\nframes_max = 45\n")
     out = tmp_path / "gen"
     assert run(["--config", str(cfg), "gen-videos", "--out", str(out)]) == 0
     videos = simenc.load_corpus(out / "corpus.jsonl")
@@ -399,22 +399,43 @@ def test_config_file_defaults(tmp_path):
 
 def test_config_file_key_no_subcommand_takes(tmp_path, capsys):
     cfg = tmp_path / "lab.ini"
-    cfg.write_text("[corpus]\ncount = 2\n[encoder]\ngop_interval = 8\n")
+    cfg.write_text("[gen-videos]\ncount = 2\n[evaluate]\ngop_interval = 8\n")
     assert run(["--config", str(cfg), "gen-videos", "--out", str(tmp_path)]) == 2
-    assert "no subcommand takes gop_interval" in capsys.readouterr().err
+    assert "evaluate takes no gop_interval" in capsys.readouterr().err
     assert not (tmp_path / "corpus.jsonl").exists()
 
 
-def test_config_file_key_set_in_two_sections(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[train]\ncount = 3\n", "train takes no count"),
+        ("[corpus]\ncount = 3\n", "[corpus] names no subcommand"),
+        ("[DEFAULT]\ncount = 3\n", "[DEFAULT] names no subcommand"),
+        ("[gen-videos]\ncount = three\n", "invalid literal for int()"),
+        ("count = 3\n", "no section headers"),
+    ],
+    ids=["other-subcommand", "unknown-section", "default-section", "bad-value", "no-section"],
+)
+def test_config_file_refused_before_any_work(tmp_path, capsys, text, message):
     cfg = tmp_path / "lab.ini"
-    cfg.write_text("[gen-videos]\nseed = 0\n[train]\nseed = 3\n")
+    cfg.write_text(text)
     assert run(["--config", str(cfg), "gen-videos", "--out", str(tmp_path)]) == 2
-    assert "seed is set in two sections, to '0' and '3'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "corpus.jsonl").exists()
-    # One value set in two sections is not ambiguous.
-    cfg.write_text("[gen-videos]\ncount = 2\nseed = 3\n[train]\nseed = 3\n")
-    args = ["--config", str(cfg), "gen-videos", "--frames-max", "100", "--out", str(tmp_path)]
-    assert run(args) == 0
+
+
+def test_config_file_sections_set_their_own_subcommand(tmp_path, corpus_dir, dataset_file):
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text(
+        "[gen-videos]\ncount = 2\nseed = 0\nframes_max = 100\n"
+        f"[train]\nseed = 3\nepochs = 1\ncorpus = {corpus_dir / 'corpus.jsonl'}\n"
+        f"dataset = {dataset_file}\n"
+    )
+    for command, seed in (("gen-videos", 0), ("train", 3)):
+        out = tmp_path / command
+        assert run(["--config", str(cfg), command, "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == seed
+    assert len(simenc.load_corpus(tmp_path / "gen-videos" / "corpus.jsonl")) == 2
 
 
 @pytest.mark.parametrize("rate", ["nan", "inf"])

@@ -36,7 +36,7 @@ from ratelab.policy.features import FRAME_TYPE_ORDER, build_features, episode_fe
 from ratelab.policy.network import REL_RADIUS
 from ratelab.policy.rollout import PolicyRunner, eval_transformer
 
-from conftest import FAST_CONFIG, tiny_policy
+from helpers import FAST_CONFIG, tiny_policy
 
 MSE_CAPS = simenc.QP_MSE_CAP.tolist()
 

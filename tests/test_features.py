@@ -19,7 +19,7 @@ from ratelab.policy.features import (
 )
 from ratelab.teacher import TeacherDataError, TeacherRecord
 
-from conftest import FAST_CONFIG
+from helpers import FAST_CONFIG
 
 
 @pytest.fixture(scope="module")

@@ -24,7 +24,7 @@ from ratelab.inference import (
 )
 from ratelab.policy.rollout import PolicyRunner
 
-from conftest import FAST_CONFIG, tiny_policy
+from helpers import FAST_CONFIG, tiny_policy
 
 
 # ---------------------------------------------------------------------------

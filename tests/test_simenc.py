@@ -21,7 +21,7 @@ from ratelab.simenc import (
     run_episode,
 )
 
-from conftest import FAST_CONFIG, constant_video
+from helpers import FAST_CONFIG, constant_video
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from ratelab.teacher import (
     save_teacher_dataset,
 )
 
-from conftest import FAST_CONFIG
+from helpers import FAST_CONFIG
 
 
 # ---------------------------------------------------------------------------

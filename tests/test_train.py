@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from ratelab import simenc
+from ratelab import cli, simenc
+from ratelab.io import SchemaError
 from ratelab.policy import (
     TrainConfig,
     TrainingDiverged,
@@ -18,7 +21,7 @@ from ratelab.policy.rollout import PolicyRunner
 from ratelab.inference import truncated_sample
 from ratelab.teacher import EsConfig, TeacherConfig, build_teacher_dataset
 
-from conftest import FAST_CONFIG
+from helpers import FAST_CONFIG
 
 
 @pytest.fixture(scope="module")
@@ -129,51 +132,59 @@ def test_checkpoint_roundtrip_bitwise(episodes, spec, tmp_path, rng):
     assert np.array_equal(spec2.qp_embedding, spec.qp_embedding)
 
 
-def test_checkpoint_schema_guard(tmp_path, episodes, spec):
-    from ratelab.io import SchemaError
-    import json
-
-    config = TrainConfig(epochs=1, batch_size=4, seed=7, preset="tiny")
-    result = train(episodes[:1], spec, config)
-    path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, result.params, spec, config)
-    with np.load(path) as bundle:
+def _rewrite_checkpoint(src, dst, edit):
+    """Copy a checkpoint to ``dst``, letting ``edit(meta, arrays)`` change it."""
+    with np.load(src) as bundle:
         arrays = {k: bundle[k] for k in bundle.files}
     meta = json.loads(bytes(arrays["__meta__"]).decode())
-    meta["schema"] = "policy.v999"
+    edit(meta, arrays)
     arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    bad = tmp_path / "bad.npz"
-    with bad.open("wb") as fh:
+    with dst.open("wb") as fh:
         np.savez(fh, **arrays)
-    with pytest.raises(SchemaError):
-        load_checkpoint(bad)
 
 
-def test_loads_checkpoint_with_removed_settings_and_key_bias(tmp_path, spec):
-    """Checkpoints saved before the Adam and learning-rate decay settings
-    were removed, and before the key bias was dropped, still load."""
-    import json
+def test_checkpoint_schema_guard(tmp_path, corpus, spec):
+    path = tmp_path / "ckpt.npz"
+    params = PolicyParams(arch_from_preset("tiny", spec.bundle_dim))
+    save_checkpoint(path, params, spec, TrainConfig())
+    corpus_file = tmp_path / "corpus.jsonl"
+    simenc.save_corpus(corpus_file, list(corpus.values()))
+    for schema in ("policy.v1", "policy.v999"):
+        bad = tmp_path / f"{schema}.npz"
+        _rewrite_checkpoint(path, bad, lambda meta, arrays, tag=schema: meta.update(schema=tag))
+        with pytest.raises(SchemaError):
+            load_checkpoint(bad)
+        argv = ["evaluate", "--corpus", str(corpus_file), "--checkpoint", str(bad)]
+        assert cli.main([*argv, "--out", str(tmp_path / schema)]) == 4
+        assert not (tmp_path / schema / "policy_traces.jsonl").exists()
 
+
+def test_checkpoint_refuses_stray_array_and_setting(tmp_path, spec):
     config = TrainConfig(epochs=1, batch_size=4, seed=7, preset="tiny")
     params = PolicyParams(arch_from_preset("tiny", spec.bundle_dim), seed=4)
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, params, spec, config)
-    with np.load(path) as bundle:
-        arrays = {k: bundle[k] for k in bundle.files}
-    meta = json.loads(bytes(arrays["__meta__"]).decode())
-    meta["train_config"].update(
-        lr_decay=1.0, lr_decay_steps=100.0, adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8
-    )
-    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    arrays["param/attn_bk"] = np.full(params["attn_wk"].data.shape[1], 0.25)
-    old = tmp_path / "old.npz"
-    with old.open("wb") as fh:
-        np.savez(fh, **arrays)
-    params2, _, config2 = load_checkpoint(old)
-    assert config2 == config
-    assert params2.tensors.keys() == params.tensors.keys()
-    for name, tensor in params.items():
-        assert np.array_equal(params2[name].data, tensor.data)
+    key_bias = np.full(params["attn_wk"].data.shape[1], 0.25)
+
+    def add_key_bias(meta, arrays):
+        arrays["param/attn_bk"] = key_bias
+
+    def add_setting(meta, arrays):
+        meta["train_config"]["lr_decay"] = 1.0
+
+    _rewrite_checkpoint(path, tmp_path / "array.npz", add_key_bias)
+    with pytest.raises(ValueError, match="attn_bk"):
+        load_checkpoint(tmp_path / "array.npz")
+    _rewrite_checkpoint(path, tmp_path / "setting.npz", add_setting)
+    with pytest.raises(TypeError, match="lr_decay"):
+        load_checkpoint(tmp_path / "setting.npz")
+
+
+def test_save_checkpoint_refuses_params_of_another_preset(tmp_path, spec):
+    params = PolicyParams(arch_from_preset("paper", spec.bundle_dim))
+    with pytest.raises(ValueError, match="preset 'tiny'"):
+        save_checkpoint(tmp_path / "ckpt.npz", params, spec, TrainConfig(preset="tiny"))
+    assert not (tmp_path / "ckpt.npz").exists()
 
 
 def test_coverage_metric_counts_topk(episodes, spec):
