@@ -72,7 +72,7 @@ def qp_for_target_bits(
     """(qp, bits, mse) of the largest QP whose encode still spends ``target_bits``.
 
     ``energy``, ``gain`` and ``header`` are the frame's RD terms, as
-    ``simenc.rd_terms`` gives them. Frame bits are nonincreasing in QP, so
+    ``simenc.encode_episode`` passes them to its chooser. Frame bits are nonincreasing in QP, so
     the QPs reaching the target form a prefix and the answer is its last
     element: the least-overspending choice, with exact hits resolving to the
     highest QP achieving them. The inverse of the RD formula gives the

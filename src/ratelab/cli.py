@@ -373,7 +373,9 @@ def _apply_config_file(path: str, registry: dict[str, argparse.ArgumentParser]) 
     Each section names a subcommand and sets only that subcommand's flags.
     A section no subcommand has, or a key its subcommand does not take, is a
     ``ConfigFileError``, because it would otherwise do nothing; a value its
-    flag's type cannot parse is a ``ValueError``.
+    flag's type cannot parse is a ``ValueError``, and a parsed value outside
+    the flag's ``choices`` a ``ConfigFileError``: argparse checks choices
+    only on the command line.
     """
     # ``[DEFAULT]`` supplies no defaults to other sections: it names no subcommand.
     parser = configparser.ConfigParser(default_section="")
@@ -396,6 +398,10 @@ def _apply_config_file(path: str, registry: dict[str, argparse.ArgumentParser]) 
                 typed[dest] = action.type(raw)
             else:
                 typed[dest] = raw
+            if action.choices is not None and typed[dest] not in action.choices:
+                raise ConfigFileError(
+                    f"{section} {dest}: invalid choice {raw!r} (choose from {list(action.choices)})"
+                )
             action.required = False
         registry[section].set_defaults(**typed)
 

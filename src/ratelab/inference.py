@@ -360,7 +360,7 @@ class FeedbackController:
         if pos >= candidates.size or candidates[pos] != sampled_qp:
             raise RuntimeError("sampled QP not among the top candidates")
         i = pos + 1
-        b_t = obs.state.cum_bits / obs.video.duration / 1000.0
+        b_t = obs.cum_bits / obs.video.duration / 1000.0
         lower = self._envelope[0][t - 1]
         upper = self._envelope[1][t - 1]
         j = feedback_adjust(i, b_t, lower, upper, self.config.alpha)

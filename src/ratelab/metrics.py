@@ -134,19 +134,11 @@ def rd_curve_from_traces(traces: Sequence[EpisodeTrace]) -> RDCurve:
 # shares from the rows with this same constant.
 WITHIN_PCT = 5.0
 
-SUITE_CSV_COLUMNS = (
-    "video_id",
-    "target_kbps",
-    "bitrate_kbps",
-    "psnr_db",
-    "proj_bitrate_diff_kbps",
-    "proj_bitrate_diff_pct",
-    "proj_psnr_diff_db",
-)
-
 
 @dataclass(frozen=True)
 class SuiteRow:
+    """One ``eval.csv`` row; the columns are the fields, the id then floats."""
+
     video_id: str
     target_kbps: float
     bitrate_kbps: float
@@ -154,6 +146,9 @@ class SuiteRow:
     proj_bitrate_diff_kbps: float  # NaN when outside the reference span
     proj_bitrate_diff_pct: float
     proj_psnr_diff_db: float
+
+
+SUITE_CSV_COLUMNS = tuple(f.name for f in fields(SuiteRow))
 
 
 @dataclass(frozen=True)
@@ -249,17 +244,7 @@ def write_suite_csv(report: SuiteReport, path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(SUITE_CSV_COLUMNS)
         for r in report.rows:
-            writer.writerow(
-                [
-                    r.video_id,
-                    repr(r.target_kbps),
-                    repr(r.bitrate_kbps),
-                    repr(r.psnr_db),
-                    repr(r.proj_bitrate_diff_kbps),
-                    repr(r.proj_bitrate_diff_pct),
-                    repr(r.proj_psnr_diff_db),
-                ]
-            )
+            writer.writerow([r.video_id, *(repr(getattr(r, c)) for c in SUITE_CSV_COLUMNS[1:])])
 
 
 def read_suite_csv(path: str | Path) -> list[SuiteRow]:
@@ -271,14 +256,6 @@ def read_suite_csv(path: str | Path) -> list[SuiteRow]:
         if missing:
             raise SchemaError(f"{path}: missing columns {sorted(missing)}")
         return [
-            SuiteRow(
-                video_id=row["video_id"],
-                target_kbps=float(row["target_kbps"]),
-                bitrate_kbps=float(row["bitrate_kbps"]),
-                psnr_db=float(row["psnr_db"]),
-                proj_bitrate_diff_kbps=float(row["proj_bitrate_diff_kbps"]),
-                proj_bitrate_diff_pct=float(row["proj_bitrate_diff_pct"]),
-                proj_psnr_diff_db=float(row["proj_psnr_diff_db"]),
-            )
+            SuiteRow(row["video_id"], *(float(row[c]) for c in SUITE_CSV_COLUMNS[1:]))
             for row in reader
         ]

@@ -6,7 +6,7 @@ re-encodes them, and must reproduce the recorded bits exactly (else
 ``TeacherDataError``). Under teacher forcing, step t sees label t - 1 as its
 previous frame, so one ``build_features`` call, the code rollouts run per
 frame, builds all of an episode's bundles from the replay's columns, in
-place of the ``EncodeState`` a rollout reads them from.
+place of the ``Observation`` a rollout reads them from.
 """
 
 from __future__ import annotations

@@ -210,8 +210,8 @@ def build_features(
 
     ``episode`` holds the steps' ``episode_features`` rows; the rest are
     scalars or (T,) arrays: ``frame_type`` indexes ``FRAME_TYPE_ORDER``;
-    ``prev_qp``, ``prev_bits`` and ``prev_mse`` are ``EncodeState.last`` of
-    each step and ``cum_bits`` its ``EncodeState.cum_bits``; ``budget_bits``
+    ``prev_qp``, ``prev_bits`` and ``prev_mse`` are ``Observation.last`` of
+    each step and ``cum_bits`` its ``Observation.cum_bits``; ``budget_bits``
     is the episode's ``target_bitrate_kbps * 1000.0 * duration``, the
     denominator of the cumulative-bits ratio. ``prev_qp`` is the label under
     teacher forcing, the policy's action in a rollout, and -1 (embedded as

@@ -6,7 +6,7 @@ advances one ``autodiff.lstm_cell`` step per frame, because each frame's
 input bundle depends on the QPs chosen before it; it comes from the feature
 code training uses, ``episode_features`` of the observation's video at
 frame 0 and one ``build_features`` row per frame, from the observation's
-``EncodeState``. The core's input projection is split: at frame 0 one
+encode history. The core's input projection is split: at frame 0 one
 product projects every frame's embedding and the bundle's first
 ``fixed_dim`` columns, which the episode fixes, and each frame multiplies
 only the rest, its history columns; the sums differ from training's one
@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..simenc import Observation, check_gop
+from ..simenc import Observation
 from .autodiff import lstm_cell, no_grad
 from .features import FRAME_TYPE_ORDER, FeatureSpec, build_features, episode_features
 from .network import PolicyParams, transformer_embed
@@ -85,7 +85,6 @@ class PolicyRunner:
 
     def _reset(self, obs: Observation) -> None:
         video = obs.video
-        check_gop(video, obs.gop)
         fp_norm = self.spec.normalize_first_pass(video.first_pass)
         embed = eval_transformer(self.params, fp_norm)
         self._episode = episode_features(self.spec, video, obs.target_bitrate_kbps)
@@ -111,12 +110,9 @@ class PolicyRunner:
         """Advance the recurrent state and return this frame's QP logits."""
         if obs.frame_index == 0 or self._fixed is None:
             self._reset(obs)
-        state = obs.state
-        t = state.cursor
-        prev_qp, prev_bits, prev_mse = state.last
+        t = obs.frame_index
         bundle = build_features(
-            self.spec, self._episode[t], self._types[t], prev_qp, prev_bits, prev_mse,
-            state.cum_bits, self._budget_bits,
+            self.spec, self._episode[t], self._types[t], *obs.last, obs.cum_bits, self._budget_bits
         )
         pre = self._hs[t] @ self._wh
         pre += self._fixed[t]

@@ -22,23 +22,20 @@ first-pass statistics one (T, 25) matrix, the form policies read them in.
 The encoder formula has two forms with one set of inputs: a frame's energy,
 from ``_frame_energy`` on the reference state, and its gain and header, from
 per-frame constants cached as (T,) tuples on the video and on the GOP plan.
-``rate_distortion`` is the scalar form, on Python floats. ``encode_frame``
-calls it, and so do the choosers of ``encode_episode``, a loop that carries
-the reference state as floats and takes each frame's (qp, bits, mse) from
-its chooser: ``replay_qp_sequence`` encodes the given QP, and the
-baseline's QP search returns its winning trial encode. ``encode_batch`` is
-the row form, for B whole episodes at once (ES populations): its frame loop
-carries the energies and MSEs the reference state needs, and the bits of
-every frame follow in one pass after it. Both take the logarithm with
-``math.log2``, because numpy's vectorized ``log2`` can differ from it in the
-last bit and teacher labels are verified by exact replay; property tests
-pin the two forms equal bit for bit.
-
-There are two episode loops. ``run_episode``, for learned policies, asks a
-policy callback for each frame's QP, passing an ``Observation``: the video,
-its GOP plan, the target and the ``EncodeState`` before that frame. Policies
-derive their inputs from these at the source. ``encode_episode`` builds
-neither observations nor encoder states.
+``rate_distortion`` is the scalar form, on Python floats. The choosers of
+``encode_episode`` call it; that is the one episode loop, which carries the
+reference state as floats and takes each frame's (qp, bits, mse) from its
+chooser. ``replay_qp_sequence`` encodes the given QP, the baseline's QP
+search returns its winning trial encode, and ``run_episode``, for learned
+policies, asks a policy callback for the QP, passing an ``Observation``:
+the video, its GOP plan, the target, the frame index, the bits spent and
+the previous frame's (qp, bits, mse). ``encode_batch`` is the row form, for
+B whole episodes at once (ES populations): its frame loop carries the
+energies and MSEs the reference state needs, and the bits of every frame
+follow in one pass after it. Both take the logarithm with ``math.log2``,
+because numpy's vectorized ``log2`` can differ from it in the last bit and
+teacher labels are verified by exact replay; property tests pin the two
+forms equal bit for bit.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,7 +61,6 @@ __all__ = [
     "SyntheticVideo",
     "VideoConfig",
     "GopPlan",
-    "EncodeState",
     "Observation",
     "EpisodeTrace",
     "generate_video",
@@ -73,7 +69,6 @@ __all__ = [
     "check_gop",
     "quantizer_step",
     "rate_distortion",
-    "rd_terms",
     "encode_frame",
     "encode_batch",
     "episode_reward",
@@ -132,7 +127,7 @@ class ConfigError(ValueError):
 
 
 class EpisodeError(RuntimeError):
-    """Stepping past the end of an episode, or finalizing an incomplete one."""
+    """QPs for another number of frames, or finalizing an incomplete episode."""
 
 
 class FrameType(Enum):
@@ -490,22 +485,6 @@ HEADER_BITS = {FrameType.KEY: 4000.0, FrameType.ALT_REF_HIDDEN: 2500.0, FrameTyp
 REFERENCE_BLOCKS = 1200
 
 
-@dataclass(frozen=True)
-class EncodeState:
-    """Reference-quality state of the encoder between frames.
-
-    Immutable; ``encode_frame`` returns the successor state. A single state
-    value must not be advanced from two threads at once, but distinct
-    episodes are fully independent.
-    """
-
-    cursor: int = 0
-    d_last: float = 0.0
-    d_golden: float = 0.0
-    cum_bits: float = 0.0
-    last: tuple[int, float, float] = (-1, 0.0, 0.0)  # (qp, bits, mse) of the previous frame
-
-
 def quantizer_step(qp: int) -> float:
     """Map integer QP 0..255 to its quantizer step size (strictly increasing)."""
     if not isinstance(qp, (int, np.integer)) or isinstance(qp, bool):
@@ -561,27 +540,11 @@ def _frame_header(video: SyntheticVideo, header_bits):
     return header_bits * video.n_blocks / REFERENCE_BLOCKS
 
 
-def rd_terms(
-    video: SyntheticVideo, gop: GopPlan, state: EncodeState
-) -> tuple[float, float, float]:
-    """(energy, gain, header) of the frame at the state's cursor.
-
-    ``rate_distortion(energy, quantizer_step(qp), gain, header)`` is then
-    that frame's (bits, mse) at ``qp``, as ``encode_frame`` computes them.
-    """
-    t = state.cursor
-    if t >= video.num_frames:
-        raise EpisodeError(f"episode ended at frame {video.num_frames}, cannot encode frame {t}")
-    check_gop(video, gop)
-    energy = _frame_energy(video, gop, t, state.d_last, state.d_golden)
-    return energy, video.gain[t], _frame_header(video, gop.header_bits[t])
-
-
 def encode_batch(video: SyntheticVideo, gop: GopPlan, qps) -> tuple[np.ndarray, np.ndarray]:
     """Encode B whole episodes at once: ``qps`` (B, T) -> (bits, mse), each (B, T).
 
-    The row form of the encoder; row i is bitwise equal to encoding
-    ``qps[i]`` frame by frame with ``encode_frame``. The frame loop carries
+    The row form of the encoder; row i is bitwise equal to
+    ``replay_qp_sequence`` of ``qps[i]``. The frame loop carries
     only the recurrence, each frame's energy and MSE over the B rows; the
     bits of all (T, B) elements follow in one pass, with the arithmetic of
     ``rate_distortion``, operation for operation.
@@ -613,25 +576,9 @@ def encode_batch(video: SyntheticVideo, gop: GopPlan, qps) -> tuple[np.ndarray, 
     return bits.T, mse.T
 
 
-def encode_frame(
-    video: SyntheticVideo, gop: GopPlan, state: EncodeState, qp: int
-) -> tuple[float, float, EncodeState]:
-    """Encode the frame at the state's cursor with ``qp``.
-
-    Pure: identical inputs produce identical outputs. Returns
-    (bits, mse, next_state).
-    """
-    energy, gain, header = rd_terms(video, gop, state)
-    bits, mse = rate_distortion(energy, quantizer_step(qp), gain, header)
-    t = state.cursor
-    next_state = EncodeState(
-        cursor=t + 1,
-        d_last=mse,
-        d_golden=mse if gop.refreshes_golden[t] else state.d_golden,
-        cum_bits=state.cum_bits + bits,
-        last=(int(qp), bits, mse),
-    )
-    return bits, mse, next_state
+def encode_frame(energy: float, gain: float, header: float, qp: int) -> tuple[int, float, float]:
+    """Commit ``qp`` for the frame with RD terms (energy, gain, header): (qp, bits, mse)."""
+    return (qp, *rate_distortion(energy, quantizer_step(qp), gain, header))
 
 
 # ---------------------------------------------------------------------------
@@ -642,26 +589,22 @@ def encode_frame(
 PENALTY_PER_KBPS = 0.02
 
 
-@dataclass(frozen=True)
-class Observation:
-    """What a policy sees before choosing the QP of the frame at ``state.cursor``.
+class Observation(NamedTuple):
+    """What a policy sees before choosing the QP of frame ``frame_index``.
 
-    The episode's fixed inputs and the encoder state, nothing derived from
-    them. Policies read the video's first-pass matrix and metadata (size,
-    frame rate, length, duration), never its latent ``frames``, and the
-    encode history strictly before the current frame: ``state.last`` is the
-    previous frame's (qp, bits, mse), with qp -1 on the first frame, and
-    ``state`` is where trial encodes start.
+    The episode's fixed inputs and its encode history strictly before the
+    frame, nothing derived from them. Policies read the video's first-pass
+    matrix and metadata (size, frame rate, length, duration), never its
+    latent ``frames``. ``cum_bits`` is the bits spent so far and ``last``
+    the previous frame's (qp, bits, mse), with qp -1 on the first frame.
     """
 
     video: SyntheticVideo
     gop: GopPlan
     target_bitrate_kbps: float
-    state: EncodeState
-
-    @property
-    def frame_index(self) -> int:
-        return self.state.cursor
+    frame_index: int
+    cum_bits: float
+    last: tuple[int, float, float]
 
 
 @dataclass(frozen=True)
@@ -770,18 +713,15 @@ def run_episode(
     policy_callback: Callable[[Observation], int],
 ) -> EpisodeTrace:
     """Encode a full episode, querying ``policy_callback`` once per frame."""
-    _check_target(target_bitrate_kbps)
-    state = EncodeState()
-    qps: list[int] = []
-    bits: list[float] = []
-    mses: list[float] = []
-    for _ in range(video.num_frames):
-        qp = int(policy_callback(Observation(video, gop, target_bitrate_kbps, state)))
-        b, m, state = encode_frame(video, gop, state, qp)
-        qps.append(qp)
-        bits.append(b)
-        mses.append(m)
-    return _finalize_trace(video, gop, target_bitrate_kbps, qps, bits, mses)
+    last = (-1, 0.0, 0.0)
+
+    def choose(t, cum_bits, energy, gain, header):
+        nonlocal last
+        qp = int(policy_callback(Observation(video, gop, target_bitrate_kbps, t, cum_bits, last)))
+        last = encode_frame(energy, gain, header, qp)
+        return last
+
+    return encode_episode(video, gop, target_bitrate_kbps, choose)
 
 
 def encode_episode(

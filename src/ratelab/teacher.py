@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -324,30 +324,16 @@ def build_teacher_dataset(
 
 
 def record_to_dict(rec: TeacherRecord) -> dict:
-    return {
-        "video_id": rec.video_id,
-        "target_bitrate_kbps": rec.target_bitrate_kbps,
-        "provenance": rec.provenance,
-        "label_qps": list(rec.label_qps),
-        "label_bits": list(rec.label_bits),
-        "baseline_qps": list(rec.baseline_qps),
-        "psnr_db": rec.psnr_db,
-        "bitrate_kbps": rec.bitrate_kbps,
-        "reward": rec.reward,
-    }
+    """A ``teacher.jsonl`` row: the record's fields in order; tuples become JSON arrays."""
+    return {f.name: getattr(rec, f.name) for f in fields(TeacherRecord)}
 
 
 def record_from_dict(d: dict) -> TeacherRecord:
     return TeacherRecord(
-        video_id=d["video_id"],
-        target_bitrate_kbps=d["target_bitrate_kbps"],
-        provenance=d["provenance"],
-        label_qps=tuple(int(q) for q in d["label_qps"]),
-        label_bits=tuple(d["label_bits"]),
-        baseline_qps=tuple(int(q) for q in d["baseline_qps"]),
-        psnr_db=d["psnr_db"],
-        bitrate_kbps=d["bitrate_kbps"],
-        reward=d["reward"],
+        **{
+            f.name: tuple(d[f.name]) if isinstance(d[f.name], list) else d[f.name]
+            for f in fields(TeacherRecord)
+        }
     )
 
 

@@ -1,5 +1,7 @@
 """Builders the test modules share; import them with ``from helpers import ...``."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ratelab import simenc
@@ -69,3 +71,82 @@ def tiny_policy(videos, target_bitrate_kbps=512.0, seed=0):
         seed=seed,
     )
     return PolicyParams(arch_from_preset("tiny", spec.bundle_dim), seed=seed), spec
+
+
+# ---------------------------------------------------------------------------
+# Reference encoder: a frozen state stepped one frame at a time, the episode
+# loop ``simenc.run_episode`` replaced. Tests pin the library's loop, the
+# baseline and the QP search against it.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EncodeState:
+    """Reference-quality state of the encoder between frames."""
+
+    cursor: int = 0
+    d_last: float = 0.0
+    d_golden: float = 0.0
+    cum_bits: float = 0.0
+    last: tuple[int, float, float] = (-1, 0.0, 0.0)  # (qp, bits, mse) of the previous frame
+
+
+@dataclass(frozen=True)
+class StateObservation:
+    """An observation read from an ``EncodeState``; it has the fields of
+    ``simenc.Observation``, so policies run on either loop."""
+
+    video: simenc.SyntheticVideo
+    gop: simenc.GopPlan
+    target_bitrate_kbps: float
+    state: EncodeState
+
+    @property
+    def frame_index(self):
+        return self.state.cursor
+
+    @property
+    def cum_bits(self):
+        return self.state.cum_bits
+
+    @property
+    def last(self):
+        return self.state.last
+
+
+def rd_terms(video, gop, state):
+    """(energy, gain, header) of the frame at the state's cursor."""
+    t = state.cursor
+    if t >= video.num_frames:
+        raise simenc.EpisodeError(f"episode ended at frame {video.num_frames}, cannot encode {t}")
+    simenc.check_gop(video, gop)
+    energy = simenc._frame_energy(video, gop, t, state.d_last, state.d_golden)
+    return energy, video.gain[t], simenc._frame_header(video, gop.header_bits[t])
+
+
+def step_frame(video, gop, state, qp):
+    """Encode the frame at the state's cursor with ``qp``: (bits, mse, next_state)."""
+    energy, gain, header = rd_terms(video, gop, state)
+    bits, mse = simenc.rate_distortion(energy, simenc.quantizer_step(qp), gain, header)
+    t = state.cursor
+    next_state = EncodeState(
+        cursor=t + 1,
+        d_last=mse,
+        d_golden=mse if gop.refreshes_golden[t] else state.d_golden,
+        cum_bits=state.cum_bits + bits,
+        last=(int(qp), bits, mse),
+    )
+    return bits, mse, next_state
+
+
+def reference_episode(video, gop, target_bitrate_kbps, policy_callback):
+    """``simenc.run_episode`` on the stepper: the callback sees a ``StateObservation``."""
+    state = EncodeState()
+    qps, bits, mses = [], [], []
+    for _ in range(video.num_frames):
+        qp = int(policy_callback(StateObservation(video, gop, target_bitrate_kbps, state)))
+        b, m, state = step_frame(video, gop, state, qp)
+        qps.append(qp)
+        bits.append(b)
+        mses.append(m)
+    return simenc._finalize_trace(video, gop, target_bitrate_kbps, qps, bits, mses)

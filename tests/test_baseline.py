@@ -12,26 +12,33 @@ from ratelab.baseline import (
     qp_for_target_bits,
     run_baseline,
 )
-from ratelab.simenc import EncodeState, FrameType, encode_frame, plan_gop
+from ratelab.simenc import FrameType, plan_gop
 
-from helpers import FAST_CONFIG, all_inter_gop, constant_video
+from helpers import (
+    FAST_CONFIG,
+    EncodeState,
+    all_inter_gop,
+    constant_video,
+    rd_terms,
+    step_frame,
+)
 
 
 def scan_oracle(video, gop, state, target_bits):
     """Independent linear scan: largest QP whose bits still reach the target,
-    0 when no QP reaches it; with that QP's (bits, mse) from ``encode_frame``."""
+    0 when no QP reaches it; with that QP's (bits, mse) from ``step_frame``."""
     best = None
     for qp in range(256):
-        bits, _, _ = encode_frame(video, gop, state, qp)
+        bits, _, _ = step_frame(video, gop, state, qp)
         if bits >= target_bits:
             best = qp
     qp = 0 if best is None else best
-    return (qp, *encode_frame(video, gop, state, qp)[:2])
+    return (qp, *step_frame(video, gop, state, qp)[:2])
 
 
 def search(video, gop, state, target_bits):
     """``qp_for_target_bits`` on the RD terms of the frame at the state's cursor."""
-    return qp_for_target_bits(*simenc.rd_terms(video, gop, state), target_bits)
+    return qp_for_target_bits(*rd_terms(video, gop, state), target_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -78,27 +85,27 @@ def test_zero_weight_rejected():
 
 def test_qp_search_clamps(video, gop):
     state = EncodeState()
-    huge, _, _ = encode_frame(video, gop, state, 0)
-    tiny, _, _ = encode_frame(video, gop, state, 255)
+    huge, _, _ = step_frame(video, gop, state, 0)
+    tiny, _, _ = step_frame(video, gop, state, 255)
     for target, qp in ((huge * 2, 0), (tiny * 0.5, 255)):
-        assert search(video, gop, state, target) == (qp, *encode_frame(video, gop, state, qp)[:2])
+        assert search(video, gop, state, target) == (qp, *step_frame(video, gop, state, qp)[:2])
 
 
 def test_qp_search_matches_scan_oracle(video, gop, rng):
     state = EncodeState()
     # Walk a few frames to vary reference state, probing random targets.
     for step in range(12):
-        lo, _, _ = encode_frame(video, gop, state, 255)
-        hi, _, _ = encode_frame(video, gop, state, 0)
+        lo, _, _ = step_frame(video, gop, state, 255)
+        hi, _, _ = step_frame(video, gop, state, 0)
         for _ in range(8):
             target = float(rng.uniform(lo * 0.5, hi * 1.2))
             assert search(video, gop, state, target) == scan_oracle(video, gop, state, target)
-        _, _, state = encode_frame(video, gop, state, int(rng.integers(80, 200)))
+        _, _, state = step_frame(video, gop, state, int(rng.integers(80, 200)))
 
 
 def probes_of_search(video, gop, state, target):
     """``simenc.rate_distortion`` calls one ``qp_for_target_bits`` makes."""
-    terms = simenc.rd_terms(video, gop, state)
+    terms = rd_terms(video, gop, state)
     with mock.patch.object(simenc, "rate_distortion", wraps=simenc.rate_distortion) as spy:
         qp_for_target_bits(*terms, target)
     return spy.call_count
@@ -109,10 +116,10 @@ def test_qp_search_trial_encodes_at_most_three_qps(video, gop, rng):
     most 3 probes: both sides of the edge, and one more when it moved."""
     state = EncodeState()
     for _ in range(12):
-        hi, _, _ = encode_frame(video, gop, state, 0)
+        hi, _, _ = step_frame(video, gop, state, 0)
         for target in (hi * 2, hi * 1e-3, float(rng.uniform(0.0, hi))):
             assert 1 <= probes_of_search(video, gop, state, target) <= 3
-        _, _, state = encode_frame(video, gop, state, int(rng.integers(80, 200)))
+        _, _, state = step_frame(video, gop, state, int(rng.integers(80, 200)))
 
 
 @pytest.mark.parametrize("shift", [-3, -1, 1, 3])
@@ -124,17 +131,17 @@ def test_qp_search_settles_any_misplaced_start(video, gop, rng, monkeypatch, shi
     )
     state = EncodeState()
     for _ in range(12):
-        lo, _, _ = encode_frame(video, gop, state, 255)
-        hi, _, _ = encode_frame(video, gop, state, 0)
-        edge, _, _ = encode_frame(video, gop, state, int(rng.integers(0, 256)))
+        lo, _, _ = step_frame(video, gop, state, 255)
+        hi, _, _ = step_frame(video, gop, state, 0)
+        edge, _, _ = step_frame(video, gop, state, int(rng.integers(0, 256)))
         for target in (lo * 0.5, float(rng.uniform(lo, hi)), hi * 1.2, edge):
             assert search(video, gop, state, target) == scan_oracle(video, gop, state, target)
-        _, _, state = encode_frame(video, gop, state, int(rng.integers(80, 200)))
+        _, _, state = step_frame(video, gop, state, int(rng.integers(80, 200)))
 
 
 def test_qp_search_exact_hit_prefers_highest_qp(video, gop):
     state = EncodeState()
-    bits_at_100, _, _ = encode_frame(video, gop, state, 100)
+    bits_at_100, _, _ = step_frame(video, gop, state, 100)
     qp, found, mse = search(video, gop, state, bits_at_100)
     assert (qp, found, mse) == scan_oracle(video, gop, state, bits_at_100)
     assert found >= bits_at_100
@@ -169,10 +176,10 @@ def test_baseline_budget_closure(video, gop):
     state = EncodeState()
     granularity = 0.0
     for qp in trace.qps:
-        here, _, _ = encode_frame(video, gop, state, qp)
-        below, _, _ = encode_frame(video, gop, state, min(qp + 1, 255))
+        here, _, _ = step_frame(video, gop, state, qp)
+        below, _, _ = step_frame(video, gop, state, min(qp + 1, 255))
         granularity = max(granularity, here - below)
-        _, _, state = encode_frame(video, gop, state, qp)
+        _, _, state = step_frame(video, gop, state, qp)
     assert abs(math.fsum(trace.bits) - budget) <= granularity + 1e-6
 
 

@@ -61,6 +61,7 @@ def test_traced_rollout_counts_one_feedback_event_per_frame_after_the_first(
     with tracing.installed(tracing.Tracer()) as tracer:
         simenc.run_episode(video, gop, 512.0, runner)
     assert tracer.counts["inference.feedback.events"] == video.num_frames - 1
+    assert tracer.counts["simenc.encode_frame"] == video.num_frames
     assert tracer.counts["inference.feedback.triggered"] == sum(
         e.triggered for e in controller.events
     )

@@ -412,9 +412,13 @@ def test_config_file_key_no_subcommand_takes(tmp_path, capsys):
         ("[corpus]\ncount = 3\n", "[corpus] names no subcommand"),
         ("[DEFAULT]\ncount = 3\n", "[DEFAULT] names no subcommand"),
         ("[gen-videos]\ncount = three\n", "invalid literal for int()"),
+        ("[train]\npreset = huge\n", "train preset: invalid choice 'huge'"),
         ("count = 3\n", "no section headers"),
     ],
-    ids=["other-subcommand", "unknown-section", "default-section", "bad-value", "no-section"],
+    ids=[
+        "other-subcommand", "unknown-section", "default-section", "bad-value", "bad-choice",
+        "no-section",
+    ],
 )
 def test_config_file_refused_before_any_work(tmp_path, capsys, text, message):
     cfg = tmp_path / "lab.ini"

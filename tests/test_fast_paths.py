@@ -36,7 +36,7 @@ from ratelab.policy.features import FRAME_TYPE_ORDER, build_features, episode_fe
 from ratelab.policy.network import REL_RADIUS
 from ratelab.policy.rollout import PolicyRunner, eval_transformer
 
-from helpers import FAST_CONFIG, tiny_policy
+from helpers import FAST_CONFIG, rd_terms, reference_episode, tiny_policy
 
 MSE_CAPS = simenc.QP_MSE_CAP.tolist()
 
@@ -71,7 +71,7 @@ class ReferenceController:
         candidates = reference_keep(logits, CANDIDATE_POOL)
         i = int(np.searchsorted(candidates, sampled_qp)) + 1
         x = obs.frame_index / obs.video.num_frames
-        b_t = obs.state.cum_bits / obs.video.duration / 1000.0
+        b_t = obs.cum_bits / obs.video.duration / 1000.0
         lower = self.bounds.lower(x)
         upper = self.bounds.upper(x)
         j = feedback_adjust(i, b_t, lower, upper, self.config.alpha)
@@ -105,18 +105,17 @@ class ReferenceRunner:
         self.logits, self.bits_predictions = [], []
 
     def __call__(self, obs):
-        params, state = self.params, obs.state
-        if obs.frame_index == 0:
+        params, t = self.params, obs.frame_index
+        if t == 0:
             video = obs.video
             self.embed = eval_transformer(params, self.spec.normalize_first_pass(video.first_pass))
             self.episode = episode_features(self.spec, video, obs.target_bitrate_kbps)
             self.budget = obs.target_bitrate_kbps * 1000.0 * video.duration
             self.h = self.c = np.zeros(params.arch.dr)
             self.logits, self.bits_predictions = [], []
-        t = state.cursor
         bundle = build_features(
             self.spec, self.episode[t], FRAME_TYPE_ORDER.index(obs.gop.frame_types[t]),
-            *state.last, state.cum_bits, self.budget,
+            *obs.last, obs.cum_bits, self.budget,
         )
         x = np.concatenate([self.embed[t], bundle])
         pre = x @ params["lstm_wx"].data + self.h @ params["lstm_wh"].data + params["lstm_b"].data
@@ -158,7 +157,7 @@ def reference_qp_for_target_bits(video, gop, state, target_bits):
     """The search that returned only the QP, from the encoder state."""
     if not target_bits > 0:
         raise ValueError("target_bits must be positive")
-    energy, gain, header = simenc.rd_terms(video, gop, state)
+    energy, gain, header = rd_terms(video, gop, state)
 
     def reaches(qp: int) -> bool:
         bits, _ = simenc.rate_distortion(energy, simenc.quantizer_step(qp), gain, header)
@@ -179,8 +178,8 @@ def reference_qp_for_target_bits(video, gop, state, target_bits):
 
 
 class ReferenceBaselinePolicy:
-    """The baseline as a ``run_episode`` callback, which ``encode_frame``
-    then re-encodes at the QP its search chose."""
+    """The baseline as a callback of ``reference_episode``, whose stepper
+    then re-encodes the QP its search chose."""
 
     def __init__(self, video, gop, target_bitrate_kbps):
         self._video = video
@@ -431,21 +430,13 @@ def test_baseline_matches_reference_policy(
     video = simenc.generate_video(seed, config)
     gop = simenc.plan_gop(video, gop_interval)
     policy = ReferenceBaselinePolicy(video, gop, target)
-    assert run_baseline(video, gop, target) == simenc.run_episode(video, gop, target, policy)
+    assert run_baseline(video, gop, target) == reference_episode(video, gop, target, policy)
 
 
 def test_baseline_and_replay_encode_without_encoder_states(video, gop, monkeypatch):
-    """Neither calls ``encode_frame`` nor builds an ``EncodeState``, and each
-    baseline frame makes at most 3 ``rate_distortion`` calls, all in its QP
-    search, whose winning trial is the frame's encode."""
-    built = []
-    init = simenc.EncodeState.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args or kwargs)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(simenc.EncodeState, "__init__", counting_init)
+    """Neither calls ``encode_frame``, which commits only learned-policy
+    frames, and each baseline frame makes at most 3 ``rate_distortion``
+    calls, all in its QP search, whose winning trial is the frame's encode."""
     monkeypatch.setattr(simenc, "encode_frame", mock.Mock(side_effect=AssertionError))
     spy = mock.Mock(wraps=simenc.rate_distortion)
     monkeypatch.setattr(simenc, "rate_distortion", spy)
@@ -462,7 +453,6 @@ def test_baseline_and_replay_encode_without_encoder_states(video, gop, monkeypat
     for target in (256.0, 512.0, 768.0):
         trace = run_baseline(video, gop, target)
         assert simenc.replay_qp_sequence(video, gop, trace.qps, target) == trace
-    assert built == []
     assert len(per_frame) == 3 * video.num_frames
     assert max(per_frame) <= 3
     assert spy.call_count == sum(per_frame) + 3 * video.num_frames  # the replays' encodes

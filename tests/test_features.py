@@ -92,21 +92,21 @@ def _observations(video, qp, target=500.0):
 
 
 def _bundle(obs, spec):
-    video, state, t = obs.video, obs.state, obs.frame_index
+    video, t = obs.video, obs.frame_index
     episode = episode_features(spec, video, obs.target_bitrate_kbps)
     return build_features(
         spec,
         episode[t],
         FRAME_TYPE_ORDER.index(obs.gop.frame_types[t]),
-        *state.last,
-        state.cum_bits,
+        *obs.last,
+        obs.cum_bits,
         obs.target_bitrate_kbps * 1000.0 * video.duration,
     )
 
 
 def test_qp_embedding_lookup(spec, corpus):
     obs = _observations(next(iter(corpus.values())), 17)[1]
-    assert obs.state.last[0] == 17
+    assert obs.last[0] == 17
     bundle = _bundle(obs, spec)
     start = 7 + 2 + EMBED_DIM
     assert bundle[start : start + EMBED_DIM] == pytest.approx(spec.qp_embedding[17])
@@ -114,7 +114,7 @@ def test_qp_embedding_lookup(spec, corpus):
 
 def test_no_previous_frame_embeds_zero(spec, corpus):
     obs = _observations(next(iter(corpus.values())), 17)[0]
-    assert obs.state.last[0] == -1
+    assert obs.last[0] == -1
     bundle = _bundle(obs, spec)
     start = 7 + 2 + EMBED_DIM
     assert np.all(bundle[start : start + EMBED_DIM] == 0.0)

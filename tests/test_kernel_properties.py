@@ -12,9 +12,10 @@ from ratelab.policy import rollout
 from ratelab.policy.data import episodes_from_records, fit_spec_from_records
 from ratelab.policy.features import EMBED_DIM, FRAME_TYPE_ORDER
 from ratelab.policy.network import PolicyParams, arch_from_preset
-from ratelab.simenc import EncodeState, encode_batch, encode_frame
+from ratelab.simenc import encode_batch
 from ratelab.teacher import EsConfig, EsState, TeacherRecord, es_step
 
+from helpers import EncodeState, reference_episode, step_frame
 from test_baseline import probes_of_search, scan_oracle, search
 
 
@@ -41,7 +42,7 @@ def reachable_states(draw):
     row = qps[0]
     state = EncodeState()
     for qp in row[: draw(st.integers(0, video.num_frames - 1))]:
-        _, _, state = encode_frame(video, gop, state, int(qp))
+        _, _, state = step_frame(video, gop, state, int(qp))
     return video, gop, row, state
 
 
@@ -50,7 +51,7 @@ QP_OR_EDGE = st.one_of(st.sampled_from([0, 255]), st.integers(0, 255))
 
 def all_qps(video, gop, state):
     """(bits, mse) of the frame at the state's cursor at each QP 0..255."""
-    bits, mse, _ = zip(*(encode_frame(video, gop, state, qp) for qp in range(256)))
+    bits, mse, _ = zip(*(step_frame(video, gop, state, qp) for qp in range(256)))
     return np.array(bits), np.array(mse)
 
 
@@ -80,9 +81,49 @@ def test_batch_rows_equal_encode_frame_across_hidden_alt_refs(case):
     for i, row in enumerate(qps.tolist()):
         state = EncodeState()
         for t, qp in enumerate(row):
-            frame_bits, frame_mse, state = encode_frame(video, gop, state, qp)
+            frame_bits, frame_mse, state = step_frame(video, gop, state, qp)
             assert (bits[i, t], mse[i, t]) == (frame_bits, frame_mse)
         assert rewards[i] == simenc.replay_qp_sequence(video, gop, row, 400.0).reward
+
+
+@given(
+    frames=st.integers(2, 300),
+    gop_interval=st.integers(2, 32),
+    seed=st.integers(0, 2**32),
+    weights=st.tuples(*(st.integers(0, 255),) * 5),
+)
+@example(frames=2, gop_interval=2, seed=0, weights=(0, 0, 0, 0, 0))
+@example(frames=300, gop_interval=32, seed=1, weights=(7, 1, 255, 3, 11))
+def test_run_episode_equals_reference_stepper(frames, gop_interval, seed, weights):
+    """``run_episode`` on ``encode_episode`` and the stepper of frozen
+    encoder states give equal traces under a policy that reads the frame
+    index, the bits spent and the previous frame, and each observation
+    equals the reference state before its frame, bit for bit."""
+    config = simenc.VideoConfig(num_frames_min=frames, num_frames_max=frames)
+    video = simenc.generate_video(seed, config)
+    gop = simenc.plan_gop(video, gop_interval)
+    a, b, c, d, e = weights
+
+    def policy(obs):
+        qp, bits, mse = obs.last
+        return (a + b * obs.frame_index + c * (qp + 1) + d * int(obs.cum_bits / 997.0)
+                + int(e * mse) + int(bits) % 13) % 256
+
+    observations, states = [], []
+    rolled = simenc.run_episode(
+        video, gop, 400.0, lambda obs: observations.append(obs) or policy(obs)
+    )
+    reference = reference_episode(
+        video, gop, 400.0, lambda obs: states.append(obs.state) or policy(obs)
+    )
+    assert rolled == reference
+    assert len(observations) == len(states) == frames
+    for obs, state in zip(observations, states):
+        assert obs.video is video and obs.gop is gop and obs.target_bitrate_kbps == 400.0
+        assert obs.frame_index == state.cursor
+        assert obs.cum_bits.hex() == state.cum_bits.hex()
+        assert obs.last[0] == state.last[0]
+        assert [x.hex() for x in obs.last[1:]] == [x.hex() for x in state.last[1:]]
 
 
 def test_batch_of_no_rows(video, gop):
@@ -94,7 +135,7 @@ def test_batch_of_no_rows(video, gop):
 @given(reachable_states())
 def test_bits_nonincreasing_mse_nondecreasing_in_qp(case):
     """And 256 ``encode_batch`` rows that share the state's QP prefix and
-    differ at its cursor give there ``encode_frame``'s bits and MSE at
+    differ at its cursor give there ``step_frame``'s bits and MSE at
     every QP, bit for bit."""
     video, gop, row, state = case
     bits, mse = all_qps(video, gop, state)
@@ -109,7 +150,7 @@ def test_bits_nonincreasing_mse_nondecreasing_in_qp(case):
 
 @given(reachable_states())
 def test_kernel_equals_scalar_closed_form(case):
-    """``encode_frame`` is ``rate_distortion``, which uses ``math.log2``, at
+    """``step_frame`` is ``rate_distortion``, which uses ``math.log2``, at
     an energy, gain and header computed here from the latents."""
     video, gop, _, state = case
     latent = dict(zip(simenc.LATENT_FIELDS, video.frames[state.cursor].tolist()))
@@ -136,7 +177,7 @@ def test_kernel_equals_scalar_closed_form(case):
 @given(reachable_states(), st.floats(0.3, 1.5))
 def test_qp_search_matches_scan_oracle(case, scale):
     video, gop, _, state = case
-    finest, _, _ = encode_frame(video, gop, state, 0)
+    finest, _, _ = step_frame(video, gop, state, 0)
     # Targets span both clamps and every QP in between.
     target = float(scale * finest)
     assert search(video, gop, state, target) == scan_oracle(video, gop, state, target)
@@ -147,7 +188,7 @@ def test_qp_search_at_bit_edges(case, qp, toward):
     """Targets at one QP's bits and one ulp either side, where a search that
     misplaces its boundary is off by one."""
     video, gop, _, state = case
-    bits = encode_frame(video, gop, state, qp)[0]
+    bits = step_frame(video, gop, state, qp)[0]
     target = bits if toward is None else float(np.nextafter(bits, toward))
     assert search(video, gop, state, target) == scan_oracle(video, gop, state, target)
 
@@ -160,10 +201,10 @@ def test_qp_search_trial_encodes_at_most_three_qps_at_any_target(case, where):
     """Over random targets and the bit edges of ``test_qp_search_at_bit_edges``."""
     video, gop, _, state = case
     if isinstance(where, float):
-        target = where * encode_frame(video, gop, state, 0)[0]
+        target = where * step_frame(video, gop, state, 0)[0]
     else:
         qp, toward = where
-        bits = encode_frame(video, gop, state, qp)[0]
+        bits = step_frame(video, gop, state, qp)[0]
         target = bits if toward is None else float(np.nextafter(bits, toward))
     assert 1 <= probes_of_search(video, gop, state, target) <= 3
 
@@ -228,9 +269,8 @@ TINY_PARAMS = PolicyParams(arch_from_preset("tiny", 46), seed=0)
 
 def reference_bundle(obs, spec):
     """One observation's 46 input columns, each written out on its own."""
-    video, state, target = obs.video, obs.state, obs.target_bitrate_kbps
-    t = state.cursor
-    prev_qp, prev_bits, prev_mse = state.last
+    video, target, t = obs.video, obs.target_bitrate_kbps, obs.frame_index
+    prev_qp, prev_bits, prev_mse = obs.last
     static = [
         spec.scalar_transform("width", float(video.width)),
         spec.scalar_transform("height", float(video.height)),
@@ -245,8 +285,8 @@ def reference_bundle(obs, spec):
     qp_emb = np.zeros(EMBED_DIM) if prev_qp < 0 else spec.qp_embedding[prev_qp]
     prev = [np.log1p(prev_bits), spec.scalar_transform("prev_mse", prev_mse), 0.0]
     cumulative = [
-        np.log1p(state.cum_bits),
-        state.cum_bits / (target * 1000.0 * video.duration),
+        np.log1p(obs.cum_bits),
+        obs.cum_bits / (target * 1000.0 * video.duration),
     ]
     return np.concatenate([static, position, type_emb, qp_emb, prev, cumulative])
 

@@ -8,10 +8,8 @@ import pytest
 from ratelab import simenc
 from ratelab.io import SchemaError
 from ratelab.simenc import (
-    EncodeState,
     EpisodeTrace,
     FrameType,
-    encode_frame,
     episode_reward,
     generate_video,
     plan_gop,
@@ -21,7 +19,7 @@ from ratelab.simenc import (
     run_episode,
 )
 
-from helpers import FAST_CONFIG, constant_video
+from helpers import FAST_CONFIG, EncodeState, constant_video, step_frame
 
 
 # ---------------------------------------------------------------------------
@@ -213,24 +211,29 @@ def test_rate_distortion_saturation():
 
 
 def test_encode_frame_matches_reference_formula():
+    """``run_episode`` commits the key frame by the closed form, and the
+    next observation carries that frame as its history."""
     v = constant_video(num_frames=3, intra_energy=99.0, noise_energy=1.0, rate_multiplier=2.0 / 3.0)
     gop = plan_gop(v, gop_interval=100)
     qp = 141
-    bits, mse, state = encode_frame(v, gop, EncodeState(), qp)
+    observations = []
+    trace = run_episode(v, gop, 512.0, lambda obs: observations.append(obs) or qp)
     q = quantizer_step(qp)
     gain = 12.0 * v.n_blocks * (2.0 / 3.0)
     header = 4000.0 * v.n_blocks / 1200.0
     expect_mse = min(100.0, q * q / 12.0)
     expect_bits = header + gain * max(0.0, 0.5 * math.log2(100.0 / expect_mse))
-    assert mse == expect_mse
-    assert bits == expect_bits
-    assert state.cursor == 1 and state.d_last == mse and state.d_golden == mse
+    assert (trace.bits[0], trace.mse[0]) == (expect_bits, expect_mse)
+    assert simenc.encode_frame(100.0, gain, header, qp) == (qp, expect_bits, expect_mse)
+    assert observations[1].frame_index == 1
+    assert observations[1].cum_bits == expect_bits
+    assert observations[1].last == (qp, expect_bits, expect_mse)
 
 
 def test_encode_monotone_in_qp(video, gop):
     # Fixed state: bits nonincreasing, MSE nondecreasing across all QPs.
-    _, _, state = encode_frame(video, gop, EncodeState(), 120)
-    results = [encode_frame(video, gop, state, qp)[:2] for qp in range(256)]
+    _, _, state = step_frame(video, gop, EncodeState(), 120)
+    results = [step_frame(video, gop, state, qp)[:2] for qp in range(256)]
     bits = [r[0] for r in results]
     mses = [r[1] for r in results]
     assert all(b1 >= b2 for b1, b2 in zip(bits, bits[1:]))
@@ -242,17 +245,22 @@ def test_gop_of_another_length_rejected(video):
     with pytest.raises(simenc.ConfigError):
         simenc.encode_batch(video, short, np.full((2, video.num_frames), 100))
     with pytest.raises(simenc.ConfigError):
-        encode_frame(video, short, EncodeState(), 100)
+        run_episode(video, short, 512.0, lambda obs: 100)
+    with pytest.raises(simenc.ConfigError):
+        replay_qp_sequence(video, short, [100] * video.num_frames, 512.0)
 
 
 def test_encode_past_end_rejected():
+    """A QP past the last frame is refused; a policy is asked once per frame."""
     v = constant_video(num_frames=2)
     gop = plan_gop(v, gop_interval=100)
-    state = EncodeState()
-    for qp in (100, 100):
-        _, _, state = encode_frame(v, gop, state, qp)
     with pytest.raises(simenc.EpisodeError):
-        encode_frame(v, gop, state, 100)
+        replay_qp_sequence(v, gop, [100, 100, 100], 512.0)
+    with pytest.raises(simenc.EpisodeError):
+        simenc.encode_batch(v, gop, np.full((1, 3), 100))
+    asked = []
+    run_episode(v, gop, 512.0, lambda obs: asked.append(obs.frame_index) or 100)
+    assert asked == [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +369,14 @@ def test_observation_causality(video, gop):
     def capture(which):
         def cb(obs):
             if obs.frame_index == 5:
-                captured[which] = obs.state
+                captured[which] = obs
             return 100 if which == "a" or obs.frame_index < 5 else 240
 
         return cb
 
     run_episode(video, gop, 512.0, capture("a"))
     run_episode(video, gop, 512.0, capture("b"))
-    assert captured["a"].cursor == 5
+    assert captured["a"].frame_index == 5
     assert captured["a"] == captured["b"]
 
 
