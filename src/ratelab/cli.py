@@ -187,7 +187,6 @@ def cmd_train(args) -> int:
         learning_rate=args.learning_rate,
         batch_size=args.batch_size,
         epochs=args.epochs,
-        dropout=not args.no_dropout,
         seed=args.seed,
         preset=args.preset,
     )
@@ -458,7 +457,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--learning-rate", type=float, default=train_config.learning_rate)
     p.add_argument("--beta1", type=float, default=train_config.beta1_frame_bits)
     p.add_argument("--beta2", type=float, default=train_config.beta2_total_bits)
-    p.add_argument("--no-dropout", action="store_true")
     p.add_argument("--seed", type=int, default=train_config.seed)
 
     p = add("fit-bounds", cmd_fit_bounds, help="fit the cumulative-bits envelope")

@@ -250,18 +250,15 @@ def attention(
     v: Tensor,
     rel_bias: Tensor,
     radius: int,
-    dropout: np.ndarray | None = None,
 ) -> Tensor:
     """Multi-head self-attention with a learned relative-position bias.
 
     ``q``, ``k`` and ``v`` are (T, H*dk), head h in columns h*dk to
     (h+1)*dk; ``rel_bias`` is the (H, 2*radius + 1) table, read at
     ``relative_offsets(T, radius)`` through the strided ``relative_bias``
-    view. Head h returns
-    ``(softmax(q_h k_hᵀ / sqrt(dk) + bias_h) * dropout[h]) @ v_h``, where
-    ``dropout`` is an optional (H, T, T) keep mask already scaled by
-    1 / (1 - rate). Heads run one at a time: at T = 300 that is faster than
-    one batched (H, T, T) softmax.
+    view. Head h returns ``softmax(q_h k_hᵀ / sqrt(dk) + bias_h) @ v_h``.
+    Heads run one at a time: at T = 300 that is faster than one batched
+    (H, T, T) softmax.
     """
     heads = rel_bias.data.shape[0]
     T, width = q.data.shape
@@ -284,7 +281,7 @@ def attention(
         p /= p.sum(axis=-1, keepdims=True)
         if record:
             probs.append(p)
-        out_data[:, c] = (p if dropout is None else p * dropout[h]) @ v.data[:, c]
+        out_data[:, c] = p @ v.data[:, c]
 
     def backward(g):
         dq, dkey, dv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
@@ -292,10 +289,8 @@ def attention(
         offsets = relative_offsets(T, radius)
         for h, c in enumerate(cols):
             p, gh = probs[h], g[:, c]
-            dv[:, c] = (p if dropout is None else p * dropout[h]).T @ gh
+            dv[:, c] = p.T @ gh
             dp = gh @ v.data[:, c].T
-            if dropout is not None:
-                dp = dp * dropout[h]
             ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
             dtable[h] = np.bincount(offsets.ravel(), weights=ds.ravel(), minlength=2 * radius + 1)
             ds = ds * scale

@@ -23,7 +23,6 @@ __all__ = ["ArchConfig", "PRESETS", "PolicyParams", "forward", "ForwardResult"]
 N_QP = 256
 REL_RADIUS = 256  # offsets farther apart than this share the edge bias entry
 N_FEATURES = len(FIRST_PASS_FEATURES)
-DROPOUT_RATE = 0.1  # attention dropout in train mode
 HEAD_HIDDEN = (32, 16)  # hidden sizes of both output heads
 
 
@@ -139,26 +138,16 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return ad.add(ad.matmul(x, w), b)
 
 
-def transformer_embed(
-    params: PolicyParams,
-    first_pass_norm: np.ndarray,
-    train_mode: bool = False,
-    dropout_rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Per-frame embeddings (T, dh) from the normalized first-pass matrix."""
-    a = params.arch
-    T = first_pass_norm.shape[0]
+def transformer_embed(params: PolicyParams, first_pass_norm: np.ndarray) -> Tensor:
+    """Per-frame embeddings (T, dh) from the normalized first-pass matrix.
+
+    Training and rollouts run this same deterministic pass.
+    """
     x = ad.layer_norm_rows(Tensor(first_pass_norm), params["ln_gain"], params["ln_bias"])
     q = _linear(x, params["attn_wq"], params["attn_bq"])
     k = ad.matmul(x, params["attn_wk"])
     v = _linear(x, params["attn_wv"], params["attn_bv"])
-    mask = None
-    if train_mode:
-        if dropout_rng is None:
-            raise ValueError("train-mode forward needs a dropout rng")
-        keep = dropout_rng.random((a.heads, T, T)) >= DROPOUT_RATE
-        mask = keep / (1.0 - DROPOUT_RATE)
-    attn = ad.attention(q, k, v, params["rel_bias"], REL_RADIUS, mask)
+    attn = ad.attention(q, k, v, params["rel_bias"], REL_RADIUS)
     merged = _linear(attn, params["attn_wo"], params["attn_bo"])
     z = ad.relu(_linear(merged, params["ffn_w1"], params["ffn_b1"]))
     return ad.add(merged, _linear(z, params["ffn_w2"], params["ffn_b2"]))
@@ -177,18 +166,13 @@ def _head(params: PolicyParams, prefix: str, x: Tensor) -> Tensor:
 
 
 def forward(
-    params: PolicyParams,
-    first_pass_norm: np.ndarray,
-    bundles: np.ndarray,
-    train_mode: bool = False,
-    dropout_rng: np.random.Generator | None = None,
+    params: PolicyParams, first_pass_norm: np.ndarray, bundles: np.ndarray
 ) -> ForwardResult:
     """Full-episode forward pass.
 
     ``first_pass_norm`` is the normalized (T, 25) matrix, ``bundles`` the
-    (T, bundle_dim) per-step inputs. Dropout is active only in train mode
-    and is driven by the injected rng, so a fixed rng makes the pass
-    deterministic.
+    (T, bundle_dim) per-step inputs. The pass is deterministic: the same
+    inputs give the same outputs, in training and in evaluation alike.
     """
     if first_pass_norm.ndim != 2 or bundles.ndim != 2:
         raise ValueError("first_pass_norm and bundles must be 2-D")
@@ -200,7 +184,7 @@ def forward(
         raise ValueError(
             f"bundle dim {bundles.shape[1]} != configured {params.arch.bundle_dim}"
         )
-    frame_emb = transformer_embed(params, first_pass_norm, train_mode, dropout_rng)
+    frame_emb = transformer_embed(params, first_pass_norm)
     core_in = ad.concat_cols([frame_emb, Tensor(bundles)])
     hidden = lstm_unroll(params, core_in)
     logits = _head(params, "qp", hidden)

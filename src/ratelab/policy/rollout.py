@@ -32,7 +32,7 @@ __all__ = ["PolicyRunner", "eval_transformer", "head_weights", "eval_head"]
 
 
 def eval_transformer(params: PolicyParams, fp_norm: np.ndarray) -> np.ndarray:
-    """Evaluation-mode per-frame embeddings (T, dh); no dropout, no tape."""
+    """Per-frame embeddings (T, dh) as a plain array: ``transformer_embed`` without a tape."""
     with no_grad():
         return transformer_embed(params, fp_norm).data
 

@@ -39,7 +39,7 @@ __all__ = [
     "CHECKPOINT_SCHEMA",
 ]
 
-CHECKPOINT_SCHEMA = "policy.v2"
+CHECKPOINT_SCHEMA = "policy.v3"
 
 # Adam's moment decays and denominator guard.
 ADAM_BETA1 = 0.9
@@ -59,7 +59,6 @@ class TrainConfig:
     learning_rate: float = 3e-3
     batch_size: int = 8
     epochs: int = 40
-    dropout: bool = True
     seed: int = 0
     preset: str = "tiny"
 
@@ -156,11 +155,11 @@ def _top_k_hits(logits: np.ndarray, labels: np.ndarray, k: int) -> tuple[int, in
 def top_k_coverage(
     params: PolicyParams, episodes: Sequence[EpisodeData], k: int = TOP_K
 ) -> tuple[float, float]:
-    """(top-1 accuracy, top-k coverage) over all steps, evaluation mode."""
+    """(top-1 accuracy, top-k coverage) over all steps, without a tape."""
     hits1 = hitsk = total = 0
     for ep in episodes:
         with ad.no_grad():
-            result = forward(params, ep.first_pass_norm, ep.bundles, train_mode=False)
+            result = forward(params, ep.first_pass_norm, ep.bundles)
         h1, hk = _top_k_hits(result.logits.data, ep.label_qps, k)
         hits1 += h1
         hitsk += hk
@@ -176,8 +175,9 @@ def train(
 ) -> TrainResult:
     """Teacher-forced training over preprocessed episodes.
 
-    Deterministic for a fixed (config, episode order): shuffling and dropout
-    streams derive from the config seed. Non-finite losses abort.
+    Deterministic for a fixed (config, episode order): the parameters start
+    from the config seed, and the episode shuffle, training's only random
+    stream, derives from it too. Non-finite losses abort.
     """
     if not episodes:
         raise ValueError("training dataset is empty")
@@ -195,20 +195,7 @@ def train(
             agg = np.zeros(4)
             top1 = top15 = steps = 0
             for ep in batch:
-                dropout_rng = (
-                    np.random.Generator(
-                        np.random.PCG64(np.random.SeedSequence((config.seed, global_step, steps)))
-                    )
-                    if config.dropout
-                    else None
-                )
-                result = forward(
-                    params,
-                    ep.first_pass_norm,
-                    ep.bundles,
-                    train_mode=config.dropout,
-                    dropout_rng=dropout_rng,
-                )
+                result = forward(params, ep.first_pass_norm, ep.bundles)
                 loss, parts = episode_loss(
                     result,
                     ep.label_qps,

@@ -41,7 +41,7 @@ forms equal bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -807,33 +807,20 @@ def load_corpus(path) -> list[SyntheticVideo]:
 
 
 def trace_to_record(trace: EpisodeTrace) -> dict:
-    return {
-        "video_id": trace.video_id,
-        "num_frames": trace.num_frames,
-        "target_bitrate_kbps": trace.target_bitrate_kbps,
-        "qps": list(trace.qps),
-        "bits": list(trace.bits),
-        "mse": list(trace.mse),
-        "show": [1 if s else 0 for s in trace.show],
-        "psnr_db": trace.psnr_db,
-        "bitrate_kbps": trace.bitrate_kbps,
-        "reward": trace.reward,
-    }
+    """A trace row: the trace's fields in order; tuples become JSON arrays,
+    and ``show`` is written as 0/1."""
+    rec = {f.name: getattr(trace, f.name) for f in fields(EpisodeTrace)}
+    rec["show"] = [int(s) for s in trace.show]
+    return rec
 
 
 def trace_from_record(rec: dict) -> EpisodeTrace:
-    return EpisodeTrace(
-        video_id=rec["video_id"],
-        num_frames=rec["num_frames"],
-        target_bitrate_kbps=rec["target_bitrate_kbps"],
-        qps=tuple(int(q) for q in rec["qps"]),
-        bits=tuple(rec["bits"]),
-        mse=tuple(rec["mse"]),
-        show=tuple(bool(s) for s in rec["show"]),
-        psnr_db=rec["psnr_db"],
-        bitrate_kbps=rec["bitrate_kbps"],
-        reward=rec["reward"],
-    )
+    values = {
+        f.name: tuple(rec[f.name]) if isinstance(rec[f.name], list) else rec[f.name]
+        for f in fields(EpisodeTrace)
+    }
+    values["show"] = tuple(bool(s) for s in values["show"])
+    return EpisodeTrace(**values)
 
 
 def save_traces(path, traces: Iterable[EpisodeTrace]) -> int:

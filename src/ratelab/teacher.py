@@ -68,7 +68,6 @@ class EsConfig:
     batch_size: int = 16
     learning_rate: float = 16.0
     max_steps: int = 100
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.sigma) and self.sigma > 0):
@@ -162,8 +161,11 @@ def _draw_noise(rng: np.random.Generator, config: EsConfig, length: int) -> np.n
     return np.concatenate([half, -half], axis=0)
 
 
-def run_es(video: SyntheticVideo, target_bitrate_kbps: float, config: EsConfig) -> EsResult:
-    """Search QP sequences for one (video, target bitrate) pair.
+def run_es(
+    video: SyntheticVideo, target_bitrate_kbps: float, config: EsConfig, seed: int
+) -> EsResult:
+    """Search QP sequences for one (video, target bitrate) pair; ``seed``
+    drives the perturbation noise.
 
     Initializes from the heuristic policy's QP sequence and returns the
     best-reward rounded sequence seen during the whole search (not the final
@@ -184,7 +186,7 @@ def run_es(video: SyntheticVideo, target_bitrate_kbps: float, config: EsConfig) 
         best_reward=base_trace.reward,
         best_qps=_round_clamp(theta0),
     )
-    rng = np.random.Generator(np.random.PCG64(config.seed))
+    rng = np.random.Generator(np.random.PCG64(seed))
     history = []
     # Each step's rounded mean is scored too: it averages out the
     # perturbation noise and yields smoother, easier-to-imitate labels. It
@@ -294,8 +296,8 @@ def sample_targets(
     return sorted(float(t) for t in rng.uniform(lo_kbps, hi_kbps, size=count))
 
 
-def _es_task(video: SyntheticVideo, target: float, es: EsConfig) -> TeacherRecord:
-    return record_from_result(video, run_es(video, target, es))
+def _es_task(video: SyntheticVideo, target: float, es: EsConfig, seed: int) -> TeacherRecord:
+    return record_from_result(video, run_es(video, target, es, seed))
 
 
 def build_teacher_dataset(
@@ -307,7 +309,7 @@ def build_teacher_dataset(
     bi-th searched with seed ``es_task_seed(config.seed, vi, bi)``;
     ``workers > 1`` runs the tasks in a process pool, with the same records."""
     tasks = [
-        (video, target, replace(config.es, seed=es_task_seed(config.seed, vi, bi)))
+        (video, target, config.es, es_task_seed(config.seed, vi, bi))
         for vi, video in enumerate(videos)
         for bi, target in enumerate(
             sample_targets(

@@ -9,6 +9,12 @@ and a controlled rollout's traces, bounds and control events) were taken
 from the code as it stood before the rollout and recurrent-core fast paths;
 the checkpoint's was retaken when its metadata became ``policy.v2``, with
 every parameter and spec array unchanged.
+When attention dropout was removed, training became the deterministic pass
+that ``dropout=False`` used to select, so the training log, checkpoint,
+policy traces and control events were retaken from the code as it stood
+just before, trained with ``dropout=False``: the log, traces and events are
+the same bytes, and the checkpoint differs only in its ``policy.v3``
+metadata. The corpus, heuristic-trace, teacher and bounds pins did not move.
 Change a digest only with a change that means to change the bytes.
 """
 
@@ -28,11 +34,11 @@ from helpers import FAST_CONFIG
 CORPUS_SHA256 = "83dbd353a8d56eec7ab1fe92d0fd95db77d696f760932bd4ab1944fe6b56a41c"
 BASELINE_TRACES_SHA256 = "c62a835cc49e66e8b26fdfe92c0dccc0a7c825d35212f93c8a89277930a5bd38"
 TEACHER_SHA256 = "221fc06ad830c4cb837f57bf66feb5c260ecfd8a55488e5db0589246704de88e"
-TRAIN_LOG_SHA256 = "ff1eabca69ea4057b63e99713201f1930d3cb33a3423a3e3ff0687ac444d6d2e"
-CHECKPOINT_SHA256 = "f31c2dea273e2f10a4e49386520f6fabfd778fbbd3e9d7a43811374a5f9873bf"
-POLICY_TRACES_SHA256 = "13bc7551d68bd8a7b2ee64ec7444624748480058a079be9ca4ffc1d292f53659"
+TRAIN_LOG_SHA256 = "8f932a69c0a6f3a8f763e3b6e75f07c57246108c41da66309deaf62b52c6e31a"
+CHECKPOINT_SHA256 = "f46a25791c46304e829093c24999220d70893a67fb2adfbf7520b244a7a354bc"
+POLICY_TRACES_SHA256 = "71d2754d29b2d13749796f1c1cfcbf93eb41bbe7547f3e10a9fce9b012c0d867"
 BOUNDS_SHA256 = "1c4e358179616ed65d428a3194c293cabea9462a4a09829b3d41fc7a803a9380"
-CONTROL_EVENTS_SHA256 = "c13de1425d1e22cf237dad0a1b2d4930787b23ccd9b17cfabcb182915003cabe"
+CONTROL_EVENTS_SHA256 = "14631c9b8b7b41f84f8bc35720f10241db75ec991ac57958d109298ec36aa44f"
 
 
 def _sha256(path) -> str:

@@ -171,6 +171,7 @@ def test_build_dataset_matches_library(tmp_path, corpus_dir):
         "build-dataset --corpus c --reward-lambda",
         "train --corpus c --dataset d --gop-interval",
         "train --corpus c --dataset d --lr-decay",
+        "train --corpus c --dataset d --no-dropout",
         "fit-bounds --traces t --target",
         "evaluate --corpus c --gop-interval",
         "evaluate --corpus c --within-pct",

@@ -28,21 +28,12 @@ def test_output_shapes(tiny_params, rng):
     assert result.bits_pred.shape == (3, 1)
 
 
-def test_eval_mode_deterministic(tiny_params, rng):
+def test_forward_deterministic(tiny_params, rng):
     fp, bundles, _, _ = random_episode(rng)
-    a = forward(tiny_params, fp, bundles, train_mode=False)
-    b = forward(tiny_params, fp, bundles, train_mode=False)
+    a = forward(tiny_params, fp, bundles)
+    b = forward(tiny_params, fp, bundles)
     assert np.array_equal(a.logits.data, b.logits.data)
     assert np.array_equal(a.bits_pred.data, b.bits_pred.data)
-
-
-def test_train_mode_dropout_depends_on_rng(tiny_params, rng):
-    fp, bundles, _, _ = random_episode(rng)
-    a = forward(tiny_params, fp, bundles, True, np.random.default_rng(1))
-    b = forward(tiny_params, fp, bundles, True, np.random.default_rng(1))
-    c = forward(tiny_params, fp, bundles, True, np.random.default_rng(2))
-    assert np.array_equal(a.logits.data, b.logits.data)
-    assert not np.array_equal(a.logits.data, c.logits.data)
 
 
 def test_position_sensitivity(tiny_params, rng):
@@ -76,7 +67,7 @@ def test_gradcheck_every_block(tiny_params, rng):
         budget = label_bits.sum() + rng.normal() * 2
 
         def loss_value():
-            res = forward(tiny_params, fp, bundles, train_mode=False)
+            res = forward(tiny_params, fp, bundles)
             loss, _ = episode_loss(res, labels, label_bits, budget, 2.0, 2.0)
             return loss
 
@@ -146,7 +137,7 @@ def test_rollout_mirror_matches_tape(rng, T):
     table = params.tensors["rel_bias"].data
     table[...] = rng.normal(size=table.shape)
     fp, bundles, _, _ = random_episode(rng, T=T)
-    tape = forward(params, fp, bundles, train_mode=False)
+    tape = forward(params, fp, bundles)
     emb = eval_transformer(params, fp)
     wx, wh, b = (params[name].data for name in ("lstm_wx", "lstm_wh", "lstm_b"))
     h = c = np.zeros(params.arch.dr)

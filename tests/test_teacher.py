@@ -29,7 +29,7 @@ def _rewards_by_qp(table):
 def test_update_rule_direct_evaluation():
     # theta=[128], eps=+-1, sigma=4, alpha=16: the better candidate (132)
     # weighs +0.5 and the worse (124) -0.5, so theta' = 128 + 16/8 * 1 = 130.
-    cfg = EsConfig(sigma=4.0, batch_size=2, learning_rate=16.0, seed=0)
+    cfg = EsConfig(sigma=4.0, batch_size=2, learning_rate=16.0)
     state = EsState(theta=np.array([128.0]), step=0, best_reward=-np.inf, best_qps=np.array([128]))
     nxt = es_step(state, cfg, _rewards_by_qp({132: 10.0, 124: 0.0}), np.array([[1.0], [-1.0]]))
     assert nxt.theta == pytest.approx([130.0])
@@ -152,30 +152,28 @@ def test_noise_comes_in_mirrored_pairs():
 
 
 def test_zero_steps_returns_baseline(es_video):
-    cfg = EsConfig(max_steps=0, seed=1)
-    res = run_es(es_video, 512.0, cfg)
+    res = run_es(es_video, 512.0, EsConfig(max_steps=0), seed=1)
     assert res.best_qps == res.baseline_trace.qps
     assert res.best_trace.reward == pytest.approx(res.baseline_trace.reward)
 
 
 def test_run_es_deterministic(es_video):
-    cfg = EsConfig(max_steps=10, seed=5)
-    a = run_es(es_video, 512.0, cfg)
-    b = run_es(es_video, 512.0, cfg)
+    cfg = EsConfig(max_steps=10)
+    a = run_es(es_video, 512.0, cfg, seed=5)
+    b = run_es(es_video, 512.0, cfg, seed=5)
     assert a.best_qps == b.best_qps
     assert a.best_reward_history == b.best_reward_history
 
 
 def test_best_reward_monotone(es_video):
-    cfg = EsConfig(max_steps=30, seed=5)
-    res = run_es(es_video, 512.0, cfg)
+    res = run_es(es_video, 512.0, EsConfig(max_steps=30), seed=5)
     hist = (res.baseline_trace.reward,) + res.best_reward_history
     assert all(b >= a for a, b in zip(hist, hist[1:]))
 
 
 def test_run_es_scores_with_the_overshoot_penalty(es_video):
     # At 1 kbps even QP 255 overshoots, so every reward carries the penalty.
-    res = run_es(es_video, 1.0, EsConfig(max_steps=2, batch_size=4))
+    res = run_es(es_video, 1.0, EsConfig(max_steps=2, batch_size=4), seed=0)
     for trace in (res.baseline_trace, res.best_trace):
         assert trace.bitrate_kbps > 1.0
         overshoot = trace.bitrate_kbps - 1.0
@@ -190,12 +188,11 @@ def test_run_es_rejects_a_best_row_its_replay_scores_differently(es_video, monke
     batch_rewards = simenc.batch_rewards
     monkeypatch.setattr(simenc, "batch_rewards", lambda *args: batch_rewards(*args) + 1.0)
     with pytest.raises(TeacherDataError, match="replay scores"):
-        run_es(es_video, 512.0, EsConfig(max_steps=1, batch_size=4))
+        run_es(es_video, 512.0, EsConfig(max_steps=1, batch_size=4), seed=0)
 
 
 def test_run_es_improves_reward(es_video):
-    cfg = EsConfig(max_steps=60, seed=5)
-    res = run_es(es_video, 512.0, cfg)
+    res = run_es(es_video, 512.0, EsConfig(max_steps=60), seed=5)
     assert res.best_trace.reward > res.baseline_trace.reward
 
 
@@ -246,11 +243,26 @@ def test_dataset_drift_guard(tiny_dataset):
 
 
 def test_drift_guard_rejects_distant_labels(es_video, monkeypatch):
-    res = run_es(es_video, 512.0, EsConfig(max_steps=0))
+    res = run_es(es_video, 512.0, EsConfig(max_steps=0), seed=0)
     teacher.record_from_result(es_video, res)
     monkeypatch.setattr(teacher, "DRIFT_BOUND", -1.0)
     with pytest.raises(TeacherDataError):
         teacher.record_from_result(es_video, res)
+
+
+def test_dataset_searches_each_task_at_its_task_seed(tiny_dataset):
+    # Video 1's third target (record 5) is searched at es_task_seed(3, 1, 2);
+    # the same search at its neighbour's seed gives other labels.
+    videos, records = tiny_dataset
+    target = teacher.sample_targets(3, 1, 3, 256.0, 768.0)[2]
+    assert records[5].target_bitrate_kbps == target
+
+    def record_at(seed):
+        result = run_es(videos[1], target, EsConfig(max_steps=5), seed)
+        return teacher.record_from_result(videos[1], result)
+
+    assert record_at(teacher.es_task_seed(3, 1, 2)) == records[5]
+    assert record_at(teacher.es_task_seed(3, 1, 1)) != records[5]
 
 
 def test_dataset_roundtrip(tmp_path, tiny_dataset):

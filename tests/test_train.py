@@ -51,9 +51,7 @@ def episodes(records, corpus, spec):
 
 
 def test_single_episode_overfit(episodes, spec):
-    config = TrainConfig(
-        epochs=200, batch_size=1, learning_rate=3e-4, dropout=False, seed=4, preset="tiny"
-    )
+    config = TrainConfig(epochs=200, batch_size=1, learning_rate=3e-4, seed=4, preset="tiny")
     result = train(episodes[:1], spec, config)
     losses = [row["L_QP"] + 2 * row["L_frame_bits"] + 2 * row["L_total_bits"] for row in result.log_rows]
     assert len(losses) == 200
@@ -149,9 +147,17 @@ def test_checkpoint_schema_guard(tmp_path, corpus, spec):
     save_checkpoint(path, params, spec, TrainConfig())
     corpus_file = tmp_path / "corpus.jsonl"
     simenc.save_corpus(corpus_file, list(corpus.values()))
-    for schema in ("policy.v1", "policy.v999"):
+    # A policy.v2 file, as written before attention dropout was removed,
+    # still holds the setting in its train_config.
+    older = {"policy.v1": {}, "policy.v2": {"dropout": True}, "policy.v999": {}}
+    for schema, settings in older.items():
+
+        def edit(meta, arrays, schema=schema, settings=settings):
+            meta["schema"] = schema
+            meta["train_config"].update(settings)
+
         bad = tmp_path / f"{schema}.npz"
-        _rewrite_checkpoint(path, bad, lambda meta, arrays, tag=schema: meta.update(schema=tag))
+        _rewrite_checkpoint(path, bad, edit)
         with pytest.raises(SchemaError):
             load_checkpoint(bad)
         argv = ["evaluate", "--corpus", str(corpus_file), "--checkpoint", str(bad)]
