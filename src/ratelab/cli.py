@@ -106,8 +106,25 @@ def _write_manifest(out: Path, command: str, args: argparse.Namespace) -> None:
     (out / "manifest.json").write_text(text + "\n")
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+def _floats(count: int, at_least: bool = False):
+    """An argparse ``type`` for a comma list of ``count`` numbers, or more if ``at_least``.
+
+    A value it refuses exits 2 before any input is read, on the command line
+    and in a ``--config`` file alike.
+    """
+    plural = "number" if count == 1 else "numbers"
+    wanted = f"at least {count} {plural}" if at_least else f"{count} {plural}"
+
+    def parse(text: str) -> tuple[float, ...]:
+        try:
+            values = tuple(float(x) for x in text.split(",") if x.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of numbers") from None
+        if len(values) < count or (len(values) > count and not at_least):
+            raise argparse.ArgumentTypeError(f"{text!r}: expected {wanted}")
+        return values
+
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +154,10 @@ def cmd_gen_videos(args) -> int:
 def cmd_run_baseline(args) -> int:
     out = _out_dir(args)
     videos = simenc.load_corpus(_require(args.corpus))
-    targets = _parse_floats(args.targets)
     traces = []
     for video in videos:
         gop = simenc.plan_gop(video)
-        for target in targets:
+        for target in args.targets:
             traces.append(baseline.run_baseline(video, gop, target))
     n = simenc.save_traces(out / "baseline_traces.jsonl", traces)
     _write_manifest(out, "run-baseline", args)
@@ -156,7 +172,7 @@ def cmd_run_baseline(args) -> int:
 def cmd_build_dataset(args) -> int:
     out = _out_dir(args)
     videos = simenc.load_corpus(_require(args.corpus))
-    lo, hi = _parse_floats(args.bitrate_range)
+    lo, hi = args.bitrate_range
     config = teacher.TeacherConfig(
         bitrates_per_video=args.per_video,
         bitrate_min_kbps=lo,
@@ -214,14 +230,13 @@ def cmd_train(args) -> int:
 def cmd_fit_bounds(args) -> int:
     out = _out_dir(args)
     traces = simenc.load_traces(_require(args.traces))
-    lo_q, hi_q = _parse_floats(args.quantiles)
     targets = sorted({trace.target_bitrate_kbps for trace in traces})
     if len(targets) != 1:
         raise inference.BoundsFitError(
             f"{args.traces}: the traces must share one target bitrate, found {targets}"
         )
     model = inference.fit_bounds(
-        traces, targets[0], coverage=(lo_q, hi_q), min_traces=args.min_traces
+        traces, targets[0], coverage=args.quantiles, min_traces=args.min_traces
     )
     inference.save_bounds(out / "bounds.json", model)
     _write_manifest(out, "fit-bounds", args)
@@ -232,9 +247,6 @@ def cmd_fit_bounds(args) -> int:
 def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     videos = simenc.load_corpus(_require(args.corpus))
-    anchors = _parse_floats(args.anchors)
-    if len(anchors) < 2:
-        raise ValueError("need at least two anchor multipliers for the reference curve")
     feedback = inference.FeedbackConfig(alpha=args.alpha)
     params = spec = bounds = None
     if args.bounds and not args.checkpoint:
@@ -254,7 +266,7 @@ def cmd_evaluate(args) -> int:
     for vi, video in enumerate(videos):
         gop = simenc.plan_gop(video)
         anchor_traces = [
-            baseline.run_baseline(video, gop, m * args.target) for m in anchors
+            baseline.run_baseline(video, gop, m * args.target) for m in args.anchors
         ]
         try:
             curves[video.video_id] = metrics.rd_curve_from_traces(anchor_traces)
@@ -372,7 +384,8 @@ def _apply_config_file(path: str, registry: dict[str, argparse.ArgumentParser]) 
     Each section names a subcommand and sets only that subcommand's flags.
     A section no subcommand has, or a key its subcommand does not take, is a
     ``ConfigFileError``, because it would otherwise do nothing; a value its
-    flag's type cannot parse is a ``ValueError``, and a parsed value outside
+    flag's type cannot parse is a ``ValueError`` (or an
+    ``argparse.ArgumentTypeError``), and a parsed value outside
     the flag's ``choices`` a ``ConfigFileError``: argparse checks choices
     only on the command line.
     """
@@ -432,7 +445,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = add("run-baseline", cmd_run_baseline, help="run the heuristic VBR policy")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--targets", default="512", help="comma-separated kbps targets")
+    p.add_argument(
+        "--targets",
+        type=_floats(1, at_least=True),
+        default=(512.0,),
+        help="comma-separated kbps targets",
+    )
 
     teacher_config = teacher.TeacherConfig()
     p = add("build-dataset", cmd_build_dataset, help="assemble the teacher dataset")
@@ -445,7 +463,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--per-video", type=int, default=teacher_config.bitrates_per_video)
     bitrates = (teacher_config.bitrate_min_kbps, teacher_config.bitrate_max_kbps)
-    p.add_argument("--bitrate-range", default=",".join(f"{kbps:g}" for kbps in bitrates))
+    p.add_argument("--bitrate-range", type=_floats(2), default=bitrates)
 
     train_config = TrainConfig()
     p = add("train", cmd_train, help="train the neural policy by imitation")
@@ -461,7 +479,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = add("fit-bounds", cmd_fit_bounds, help="fit the cumulative-bits envelope")
     p.add_argument("--traces", required=True)
-    p.add_argument("--quantiles", default=",".join(f"{q:g}" for q in inference.COVERAGE))
+    p.add_argument("--quantiles", type=_floats(2), default=inference.COVERAGE)
     p.add_argument("--min-traces", type=int, default=inference.MIN_TRACES)
 
     p = add("evaluate", cmd_evaluate, help="evaluate a policy against baseline curves")
@@ -470,7 +488,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--bounds", help="bounds JSON enabling feedback control")
     p.add_argument("--alpha", type=float, default=inference.FeedbackConfig().alpha)
     p.add_argument("--target", type=float, default=512.0)
-    p.add_argument("--anchors", default="0.5,0.75,1.0,1.25,1.5")
+    p.add_argument(
+        "--anchors", type=_floats(2, at_least=True), default=(0.5, 0.75, 1.0, 1.25, 1.5)
+    )
     p.add_argument("--seed", type=int, default=0)
 
     p = add("report", cmd_report, help="emit histograms and the ablation table")
@@ -496,7 +516,8 @@ def main(argv: list[str] | None = None) -> int:
     except MissingInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    except (ValueError, configparser.Error) as exc:  # ConfigFileError, or a malformed file
+    except (ValueError, argparse.ArgumentTypeError, configparser.Error) as exc:
+        # ConfigFileError, a value its flag's type refuses, or a malformed file
         print(f"error: {pre.config}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     args = parser.parse_args(argv)

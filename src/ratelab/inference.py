@@ -11,6 +11,9 @@ Both run at every frame of a rollout. The ranking sorts once, stably only
 when the k-th logit is tied; the sample inverts the cdf at one uniform
 draw; the controller evaluates the envelope once per episode. Each equals
 its plain form (``lexsort``, ``rng.choice``, a bound per frame) bit for bit.
+
+The envelope fit is the package's one use of scipy, which is imported on
+the first fit, so that only processes that fit bounds load it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .io import SchemaError
 from .simenc import EpisodeTrace, Observation
@@ -173,6 +175,17 @@ class BoundsModel:
 def _cumulative_kbps(trace: EpisodeTrace, duration: float) -> np.ndarray:
     cum = np.concatenate([[0.0], np.cumsum(trace.bits)])
     return cum / duration / 1000.0
+
+
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on the first call.
+
+    Only the envelope fit uses scipy, so a process that fits no bounds never
+    loads it.
+    """
+    from scipy.optimize import least_squares as fit
+
+    return fit(*args, **kwargs)
 
 
 def _fit_log_curve(xs: np.ndarray, ys: np.ndarray) -> LogBound:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ratelab import simenc
+from ratelab import baseline, simenc
 
 from helpers import FAST_CONFIG
 
@@ -37,3 +37,21 @@ def small_corpus():
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
+
+
+@pytest.fixture(scope="session")
+def envelope_traces():
+    """Policy-like trajectories: baseline QPs with mild per-episode drift,
+    so final bitrates cluster around the 512 kbps target."""
+    videos = simenc.generate_corpus(25, master_seed=31, config=FAST_CONFIG)
+    rng = np.random.default_rng(4)
+    traces = []
+    for v in videos:
+        gop = simenc.plan_gop(v)
+        base = baseline.run_baseline(v, gop, 512.0)
+        shift = rng.integers(-2, 3)
+        qps = [
+            int(np.clip(q + shift + rng.normal(0, 1.5), 0, 255)) for q in base.qps
+        ]
+        traces.append(simenc.replay_qp_sequence(v, gop, qps, 512.0))
+    return traces

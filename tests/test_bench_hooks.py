@@ -65,3 +65,14 @@ def test_traced_rollout_counts_one_feedback_event_per_frame_after_the_first(
     assert tracer.counts["inference.feedback.triggered"] == sum(
         e.triggered for e in controller.events
     )
+
+
+def test_traced_fit_counts_each_side_of_the_envelope(tracing, envelope_traces):
+    """The fit imports scipy on its first call, behind the module-level
+    ``inference.least_squares`` that the tracer replaces: a traced evaluate
+    round must still count every fit."""
+    with tracing.installed(tracing.Tracer()) as tracer:
+        inference.fit_bounds(envelope_traces, 512.0)
+    assert tracer.counts["inference.fit.starts"] == 2
+    assert tracer.counts["inference.fit.converged"] == 2
+    assert tracer.counts["inference.fit.nfev"] > 0

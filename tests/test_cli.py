@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -247,6 +250,62 @@ def test_non_finite_input_refused_before_any_artifact(tmp_path, capsys, corpus_d
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / artifact).exists()
     assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, artifact",
+    [
+        ("build-dataset --bitrate-range 512", "teacher.jsonl"),
+        ("fit-bounds --quantiles 0.1", "bounds.json"),
+        ("run-baseline --targets abc", "baseline_traces.jsonl"),
+        ("evaluate --anchors 1,x", "policy_traces.jsonl"),
+        ("run-baseline --targets ,", "baseline_traces.jsonl"),
+    ],
+)
+def test_number_lists_refused_before_any_artifact(tmp_path, capsys, corpus_dir, argv, artifact):
+    command, flag, value = argv.split()
+    # Exit 2 comes from the flag, before the input is read: fit-bounds is
+    # given the corpus as its traces.
+    source = "--traces" if command == "fit-bounds" else "--corpus"
+    corpus = str(corpus_dir / "corpus.jsonl")
+    with pytest.raises(SystemExit) as exc:
+        run([command, source, corpus, flag, value, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / artifact).exists()
+    assert not (tmp_path / "manifest.json").exists()
+
+
+SCIPY_PROBE = """
+import json, sys
+from ratelab import cli
+seen = {"import": "scipy.optimize" in sys.modules}
+corpus, base, bounds = sys.argv[1:]
+for name, argv in (
+    ("gen-videos", ["gen-videos", "--count", "3", "--frames-min", "40", "--frames-max", "50",
+                    "--out", corpus]),
+    ("run-baseline", ["run-baseline", "--corpus", corpus + "/corpus.jsonl", "--out", base]),
+    ("fit-bounds", ["fit-bounds", "--traces", base + "/baseline_traces.jsonl",
+                    "--min-traces", "3", "--out", bounds]),
+):
+    assert cli.main(argv) == 0, name
+    seen[name] = "scipy.optimize" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_only_fit_bounds_loads_scipy(tmp_path):
+    """scipy serves the envelope fit alone; no other stage pays to import it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    dirs = [str(tmp_path / name) for name in ("corpus", "base", "bounds")]
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, *dirs],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen == {"import": False, "gen-videos": False, "run-baseline": False, "fit-bounds": True}
+    assert inference.load_bounds(tmp_path / "bounds" / "bounds.json").target_bitrate_kbps == 512.0
 
 
 @pytest.fixture(scope="module")

@@ -78,26 +78,6 @@ def test_non_finite_logits_rejected(rng):
 # Envelope fitting
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def envelope_traces():
-    """Policy-like trajectories: baseline QPs with mild per-episode drift,
-    so final bitrates cluster around the 512 kbps target."""
-    from ratelab.baseline import run_baseline
-
-    videos = simenc.generate_corpus(25, master_seed=31, config=FAST_CONFIG)
-    rng = np.random.default_rng(4)
-    traces = []
-    for v in videos:
-        gop = simenc.plan_gop(v)
-        base = run_baseline(v, gop, 512.0)
-        shift = rng.integers(-2, 3)
-        qps = [
-            int(np.clip(q + shift + rng.normal(0, 1.5), 0, 255)) for q in base.qps
-        ]
-        traces.append(simenc.replay_qp_sequence(v, gop, qps, 512.0))
-    return traces
-
-
 def test_fit_bounds_brackets_trajectories(envelope_traces):
     model = fit_bounds(envelope_traces, 512.0)
     xs = np.linspace(0.0, 1.0, 101)
