@@ -30,12 +30,18 @@ search returns its winning trial encode, and ``run_episode``, for learned
 policies, asks a policy callback for the QP, passing an ``Observation``:
 the video, its GOP plan, the target, the frame index, the bits spent and
 the previous frame's (qp, bits, mse). ``encode_batch`` is the row form, for
-B whole episodes at once (ES populations): its frame loop carries the
-energies and MSEs the reference state needs, and the bits of every frame
-follow in one pass after it. Both take the logarithm with ``math.log2``,
-because numpy's vectorized ``log2`` can differ from it in the last bit and
-teacher labels are verified by exact replay; property tests pin the two
-forms equal bit for bit.
+B whole episodes at once (ES populations). It settles the energies and
+MSEs the reference state needs by fixed-point passes over whole episodes:
+it guesses that no frame saturates (MSE = cap), computes every frame's
+energy at once from that state, sets MSE = min(energy, cap), and repeats
+until a pass changes nothing. After any pass, every frame up to the first
+one it changed is exact; when the passes do not settle, a frame loop
+finishes from there. Every element is computed from exact inputs with the
+scalar form's operations in its order, so both paths give the same bits.
+The bits of every frame follow, in blocks of frames. Both forms take the
+logarithm with ``math.log2``, because numpy's vectorized ``log2`` can
+differ from it in the last bit and teacher labels are verified by exact
+replay; property tests pin the two forms equal bit for bit.
 """
 
 from __future__ import annotations
@@ -234,6 +240,14 @@ class SyntheticVideo:
     def gain(self) -> tuple[float, ...]:
         """Residual bits per unit of ``0.5 * log2(E / D)``: rd_gain * n_blocks * rate_multiplier."""
         return tuple((RD_GAIN * self.n_blocks * self.frames["rate_multiplier"]).tolist())
+
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``key_energy``, ``inter_energy`` and ``gain`` as read-only (T, 1)
+        columns, which ``encode_batch`` broadcasts over its rows."""
+        columns = np.array([self.key_energy, self.inter_energy, self.gain])[:, :, None]
+        columns.flags.writeable = False
+        return tuple(columns)
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +448,16 @@ class GopPlan:
     frame_types: tuple[FrameType, ...]
     show: tuple[bool, ...]
 
+    def __post_init__(self) -> None:
+        # PSNR averages the shown frames: every frame needs a flag, and one
+        # frame at least must be shown.
+        if len(self.show) != len(self.frame_types):
+            raise ConfigError(
+                f"GOP has {len(self.show)} show flags for {len(self.frame_types)} frames"
+            )
+        if not any(self.show):
+            raise ConfigError("GOP shows no frame")
+
     # Per-frame constants of the encoder kernel, (T,) each. The kernel reads
     # them once per frame step, where comparing or hashing an enum member
     # would cost more than the tuple lookup.
@@ -449,9 +473,35 @@ class GopPlan:
         return tuple(ft is not FrameType.INTER for ft in self.frame_types)
 
     @cached_property
+    def golden_source(self) -> tuple[int, ...]:
+        """Row of ``encode_batch``'s (T + 1)-row state holding each frame's
+        golden reference: 1 + the last earlier frame that refreshes the
+        golden slot, or 0, the all-zero row before the first frame."""
+        sources, row = [], 0
+        for t, refreshes in enumerate(self.refreshes_golden):
+            sources.append(row)
+            if refreshes:
+                row = t + 1
+        return tuple(sources)
+
+    @cached_property
     def header_bits(self) -> tuple[float, ...]:
         """Header bits at ``REFERENCE_BLOCKS`` blocks, which the kernel scales."""
         return tuple(HEADER_BITS[ft] for ft in self.frame_types)
+
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``key`` and ``header_bits`` as read-only (T, 1) columns, which
+        ``encode_batch`` broadcasts over its rows, and ``golden_source`` as
+        a (T,) index array."""
+        columns = (
+            np.array(self.key)[:, None],
+            np.array(self.header_bits)[:, None],
+            np.array(self.golden_source),
+        )
+        for column in columns:
+            column.flags.writeable = False
+        return columns
 
 
 def plan_gop(video: SyntheticVideo, gop_interval: int = 16) -> GopPlan:
@@ -531,8 +581,14 @@ def _frame_energy(video: SyntheticVideo, gop: GopPlan, t: int, d_last, d_golden)
     """
     if gop.key[t]:
         return video.key_energy[t]
+    return _inter_energy(video.inter_energy[t], d_last, d_golden)
+
+
+def _inter_energy(inter_energy, d_last, d_golden):
+    """An inter frame's energy: its own plus a share of its references'
+    distortion. Floats, or arrays that broadcast together."""
     d_ref = REF_MIX_LAST * d_last + REF_MIX_GOLDEN * d_golden
-    return video.inter_energy[t] + ERROR_PROPAGATION * d_ref
+    return inter_energy + ERROR_PROPAGATION * d_ref
 
 
 def _frame_header(video: SyntheticVideo, header_bits):
@@ -540,14 +596,71 @@ def _frame_header(video: SyntheticVideo, header_bits):
     return header_bits * video.n_blocks / REFERENCE_BLOCKS
 
 
+# Whole-episode passes ``encode_batch`` makes before its frame loop takes
+# over. A pass settles each chain of saturated frames by one more link; the
+# ES teacher's batches settle in at most 8 passes (at 100-300 frames).
+SETTLE_PASSES = 10
+# A first pass that saturates more than this share of the elements means long
+# chains, and the frame loop takes over at once. ES batches saturate under
+# 10% of their elements; a row of QP 255 saturates all of its own.
+DENSE_SATURATION = 0.25
+# Batches of more rows run the frame loop alone. A pass costs in proportion
+# to its elements, a loop step mostly a fixed overhead per frame; from about
+# 100-150 rows, the passes an ES batch needs cost more than the loop.
+SETTLE_MAX_ROWS = 64
+# Elements per block of ``encode_batch``'s log pass. One list of Python floats
+# for a whole batch falls out of cache: past about 50,000 elements, a single
+# pass was slower than per-frame ones.
+LOG_BLOCK = 8192
+
+
+def _settle_by_passes(video: SyntheticVideo, gop: GopPlan, caps, state, energy) -> int:
+    """Fixed-point passes of the encoder recurrence over whole episodes.
+
+    ``state`` is (T + 1, B): row 0 is zeros and row t + 1 receives frame
+    t's MSE; ``energy`` (T, B) receives the energies. Starting from the
+    guess that no frame saturates (MSE = cap), each pass computes every
+    unsettled frame's energy from the current state and sets MSE =
+    min(energy, cap). A frame's result depends only on earlier frames, so
+    after a pass every frame up to the first one that changed is exact.
+    Returns the first frame not known exact: T when a pass changed nothing.
+    """
+    num_frames, rows = caps.shape
+    mse = state[1:]
+    mse[...] = caps
+    key_energy, inter_energy, _ = video.columns
+    key, _, golden = gop.columns
+    start = 0
+    for n in range(SETTLE_PASSES):
+        inter = _inter_energy(inter_energy[start:], state[start:-1], state[golden[start:]])
+        energy[start:] = np.where(key[start:], key_energy[start:], inter)
+        settled = np.minimum(energy[start:], caps[start:])
+        changed = np.flatnonzero(settled != mse[start:])
+        mse[start:] = settled
+        if not changed.size:
+            return num_frames
+        start += int(changed[0]) // rows + 1
+        if n == 0 and changed.size > DENSE_SATURATION * settled.size:
+            break
+    return start
+
+
 def encode_batch(video: SyntheticVideo, gop: GopPlan, qps) -> tuple[np.ndarray, np.ndarray]:
     """Encode B whole episodes at once: ``qps`` (B, T) -> (bits, mse), each (B, T).
 
     The row form of the encoder; row i is bitwise equal to
-    ``replay_qp_sequence`` of ``qps[i]``. The frame loop carries
-    only the recurrence, each frame's energy and MSE over the B rows; the
-    bits of all (T, B) elements follow in one pass, with the arithmetic of
-    ``rate_distortion``, operation for operation.
+    ``replay_qp_sequence`` of ``qps[i]``. The recurrence, each frame's
+    energy and MSE, is settled by ``_settle_by_passes``: a frame's MSE is
+    its cap unless its energy is lower, which in ES batches is rare, so a
+    few whole-episode passes reach the fixed point. When they do not (after
+    ``SETTLE_PASSES`` passes, or after a first pass that saturates more
+    than ``DENSE_SATURATION`` of the elements), the frame loop picks up at
+    the first frame not yet exact; batches of more than ``SETTLE_MAX_ROWS``
+    rows run the loop from frame 0. A pass and the loop compute an element
+    from the same exact inputs with ``_frame_energy``'s operations, in its
+    order, so the path taken does not change a bit. The bits follow in
+    blocks of frames, with the arithmetic of ``rate_distortion``, operation
+    for operation.
     """
     qps = np.asarray(qps)
     if qps.ndim != 2 or qps.shape[1] != video.num_frames:
@@ -558,21 +671,27 @@ def encode_batch(video: SyntheticVideo, gop: GopPlan, qps) -> tuple[np.ndarray, 
         raise ValueError(f"qps must be in [0, {QP_MAX}]")
     check_gop(video, gop)
     caps = QP_MSE_CAP[qps.T]                    # (T, B), one row per frame
+    num_frames, rows = caps.shape
+    state = np.zeros((num_frames + 1, rows))
+    mse = state[1:]
     energy = np.empty(caps.shape)
-    mse = np.empty(caps.shape)
-    d_last = d_golden = np.zeros(qps.shape[0])
-    for t, (energy_t, cap_t, mse_t) in enumerate(zip(energy, caps, mse)):
-        energy_t[...] = _frame_energy(video, gop, t, d_last, d_golden)
-        d_last = np.minimum(energy_t, cap_t, out=mse_t)
-        if gop.refreshes_golden[t]:
-            d_golden = d_last
+    start = _settle_by_passes(video, gop, caps, state, energy) if rows <= SETTLE_MAX_ROWS else 0
+    unsettled = zip(range(start, num_frames), energy[start:], caps[start:], mse[start:])
+    for t, energy_t, cap_t, mse_t in unsettled:
+        energy_t[...] = _frame_energy(video, gop, t, state[t], state[gop.golden_source[t]])
+        np.minimum(energy_t, cap_t, out=mse_t)
+    _, _, gain = video.columns
+    _, header_bits, _ = gop.columns
+    header = _frame_header(video, header_bits)
+    bits = np.empty(caps.shape)
+    step = max(1, LOG_BLOCK // max(1, rows))
     # energy / mse >= 1, so the log is never negative. It is math.log2, not
     # np.log2, for the reason the module docstring gives.
-    ratio = (energy / mse).ravel().tolist()
-    log2 = np.fromiter(map(math.log2, ratio), np.float64, len(ratio)).reshape(mse.shape)
-    header = _frame_header(video, np.array(gop.header_bits))[:, None]
-    gain = np.array(video.gain)[:, None]
-    bits = header + gain * (0.5 * log2)
+    for lo in range(0, num_frames, step):
+        block = slice(lo, lo + step)
+        ratio = energy[block] / mse[block]
+        log2 = np.fromiter(map(math.log2, ratio.ravel().tolist()), np.float64, ratio.size)
+        bits[block] = header[block] + gain[block] * (0.5 * log2.reshape(ratio.shape))
     return bits.T, mse.T
 
 

@@ -4,15 +4,16 @@ feature bundles, equal their references."""
 from unittest import mock
 
 import numpy as np
-from hypothesis import example, given
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ratelab import simenc, teacher
+from ratelab import baseline, simenc, teacher
 from ratelab.policy import rollout
 from ratelab.policy.data import episodes_from_records, fit_spec_from_records
 from ratelab.policy.features import EMBED_DIM, FRAME_TYPE_ORDER
 from ratelab.policy.network import PolicyParams, arch_from_preset
-from ratelab.simenc import encode_batch
+from ratelab.simenc import FrameType, encode_batch
 from ratelab.teacher import EsConfig, EsState, TeacherRecord, es_step
 
 from helpers import EncodeState, reference_episode, step_frame
@@ -84,6 +85,148 @@ def test_batch_rows_equal_encode_frame_across_hidden_alt_refs(case):
             frame_bits, frame_mse, state = step_frame(video, gop, state, qp)
             assert (bits[i, t], mse[i, t]) == (frame_bits, frame_mse)
         assert rewards[i] == simenc.replay_qp_sequence(video, gop, row, 400.0).reward
+
+
+def plain_gop(frames, gop_interval, first, keys):
+    """A GOP plan ``plan_gop`` does not make: a hidden alternate reference
+    every ``gop_interval`` frames, frame 0 of type ``first`` and KEY frames
+    at positions drawn from ``keys``."""
+    types = [
+        FrameType.ALT_REF_HIDDEN if t % gop_interval == 0 else FrameType.INTER
+        for t in range(frames)
+    ]
+    types[0] = first
+    for k in keys:
+        types[1 + k % (frames - 1)] = FrameType.KEY
+    show = tuple(ft is not FrameType.ALT_REF_HIDDEN for ft in types)
+    return simenc.GopPlan(frame_types=tuple(types), show=show)
+
+
+# Rows whose chains of saturated frames run the whole episode.
+DENSE_ROWS = {
+    "none": lambda frames: np.empty((0, frames), dtype=int),
+    "qp255": lambda frames: np.full((1, frames), 255),
+    "constant": lambda frames: np.repeat(np.arange(256)[:, None], frames, axis=1),
+}
+
+
+def teacher_batch(frames, gop_interval, first, keys, seed, es_rows, sigma, burst, dense):
+    """A video, a plain GOP plan and a batch of QP rows: ``es_rows`` rows of
+    the heuristic's QPs plus noise of ``sigma`` QP, as ES draws them (few
+    frames saturate); a row of the heuristic's QPs with a ``burst`` (start,
+    length) of QP 255; and the ``dense`` rows."""
+    config = simenc.VideoConfig(num_frames_min=frames, num_frames_max=frames)
+    video = simenc.generate_video(seed, config)
+    gop = plain_gop(frames, gop_interval, first, keys)
+    heuristic = np.array(baseline.run_baseline(video, gop, 512.0).qps)
+    noise = np.random.default_rng(seed).standard_normal((es_rows, frames))
+    rows = [np.clip(np.rint(heuristic + sigma * noise), 0, 255).astype(int)]
+    if burst is not None:
+        start, length = burst[0] % frames, burst[1]
+        rows.append(heuristic[None].copy())
+        rows[-1][0, start : start + length] = 255
+    rows.append(DENSE_ROWS[dense](frames))
+    return video, gop, np.concatenate(rows)
+
+
+# One example per path of ``encode_batch``: settled by the first pass,
+# settled after several passes, and finished by the frame loop after the
+# pass limit, after a dense first pass and, past ``SETTLE_MAX_ROWS``, from
+# frame 0. ``test_examples_take_their_path`` checks each takes its path.
+SETTLE_PATHS = {
+    "first pass": dict(
+        frames=300, gop_interval=16, first=FrameType.KEY, keys=[], seed=1, es_rows=16,
+        sigma=4, burst=None, dense="none",
+    ),
+    "several passes": dict(
+        frames=300, gop_interval=16, first=FrameType.KEY, keys=[100], seed=3, es_rows=16,
+        sigma=4, burst=(40, 5), dense="none",
+    ),
+    "pass limit": dict(
+        frames=257, gop_interval=32, first=FrameType.INTER, keys=[], seed=5, es_rows=16,
+        sigma=4, burst=None, dense="qp255",
+    ),
+    "dense first pass": dict(
+        frames=300, gop_interval=2, first=FrameType.ALT_REF_HIDDEN, keys=[7, 150], seed=7,
+        es_rows=0, sigma=0, burst=None, dense="qp255",
+    ),
+    "many rows": dict(
+        frames=200, gop_interval=16, first=FrameType.KEY, keys=[], seed=9, es_rows=4,
+        sigma=4, burst=(10, 3), dense="constant",
+    ),
+}
+
+
+def settle_path(video, gop, qps):
+    """(whole-episode passes, first frame of the frame loop) of one call."""
+    passes, starts = 0, []
+    inter_energy, settle = simenc._inter_energy, simenc._settle_by_passes
+
+    def counted(own, d_last, d_golden):
+        nonlocal passes
+        # A pass hands in (T, 1) columns, the frame loop one frame's float.
+        passes += np.ndim(own) == 2
+        return inter_energy(own, d_last, d_golden)
+
+    def settled(*args):
+        starts.append(settle(*args))
+        return starts[-1]
+
+    with mock.patch.object(simenc, "_inter_energy", counted), \
+            mock.patch.object(simenc, "_settle_by_passes", settled):
+        encode_batch(video, gop, qps)
+    return passes, starts[0] if starts else 0
+
+
+@pytest.mark.parametrize(
+    "path, passes, settled",
+    [
+        ("first pass", range(1, 2), True),
+        ("several passes", range(3, simenc.SETTLE_PASSES), True),
+        ("pass limit", range(simenc.SETTLE_PASSES, simenc.SETTLE_PASSES + 1), False),
+        ("dense first pass", range(1, 2), False),
+        ("many rows", range(0, 1), False),
+    ],
+)
+def test_examples_take_their_path(path, passes, settled):
+    video, gop, qps = teacher_batch(**SETTLE_PATHS[path])
+    n, start = settle_path(video, gop, qps)
+    assert n in passes
+    # The loop picks up early, so most of the episode is its work.
+    assert start == video.num_frames if settled else start < video.num_frames - 100
+
+
+@given(
+    frames=st.integers(2, 300),
+    gop_interval=st.integers(2, 32),
+    first=st.sampled_from(FrameType),
+    keys=st.lists(st.integers(0, 298), max_size=3),
+    seed=st.integers(0, 2**32),
+    es_rows=st.integers(0, 16),
+    sigma=st.integers(0, 8),
+    burst=st.none() | st.tuples(st.integers(0, 299), st.integers(1, 8)),
+    dense=st.sampled_from(sorted(DENSE_ROWS)),
+)
+@settings(max_examples=25)
+@example(**SETTLE_PATHS["first pass"])
+@example(**SETTLE_PATHS["several passes"])
+@example(**SETTLE_PATHS["pass limit"])
+@example(**SETTLE_PATHS["dense first pass"])
+@example(**SETTLE_PATHS["many rows"])
+def test_batch_rows_equal_replay_and_stepper_at_teacher_lengths(**case):
+    """At teacher lengths, on plain GOP plans, over ES-like rows and rows
+    that saturate densely: each row equals replay and the stepper bit for
+    bit, whichever path settled it."""
+    video, gop, qps = teacher_batch(**case)
+    bits, mse = encode_batch(video, gop, qps)
+    for i, row in enumerate(qps.tolist()):
+        replay = simenc.replay_qp_sequence(video, gop, row, 512.0)
+        assert bits[i].tobytes() == np.array(replay.bits).tobytes()
+        assert mse[i].tobytes() == np.array(replay.mse).tobytes()
+        state = EncodeState()
+        for t, qp in enumerate(row):
+            frame_bits, frame_mse, state = step_frame(video, gop, state, qp)
+            assert (bits[i, t], mse[i, t]) == (frame_bits, frame_mse)
 
 
 @given(

@@ -19,7 +19,7 @@ from ratelab.simenc import (
     run_episode,
 )
 
-from helpers import FAST_CONFIG, EncodeState, constant_video, step_frame
+from helpers import FAST_CONFIG, EncodeState, all_inter_gop, constant_video, step_frame
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +248,20 @@ def test_gop_of_another_length_rejected(video):
         run_episode(video, short, 512.0, lambda obs: 100)
     with pytest.raises(simenc.ConfigError):
         replay_qp_sequence(video, short, [100] * video.num_frames, 512.0)
+
+
+def test_malformed_gop_rejected():
+    """A show flag per frame and one shown frame at least, else replay and
+    ``batch_rewards`` would disagree (truncate, or fail on an index or an
+    empty mean); a plan may start INTER."""
+    types = (FrameType.KEY,) + (FrameType.INTER,) * 3
+    with pytest.raises(simenc.ConfigError, match="3 show flags for 4 frames"):
+        simenc.GopPlan(frame_types=types, show=(True,) * 3)
+    with pytest.raises(simenc.ConfigError, match="shows no frame"):
+        simenc.GopPlan(frame_types=types, show=(False,) * 4)
+    v = constant_video(num_frames=4)
+    trace = replay_qp_sequence(v, all_inter_gop(4), [100] * 4, 512.0)
+    assert trace.show == (True,) * 4
 
 
 def test_encode_past_end_rejected():
