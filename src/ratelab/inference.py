@@ -1,8 +1,8 @@
 """Inference-time policy wrappers.
 
 Truncated sampling keeps only the strongest few QP logits before sampling;
-the feedback controller compares the cumulative-bits trajectory against a
-fitted envelope and, when outside it, shifts the sampled QP along the
+the feedback controller compares the cumulative-bits trajectory against an
+envelope and, when outside it, shifts the sampled QP along the
 sorted top-candidate list proportionally to the violation, steering the
 episode back toward the target without leaving the model's preferred
 actions.
@@ -12,8 +12,8 @@ when the k-th logit is tied; the sample inverts the cdf at one uniform
 draw; the controller evaluates the envelope once per episode. Each equals
 its plain form (``lexsort``, ``rng.choice``, a bound per frame) bit for bit.
 
-The envelope fit is the package's one use of scipy, which is imported on
-the first fit, so that only processes that fit bounds load it.
+The envelope is the per-position quantiles of training trajectories,
+stored as points and read by linear interpolation (see ``fit_bounds``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "BOUNDS_SCHEMA",
     "truncated_keep",
     "truncated_sample",
-    "LogBound",
     "BoundsModel",
     "BoundsFitError",
     "fit_bounds",
@@ -45,7 +44,7 @@ __all__ = [
     "load_bounds",
 ]
 
-BOUNDS_SCHEMA = "bounds.v1"
+BOUNDS_SCHEMA = "bounds.v2"
 
 # Truncated sampling draws from the SAMPLE_POOL strongest logits; feedback
 # control moves the sampled QP within the CANDIDATE_POOL strongest.
@@ -102,46 +101,21 @@ def truncated_sample(logits: np.ndarray, rng: np.random.Generator) -> int:
 # ---------------------------------------------------------------------------
 
 class BoundsFitError(RuntimeError):
-    """Envelope fit failed or produced an invalid bounds model."""
-
-
-@dataclass(frozen=True)
-class LogBound:
-    """One bound curve a1*log(a2*x + a3) + a4*x + a5 over x in [0, 1].
-
-    Fitted curves carry a3 = 1, since a1*log(a3) folds into a5; a3 is kept
-    so ``bounds.v1`` files with other values still load.
-    """
-
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-    a5: float
-
-    def __call__(self, x: float | np.ndarray) -> float | np.ndarray:
-        arg = self.a2 * np.asarray(x, dtype=np.float64) + self.a3
-        if np.any(arg <= 0.0):
-            raise ValueError("log argument must stay positive over the episode")
-        out = self.a1 * np.log(arg) + self.a4 * np.asarray(x) + self.a5
-        return float(out) if np.ndim(x) == 0 else out
-
-    def coefficients(self) -> tuple[float, float, float, float, float]:
-        return (self.a1, self.a2, self.a3, self.a4, self.a5)
+    """The traces cannot give an envelope: too few, or one that fails
+    ``BoundsModel.validate``."""
 
 
 # Envelope grid points, its outward margin and end tolerance (fractions of
-# the target), and the bracket and start grid of the fitted curvature a2/a3.
-# Traces, and the runs bounds steer, must match the bounds' target to within
-# TARGET_TOLERANCE_KBPS.
+# the target). Traces, and the runs bounds steer, must match the bounds'
+# target to within TARGET_TOLERANCE_KBPS.
 ENVELOPE_POINTS = 101
+ENVELOPE_GRID = np.linspace(0.0, 1.0, ENVELOPE_POINTS)
+ENVELOPE_GRID.setflags(write=False)
 MIN_MARGIN_FRAC = 0.005
 END_TOLERANCE = 0.05
-CURVATURE_BRACKET = (1e-3, 1e6)
-CURVATURE_GRID = 64
 TARGET_TOLERANCE_KBPS = 1e-6
 # Default per-position quantiles the envelope covers, and the fewest traces
-# it is fitted on.
+# it is taken from.
 COVERAGE = (0.025, 0.975)
 MIN_TRACES = 20
 
@@ -149,18 +123,28 @@ MIN_TRACES = 20
 @dataclass(frozen=True)
 class BoundsModel:
     """Lower/upper cumulative-bits envelope in kbps-equivalent units
-    (cumulative bits divided by video duration), over normalized episode
-    position x in [0, 1]."""
+    (cumulative bits divided by video duration): the value of each bound at
+    the episode positions ``ENVELOPE_GRID``, read between them by ``at``."""
 
-    lower: LogBound
-    upper: LogBound
+    lower: tuple[float, ...]
+    upper: tuple[float, ...]
     target_bitrate_kbps: float
     quantiles: tuple[float, float]
 
+    def at(self, x: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The lower and upper bound at episode positions ``x``, by linear
+        interpolation between the stored points."""
+        return np.interp(x, ENVELOPE_GRID, self.lower), np.interp(x, ENVELOPE_GRID, self.upper)
+
     def validate(self) -> None:
-        xs = np.linspace(0.0, 1.0, 201)
-        lo = self.lower(xs)
-        hi = self.upper(xs)
+        lo = np.asarray(self.lower, dtype=np.float64)
+        hi = np.asarray(self.upper, dtype=np.float64)
+        if lo.shape != (ENVELOPE_POINTS,) or hi.shape != (ENVELOPE_POINTS,):
+            raise BoundsFitError(f"each bound must hold {ENVELOPE_POINTS} points")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise BoundsFitError("bound points must be finite")
+        # Both bounds are linear between the same points, so they stay apart
+        # everywhere when they are apart at every point.
         if not np.all(lo < hi):
             raise BoundsFitError("lower bound must stay strictly below upper bound")
         gap = float(hi[-1] - lo[-1])
@@ -180,53 +164,14 @@ def _cumulative_kbps(trace: EpisodeTrace, duration: float) -> np.ndarray:
 def least_squares(*args, **kwargs):
     """``scipy.optimize.least_squares``, imported on the first call.
 
-    Only the envelope fit uses scipy, so a process that fits no bounds never
-    loads it.
+    Nothing in the package calls it: the envelope is the raw quantiles, with
+    no fit. ``perfbench/tracing.py`` wraps this name to count fit starts, so
+    it stays until the next benchmark change (ROADMAP item A) deletes it
+    together with the tracer's ``inference.fit.*`` metrics.
     """
     from scipy.optimize import least_squares as fit
 
     return fit(*args, **kwargs)
-
-
-def _fit_log_curve(xs: np.ndarray, ys: np.ndarray) -> LogBound:
-    """Least-squares fit of a1*log(c*x + 1) + a4*x + a5 by variable projection.
-
-    For a fixed curvature c the curve is linear in (a1, a4, a5), which one
-    3-column solve gives in closed form (Golub & Pereyra 1973). What is left
-    is a bounded 1-D search over log c, started from the best point of a
-    coarse grid over ``CURVATURE_BRACKET``.
-    """
-
-    def project(log_c) -> tuple[np.ndarray, np.ndarray]:
-        basis = np.column_stack([np.log(np.exp(log_c) * xs + 1.0), xs, np.ones_like(xs)])
-        coef = np.linalg.lstsq(basis, ys, rcond=None)[0]
-        return coef, basis @ coef - ys
-
-    lo, hi = np.log(CURVATURE_BRACKET)
-    grid = np.linspace(lo, hi, CURVATURE_GRID)
-    start = grid[np.argmin([np.sum(project(g)[1] ** 2) for g in grid])]
-    # The projected cost is flat near an interior optimum: the default ftol
-    # (1e-8) stops about 1e-12 of the cost short of it.
-    fit = least_squares(lambda p: project(p[0])[1], [start], bounds=(lo, hi), ftol=1e-12)
-    (a1, a4, a5), _ = project(fit.x[0])
-    bound = LogBound(float(a1), float(np.exp(fit.x[0])), 1.0, float(a4), float(a5))
-    if fit.status <= 0 or not np.all(np.isfinite(bound.coefficients())):
-        raise BoundsFitError(f"envelope fit failed (status {fit.status}): {fit.message}")
-    return bound
-
-
-def _shift_constant(bound: LogBound, delta: float) -> LogBound:
-    return LogBound(bound.a1, bound.a2, bound.a3, bound.a4, bound.a5 + delta)
-
-
-def _retarget_endpoint(bound: LogBound, end_value: float) -> LogBound:
-    """Adjust the linear slope so the curve passes through (1, end_value).
-
-    Leaves the start of the episode nearly untouched (the correction ramps
-    linearly from zero at x=0).
-    """
-    delta = end_value - bound(1.0)
-    return LogBound(bound.a1, bound.a2, bound.a3, bound.a4 + delta, bound.a5)
 
 
 def fit_bounds(
@@ -235,21 +180,24 @@ def fit_bounds(
     coverage: tuple[float, float] = COVERAGE,
     min_traces: int = MIN_TRACES,
 ) -> BoundsModel:
-    """Fit the cumulative-bits envelope from training trajectories.
+    """The cumulative-bits envelope of training trajectories.
 
-    Per-position quantiles of the trajectories (resampled onto a common
-    normalized grid) form the raw envelope, padded outward by
-    ``MIN_MARGIN_FRAC`` of the target so degenerate (zero-width) envelopes
-    stay strictly bracketed; each side is then fitted with the parameterized
-    logarithmic form and its endpoint tightened into
-    ``target * (1 +/- END_TOLERANCE)``.
+    Per-position quantiles of the trajectories, resampled onto
+    ``ENVELOPE_GRID``, form the envelope. Each side is padded outward by
+    ``MIN_MARGIN_FRAC`` of the target, so degenerate (zero-width) envelopes
+    stay strictly bracketed, and its end is moved into
+    ``target * (1 +/- END_TOLERANCE)`` by a correction that grows as x**2:
+    the bound's running rate (value / x) moves by a share of the end's move
+    that grows linearly from 0 at the start. Nothing is fitted: the paper fits a log curve to each side,
+    but that curve's curvature is not identified on these envelopes, and
+    the raw points steer held-out runs as well or better.
     """
     if len(traces) < min_traces:
         raise BoundsFitError(f"need at least {min_traces} traces, got {len(traces)}")
     lo_q, hi_q = coverage
     if not 0.0 <= lo_q < hi_q <= 1.0:
         raise ValueError("coverage quantiles must satisfy 0 <= lo < hi <= 1")
-    xs = np.linspace(0.0, 1.0, ENVELOPE_POINTS)
+    xs = ENVELOPE_GRID
     resampled = []
     for trace in traces:
         if abs(trace.target_bitrate_kbps - target_bitrate_kbps) > TARGET_TOLERANCE_KBPS:
@@ -262,26 +210,19 @@ def fit_bounds(
         resampled.append(np.interp(xs, pos, cum))
     stack = np.vstack(resampled)
     margin = MIN_MARGIN_FRAC * target_bitrate_kbps
-    lower_env = np.quantile(stack, lo_q, axis=0) - margin
-    upper_env = np.quantile(stack, hi_q, axis=0) + margin
-
-    lower = _fit_log_curve(xs, lower_env)
-    upper = _fit_log_curve(xs, upper_env)
-    # Shift each fit outward by its worst inward violation so the smooth
-    # curves bracket the raw envelope pointwise.
-    lower = _shift_constant(lower, -max(0.0, float(np.max(lower(xs) - lower_env))))
-    upper = _shift_constant(upper, +max(0.0, float(np.max(upper_env - upper(xs)))))
+    lower = np.quantile(stack, lo_q, axis=0) - margin
+    upper = np.quantile(stack, hi_q, axis=0) + margin
     lo_clamp = target_bitrate_kbps * (1.0 - END_TOLERANCE)
     hi_clamp = target_bitrate_kbps * (1.0 + END_TOLERANCE)
-    lower = _retarget_endpoint(
-        lower, min(max(lower(1.0), lo_clamp), target_bitrate_kbps)
-    )
-    upper = _retarget_endpoint(
-        upper, max(min(upper(1.0), hi_clamp), target_bitrate_kbps)
-    )
+    # A correction linear in x would move the running rate by the whole end
+    # move at every position, narrowing the envelope the traces drew long
+    # before the end; x**2 leaves the start of the episode nearly untouched.
+    ramp = xs**2
+    lower += ramp * (min(max(lower[-1], lo_clamp), target_bitrate_kbps) - lower[-1])
+    upper += ramp * (max(min(upper[-1], hi_clamp), target_bitrate_kbps) - upper[-1])
     model = BoundsModel(
-        lower=lower,
-        upper=upper,
+        lower=tuple(lower.tolist()),
+        upper=tuple(upper.tolist()),
         target_bitrate_kbps=target_bitrate_kbps,
         quantiles=(lo_q, hi_q),
     )
@@ -322,10 +263,14 @@ def feedback_adjust(i: int, b_t: float, lower: float, upper: float, alpha: float
     if not 1 <= i <= CANDIDATE_POOL:
         raise ValueError(f"candidate index {i} outside 1..{CANDIDATE_POOL}")
     if b_t < lower:
-        return max(1, min(CANDIDATE_POOL, i - round(alpha * (lower - b_t))))
-    if b_t > upper:
-        return max(1, min(CANDIDATE_POOL, i + round(alpha * (b_t - upper))))
-    return i
+        offset = -min(alpha * (lower - b_t), CANDIDATE_POOL)
+    elif b_t > upper:
+        offset = min(alpha * (b_t - upper), CANDIDATE_POOL)
+    else:
+        return i
+    # No move spans more than CANDIDATE_POOL steps: capping the offset first
+    # keeps a large alpha, whose product may be infinite, out of round().
+    return max(1, min(CANDIDATE_POOL, i + round(offset)))
 
 
 @dataclass
@@ -347,8 +292,8 @@ class FeedbackController:
     """Per-episode adjuster: remaps sampled QPs along the top-candidate list
     whenever the cumulative-bits trajectory leaves the envelope.
 
-    At frame 0, which every episode starts with, it evaluates both bounds
-    once at every later frame's episode position t / T.
+    At frame 0, which every episode starts with, it reads both bounds once,
+    by ``BoundsModel.at``, at every later frame's episode position t / T.
     """
 
     bounds: BoundsModel
@@ -364,8 +309,8 @@ class FeedbackController:
         if t == 0:
             self.events = []
             num_frames = obs.video.num_frames
-            xs = np.arange(1, num_frames) / num_frames
-            self._envelope = (self.bounds.lower(xs).tolist(), self.bounds.upper(xs).tolist())
+            lower, upper = self.bounds.at(np.arange(1, num_frames) / num_frames)
+            self._envelope = (lower.tolist(), upper.tolist())
             # Nothing has been spent yet; control cannot act on frame 0.
             return sampled_qp
         candidates = truncated_keep(logits, CANDIDATE_POOL)
@@ -426,19 +371,26 @@ def save_bounds(path: str | Path, model: BoundsModel) -> None:
         "schema": BOUNDS_SCHEMA,
         "target_bitrate_kbps": model.target_bitrate_kbps,
         "quantiles": list(model.quantiles),
-        "lower": dict(zip("a1 a2 a3 a4 a5".split(), model.lower.coefficients())),
-        "upper": dict(zip("a1 a2 a3 a4 a5".split(), model.upper.coefficients())),
+        "lower": list(model.lower),
+        "upper": list(model.upper),
     }
     path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def load_bounds(path: str | Path) -> BoundsModel:
+    """Read a ``bounds.v2`` file; one that ``fit_bounds`` could not have
+    written raises ``SchemaError`` before anything steers by it."""
     doc = json.loads(Path(path).read_text())
     if doc.get("schema") != BOUNDS_SCHEMA:
         raise SchemaError(f"{path}: expected schema {BOUNDS_SCHEMA!r}, found {doc.get('schema')!r}")
-    return BoundsModel(
-        lower=LogBound(**doc["lower"]),
-        upper=LogBound(**doc["upper"]),
-        target_bitrate_kbps=doc["target_bitrate_kbps"],
-        quantiles=tuple(doc["quantiles"]),
-    )
+    try:
+        model = BoundsModel(
+            lower=tuple(doc["lower"]),
+            upper=tuple(doc["upper"]),
+            target_bitrate_kbps=doc["target_bitrate_kbps"],
+            quantiles=tuple(doc["quantiles"]),
+        )
+        model.validate()
+    except (KeyError, TypeError, ValueError, BoundsFitError) as exc:
+        raise SchemaError(f"{path}: not a valid envelope: {exc!r}") from exc
+    return model

@@ -15,6 +15,11 @@ policy traces and control events were retaken from the code as it stood
 just before, trained with ``dropout=False``: the log, traces and events are
 the same bytes, and the checkpoint differs only in its ``policy.v3``
 metadata. The corpus, heuristic-trace, teacher and bounds pins did not move.
+When the envelope became the raw per-position quantiles in place of two
+fitted log curves, the bounds file became ``bounds.v2``, which stores the
+points, and the controlled rollout reads other bounds: the bounds, policy
+trace and control-event pins were retaken then. The corpus, heuristic-trace,
+teacher, training-log and checkpoint pins did not move.
 Change a digest only with a change that means to change the bytes.
 """
 
@@ -36,9 +41,9 @@ BASELINE_TRACES_SHA256 = "c62a835cc49e66e8b26fdfe92c0dccc0a7c825d35212f93c8a8927
 TEACHER_SHA256 = "221fc06ad830c4cb837f57bf66feb5c260ecfd8a55488e5db0589246704de88e"
 TRAIN_LOG_SHA256 = "8f932a69c0a6f3a8f763e3b6e75f07c57246108c41da66309deaf62b52c6e31a"
 CHECKPOINT_SHA256 = "f46a25791c46304e829093c24999220d70893a67fb2adfbf7520b244a7a354bc"
-POLICY_TRACES_SHA256 = "71d2754d29b2d13749796f1c1cfcbf93eb41bbe7547f3e10a9fce9b012c0d867"
-BOUNDS_SHA256 = "1c4e358179616ed65d428a3194c293cabea9462a4a09829b3d41fc7a803a9380"
-CONTROL_EVENTS_SHA256 = "14631c9b8b7b41f84f8bc35720f10241db75ec991ac57958d109298ec36aa44f"
+POLICY_TRACES_SHA256 = "0e21febc0aa3b41890255f8f02f96b7a20c57073b12806956c446c9f1b3692ac"
+BOUNDS_SHA256 = "976de838bcaec3914207845d8ae6a1b8858ec0c8b6eb8eb4b8c42cd32135aed4"
+CONTROL_EVENTS_SHA256 = "23af71eb66132d440f3beb30531aa24508c1b1bb9e012095b463b4de03e14187"
 
 
 def _sha256(path) -> str:

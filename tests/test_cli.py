@@ -280,13 +280,16 @@ SCIPY_PROBE = """
 import json, sys
 from ratelab import cli
 seen = {"import": "scipy.optimize" in sys.modules}
-corpus, base, bounds = sys.argv[1:]
+corpus, checkpoint, videos, base, bounds, evaluated = sys.argv[1:]
 for name, argv in (
     ("gen-videos", ["gen-videos", "--count", "3", "--frames-min", "40", "--frames-max", "50",
-                    "--out", corpus]),
-    ("run-baseline", ["run-baseline", "--corpus", corpus + "/corpus.jsonl", "--out", base]),
+                    "--out", videos]),
+    ("run-baseline", ["run-baseline", "--corpus", corpus, "--out", base]),
     ("fit-bounds", ["fit-bounds", "--traces", base + "/baseline_traces.jsonl",
                     "--min-traces", "3", "--out", bounds]),
+    ("evaluate", ["evaluate", "--corpus", corpus, "--checkpoint", checkpoint,
+                  "--bounds", bounds + "/bounds.json", "--anchors", "0.75,1.25",
+                  "--out", evaluated]),
 ):
     assert cli.main(argv) == 0, name
     seen[name] = "scipy.optimize" in sys.modules
@@ -294,18 +297,26 @@ print(json.dumps(seen))
 """
 
 
-def test_only_fit_bounds_loads_scipy(tmp_path):
-    """scipy serves the envelope fit alone; no other stage pays to import it."""
+def test_no_stage_loads_scipy(tmp_path, corpus_dir):
+    """The envelope is the traces' raw quantiles, so no stage, not even
+    ``fit-bounds`` or a controlled ``evaluate``, imports scipy's optimizers."""
+    checkpoint = tmp_path / "checkpoint.npz"
+    params, spec = tiny_policy(simenc.load_corpus(corpus_dir / "corpus.jsonl"))
+    save_checkpoint(checkpoint, params, spec, TrainConfig())
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    dirs = [str(tmp_path / name) for name in ("corpus", "base", "bounds")]
+    dirs = [str(tmp_path / name) for name in ("videos", "base", "bounds", "evaluated")]
     done = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, *dirs],
+        [sys.executable, "-c", SCIPY_PROBE, str(corpus_dir / "corpus.jsonl"), str(checkpoint),
+         *dirs],
         env=env, capture_output=True, text=True, check=True,
     )
     seen = json.loads(done.stdout.splitlines()[-1])
-    assert seen == {"import": False, "gen-videos": False, "run-baseline": False, "fit-bounds": True}
+    assert seen == dict.fromkeys(
+        ("import", "gen-videos", "run-baseline", "fit-bounds", "evaluate"), False
+    )
     assert inference.load_bounds(tmp_path / "bounds" / "bounds.json").target_bitrate_kbps == 512.0
+    assert (tmp_path / "evaluated" / "policy_traces.jsonl").exists()
 
 
 @pytest.fixture(scope="module")
@@ -405,6 +416,44 @@ def test_evaluate_rejects_bounds_at_another_target(tmp_path, capsys, corpus_dir,
     assert run([*args, "--target", "768", "--out", str(tmp_path / "at768")]) == 1
     assert "IncompatibleInputError" in capsys.readouterr().err
     assert not (tmp_path / "at768" / "policy_traces.jsonl").exists()
+
+
+CURVE = {"a1": 0.0, "a2": 1.0, "a3": 1.0, "a4": 512.0, "a5": 0.0}
+HALF_LINE = [512.0 * k / 49 for k in range(50)]
+
+
+@pytest.mark.parametrize(
+    "schema, lower, upper, message",
+    [
+        ("bounds.v1", {**CURVE, "a4": 480.0}, {**CURVE, "a4": 540.0}, "expected schema 'bounds.v2'"),
+        ("bounds.v2", HALF_LINE, [x + 1.0 for x in HALF_LINE], "must hold 101 points"),
+    ],
+    ids=["v1-curves", "v2-50-points"],
+)
+def test_evaluate_refuses_unreadable_bounds_before_any_encode(
+    tmp_path, capsys, corpus_dir, monkeypatch, schema, lower, upper, message
+):
+    """A ``bounds.v1`` file holds log-curve coefficients, which nothing reads
+    any more, and a ``bounds.v2`` file must hold the whole grid: ``evaluate``
+    exits 4 on either before it encodes a frame."""
+    videos = simenc.load_corpus(corpus_dir / "corpus.jsonl")
+    checkpoint = tmp_path / "checkpoint.npz"
+    params, spec = tiny_policy(videos)
+    save_checkpoint(checkpoint, params, spec, TrainConfig())
+    doc = {"schema": schema, "target_bitrate_kbps": 512.0, "quantiles": [0.025, 0.975],
+           "lower": lower, "upper": upper}
+    (tmp_path / "bounds.json").write_text(json.dumps(doc))
+
+    def no_encode(*args, **kwargs):
+        raise AssertionError("encoded before the bounds were read")
+
+    # The anchors and the rollouts all run through the one episode loop.
+    monkeypatch.setattr(simenc, "encode_episode", no_encode)
+    args = ["evaluate", "--corpus", str(corpus_dir / "corpus.jsonl"), "--checkpoint",
+            str(checkpoint), "--bounds", str(tmp_path / "bounds.json")]
+    assert run([*args, "--out", str(tmp_path / "out")]) == 4
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "policy_traces.jsonl").exists()
 
 
 def test_missing_input_exit_code(tmp_path):

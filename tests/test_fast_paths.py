@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import asdict
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -21,10 +22,14 @@ from ratelab import baseline, inference, simenc
 from ratelab.baseline import allocate_frame_targets, run_baseline
 from ratelab.inference import (
     CANDIDATE_POOL,
+    COVERAGE,
+    ENVELOPE_GRID,
+    ENVELOPE_POINTS,
     SAMPLE_POOL,
+    BoundsModel,
     ControlEvent,
     FeedbackConfig,
-    LogBound,
+    FeedbackController,
     feedback_adjust,
     truncated_keep,
     truncated_sample,
@@ -72,8 +77,7 @@ class ReferenceController:
         i = int(np.searchsorted(candidates, sampled_qp)) + 1
         x = obs.frame_index / obs.video.num_frames
         b_t = obs.cum_bits / obs.video.duration / 1000.0
-        lower = self.bounds.lower(x)
-        upper = self.bounds.upper(x)
+        lower, upper = map(float, self.bounds.at(x))
         j = feedback_adjust(i, b_t, lower, upper, self.config.alpha)
         self.events.append(ControlEvent(obs.frame_index, b_t, lower, upper, i, j))
         return int(candidates[j - 1])
@@ -230,18 +234,22 @@ def test_cdf_draw_matches_choice(logits, seed):
 # ---------------------------------------------------------------------------
 
 
-@st.composite
-def log_bounds(draw):
-    a2 = 10.0 ** draw(st.floats(-3.0, 6.0))
-    a1, a4, a5 = (draw(st.floats(-1e3, 1e3)) for _ in range(3))
-    return LogBound(a1, a2, 1.0, a4, a5)
+bound_points = st.lists(
+    st.floats(-1e6, 1e6), min_size=ENVELOPE_POINTS, max_size=ENVELOPE_POINTS
+).map(tuple)
+LINE = tuple((480.0 * ENVELOPE_GRID).tolist())
 
 
-@given(log_bounds(), st.integers(2, 400))
-@example(LogBound(0.0, 1.0, 1.0, 480.0, 0.0), 2)
-def test_envelope_matches_per_frame_bound(bound, num_frames):
-    xs = np.arange(1, num_frames) / num_frames
-    assert bound(xs).tolist() == [bound(t / num_frames) for t in range(1, num_frames)]
+@given(bound_points, bound_points, st.integers(2, 400))
+@example(LINE, tuple(x + 1.0 for x in LINE), 2)
+def test_envelope_matches_per_frame_bound(lower, upper, num_frames):
+    """The controller's one read per episode equals a read at every frame."""
+    bounds = BoundsModel(lower, upper, 512.0, COVERAGE)
+    controller = FeedbackController(bounds)
+    frame_0 = SimpleNamespace(frame_index=0, video=SimpleNamespace(num_frames=num_frames))
+    assert controller(frame_0, None, 7) == 7
+    per_frame = [tuple(map(float, bounds.at(t / num_frames))) for t in range(1, num_frames)]
+    assert controller._envelope == tuple(list(side) for side in zip(*per_frame))
 
 
 def _bounds(video, gop):

@@ -1,19 +1,20 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
 from ratelab import inference, simenc
 from ratelab.inference import (
+    CANDIDATE_POOL,
     BoundsFitError,
     BoundsModel,
     FeedbackConfig,
     FeedbackController,
-    LogBound,
     controlled_policy,
     feedback_adjust,
     fit_bounds,
@@ -81,8 +82,7 @@ def test_non_finite_logits_rejected(rng):
 def test_fit_bounds_brackets_trajectories(envelope_traces):
     model = fit_bounds(envelope_traces, 512.0)
     xs = np.linspace(0.0, 1.0, 101)
-    lower = model.lower(xs)
-    upper = model.upper(xs)
+    lower, upper = model.at(xs)
     assert np.all(lower < upper)
     # Per-position coverage should hold at roughly the envelope quantiles
     # away from the tightened end.
@@ -99,10 +99,11 @@ def test_fit_bounds_brackets_trajectories(envelope_traces):
 
 def test_fit_bounds_end_gap(envelope_traces):
     model = fit_bounds(envelope_traces, 512.0)
-    gap = model.upper(1.0) - model.lower(1.0)
+    lower, upper = model.at(1.0)
+    gap = upper - lower
     assert gap <= 0.10 * 512.0 + 1e-9
-    assert model.lower(1.0) <= 512.0 + 1e-6
-    assert model.upper(1.0) >= 512.0 - 1e-6
+    assert lower <= 512.0 + 1e-6
+    assert upper >= 512.0 - 1e-6
 
 
 def test_fit_bounds_degenerate_straight_line():
@@ -116,9 +117,10 @@ def test_fit_bounds_degenerate_straight_line():
     xs = np.linspace(0, 1, 50)
     duration = math.fsum(base.bits) / base.bitrate_kbps / 1000.0
     cum = np.interp(xs, np.linspace(0, 1, v.num_frames + 1), np.concatenate([[0], np.cumsum(base.bits)]) / duration / 1000.0)
-    assert np.all(model.lower(xs) <= cum + 1e-6)
-    assert np.all(model.upper(xs) >= cum - 1e-6)
-    assert abs(model.upper(1.0) - model.lower(1.0)) <= 0.10 * target + 1e-9
+    lower, upper = model.at(xs)
+    assert np.all(lower <= cum + 1e-6)
+    assert np.all(upper >= cum - 1e-6)
+    assert abs(upper[-1] - lower[-1]) <= 0.10 * target + 1e-9
 
 
 def test_fit_bounds_needs_enough_traces(envelope_traces):
@@ -131,51 +133,18 @@ def test_fit_bounds_rejects_mixed_targets(envelope_traces):
         fit_bounds(envelope_traces, 480.0)
 
 
-@given(
-    a1=st.floats(-1e3, 1e3),
-    log_c=st.floats(math.log(1e-2), math.log(1e5)),
-    a4=st.floats(-1e3, 1e3),
-    a5=st.floats(-1e3, 1e3),
-)
-def test_fit_recovers_planted_curve(a1, log_c, a4, a5):
-    xs = np.linspace(0.0, 1.0, inference.ENVELOPE_POINTS)
-    ys = LogBound(a1, math.exp(log_c), 1.0, a4, a5)(xs)
-    fit = inference._fit_log_curve(xs, ys)
-    assert np.max(np.abs(fit(xs) - ys)) <= 1e-6 * (1.0 + np.ptp(ys))
-
-
-def test_fitted_curves_carry_unit_a3(envelope_traces):
-    model = fit_bounds(envelope_traces, 512.0)
-    assert model.lower.a3 == model.upper.a3 == 1.0
-
-
-def test_unconverged_fit_raises(envelope_traces, monkeypatch):
-    real = inference.least_squares
-
-    def stalled(*args, **kwargs):
-        fit = real(*args, **kwargs)
-        fit.status = 0
-        return fit
-
-    monkeypatch.setattr(inference, "least_squares", stalled)
-    with pytest.raises(BoundsFitError):
-        fit_bounds(envelope_traces, 512.0)
-
-
 def test_bounds_serialization_roundtrip(tmp_path, envelope_traces):
     model = fit_bounds(envelope_traces, 512.0)
     path = tmp_path / "bounds.json"
     save_bounds(path, model)
     loaded = load_bounds(path)
-    assert loaded.lower.coefficients() == model.lower.coefficients()
-    assert loaded.upper.coefficients() == model.upper.coefficients()
-    assert loaded.target_bitrate_kbps == model.target_bitrate_kbps
+    assert loaded == model
 
 
-def test_saved_bounds_do_not_depend_on_the_date(tmp_path, monkeypatch):
+def test_saved_bounds_do_not_depend_on_the_date(tmp_path, monkeypatch, envelope_traces):
     import datetime
 
-    model = _wide_bounds()
+    model = fit_bounds(envelope_traces, 512.0)
     written = []
     for day in (datetime.date(2026, 1, 2), datetime.date(2027, 6, 30)):
 
@@ -198,21 +167,34 @@ def test_saved_bounds_do_not_depend_on_the_date(tmp_path, monkeypatch):
     assert load_bounds(tmp_path / "2026-01-02.json") == model
 
 
-def test_load_bounds_accepts_legacy_fit_date(tmp_path):
-    model = _wide_bounds()
-    path = tmp_path / "bounds.json"
-    save_bounds(path, model)
-    doc = json.loads(path.read_text())
-    doc["fit_date"] = "2026-10-17"
-    path.write_text(json.dumps(doc))
-    assert load_bounds(path) == model
-
-
 def test_bounds_schema_guard(tmp_path):
     from ratelab.io import SchemaError
 
     path = tmp_path / "bounds.json"
     path.write_text('{"schema": "bounds.v9"}')
+    with pytest.raises(SchemaError):
+        load_bounds(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"lower": [0.0, 512.0]},
+        {"upper": [math.nan] * inference.ENVELOPE_POINTS},
+        {"lower": {"a1": 0.0, "a2": 1.0, "a3": 1.0, "a4": 480.0, "a5": 0.0}},
+        {"target_bitrate_kbps": "512"},
+        {"quantiles": None},
+    ],
+    ids=["two-points", "nan", "curve", "text-target", "no-quantiles"],
+)
+def test_load_bounds_refuses_what_fit_bounds_cannot_write(tmp_path, envelope_traces, edit):
+    from ratelab.io import SchemaError
+
+    path = tmp_path / "bounds.json"
+    save_bounds(path, fit_bounds(envelope_traces, 512.0))
+    doc = json.loads(path.read_text())
+    doc.update(edit)
+    path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError):
         load_bounds(path)
 
@@ -256,6 +238,27 @@ def test_adjust_monotone_in_violation():
         prev = j
 
 
+@given(
+    i=st.integers(1, CANDIDATE_POOL),
+    violation=st.floats(1e-3, 1e4),
+    alpha=st.floats(0.0, sys.float_info.max),
+    over=st.booleans(),
+)
+@example(i=20, violation=1000.0, alpha=sys.float_info.max, over=True)
+@example(i=20, violation=1000.0, alpha=1e307, over=False)
+def test_adjust_takes_any_alpha_the_config_accepts(i, violation, alpha, over):
+    """An offset that reaches past the candidate list moves to its end, even
+    where alpha times the violation overflows; a shorter one is rounded."""
+    FeedbackConfig(alpha=alpha)
+    b_t = 600.0 + violation if over else 400.0 - violation
+    j = feedback_adjust(i, b_t, 400.0, 600.0, alpha)
+    offset = alpha * (b_t - 600.0 if over else 400.0 - b_t)
+    if offset >= CANDIDATE_POOL:
+        assert j == (CANDIDATE_POOL if over else 1)
+    else:
+        assert j == max(1, min(CANDIDATE_POOL, i + round(offset) if over else i - round(offset)))
+
+
 def test_adjust_index_validation():
     with pytest.raises(ValueError):
         feedback_adjust(0, 500.0, 400.0, 600.0, alpha=0.1)
@@ -274,17 +277,18 @@ def test_feedback_config_validation():
 
 def _wide_bounds(target=512.0):
     return BoundsModel(
-        lower=LogBound(0.0, 1.0, 1.0, 0.0, -1e12),
-        upper=LogBound(0.0, 1.0, 1.0, 0.0, 1e12),
+        lower=(-1e12,) * inference.ENVELOPE_POINTS,
+        upper=(1e12,) * inference.ENVELOPE_POINTS,
         target_bitrate_kbps=target,
         quantiles=(0.025, 0.975),
     )
 
 
 def test_controller_never_leaves_candidate_set(rng, video, gop):
+    xs = inference.ENVELOPE_GRID
     tight = BoundsModel(
-        lower=LogBound(0.0, 1.0, 1.0, 480.0, 0.0),
-        upper=LogBound(0.0, 1.0, 1.0, 482.0, 1.0),
+        lower=tuple((480.0 * xs).tolist()),
+        upper=tuple((482.0 * xs + 1.0).tolist()),
         target_bitrate_kbps=512.0,
         quantiles=(0.025, 0.975),
     )
