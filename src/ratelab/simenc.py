@@ -17,8 +17,15 @@ inter-coded frames includes a fraction of the reference frames' distortion,
 creating the long-horizon coupling), ``Q`` the quantizer step size and
 ``gain = rd_gain * n_blocks * rate_multiplier``.
 
-A video is stored by column: its latents are one structured array and its
-first-pass statistics one (T, 25) matrix, the form policies read them in.
+A video stores only its latents, by column, in one structured array; a
+corpus file holds nothing else per frame. Its first-pass statistics, the
+(T, 25) matrix policies read, are a fixed function of the latents and the
+frame rate, derived on first use in one pass over whole columns. Their four
+exponentials map ``math.exp`` over the column, not ``np.exp``: numpy's
+vectorized ``exp`` differs from it in the last bit on a few percent of
+inputs, and every feature spec, checkpoint and rollout built on the matrix
+would move with it.
+
 The encoder formula has two forms with one set of inputs: a frame's energy,
 from ``_frame_energy`` on the reference state, and its gain and header, from
 per-frame constants cached as (T,) tuples on the video and on the GOP plan.
@@ -89,7 +96,7 @@ __all__ = [
     "load_traces",
 ]
 
-CORPUS_SCHEMA = "simenc.v1"
+CORPUS_SCHEMA = "simenc.v2"
 TRACE_SCHEMA = "trace.v1"
 
 QP_MAX = 255
@@ -163,16 +170,19 @@ LATENT_DTYPE = np.dtype(
     ]
 )
 LATENT_FIELDS = LATENT_DTYPE.names
+_FLOAT_LATENTS = tuple(name for name in LATENT_FIELDS if LATENT_DTYPE[name].kind == "f")
+_NONNEGATIVE_LATENTS = ("noise_energy", "mv_row_abs", "mv_col_abs", "mv_row_var", "mv_col_var")
 
 
 @dataclass(frozen=True, eq=False)
 class SyntheticVideo:
-    """One video, stored by column; both arrays are made read-only.
+    """One video: its metadata and its latents, a read-only (T,) structured
+    array ``frames`` of ``LATENT_DTYPE``.
 
-    ``frames`` is a (T,) structured array of ``LATENT_DTYPE``;
-    ``first_pass`` is the (T, 25) float matrix of first-pass statistics, in
-    ``FIRST_PASS_FEATURES`` order. Arrays have no value equality, so neither
-    has the video: compare videos by ``video_to_record``.
+    Everything else is derived from them and cached: the (T, 25) first-pass
+    matrix that policies read, and the encoder's per-frame constants. Arrays
+    have no value equality, so neither has the video: compare videos by
+    ``video_to_record``.
     """
 
     video_id: str
@@ -181,11 +191,10 @@ class SyntheticVideo:
     height: int
     frame_rate: float
     frames: np.ndarray
-    first_pass: np.ndarray
 
     def __post_init__(self) -> None:
         # Corpus files are outside input: reject metadata and latents the
-        # encoder cannot take.
+        # encoder or the first-pass derivation cannot take.
         for name in ("width", "height", "frame_rate"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -195,20 +204,19 @@ class SyntheticVideo:
             raise ConfigError("frames must be a (T,) array of LATENT_DTYPE")
         if len(frames) < 2:
             raise ConfigError("a video needs at least 2 frames")
-        shape = (len(frames), len(FIRST_PASS_FEATURES))
-        if self.first_pass.dtype != np.float64 or self.first_pass.shape != shape:
-            raise ConfigError(f"first_pass must be a {shape} float64 matrix")
         inter = frames["inter_fraction"]
-        for name, ok, rule in (
+        checks = [(name, np.isfinite(frames[name]), "finite") for name in _FLOAT_LATENTS]
+        checks += [
             ("intra_energy", frames["intra_energy"] > 0.0, "> 0"),
             ("inter_fraction", (inter > 0.0) & (inter <= 1.0), "in (0,1]"),
-            ("noise_energy", frames["noise_energy"] >= 0.0, ">= 0"),
             ("rate_multiplier", frames["rate_multiplier"] > 0.0, "> 0"),
-        ):
+        ]
+        # A negative motion magnitude would overflow the first pass's math.exp.
+        checks += [(name, frames[name] >= 0.0, ">= 0") for name in _NONNEGATIVE_LATENTS]
+        for name, ok, rule in checks:
             if not ok.all():
                 raise ConfigError(f"{name} must be {rule}, got {frames[name][~ok][0]}")
         frames.flags.writeable = False
-        self.first_pass.flags.writeable = False
 
     @property
     def num_frames(self) -> int:
@@ -217,6 +225,11 @@ class SyntheticVideo:
     @property
     def duration(self) -> float:
         return self.num_frames / self.frame_rate
+
+    @cached_property
+    def first_pass(self) -> np.ndarray:
+        """The read-only (T, 25) first-pass matrix, in ``FIRST_PASS_FEATURES`` order."""
+        return _first_pass_matrix(self.frames, self.frame_rate)
 
     @cached_property
     def n_blocks(self) -> int:
@@ -296,16 +309,19 @@ class VideoConfig:
             raise ConfigError(f"frame_rate must be positive and finite, got {self.frame_rate}")
 
 
-def _first_pass_row(latent, index: int, num_frames: int, frame_rate: float) -> list[float]:
-    """Derive the published first-pass statistics from one frame's latents.
+def _first_pass_matrix(frames: np.ndarray, frame_rate: float) -> np.ndarray:
+    """The published first-pass statistics of latents ``frames``: a read-only
+    (T, 25) matrix in ``FIRST_PASS_FEATURES`` order.
 
-    ``latent`` is one row of ``frames``. The mapping is fixed and
-    deterministic: feature noise comes only from the latents themselves.
-    Returns the row in ``FIRST_PASS_FEATURES`` order.
+    The mapping is fixed and deterministic: feature noise comes only from
+    the latents themselves. It runs on whole columns; its four exponentials
+    map ``math.exp`` over the column, for the reason the module docstring
+    gives.
     """
-    intra_energy = latent["intra_energy"]
-    inter_fraction = latent["inter_fraction"]
-    noise_energy = latent["noise_energy"]
+    num_frames = len(frames)
+    intra_energy = frames["intra_energy"]
+    inter_fraction = frames["inter_fraction"]
+    noise_energy = frames["noise_energy"]
     intra = intra_energy + noise_energy
     coded = inter_fraction * intra_energy + noise_energy
     # Second (golden) reference predicts slightly worse than the last frame.
@@ -313,15 +329,15 @@ def _first_pass_row(latent, index: int, num_frames: int, frame_rate: float) -> l
     sr_coded = sr_fraction * intra_energy + noise_energy
 
     pcnt_inter = _clip01(1.0 - inter_fraction)
-    motion_activity = 1.0 - math.exp(-(latent["mv_row_abs"] + latent["mv_col_abs"]) / 2.0)
-    low_variance = math.exp(-intra_energy / 150.0)
+    motion_activity = 1.0 - _exp(-(frames["mv_row_abs"] + frames["mv_col_abs"]) / 2.0)
+    low_variance = _exp(-intra_energy / 150.0)
 
-    row = {
-        "frame_index": float(index),
+    columns = {
+        "frame_index": np.arange(num_frames, dtype=np.float64),
         "frame_weight": coded / (coded + 50.0),
         "intra_error": intra,
         "coded_error": coded,
-        "sr_coded_error": min(sr_coded, intra),
+        "sr_coded_error": np.minimum(sr_coded, intra),
         "frame_noise_energy": noise_energy,
         "pcnt_inter": pcnt_inter,
         "pcnt_motion": _clip01(pcnt_inter * motion_activity),
@@ -329,25 +345,33 @@ def _first_pass_row(latent, index: int, num_frames: int, frame_rate: float) -> l
         "pcnt_neutral": _clip01(0.05 + 0.1 * inter_fraction * (1.0 - inter_fraction)),
         "pcnt_intra_low": _clip01(0.6 * inter_fraction * low_variance),
         "pcnt_intra_high": _clip01(0.6 * inter_fraction * (1.0 - low_variance)),
-        "intra_skip_pct": _clip01(0.8 * math.exp(-intra_energy / 30.0)),
-        "intra_smooth_pct": _clip01(math.exp(-intra_energy / 60.0)),
+        "intra_skip_pct": _clip01(0.8 * _exp(-intra_energy / 30.0)),
+        "intra_smooth_pct": _clip01(_exp(-intra_energy / 60.0)),
         "inactive_zone_rows": 0.0,
         "inactive_zone_cols": 0.0,
-        "MVr": latent["mv_row_mean"],
-        "mvr_abs": latent["mv_row_abs"],
-        "MVc": latent["mv_col_mean"],
-        "mvc_abs": latent["mv_col_abs"],
-        "MVrv": latent["mv_row_var"],
-        "Mvcv": latent["mv_col_var"],
-        "mv_in_out_count": latent["mv_in_out"],
+        "MVr": frames["mv_row_mean"],
+        "mvr_abs": frames["mv_row_abs"],
+        "MVc": frames["mv_col_mean"],
+        "mvc_abs": frames["mv_col_abs"],
+        "MVrv": frames["mv_row_var"],
+        "Mvcv": frames["mv_col_var"],
+        "mv_in_out_count": frames["mv_in_out"],
         "duration": 1.0 / frame_rate,
         "frame_count": float(num_frames),
     }
-    return [row[name] for name in FIRST_PASS_FEATURES]
+    matrix = np.empty((num_frames, len(FIRST_PASS_FEATURES)))
+    for j, name in enumerate(FIRST_PASS_FEATURES):
+        matrix[:, j] = columns[name]
+    matrix.flags.writeable = False
+    return matrix
 
 
-def _clip01(x: float) -> float:
-    return min(1.0, max(0.0, x))
+def _exp(column: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.exp, column.tolist()), np.float64, len(column))
+
+
+def _clip01(column: np.ndarray) -> np.ndarray:
+    return np.minimum(1.0, np.maximum(0.0, column))
 
 
 def generate_video(seed: int, config: VideoConfig = VideoConfig()) -> SyntheticVideo:
@@ -406,19 +430,13 @@ def generate_video(seed: int, config: VideoConfig = VideoConfig()) -> SyntheticV
             mv_in_out, scene_id,
         ))
 
-    frames = np.array(rows, dtype=LATENT_DTYPE)
-    first_pass = np.array(
-        [_first_pass_row(f, i, num_frames, config.frame_rate) for i, f in enumerate(frames)],
-        dtype=np.float64,
-    )
     return SyntheticVideo(
         video_id=f"sim-{seed & 0xFFFFFFFFFFFFFFFF:016x}",
         seed=seed,
         width=config.width,
         height=config.height,
         frame_rate=config.frame_rate,
-        frames=frames,
-        first_pass=first_pass,
+        frames=np.array(rows, dtype=LATENT_DTYPE),
     )
 
 
@@ -901,7 +919,6 @@ def video_to_record(video: SyntheticVideo) -> dict:
         "height": video.height,
         "frame_rate": video.frame_rate,
         "frames": video.frames.tolist(),
-        "first_pass": video.first_pass.tolist(),
     }
 
 
@@ -913,7 +930,6 @@ def video_from_record(rec: dict) -> SyntheticVideo:
         height=rec["height"],
         frame_rate=rec["frame_rate"],
         frames=np.array([tuple(row) for row in rec["frames"]], dtype=LATENT_DTYPE),
-        first_pass=np.array(rec["first_pass"], dtype=np.float64),
     )
 
 

@@ -128,15 +128,16 @@ def es_step(
     if lead is not None:
         rows = np.vstack([lead, rows])
     scored = np.broadcast_to(np.asarray(reward_fn(rows), dtype=np.float64), len(rows))
-    best_reward = state.best_reward
-    best_qps = state.best_qps
-    lead_best = None
-    for i, reward in enumerate(scored):
-        if reward > best_reward:
-            best_reward = float(reward)
-            best_qps = rows[i]
-        if i == 0 and lead is not None:
-            lead_best = best_reward
+    best_reward, best_qps, lead_best = state.best_reward, state.best_qps, None
+    if lead is not None:
+        if scored[0] > best_reward:
+            best_reward, best_qps = float(scored[0]), rows[0]
+        lead_best = best_reward
+    # The first maximum, kept only on a strict improvement, as a scan in row
+    # order would keep it.
+    i = int(np.argmax(scored))
+    if scored[i] > best_reward:
+        best_reward, best_qps = float(scored[i]), rows[i]
     weights = _centered_ranks(scored if lead is None else scored[1:])
     alpha = config.step_learning_rate(state.step)
     update = alpha / (config.batch_size * config.sigma) * (weights @ noise)

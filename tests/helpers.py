@@ -1,5 +1,6 @@
 """Builders the test modules share; import them with ``from helpers import ...``."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,18 +39,13 @@ def constant_video(
         scene_id=0,
     )
     row = tuple(latent[name] for name in simenc.LATENT_FIELDS)
-    frames = np.array([row] * num_frames, dtype=simenc.LATENT_DTYPE)
-    first_pass = np.array(
-        [simenc._first_pass_row(f, i, num_frames, frame_rate) for i, f in enumerate(frames)]
-    )
     return simenc.SyntheticVideo(
         video_id="const",
         seed=0,
         width=width,
         height=height,
         frame_rate=frame_rate,
-        frames=frames,
-        first_pass=first_pass,
+        frames=np.array([row] * num_frames, dtype=simenc.LATENT_DTYPE),
     )
 
 
@@ -150,3 +146,70 @@ def reference_episode(video, gop, target_bitrate_kbps, policy_callback):
         bits.append(b)
         mses.append(m)
     return simenc._finalize_trace(video, gop, target_bitrate_kbps, qps, bits, mses)
+
+
+# ---------------------------------------------------------------------------
+# Reference first pass: one frame's statistics from its latents, on numpy
+# scalars, the per-row form ``SyntheticVideo.first_pass`` replaced. A
+# property test pins the derived matrix to it byte for byte.
+# ---------------------------------------------------------------------------
+
+
+def first_pass_row(latent, index, num_frames, frame_rate):
+    """One frame's first-pass statistics, in ``FIRST_PASS_FEATURES`` order;
+    ``latent`` is one row of a video's ``frames``."""
+    intra_energy = latent["intra_energy"]
+    inter_fraction = latent["inter_fraction"]
+    noise_energy = latent["noise_energy"]
+    intra = intra_energy + noise_energy
+    coded = inter_fraction * intra_energy + noise_energy
+    sr_fraction = inter_fraction + 0.15 * (1.0 - inter_fraction)
+    sr_coded = sr_fraction * intra_energy + noise_energy
+
+    pcnt_inter = _clip01(1.0 - inter_fraction)
+    motion_activity = 1.0 - math.exp(-(latent["mv_row_abs"] + latent["mv_col_abs"]) / 2.0)
+    low_variance = math.exp(-intra_energy / 150.0)
+
+    row = {
+        "frame_index": float(index),
+        "frame_weight": coded / (coded + 50.0),
+        "intra_error": intra,
+        "coded_error": coded,
+        "sr_coded_error": min(sr_coded, intra),
+        "frame_noise_energy": noise_energy,
+        "pcnt_inter": pcnt_inter,
+        "pcnt_motion": _clip01(pcnt_inter * motion_activity),
+        "pcnt_second_ref": _clip01(0.35 * pcnt_inter),
+        "pcnt_neutral": _clip01(0.05 + 0.1 * inter_fraction * (1.0 - inter_fraction)),
+        "pcnt_intra_low": _clip01(0.6 * inter_fraction * low_variance),
+        "pcnt_intra_high": _clip01(0.6 * inter_fraction * (1.0 - low_variance)),
+        "intra_skip_pct": _clip01(0.8 * math.exp(-intra_energy / 30.0)),
+        "intra_smooth_pct": _clip01(math.exp(-intra_energy / 60.0)),
+        "inactive_zone_rows": 0.0,
+        "inactive_zone_cols": 0.0,
+        "MVr": latent["mv_row_mean"],
+        "mvr_abs": latent["mv_row_abs"],
+        "MVc": latent["mv_col_mean"],
+        "mvc_abs": latent["mv_col_abs"],
+        "MVrv": latent["mv_row_var"],
+        "Mvcv": latent["mv_col_var"],
+        "mv_in_out_count": latent["mv_in_out"],
+        "duration": 1.0 / frame_rate,
+        "frame_count": float(num_frames),
+    }
+    return [row[name] for name in simenc.FIRST_PASS_FEATURES]
+
+
+def _clip01(x):
+    return min(1.0, max(0.0, x))
+
+
+def reference_first_pass(video):
+    """The (T, 25) matrix of ``first_pass_row`` over the video's frames."""
+    return np.array(
+        [
+            first_pass_row(f, i, video.num_frames, video.frame_rate)
+            for i, f in enumerate(video.frames)
+        ],
+        dtype=np.float64,
+    )

@@ -20,6 +20,11 @@ fitted log curves, the bounds file became ``bounds.v2``, which stores the
 points, and the controlled rollout reads other bounds: the bounds, policy
 trace and control-event pins were retaken then. The corpus, heuristic-trace,
 teacher, training-log and checkpoint pins did not move.
+When the first-pass matrix became a value derived from the latents, corpus
+rows dropped their ``first_pass`` lists and the schema became
+``simenc.v2``: the corpus pin was retaken then. The new file is the old one
+with that key removed and the tag changed, byte for byte, and the derived
+matrix equals the stored one, so no other pin moved.
 Change a digest only with a change that means to change the bytes.
 """
 
@@ -36,7 +41,7 @@ from ratelab.policy.train import TrainConfig, save_checkpoint, train, write_trai
 
 from helpers import FAST_CONFIG
 
-CORPUS_SHA256 = "83dbd353a8d56eec7ab1fe92d0fd95db77d696f760932bd4ab1944fe6b56a41c"
+CORPUS_SHA256 = "d32b99928e61247ac62e08fcd5a8e1903055542be97854b17fcfcf27328cbfbf"
 BASELINE_TRACES_SHA256 = "c62a835cc49e66e8b26fdfe92c0dccc0a7c825d35212f93c8a89277930a5bd38"
 TEACHER_SHA256 = "221fc06ad830c4cb837f57bf66feb5c260ecfd8a55488e5db0589246704de88e"
 TRAIN_LOG_SHA256 = "8f932a69c0a6f3a8f763e3b6e75f07c57246108c41da66309deaf62b52c6e31a"

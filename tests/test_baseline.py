@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from bisect import bisect_right
 from unittest import mock
@@ -71,12 +70,11 @@ def test_targets_sum_to_budget(video, gop):
 
 
 def test_zero_weight_rejected():
-    v = constant_video(num_frames=3)
-    first_pass = v.first_pass.copy()
-    first_pass[:, simenc.FIRST_PASS_FEATURES.index("coded_error")] = 0.0
-    zeroed = dataclasses.replace(v, first_pass=first_pass)
+    # coded_error = 0.5 * 5e-324 + 0.0 rounds to 0 on every frame.
+    v = constant_video(num_frames=3, intra_energy=5e-324, inter_fraction=0.5, noise_energy=0.0)
+    assert not v.first_pass[:, simenc.FIRST_PASS_FEATURES.index("coded_error")].any()
     with pytest.raises(AllocationError):
-        allocate_frame_targets(zeroed, all_inter_gop(3), 512.0)
+        allocate_frame_targets(v, all_inter_gop(3), 512.0)
 
 
 # ---------------------------------------------------------------------------

@@ -456,6 +456,32 @@ def test_evaluate_refuses_unreadable_bounds_before_any_encode(
     assert not (tmp_path / "out" / "policy_traces.jsonl").exists()
 
 
+def test_build_dataset_refuses_a_v1_corpus_before_any_encode(
+    tmp_path, capsys, corpus_dir, monkeypatch
+):
+    """A ``simenc.v1`` corpus stored each frame's first-pass statistics
+    beside its latents, where they could disagree. They are derived now, and
+    ``build-dataset`` exits 4 on such a file before it encodes a frame."""
+    videos = simenc.load_corpus(corpus_dir / "corpus.jsonl")
+    rows = [json.loads(line) for line in (corpus_dir / "corpus.jsonl").read_text().splitlines()]
+    v1_rows = (
+        {**{k: v for k, v in row.items() if k != "schema"}, "first_pass": video.first_pass.tolist()}
+        for row, video in zip(rows, videos)
+    )
+    write_jsonl(tmp_path / "corpus.jsonl", v1_rows, "simenc.v1")
+
+    def no_encode(*args, **kwargs):
+        raise AssertionError("encoded before the corpus was read")
+
+    # The heuristic runs through the episode loop, ES through the row form.
+    monkeypatch.setattr(simenc, "encode_episode", no_encode)
+    monkeypatch.setattr(simenc, "encode_batch", no_encode)
+    args = ["build-dataset", "--corpus", str(tmp_path / "corpus.jsonl")]
+    assert run([*args, "--out", str(tmp_path / "out")]) == 4
+    assert "expected schema 'simenc.v2', found 'simenc.v1'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "teacher.jsonl").exists()
+
+
 def test_missing_input_exit_code(tmp_path):
     assert run(["run-baseline", "--corpus", "nope.jsonl", "--out", str(tmp_path)]) == 3
 

@@ -1,5 +1,6 @@
-"""Property tests: every fast path of the encoder kernel, and the teacher-forced
-feature bundles, equal their references."""
+"""Property tests: every fast path of the encoder kernel, the derived
+first-pass matrix and the teacher-forced feature bundles equal their
+references."""
 
 from unittest import mock
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ratelab import baseline, simenc, teacher
 from ratelab.policy import rollout
@@ -16,7 +18,7 @@ from ratelab.policy.network import PolicyParams, arch_from_preset
 from ratelab.simenc import FrameType, encode_batch
 from ratelab.teacher import EsConfig, EsState, TeacherRecord, es_step
 
-from helpers import EncodeState, reference_episode, step_frame
+from helpers import EncodeState, reference_episode, reference_first_pass, step_frame
 from test_baseline import probes_of_search, scan_oracle, search
 
 
@@ -45,6 +47,59 @@ def reachable_states(draw):
     for qp in row[: draw(st.integers(0, video.num_frames - 1))]:
         _, _, state = step_frame(video, gop, state, int(qp))
     return video, gop, row, state
+
+
+def _latent_column(low, high, positive=False):
+    """Floats in [low, high], subnormals included, and -0.0; (low, high]
+    alone for a latent that must be positive."""
+    if positive:
+        return st.floats(low, high, exclude_min=True)
+    return st.one_of(st.floats(low, high), st.just(-0.0))
+
+
+# Each latent over a range far wider than generation draws from, where the
+# video accepts it.
+LATENT_COLUMNS = {
+    "intra_energy": _latent_column(0.0, 1e12, positive=True),
+    "inter_fraction": _latent_column(0.0, 1.0, positive=True),
+    "noise_energy": _latent_column(0.0, 1e6),
+    "rate_multiplier": _latent_column(0.0, 1e3, positive=True),
+    "mv_row_mean": _latent_column(-1e6, 1e6),
+    "mv_row_abs": _latent_column(0.0, 1e6),
+    "mv_col_mean": _latent_column(-1e6, 1e6),
+    "mv_col_abs": _latent_column(0.0, 1e6),
+    "mv_row_var": _latent_column(0.0, 1e12),
+    "mv_col_var": _latent_column(0.0, 1e12),
+    "mv_in_out": _latent_column(-1.0, 1.0),
+    "scene_id": st.integers(0, 1000),
+}
+
+
+@given(
+    frames=st.integers(2, 400).flatmap(
+        lambda n: st.fixed_dictionaries(
+            {name: hnp.arrays(simenc.LATENT_DTYPE[name], n, elements=column)
+             for name, column in LATENT_COLUMNS.items()}
+        )
+    ),
+    frame_rate=st.one_of(
+        st.sampled_from([23.976, 24.0, 25.0, 29.97, 30.0, 60.0]), st.floats(1e-3, 1e4)
+    ),
+)
+@example(
+    frames={name: np.array([-0.0, 0.5]) for name in LATENT_COLUMNS}
+    | {"intra_energy": np.array([5e-324, 1e12]), "inter_fraction": np.array([1.0, 1e-3]),
+       "rate_multiplier": np.array([1.0, 1.0]), "scene_id": np.array([0, 0])},
+    frame_rate=30.0,
+)
+def test_first_pass_equals_per_row_reference(frames, frame_rate):
+    latents = np.zeros(len(frames["scene_id"]), simenc.LATENT_DTYPE)
+    for name, column in frames.items():
+        latents[name] = column
+    video = simenc.SyntheticVideo("v", 0, 640, 480, frame_rate, latents)
+    # Bytes, so that a signed zero or a NaN would count as a difference.
+    assert video.first_pass.tobytes() == reference_first_pass(video).tobytes()
+    assert not video.first_pass.flags.writeable
 
 
 QP_OR_EDGE = st.one_of(st.sampled_from([0, 255]), st.integers(0, 255))

@@ -87,26 +87,33 @@ def test_corpus_roundtrip(tmp_path, small_corpus):
     assert path.read_bytes() == second.read_bytes()
 
 
-# Column of each range-checked latent in a corpus row's "frames" lists.
-_CHECKED_LATENTS = {"intra_energy": 0, "inter_fraction": 1, "noise_energy": 2, "rate_multiplier": 3}
-
-
 @pytest.mark.parametrize(
     "name, bad",
     [
         ("intra_energy", 0.0),
         ("intra_energy", -1.0),
+        ("intra_energy", math.inf),
         ("inter_fraction", 0.0),
         ("inter_fraction", 1.5),
         ("noise_energy", -0.1),
         ("rate_multiplier", 0.0),
+        ("mv_row_mean", math.nan),
+        ("mv_col_abs", math.inf),
+        ("mv_in_out", -math.inf),
+        ("mv_row_abs", -0.5),
+        ("mv_col_abs", -1e-300),
+        ("mv_row_var", -1.0),
+        ("mv_col_var", -2.0),
     ],
 )
 def test_load_corpus_rejects_out_of_range_latent(tmp_path, small_corpus, name, bad):
+    """The first-pass matrix is derived from the latents: a non-finite
+    latent, or a negative motion magnitude, would reach the policy (or
+    overflow ``math.exp``), so loading refuses it and names the field."""
     path = tmp_path / "corpus.jsonl"
     simenc.save_corpus(path, small_corpus[:1])
     row = json.loads(path.read_text())
-    row["frames"][3][_CHECKED_LATENTS[name]] = bad
+    row["frames"][3][simenc.LATENT_FIELDS.index(name)] = bad
     path.write_text(json.dumps(row) + "\n")
     with pytest.raises(simenc.ConfigError, match=name):
         simenc.load_corpus(path)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,23 @@ def test_tied_rewards_share_their_mean_rank():
     table = {104: 3.0, 108: 1.0, 96: 3.0, 92: 0.0}
     nxt = es_step(state, cfg, _rewards_by_qp(table), np.array([[1.0], [2.0], [-1.0], [-2.0]]))
     assert nxt.theta == pytest.approx([100.0 + 2.0 / 3.0])
+
+
+def test_tied_best_rewards_keep_the_first_row():
+    # Candidates 132, 136, 124, 120 score 1, 3, 3, 2: the best is the first
+    # row scoring 3. A lead row scoring 3 comes first and keeps its place, and
+    # a best-so-far of 3 is kept, since only a strict improvement replaces it.
+    cfg = EsConfig(sigma=4.0, batch_size=4)
+    table = {132: 1.0, 136: 3.0, 124: 3.0, 120: 2.0, 100: 3.0}
+    noise = np.array([[1.0], [2.0], [-1.0], [-2.0]])
+    state = EsState(theta=np.array([128.0]), step=0, best_reward=0.0, best_qps=np.array([128]))
+    nxt = es_step(state, cfg, _rewards_by_qp(table), noise)
+    assert (nxt.best_reward, nxt.best_qps.tolist(), nxt.lead_best) == (3.0, [136], None)
+    led = es_step(state, cfg, _rewards_by_qp(table), noise, lead=np.array([100]))
+    assert (led.best_reward, led.best_qps.tolist(), led.lead_best) == (3.0, [100], 3.0)
+    held = dataclasses.replace(state, best_reward=3.0)
+    kept = es_step(held, cfg, _rewards_by_qp(table), noise)
+    assert (kept.best_reward, kept.best_qps.tolist()) == (3.0, [128])
 
 
 def test_update_invariant_to_increasing_reward_map():
