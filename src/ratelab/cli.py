@@ -127,6 +127,13 @@ def _floats(count: int, at_least: bool = False):
     return parse
 
 
+def _seed(text: str) -> int:
+    """An argparse ``type`` for a seed: an integer >= 0, as numpy's seeding needs."""
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"{text!r}: expected an integer >= 0")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # gen-videos
 # ---------------------------------------------------------------------------
@@ -436,7 +443,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     video = simenc.VideoConfig()
     p = add("gen-videos", cmd_gen_videos, help="generate a synthetic video corpus")
     p.add_argument("--count", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--frames-min", type=int, default=video.num_frames_min)
     p.add_argument("--frames-max", type=int, default=video.num_frames_max)
     p.add_argument("--width", type=int, default=video.width)
@@ -459,7 +466,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--sigma", type=float, default=teacher_config.es.sigma)
     p.add_argument("--alpha", type=float, default=teacher_config.es.learning_rate)
     p.add_argument("--batch", type=int, default=teacher_config.es.batch_size)
-    p.add_argument("--seed", type=int, default=teacher_config.seed)
+    p.add_argument("--seed", type=_seed, default=teacher_config.seed)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--per-video", type=int, default=teacher_config.bitrates_per_video)
     bitrates = (teacher_config.bitrate_min_kbps, teacher_config.bitrate_max_kbps)
@@ -475,7 +482,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--learning-rate", type=float, default=train_config.learning_rate)
     p.add_argument("--beta1", type=float, default=train_config.beta1_frame_bits)
     p.add_argument("--beta2", type=float, default=train_config.beta2_total_bits)
-    p.add_argument("--seed", type=int, default=train_config.seed)
+    p.add_argument("--seed", type=_seed, default=train_config.seed)
 
     p = add("fit-bounds", cmd_fit_bounds, help="fit the cumulative-bits envelope")
     p.add_argument("--traces", required=True)
@@ -491,7 +498,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument(
         "--anchors", type=_floats(2, at_least=True), default=(0.5, 0.75, 1.0, 1.25, 1.5)
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = add("report", cmd_report, help="emit histograms and the ablation table")
     p.add_argument(

@@ -17,6 +17,13 @@ inter-coded frames includes a fraction of the reference frames' distortion,
 creating the long-horizon coupling), ``Q`` the quantizer step size and
 ``gain = rd_gain * n_blocks * rate_multiplier``.
 
+A video's latents are drawn one scene at a time: four scalar draws, then
+one block of ``9 * n - 1`` normals for its ``n`` frames, frame-major, which
+whole-column numpy operations map to latents. These are the bytes a loop of
+scalar draws per frame gave: ``Generator.normal(0, s)`` is ``0 + s * z`` on
+the stream ``standard_normal`` reads, numpy's ``exp`` of an array is its
+``exp`` of each element (``math.exp`` is not), and a clip does not round.
+
 A video stores only its latents, by column, in one structured array; a
 corpus file holds nothing else per frame. Its first-pass statistics, the
 (T, 25) matrix policies read, are a fixed function of the latents and the
@@ -267,11 +274,7 @@ class SyntheticVideo:
 # Synthetic video generation
 # ---------------------------------------------------------------------------
 
-# Latent distributions of generated videos. Scene lengths are geometric
-# with this mean; each scene draws its intra energy (lognormal, clamped to
-# its range), noise energy and inter fraction (uniform over their ranges)
-# and a motion scale, and each frame scatters around its scene's values by
-# log-scale jitter. Rate multipliers are lognormal per frame, clamped.
+# Latent distributions of generated videos; ``generate_video`` gives the draws.
 MEAN_SCENE_LENGTH = 45.0
 INTRA_ENERGY_LOG_MEAN = math.log(120.0)
 INTRA_ENERGY_LOG_SIGMA = 0.7
@@ -375,60 +378,50 @@ def _clip01(column: np.ndarray) -> np.ndarray:
 
 
 def generate_video(seed: int, config: VideoConfig = VideoConfig()) -> SyntheticVideo:
-    """Generate one synthetic video, deterministically in ``seed``."""
+    """Generate one synthetic video, deterministically in ``seed``.
+
+    Draws, in order: the frame count, the scene lengths, then per scene of
+    ``n`` frames its intra energy, noise energy, inter fraction and motion
+    scale, and one block of ``9 * n - 1`` standard normals, frame-major:
+    intra, noise, inter fraction (none on the scene's first frame, whose
+    fraction is 1), rate, row and column motion means and spreads, in/out.
+    """
     config.validate()
     rng = np.random.Generator(np.random.PCG64(seed))
 
     num_frames = int(rng.integers(config.num_frames_min, config.num_frames_max + 1))
 
     # Scene segmentation: geometric lengths, at least 4 frames per scene.
-    scene_starts = [0]
-    t = 0
-    while True:
-        length = max(4, int(rng.geometric(1.0 / MEAN_SCENE_LENGTH)))
-        t += length
-        if t >= num_frames:
-            break
+    scene_starts, p = [0], 1.0 / MEAN_SCENE_LENGTH
+    while (t := scene_starts[-1] + max(4, int(rng.geometric(p)))) < num_frames:
         scene_starts.append(t)
+    lengths = np.diff(scene_starts + [num_frames])
 
-    rows: list[tuple] = []
-    scene_id = -1
-    base_intra = base_noise = base_rho = motion_scale = 0.0
-    for index in range(num_frames):
-        at_scene_start = scene_id + 1 < len(scene_starts) and index == scene_starts[scene_id + 1]
-        if at_scene_start:
-            scene_id += 1
-            base_intra = float(
-                np.clip(
-                    rng.lognormal(INTRA_ENERGY_LOG_MEAN, INTRA_ENERGY_LOG_SIGMA),
-                    *INTRA_ENERGY_RANGE,
-                )
-            )
-            base_noise = float(rng.uniform(*NOISE_ENERGY_RANGE))
-            base_rho = float(rng.uniform(*INTER_FRACTION_RANGE))
-            motion_scale = float(rng.lognormal(math.log(2.0), 0.6))
-
-        intra = base_intra * float(np.exp(rng.normal(0.0, INTRA_JITTER)))
-        noise = base_noise * float(np.exp(rng.normal(0.0, NOISE_JITTER)))
-        if at_scene_start:
-            rho = 1.0  # no usable previous frame across a cut
-        else:
-            rho = float(
-                np.clip(base_rho * np.exp(rng.normal(0.0, INTER_FRACTION_JITTER)), 1e-3, 1.0)
-            )
-        w = float(
-            np.clip(np.exp(rng.normal(0.0, RATE_MULTIPLIER_SIGMA_LOG)), *RATE_MULTIPLIER_RANGE)
-        )
-        mu_r = float(rng.normal(0.0, 0.4 * motion_scale))
-        mu_c = float(rng.normal(0.0, 0.4 * motion_scale))
-        sd_r = motion_scale * float(np.exp(rng.normal(0.0, 0.2)))
-        sd_c = motion_scale * float(np.exp(rng.normal(0.0, 0.2)))
-        mv_in_out = float(np.clip(rng.normal(0.0, 0.2), -1.0, 1.0))
-        rows.append((  # in LATENT_FIELDS order
-            intra, rho, noise, w,
-            mu_r, abs(mu_r) + 0.8 * sd_r, mu_c, abs(mu_c) + 0.8 * sd_c, sd_r * sd_r, sd_c * sd_c,
-            mv_in_out, scene_id,
-        ))
+    scenes, normals = [], []
+    for n in lengths:
+        intra = rng.lognormal(INTRA_ENERGY_LOG_MEAN, INTRA_ENERGY_LOG_SIGMA)
+        noise, inter = rng.uniform(*NOISE_ENERGY_RANGE), rng.uniform(*INTER_FRACTION_RANGE)
+        motion = rng.lognormal(math.log(2.0), 0.6)
+        scenes.append((intra, noise, inter, motion))
+        block = rng.standard_normal(9 * n - 1)
+        normals += [block[:2], (0.0,), block[2:]]  # the first frame draws no inter fraction
+    base_intra, base_noise, base_rho, motion_scale = np.repeat(scenes, lengths, axis=0).T
+    # One row per draw. ``Generator.normal(0, s)`` is ``0 + s * z``: -0.0 becomes 0.0.
+    z = np.concatenate(normals).reshape(num_frames, 9).T + 0.0
+    rho = np.clip(base_rho * np.exp(INTER_FRACTION_JITTER * z[2]), 1e-3, 1.0)
+    rho[scene_starts] = 1.0  # no usable previous frame across a cut
+    mu_r, mu_c = 0.4 * motion_scale * z[4:6]
+    sd_r, sd_c = motion_scale * np.exp(0.2 * z[6:8])
+    columns = (  # in LATENT_FIELDS order
+        np.clip(base_intra, *INTRA_ENERGY_RANGE) * np.exp(INTRA_JITTER * z[0]), rho,
+        base_noise * np.exp(NOISE_JITTER * z[1]),
+        np.clip(np.exp(RATE_MULTIPLIER_SIGMA_LOG * z[3]), *RATE_MULTIPLIER_RANGE),
+        mu_r, np.abs(mu_r) + 0.8 * sd_r, mu_c, np.abs(mu_c) + 0.8 * sd_c, sd_r * sd_r, sd_c * sd_c,
+        np.clip(0.2 * z[8], -1.0, 1.0), np.repeat(np.arange(len(lengths)), lengths),
+    )
+    frames = np.empty(num_frames, LATENT_DTYPE)
+    for name, column in zip(LATENT_FIELDS, columns):
+        frames[name] = column
 
     return SyntheticVideo(
         video_id=f"sim-{seed & 0xFFFFFFFFFFFFFFFF:016x}",
@@ -436,7 +429,7 @@ def generate_video(seed: int, config: VideoConfig = VideoConfig()) -> SyntheticV
         width=config.width,
         height=config.height,
         frame_rate=config.frame_rate,
-        frames=np.array(rows, dtype=LATENT_DTYPE),
+        frames=frames,
     )
 
 

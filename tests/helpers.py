@@ -213,3 +213,80 @@ def reference_first_pass(video):
         ],
         dtype=np.float64,
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference generator: the per-frame loop ``simenc.generate_video`` replaced,
+# with scalar draws in the same order. A property test pins the generator to
+# it byte for byte.
+# ---------------------------------------------------------------------------
+
+
+def reference_generate_video(seed, config=simenc.VideoConfig()):
+    """One synthetic video from ``seed``, one frame at a time."""
+    config.validate()
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    num_frames = int(rng.integers(config.num_frames_min, config.num_frames_max + 1))
+
+    scene_starts = [0]
+    t = 0
+    while True:
+        length = max(4, int(rng.geometric(1.0 / simenc.MEAN_SCENE_LENGTH)))
+        t += length
+        if t >= num_frames:
+            break
+        scene_starts.append(t)
+
+    rows = []
+    scene_id = -1
+    base_intra = base_noise = base_rho = motion_scale = 0.0
+    for index in range(num_frames):
+        at_scene_start = scene_id + 1 < len(scene_starts) and index == scene_starts[scene_id + 1]
+        if at_scene_start:
+            scene_id += 1
+            base_intra = float(
+                np.clip(
+                    rng.lognormal(simenc.INTRA_ENERGY_LOG_MEAN, simenc.INTRA_ENERGY_LOG_SIGMA),
+                    *simenc.INTRA_ENERGY_RANGE,
+                )
+            )
+            base_noise = float(rng.uniform(*simenc.NOISE_ENERGY_RANGE))
+            base_rho = float(rng.uniform(*simenc.INTER_FRACTION_RANGE))
+            motion_scale = float(rng.lognormal(math.log(2.0), 0.6))
+
+        intra = base_intra * float(np.exp(rng.normal(0.0, simenc.INTRA_JITTER)))
+        noise = base_noise * float(np.exp(rng.normal(0.0, simenc.NOISE_JITTER)))
+        if at_scene_start:
+            rho = 1.0  # no usable previous frame across a cut
+        else:
+            rho = float(
+                np.clip(
+                    base_rho * np.exp(rng.normal(0.0, simenc.INTER_FRACTION_JITTER)), 1e-3, 1.0
+                )
+            )
+        w = float(
+            np.clip(
+                np.exp(rng.normal(0.0, simenc.RATE_MULTIPLIER_SIGMA_LOG)),
+                *simenc.RATE_MULTIPLIER_RANGE,
+            )
+        )
+        mu_r = float(rng.normal(0.0, 0.4 * motion_scale))
+        mu_c = float(rng.normal(0.0, 0.4 * motion_scale))
+        sd_r = motion_scale * float(np.exp(rng.normal(0.0, 0.2)))
+        sd_c = motion_scale * float(np.exp(rng.normal(0.0, 0.2)))
+        mv_in_out = float(np.clip(rng.normal(0.0, 0.2), -1.0, 1.0))
+        rows.append((  # in LATENT_FIELDS order
+            intra, rho, noise, w,
+            mu_r, abs(mu_r) + 0.8 * sd_r, mu_c, abs(mu_c) + 0.8 * sd_c, sd_r * sd_r, sd_c * sd_c,
+            mv_in_out, scene_id,
+        ))
+
+    return simenc.SyntheticVideo(
+        video_id=f"sim-{seed & 0xFFFFFFFFFFFFFFFF:016x}",
+        seed=seed,
+        width=config.width,
+        height=config.height,
+        frame_rate=config.frame_rate,
+        frames=np.array(rows, dtype=simenc.LATENT_DTYPE),
+    )

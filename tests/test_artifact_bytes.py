@@ -25,6 +25,10 @@ rows dropped their ``first_pass`` lists and the schema became
 ``simenc.v2``: the corpus pin was retaken then. The new file is the old one
 with that key removed and the tag changed, byte for byte, and the derived
 matrix equals the stored one, so no other pin moved.
+When generation began drawing each scene's latents in one block of normals,
+``LONG_CORPUS_SHA256`` was added, taken from the per-frame generator before
+that change: its four 100-300-frame videos have 2 to 8 scenes each, where
+the pipeline corpus's 40-60-frame videos have at most three.
 Change a digest only with a change that means to change the bytes.
 """
 
@@ -41,6 +45,7 @@ from ratelab.policy.train import TrainConfig, save_checkpoint, train, write_trai
 
 from helpers import FAST_CONFIG
 
+LONG_CORPUS_SHA256 = "0db79cae11deada680736f6a7548a224e437b98a501a98c9e13734fda3a51100"
 CORPUS_SHA256 = "d32b99928e61247ac62e08fcd5a8e1903055542be97854b17fcfcf27328cbfbf"
 BASELINE_TRACES_SHA256 = "c62a835cc49e66e8b26fdfe92c0dccc0a7c825d35212f93c8a89277930a5bd38"
 TEACHER_SHA256 = "221fc06ad830c4cb837f57bf66feb5c260ecfd8a55488e5db0589246704de88e"
@@ -63,6 +68,12 @@ def videos():
 def test_corpus_bytes(tmp_path, videos):
     simenc.save_corpus(tmp_path / "corpus.jsonl", videos)
     assert _sha256(tmp_path / "corpus.jsonl") == CORPUS_SHA256
+
+
+def test_long_corpus_bytes(tmp_path):
+    videos = simenc.generate_corpus(4, 0, simenc.VideoConfig(100, 300))
+    simenc.save_corpus(tmp_path / "corpus.jsonl", videos)
+    assert _sha256(tmp_path / "corpus.jsonl") == LONG_CORPUS_SHA256
 
 
 def test_baseline_trace_bytes(tmp_path, videos):

@@ -276,6 +276,33 @@ def test_number_lists_refused_before_any_artifact(tmp_path, capsys, corpus_dir, 
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["gen-videos", "build-dataset", "train", "evaluate"])
+def test_negative_seed_refused_before_any_input(
+    tmp_path, capsys, corpus_dir, dataset_file, command, source
+):
+    """numpy refuses a negative seed; the flag refuses it first, with exit 2,
+    before the corpus is read or an encode runs."""
+    inputs = {
+        "gen-videos": [],
+        "build-dataset": ["--corpus", str(corpus_dir / "corpus.jsonl")],
+        "train": ["--corpus", str(corpus_dir / "corpus.jsonl"), "--dataset", str(dataset_file)],
+        "evaluate": ["--corpus", str(corpus_dir / "corpus.jsonl")],
+    }[command]
+    out = tmp_path / "out"
+    argv = [command, *inputs, "--out", str(out)]
+    if source == "config":
+        cfg = tmp_path / "lab.ini"
+        cfg.write_text(f"[{command}]\nseed = -1\n")
+        assert run(["--config", str(cfg), *argv]) == 2
+    else:
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--seed", "-1"])
+        assert exc.value.code == 2
+    assert "'-1': expected an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 SCIPY_PROBE = """
 import json, sys
 from ratelab import cli

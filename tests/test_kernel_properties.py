@@ -1,6 +1,6 @@
-"""Property tests: every fast path of the encoder kernel, the derived
-first-pass matrix and the teacher-forced feature bundles equal their
-references."""
+"""Property tests: every fast path of the encoder kernel, the video
+generator, the derived first-pass matrix and the teacher-forced feature
+bundles equal their references."""
 
 from unittest import mock
 
@@ -18,7 +18,13 @@ from ratelab.policy.network import PolicyParams, arch_from_preset
 from ratelab.simenc import FrameType, encode_batch
 from ratelab.teacher import EsConfig, EsState, TeacherRecord, es_step
 
-from helpers import EncodeState, reference_episode, reference_first_pass, step_frame
+from helpers import (
+    EncodeState,
+    reference_episode,
+    reference_first_pass,
+    reference_generate_video,
+    step_frame,
+)
 from test_baseline import probes_of_search, scan_oracle, search
 
 
@@ -100,6 +106,33 @@ def test_first_pass_equals_per_row_reference(frames, frame_rate):
     # Bytes, so that a signed zero or a NaN would count as a difference.
     assert video.first_pass.tobytes() == reference_first_pass(video).tobytes()
     assert not video.first_pass.flags.writeable
+
+
+@st.composite
+def video_configs(draw):
+    """Any ``VideoConfig`` that validates, with lengths in 2..400."""
+    low = draw(st.integers(2, 400))
+    return simenc.VideoConfig(
+        num_frames_min=low,
+        num_frames_max=draw(st.integers(low, 400)),
+        width=draw(st.integers(16, 2**31)),
+        height=draw(st.integers(16, 2**31)),
+        frame_rate=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
+    )
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**64 - 1), config=video_configs())
+@example(seed=0, config=simenc.VideoConfig(2, 2))  # one scene of two frames
+@example(seed=133, config=simenc.VideoConfig(100, 150))  # its last scene has one frame
+def test_generated_latents_equal_per_frame_reference(seed, config):
+    video = simenc.generate_video(seed, config)
+    reference = reference_generate_video(seed, config)
+    assert video.frames.tobytes() == reference.frames.tobytes()
+    assert video.video_id == reference.video_id
+    assert (video.seed, video.width, video.height, video.frame_rate) == (
+        reference.seed, reference.width, reference.height, reference.frame_rate
+    )
 
 
 QP_OR_EDGE = st.one_of(st.sampled_from([0, 255]), st.integers(0, 255))
