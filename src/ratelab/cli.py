@@ -127,11 +127,23 @@ def _floats(count: int, at_least: bool = False):
     return parse
 
 
-def _seed(text: str) -> int:
-    """An argparse ``type`` for a seed: an integer >= 0, as numpy's seeding needs."""
-    if (value := int(text)) < 0:
-        raise argparse.ArgumentTypeError(f"{text!r}: expected an integer >= 0")
-    return value
+def _int_at_least(low: int):
+    """An argparse ``type`` for an integer >= ``low``.
+
+    A value it refuses exits 2 before any input is read, on the command line
+    and in a ``--config`` file alike.
+    """
+
+    def parse(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"{text!r}: expected an integer >= {low}")
+        return value
+
+    return parse
+
+
+# A seed is an integer >= 0, as numpy's seeding needs.
+_seed = _int_at_least(0)
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +474,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     teacher_config = teacher.TeacherConfig()
     p = add("build-dataset", cmd_build_dataset, help="assemble the teacher dataset")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--steps", type=int, default=teacher_config.es.max_steps)
+    p.add_argument("--steps", type=_int_at_least(0), default=teacher_config.es.max_steps)
     p.add_argument("--sigma", type=float, default=teacher_config.es.sigma)
     p.add_argument("--alpha", type=float, default=teacher_config.es.learning_rate)
     p.add_argument("--batch", type=int, default=teacher_config.es.batch_size)
     p.add_argument("--seed", type=_seed, default=teacher_config.seed)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--per-video", type=int, default=teacher_config.bitrates_per_video)
     bitrates = (teacher_config.bitrate_min_kbps, teacher_config.bitrate_max_kbps)
     p.add_argument("--bitrate-range", type=_floats(2), default=bitrates)

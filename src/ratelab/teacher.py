@@ -14,6 +14,12 @@ pair whose two rewards are equal cancels. The learning rate decays
 exponentially. The search is initialized from the heuristic VBR policy's QP
 sequence so the solutions stay coherent across videos and remain
 predictable from the observations.
+
+The ranks come from a certified order: ``simenc.ranking_rewards`` orders a
+batch by vectorized rewards whose gaps exceed their error bound, and scores
+exactly only the lead row and the first maximum, the values best-so-far
+keeps; a batch whose order it cannot certify is scored exactly throughout.
+Every rank, best row and stored reward is the one exact scoring gives.
 """
 
 from __future__ import annotations
@@ -76,6 +82,8 @@ class EsConfig:
             raise ValueError("batch_size must be even and >= 2 (mirrored pairs)")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.max_steps < 0:
+            raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
 
     def step_learning_rate(self, step: int) -> float:
         return self.learning_rate * DECAY_RATE ** (step / DECAY_EVERY)
@@ -177,8 +185,7 @@ def run_es(
     base_trace = baseline_mod.run_baseline(video, gop, target_bitrate_kbps)
 
     def reward_fn(qps: np.ndarray) -> np.ndarray:
-        bits, mse = simenc.encode_batch(video, gop, qps)
-        return simenc.batch_rewards(video, gop, bits, mse, target_bitrate_kbps)
+        return simenc.ranking_rewards(video, gop, qps, target_bitrate_kbps)
 
     theta0 = np.asarray(base_trace.qps, dtype=np.float64)
     state = EsState(

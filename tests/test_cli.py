@@ -303,6 +303,33 @@ def test_negative_seed_refused_before_any_input(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("flag, value, low", [("steps", "-3", 0), ("workers", "-4", 1),
+                                              ("workers", "0", 1)])
+def test_build_dataset_counts_refused_before_any_input(
+    tmp_path, capsys, corpus_dir, monkeypatch, flag, value, low, source
+):
+    """``--steps -3`` ran no ES step and wrote the heuristic's QPs as ES
+    labels, and ``--workers -4`` ran serial; each now exits 2 before the
+    corpus is read."""
+    def no_read(*args, **kwargs):
+        raise AssertionError("read the corpus")
+
+    monkeypatch.setattr(simenc, "load_corpus", no_read)
+    out = tmp_path / "out"
+    argv = ["build-dataset", "--corpus", str(corpus_dir / "corpus.jsonl"), "--out", str(out)]
+    if source == "config":
+        cfg = tmp_path / "lab.ini"
+        cfg.write_text(f"[build-dataset]\n{flag} = {value}\n")
+        assert run(["--config", str(cfg), *argv]) == 2
+    else:
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, f"--{flag}", value])
+        assert exc.value.code == 2
+    assert f"{value!r}: expected an integer >= {low}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 SCIPY_PROBE = """
 import json, sys
 from ratelab import cli
@@ -500,9 +527,11 @@ def test_build_dataset_refuses_a_v1_corpus_before_any_encode(
     def no_encode(*args, **kwargs):
         raise AssertionError("encoded before the corpus was read")
 
-    # The heuristic runs through the episode loop, ES through the row form.
+    # The heuristic runs through the episode loop, ES through the row form
+    # and its ranking form.
     monkeypatch.setattr(simenc, "encode_episode", no_encode)
     monkeypatch.setattr(simenc, "encode_batch", no_encode)
+    monkeypatch.setattr(simenc, "ranking_rewards", no_encode)
     args = ["build-dataset", "--corpus", str(tmp_path / "corpus.jsonl")]
     assert run([*args, "--out", str(tmp_path / "out")]) == 4
     assert "expected schema 'simenc.v2', found 'simenc.v1'" in capsys.readouterr().err

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -315,6 +315,68 @@ def test_batch_rows_equal_replay_and_stepper_at_teacher_lengths(**case):
         for t, qp in enumerate(row):
             frame_bits, frame_mse, state = step_frame(video, gop, state, qp)
             assert (bits[i, t], mse[i, t]) == (frame_bits, frame_mse)
+
+
+# Batches whose rows tie, so that ``ranking_rewards`` cannot certify their
+# order: a repeated ES row, a repeated row of QP 255, a repeated constant row.
+TIED_BATCHES = {
+    "duplicate row": dict(
+        frames=120, gop_interval=16, first=FrameType.KEY, keys=[], seed=11, es_rows=6,
+        sigma=4, burst=None, dense="none", tie=2, target=512.0,
+    ),
+    "all-255 rows": dict(
+        frames=150, gop_interval=16, first=FrameType.KEY, keys=[], seed=12, es_rows=3,
+        sigma=4, burst=None, dense="qp255", tie=3, target=512.0,
+    ),
+    "constant-QP rows": dict(
+        frames=100, gop_interval=16, first=FrameType.KEY, keys=[], seed=13, es_rows=0,
+        sigma=0, burst=None, dense="constant", tie=100, target=300.0,
+    ),
+}
+
+
+@given(
+    frames=st.integers(2, 300),
+    gop_interval=st.integers(2, 32),
+    first=st.sampled_from(FrameType),
+    keys=st.lists(st.integers(0, 298), max_size=3),
+    seed=st.integers(0, 2**32),
+    es_rows=st.integers(0, 16),
+    sigma=st.integers(0, 8),
+    burst=st.none() | st.tuples(st.integers(0, 299), st.integers(1, 8)),
+    dense=st.sampled_from(sorted(DENSE_ROWS)),
+    tie=st.none() | st.integers(0, 2**16),
+    target=st.floats(1.0, 4000.0),
+)
+@settings(max_examples=40)
+@example(**TIED_BATCHES["duplicate row"])
+@example(**TIED_BATCHES["all-255 rows"])
+@example(**TIED_BATCHES["constant-QP rows"])
+def test_ranking_rewards_keep_exact_ranks_and_best_values(tie, target, **case):
+    """``ranking_rewards`` gives the centered ranks and the first maximum of
+    exact ``batch_rewards``, and the exact values at row 0 and at that
+    maximum. It scores at most those two rows exactly, or, when it cannot
+    certify the order (always when a row repeats), every row, and then
+    every value is exact."""
+    video, gop, qps = teacher_batch(**case)
+    assume(len(qps))
+    if tie is not None:
+        qps = np.vstack([qps, qps[tie % len(qps)]])
+    exact = simenc.batch_rewards(video, gop, *encode_batch(video, gop, qps), target)
+    with mock.patch.object(simenc, "batch_rewards", wraps=simenc.batch_rewards) as scorer:
+        ranked = simenc.ranking_rewards(video, gop, qps, target)
+    best = int(np.argmax(exact))
+    assert int(np.argmax(ranked)) == best
+    assert np.array_equal(teacher._centered_ranks(ranked), teacher._centered_ranks(exact))
+    assert ranked[0] == exact[0] and ranked[best] == exact[best]
+    scorer.assert_called_once()
+    scored_rows = len(scorer.call_args.args[2])
+    if scored_rows == len(qps):
+        assert ranked.tobytes() == exact.tobytes()
+    else:
+        assert scored_rows <= 2
+    if tie is not None:
+        assert scored_rows == len(qps)
 
 
 @given(

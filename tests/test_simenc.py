@@ -74,6 +74,39 @@ def test_invalid_config_rejected():
             generate_video(1, dataclasses.replace(FAST_CONFIG, **bad))
 
 
+def test_generate_corpus_validates_each_video_once(monkeypatch):
+    # Each video is built once, under its corpus id; renaming a generated
+    # video would run the validation a second time.
+    seen = []
+    post_init = simenc.SyntheticVideo.__post_init__
+
+    def counted(self):
+        seen.append(self.video_id)
+        post_init(self)
+
+    monkeypatch.setattr(simenc.SyntheticVideo, "__post_init__", counted)
+    videos = simenc.generate_corpus(3, 7, FAST_CONFIG)
+    assert seen == [v.video_id for v in videos]
+    assert all(v.video_id.startswith(f"sim{i:05d}-") for i, v in enumerate(videos))
+
+
+def test_numpy_logs_stay_far_inside_the_ranking_tolerance():
+    """``ranking_rewards`` bounds its vectorized rewards by their distance
+    from the exact ones. Its margin rests on ``np.log2`` and ``np.log10``
+    agreeing with ``math.log2`` and ``math.log10`` to within a few ulps;
+    here they must agree to 2**-40 relative, 2**10 inside the tolerance, on
+    the ranges ES produces: energy-to-MSE ratios from 1 to 1e6, and PSNR
+    arguments 255**2 / MSE for mean MSEs from 1e-3 to 1e5."""
+    rng = np.random.default_rng(0)
+    ratios = np.concatenate([[1.0, np.nextafter(1.0, 2.0)], np.exp(rng.uniform(0, 14, 10**5))])
+    psnr_args = 255.0 * 255.0 / np.exp(rng.uniform(math.log(1e-3), math.log(1e5), 10**5))
+    assert simenc.RANK_TOLERANCE / 2.0**-40 >= 2**10
+    for fast, exact, x in ((np.log2, math.log2, ratios), (np.log10, math.log10, psnr_args)):
+        reference = np.array([exact(v) for v in x.tolist()])
+        error = np.abs(fast(x) - reference)
+        assert np.all(error <= 2.0**-40 * np.maximum(np.abs(reference), 1.0))
+
+
 def test_corpus_roundtrip(tmp_path, small_corpus):
     path = tmp_path / "corpus.jsonl"
     simenc.save_corpus(path, small_corpus)

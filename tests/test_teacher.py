@@ -152,6 +152,10 @@ def test_config_validation():
     for odd_or_too_small in (0, 1, 3):
         with pytest.raises(ValueError):
             EsConfig(batch_size=odd_or_too_small)
+    # A negative count ran no step and stored the heuristic's QPs as ES labels.
+    with pytest.raises(ValueError, match="max_steps"):
+        EsConfig(max_steps=-3)
+    assert EsConfig(max_steps=0).max_steps == 0
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +212,35 @@ def test_run_es_rejects_a_best_row_its_replay_scores_differently(es_video, monke
     monkeypatch.setattr(simenc, "batch_rewards", lambda *args: batch_rewards(*args) + 1.0)
     with pytest.raises(TeacherDataError, match="replay scores"):
         run_es(es_video, 512.0, EsConfig(max_steps=1, batch_size=4), seed=0)
+
+
+def test_run_es_scores_at_most_two_rows_per_batch_exactly(es_video, monkeypatch):
+    """The certified order spares every row but the lead and the best one
+    the exact scorer: one ``batch_rewards`` call per batch, of 1 or 2 rows."""
+    sizes = []
+    batch_rewards = simenc.batch_rewards
+
+    def counted(video, gop, bits, mses, target):
+        sizes.append(len(bits))
+        return batch_rewards(video, gop, bits, mses, target)
+
+    monkeypatch.setattr(simenc, "batch_rewards", counted)
+    run_es(es_video, 512.0, EsConfig(max_steps=20), seed=5)
+    assert len(sizes) == 21  # 20 steps, then the last mean alone
+    assert max(sizes) <= 2
+
+
+@pytest.mark.parametrize("target", [1.0, 512.0])
+def test_run_es_equals_exact_scoring(es_video, monkeypatch, target):
+    # At 1 kbps every row pays the overshoot penalty.
+    config = EsConfig(max_steps=15, batch_size=8)
+    ranked = run_es(es_video, target, config, seed=3)
+
+    def exact(video, gop, qps, target_kbps):
+        return simenc.batch_rewards(video, gop, *simenc.encode_batch(video, gop, qps), target_kbps)
+
+    monkeypatch.setattr(simenc, "ranking_rewards", exact)
+    assert run_es(es_video, target, config, seed=3) == ranked
 
 
 def test_run_es_improves_reward(es_video):
