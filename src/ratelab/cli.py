@@ -151,7 +151,6 @@ _seed = _int_at_least(0)
 # ---------------------------------------------------------------------------
 
 def cmd_gen_videos(args) -> int:
-    out = _out_dir(args)
     config = simenc.VideoConfig(
         num_frames_min=args.frames_min,
         num_frames_max=args.frames_max,
@@ -160,6 +159,7 @@ def cmd_gen_videos(args) -> int:
         frame_rate=args.frame_rate,
     )
     videos = simenc.generate_corpus(args.count, args.seed, config)
+    out = _out_dir(args)
     n = simenc.save_corpus(out / "corpus.jsonl", videos)
     _write_manifest(out, "gen-videos", args)
     print(f"wrote {n} videos to {out / 'corpus.jsonl'}")
@@ -189,8 +189,6 @@ def cmd_run_baseline(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_build_dataset(args) -> int:
-    out = _out_dir(args)
-    videos = simenc.load_corpus(_require(args.corpus))
     lo, hi = args.bitrate_range
     config = teacher.TeacherConfig(
         bitrates_per_video=args.per_video,
@@ -204,6 +202,8 @@ def cmd_build_dataset(args) -> int:
         ),
         seed=args.seed,
     )
+    out = _out_dir(args)
+    videos = simenc.load_corpus(_require(args.corpus))
     records = teacher.build_teacher_dataset(videos, config, args.workers)
     n = teacher.save_teacher_dataset(out / "teacher.jsonl", records)
     _write_manifest(out, "build-dataset", args)
@@ -264,9 +264,9 @@ def cmd_fit_bounds(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    feedback = inference.FeedbackConfig(alpha=args.alpha)
     out = _out_dir(args)
     videos = simenc.load_corpus(_require(args.corpus))
-    feedback = inference.FeedbackConfig(alpha=args.alpha)
     params = spec = bounds = None
     if args.bounds and not args.checkpoint:
         raise IncompatibleInputError("--bounds controls a policy: it needs --checkpoint")

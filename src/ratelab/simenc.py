@@ -35,7 +35,7 @@ would move with it.
 
 The encoder formula has two forms with one set of inputs: a frame's energy,
 from ``_frame_energy`` on the reference state, and its gain and header, from
-per-frame constants cached as (T,) tuples on the video and on the GOP plan.
+per-frame constants cached on the video and on the GOP plan.
 ``rate_distortion`` is the scalar form, on Python floats. The choosers of
 ``encode_episode`` call it; that is the one episode loop, which carries the
 reference state as floats and takes each frame's (qp, bits, mse) from its
@@ -43,30 +43,28 @@ chooser. ``replay_qp_sequence`` encodes the given QP, the baseline's QP
 search returns its winning trial encode, and ``run_episode``, for learned
 policies, asks a policy callback for the QP, passing an ``Observation``:
 the video, its GOP plan, the target, the frame index, the bits spent and
-the previous frame's (qp, bits, mse). ``encode_batch`` is the row form, for
-B whole episodes at once (ES populations). It settles the energies and
-MSEs the reference state needs by fixed-point passes over whole episodes:
-it guesses that no frame saturates (MSE = cap), computes every frame's
-energy at once from that state, sets MSE = min(energy, cap), and repeats
-until a pass changes nothing. After any pass, every frame up to the first
-one it changed is exact; when the passes do not settle, a frame loop
-finishes from there. Every element is computed from exact inputs with the
-scalar form's operations in its order, so both paths give the same bits.
-The bits of every frame follow, in blocks of frames. Both forms take the
-logarithm with ``math.log2``, because numpy's vectorized ``log2`` can
-differ from it in the last bit and teacher labels are verified by exact
-replay; property tests pin the two forms equal bit for bit.
+the previous frame's (qp, bits, mse).
 
-ES reads a batch's rewards only through their ranks and through the values
-of its lead row and its first maximum, so it scores batches with
-``ranking_rewards``, a third form that shares ``encode_batch``'s settle
-step. From the exact MSEs it computes every reward with ``np.log2``,
-``np.sum`` and ``np.log10``, each within a stated tolerance of its exact
-value. When every gap between neighbouring sorted rewards exceeds twice
-that tolerance, the order is certified and only those two rows take the
-exact path (``math.log2`` bits and ``batch_rewards``' ``math.fsum``);
-otherwise, as on tied rows, the whole batch does. Ranks, best row and
-stored rewards are those of exact scoring, bit for bit.
+``ranking_rewards`` is the batch form, for ES populations: the rewards of B
+whole episodes at once. ES reads them only through their ranks and through
+the values of its lead row and its first maximum. It first settles the
+energies and MSEs the reference state needs by fixed-point passes over
+whole episodes: it guesses that no frame saturates (MSE = cap), computes
+every frame's energy at once from that state, sets MSE = min(energy, cap),
+and repeats until a pass changes nothing. After any pass, every frame up to
+the first one it changed is exact; when the passes do not settle, a frame
+loop finishes from there. Every element is computed from exact inputs with
+the scalar form's operations in its order, so both paths give the same
+MSEs. From them it computes every reward with ``np.log2``, ``np.sum`` and
+``np.log10``, each within a stated tolerance of its exact value. When every
+gap between neighbouring sorted rewards exceeds twice that tolerance, the
+order is certified and only those two rows take the exact path; otherwise,
+as on tied rows, the whole batch does. The exact path takes the bits with
+the scalar form's operations, the logarithm with ``math.log2`` (numpy's
+vectorized ``log2`` can differ from it in the last bit, and teacher labels
+are verified by exact replay) and the sums with its ``math.fsum``. Ranks,
+best row and stored rewards are those of replaying each row, bit for bit;
+property tests pin them to the scalar form.
 """
 
 from __future__ import annotations
@@ -101,9 +99,6 @@ __all__ = [
     "quantizer_step",
     "rate_distortion",
     "encode_frame",
-    "encode_batch",
-    "episode_reward",
-    "batch_rewards",
     "ranking_rewards",
     "run_episode",
     "encode_episode",
@@ -159,7 +154,7 @@ class ConfigError(ValueError):
 
 
 class EpisodeError(RuntimeError):
-    """QPs for another number of frames, or finalizing an incomplete episode."""
+    """QPs for another number of frames than the video has."""
 
 
 class FrameType(Enum):
@@ -276,7 +271,7 @@ class SyntheticVideo:
     @cached_property
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``key_energy``, ``inter_energy`` and ``gain`` as read-only (T, 1)
-        columns, which ``encode_batch`` broadcasts over its rows."""
+        columns, which ``ranking_rewards`` broadcasts over its rows."""
         columns = np.array([self.key_energy, self.inter_energy, self.gain])[:, :, None]
         columns.flags.writeable = False
         return tuple(columns)
@@ -499,7 +494,7 @@ class GopPlan:
 
     @cached_property
     def golden_source(self) -> tuple[int, ...]:
-        """Row of ``encode_batch``'s (T + 1)-row state holding each frame's
+        """Row of ``_settle_batch``'s (T + 1)-row state holding each frame's
         golden reference: 1 + the last earlier frame that refreshes the
         golden slot, or 0, the all-zero row before the first frame."""
         sources, row = [], 0
@@ -517,7 +512,7 @@ class GopPlan:
     @cached_property
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``key`` and ``header_bits`` as read-only (T, 1) columns, which
-        ``encode_batch`` broadcasts over its rows, ``golden_source`` as a
+        ``ranking_rewards`` broadcasts over its rows, ``golden_source`` as a
         (T,) index array, and the indices of the shown frames."""
         columns = (
             np.array(self.key)[:, None],
@@ -622,7 +617,7 @@ def _frame_header(video: SyntheticVideo, header_bits):
     return header_bits * video.n_blocks / REFERENCE_BLOCKS
 
 
-# Whole-episode passes ``encode_batch`` makes before its frame loop takes
+# Whole-episode passes ``_settle_batch`` makes before its frame loop takes
 # over. A pass settles each chain of saturated frames by one more link; the
 # ES teacher's batches settle in at most 8 passes (at 100-300 frames).
 SETTLE_PASSES = 10
@@ -634,10 +629,6 @@ DENSE_SATURATION = 0.25
 # to its elements, a loop step mostly a fixed overhead per frame; from about
 # 100-150 rows, the passes an ES batch needs cost more than the loop.
 SETTLE_MAX_ROWS = 64
-# Elements per block of ``encode_batch``'s log pass. One list of Python floats
-# for a whole batch falls out of cache: past about 50,000 elements, a single
-# pass was slower than per-frame ones.
-LOG_BLOCK = 8192
 
 
 def _settle_by_passes(video: SyntheticVideo, gop: GopPlan, caps, state, energy) -> int:
@@ -669,22 +660,6 @@ def _settle_by_passes(video: SyntheticVideo, gop: GopPlan, caps, state, energy) 
         if n == 0 and changed.size > DENSE_SATURATION * settled.size:
             break
     return start
-
-
-def encode_batch(video: SyntheticVideo, gop: GopPlan, qps) -> tuple[np.ndarray, np.ndarray]:
-    """Encode B whole episodes at once: ``qps`` (B, T) -> (bits, mse), each (B, T).
-
-    The row form of the encoder; row i is bitwise equal to
-    ``replay_qp_sequence`` of ``qps[i]``. It is two steps, which
-    ``ranking_rewards`` shares: ``_settle_batch`` settles the recurrence,
-    each frame's energy and MSE, and ``_batch_bits`` takes the bits from
-    them. ES ranks its batches through ``ranking_rewards``, which orders
-    the rows by vectorized rewards and runs the second step only on the two
-    rows whose reward ES keeps, or on every row when it cannot certify that
-    order.
-    """
-    energy, mse = _settle_batch(video, gop, qps)
-    return _batch_bits(video, gop, energy, mse).T, mse.T
 
 
 def _settle_batch(video: SyntheticVideo, gop: GopPlan, qps) -> tuple[np.ndarray, np.ndarray]:
@@ -719,25 +694,6 @@ def _settle_batch(video: SyntheticVideo, gop: GopPlan, qps) -> tuple[np.ndarray,
         energy_t[...] = _frame_energy(video, gop, t, state[t], state[gop.golden_source[t]])
         np.minimum(energy_t, cap_t, out=mse_t)
     return energy, mse
-
-
-def _batch_bits(video: SyntheticVideo, gop: GopPlan, energy, mse) -> np.ndarray:
-    """The (T, B) bits of settled episodes, in blocks of frames, with the
-    arithmetic of ``rate_distortion``, operation for operation."""
-    _, _, gain = video.columns
-    _, header_bits, _, _ = gop.columns
-    header = _frame_header(video, header_bits)
-    bits = np.empty(energy.shape)
-    num_frames, rows = energy.shape
-    step = max(1, LOG_BLOCK // max(1, rows))
-    # energy / mse >= 1, so the log is never negative. It is math.log2, not
-    # np.log2, for the reason the module docstring gives.
-    for lo in range(0, num_frames, step):
-        block = slice(lo, lo + step)
-        ratio = energy[block] / mse[block]
-        log2 = np.fromiter(map(math.log2, ratio.ravel().tolist()), np.float64, ratio.size)
-        bits[block] = header[block] + gain[block] * (0.5 * log2.reshape(ratio.shape))
-    return bits
 
 
 def encode_frame(energy: float, gain: float, header: float, qp: int) -> tuple[int, float, float]:
@@ -806,15 +762,6 @@ def _reward(psnr_db: float, bitrate_kbps: float, target_bitrate_kbps: float) -> 
     return psnr_db - PENALTY_PER_KBPS * overshoot
 
 
-def episode_reward(trace: EpisodeTrace) -> float:
-    """Terminal reward: PSNR - PENALTY_PER_KBPS * max(0, bitrate - the trace's target)."""
-    if len(trace.qps) != trace.num_frames:
-        raise EpisodeError(
-            f"incomplete trace: {len(trace.qps)} of {trace.num_frames} frames encoded"
-        )
-    return _reward(trace.psnr_db, trace.bitrate_kbps, trace.target_bitrate_kbps)
-
-
 def _quality_and_rate(
     video: SyntheticVideo, bits: Sequence[float], shown_mses: Sequence[float]
 ) -> tuple[float, float]:
@@ -847,25 +794,27 @@ def _finalize_trace(
     )
 
 
-def batch_rewards(
-    video: SyntheticVideo,
-    gop: GopPlan,
-    bits: np.ndarray,
-    mses: np.ndarray,
-    target_bitrate_kbps: float,
+def _exact_rewards(
+    video: SyntheticVideo, gop: GopPlan, energy, mse, target_bitrate_kbps: float
 ) -> np.ndarray:
-    """Terminal rewards of the rows of an ``encode_batch`` result, shape (B,).
+    """Exact rewards, shape (K,), of K settled episodes given by their
+    (T, K) ``energy`` and ``mse``: each equals the ``reward`` of replaying
+    that episode's QPs.
 
-    Row i equals the ``reward`` of the trace that replaying row i builds:
-    the reductions are the same exact ``math.fsum`` sums.
+    The bits take ``rate_distortion``'s arithmetic, operation for operation,
+    and the sums are ``_quality_and_rate``'s exact ``math.fsum``.
     """
-    _check_target(target_bitrate_kbps)
-    _, _, _, show = gop.columns
-    shown_mses = mses[:, show]
+    _, _, gain = video.columns
+    _, header_bits, _, show = gop.columns
+    # energy / mse >= 1, so the log is never negative. It is math.log2, not
+    # np.log2, for the reason the module docstring gives.
+    ratio = energy / mse
+    log2 = np.fromiter(map(math.log2, ratio.ravel().tolist()), np.float64, ratio.size)
+    bits = _frame_header(video, header_bits) + gain * (0.5 * log2.reshape(ratio.shape))
     return np.array(
         [
             _reward(*_quality_and_rate(video, b, m), target_bitrate_kbps)
-            for b, m in zip(bits.tolist(), shown_mses.tolist())
+            for b, m in zip(bits.T.tolist(), mse[show].T.tolist())
         ],
         dtype=np.float64,
     )
@@ -894,10 +843,10 @@ def ranking_rewards(
     2**10 or more. If every gap between neighbouring sorted rewards is
     wider than 2 * tol, the exact rewards have the same strict order and no
     ties; then only row 0 and the maximum are scored exactly, by
-    ``_batch_bits`` and ``batch_rewards``, and written in, which keeps the
-    order. Otherwise, and for batches of at most 2 rows, every row is. The
-    ranks, the first maximum and the values at row 0 and at it are those of
-    ``batch_rewards`` of ``encode_batch``, bit for bit.
+    ``_exact_rewards``, and written in, which keeps the order. Otherwise,
+    and for batches of at most 2 rows, every row is. The ranks, the first
+    maximum and the values at row 0 and at it are those of the rows'
+    ``replay_qp_sequence`` rewards, bit for bit.
     """
     _check_target(target_bitrate_kbps)
     energy, mse = _settle_batch(video, gop, qps)
@@ -915,9 +864,8 @@ def ranking_rewards(
     if len(rewards) > 2 and (np.diff(np.sort(rewards)) > 2.0 * tol).all():
         best = int(np.argmax(rewards))
         exact = [0, best] if best else [0]
-    exact_bits = _batch_bits(video, gop, energy[:, exact], mse[:, exact])
-    rewards[exact] = batch_rewards(
-        video, gop, exact_bits.T, mse[:, exact].T, target_bitrate_kbps
+    rewards[exact] = _exact_rewards(
+        video, gop, energy[:, exact], mse[:, exact], target_bitrate_kbps
     )
     return rewards
 

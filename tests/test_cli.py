@@ -330,6 +330,36 @@ def test_build_dataset_counts_refused_before_any_input(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen-videos", "--count", "0"], "count must be >= 1"),
+        (["gen-videos", "--frames-min", "1"], "num_frames_min must be >= 2"),
+        (["gen-videos", "--width", "8"], "at least one 16x16 block"),
+        (["build-dataset", "--batch", "3"], "batch_size must be even"),
+        (["build-dataset", "--per-video", "0"], "bitrates_per_video must be >= 1"),
+        (["build-dataset", "--sigma", "-1"], "sigma must be finite and > 0"),
+        (["build-dataset", "--bitrate-range", "5,1"], "bitrate range must be positive"),
+        (["evaluate", "--alpha", "-1"], "alpha must be finite and >= 0"),
+    ],
+)
+def test_config_errors_exit_before_any_output_or_input(
+    tmp_path, capsys, corpus_dir, monkeypatch, argv, message
+):
+    """Each subcommand builds its config first: a value the config refuses
+    exits 1 with the config's own error before ``--out`` is created or the
+    corpus is read."""
+    def no_read(*args, **kwargs):
+        raise AssertionError("read the corpus")
+
+    monkeypatch.setattr(simenc, "load_corpus", no_read)
+    out = tmp_path / "out"
+    corpus = [] if argv[0] == "gen-videos" else ["--corpus", str(corpus_dir / "corpus.jsonl")]
+    assert run([*argv, *corpus, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 SCIPY_PROBE = """
 import json, sys
 from ratelab import cli
@@ -527,10 +557,8 @@ def test_build_dataset_refuses_a_v1_corpus_before_any_encode(
     def no_encode(*args, **kwargs):
         raise AssertionError("encoded before the corpus was read")
 
-    # The heuristic runs through the episode loop, ES through the row form
-    # and its ranking form.
+    # The heuristic runs through the episode loop, ES through the ranking form.
     monkeypatch.setattr(simenc, "encode_episode", no_encode)
-    monkeypatch.setattr(simenc, "encode_batch", no_encode)
     monkeypatch.setattr(simenc, "ranking_rewards", no_encode)
     args = ["build-dataset", "--corpus", str(tmp_path / "corpus.jsonl")]
     assert run([*args, "--out", str(tmp_path / "out")]) == 4

@@ -15,11 +15,12 @@ from ratelab.policy import rollout
 from ratelab.policy.data import episodes_from_records, fit_spec_from_records
 from ratelab.policy.features import EMBED_DIM, FRAME_TYPE_ORDER
 from ratelab.policy.network import PolicyParams, arch_from_preset
-from ratelab.simenc import FrameType, encode_batch
+from ratelab.simenc import FrameType
 from ratelab.teacher import EsConfig, EsState, TeacherRecord, es_step
 
 from helpers import (
     EncodeState,
+    rd_terms,
     reference_episode,
     reference_first_pass,
     reference_generate_video,
@@ -144,35 +145,48 @@ def all_qps(video, gop, state):
     return np.array(bits), np.array(mse)
 
 
+def assert_settled_like_stepper(video, gop, qps, energy, mse):
+    """Column i of the settled (energy, mse) is the energy and the MSE of
+    each frame that stepping row i frame by frame encodes, bit for bit."""
+    for i, row in enumerate(qps.tolist()):
+        state = EncodeState()
+        for t, qp in enumerate(row):
+            frame_energy = rd_terms(video, gop, state)[0]
+            _, frame_mse, state = step_frame(video, gop, state, qp)
+            assert (energy[t, i], mse[t, i]) == (frame_energy, frame_mse)
+
+
+# Under 1 kbps every row overshoots, so its reward reads its bits.
+TARGETS = (1.0, 400.0)
+
+
 @given(episodes())
 def test_batch_rows_equal_replay_and_run_episode(case):
     video, gop, qps = case
-    bits, mse = encode_batch(video, gop, qps)
-    rewards = simenc.batch_rewards(video, gop, bits, mse, 400.0)
-    for i, row in enumerate(qps.tolist()):
-        replay = simenc.replay_qp_sequence(video, gop, row, 400.0)
-        episode = simenc.run_episode(video, gop, 400.0, lambda obs: row[obs.frame_index])
-        assert replay == episode
-        assert tuple(bits[i].tolist()) == replay.bits
-        assert tuple(mse[i].tolist()) == replay.mse
-        assert rewards[i] == replay.reward
+    energy, mse = simenc._settle_batch(video, gop, qps)
+    for target in TARGETS:
+        rewards = simenc._exact_rewards(video, gop, energy, mse, target)
+        for i, row in enumerate(qps.tolist()):
+            replay = simenc.replay_qp_sequence(video, gop, row, target)
+            episode = simenc.run_episode(video, gop, target, lambda obs: row[obs.frame_index])
+            assert replay == episode
+            assert tuple(mse[:, i].tolist()) == replay.mse
+            assert rewards[i] == replay.reward
 
 
 @given(episodes(hidden_alt_ref=True))
 def test_batch_rows_equal_encode_frame_across_hidden_alt_refs(case):
     """A hidden alternate reference refreshes the golden slot without being
-    shown: the row form carries that slot, and ``batch_rewards`` leaves the
-    frame out of the PSNR, as a frame-by-frame encode does."""
+    shown: the settle step carries that slot, and the exact scorer leaves
+    the frame out of the PSNR, as a frame-by-frame encode does."""
     video, gop, qps = case
     assert not all(gop.show) and any(gop.refreshes_golden[1:])
-    bits, mse = encode_batch(video, gop, qps)
-    rewards = simenc.batch_rewards(video, gop, bits, mse, 400.0)
-    for i, row in enumerate(qps.tolist()):
-        state = EncodeState()
-        for t, qp in enumerate(row):
-            frame_bits, frame_mse, state = step_frame(video, gop, state, qp)
-            assert (bits[i, t], mse[i, t]) == (frame_bits, frame_mse)
-        assert rewards[i] == simenc.replay_qp_sequence(video, gop, row, 400.0).reward
+    energy, mse = simenc._settle_batch(video, gop, qps)
+    assert_settled_like_stepper(video, gop, qps, energy, mse)
+    for target in TARGETS:
+        rewards = simenc._exact_rewards(video, gop, energy, mse, target)
+        for i, row in enumerate(qps.tolist()):
+            assert rewards[i] == simenc.replay_qp_sequence(video, gop, row, target).reward
 
 
 def plain_gop(frames, gop_interval, first, keys):
@@ -217,7 +231,7 @@ def teacher_batch(frames, gop_interval, first, keys, seed, es_rows, sigma, burst
     return video, gop, np.concatenate(rows)
 
 
-# One example per path of ``encode_batch``: settled by the first pass,
+# One example per path of ``_settle_batch``: settled by the first pass,
 # settled after several passes, and finished by the frame loop after the
 # pass limit, after a dense first pass and, past ``SETTLE_MAX_ROWS``, from
 # frame 0. ``test_examples_take_their_path`` checks each takes its path.
@@ -262,7 +276,7 @@ def settle_path(video, gop, qps):
 
     with mock.patch.object(simenc, "_inter_energy", counted), \
             mock.patch.object(simenc, "_settle_by_passes", settled):
-        encode_batch(video, gop, qps)
+        simenc._settle_batch(video, gop, qps)
     return passes, starts[0] if starts else 0
 
 
@@ -303,18 +317,16 @@ def test_examples_take_their_path(path, passes, settled):
 @example(**SETTLE_PATHS["many rows"])
 def test_batch_rows_equal_replay_and_stepper_at_teacher_lengths(**case):
     """At teacher lengths, on plain GOP plans, over ES-like rows and rows
-    that saturate densely: each row equals replay and the stepper bit for
-    bit, whichever path settled it."""
+    that saturate densely: each settled column equals the stepper and its
+    exact reward equals replay bit for bit, whichever path settled it."""
     video, gop, qps = teacher_batch(**case)
-    bits, mse = encode_batch(video, gop, qps)
+    energy, mse = simenc._settle_batch(video, gop, qps)
+    assert_settled_like_stepper(video, gop, qps, energy, mse)
+    rewards = simenc._exact_rewards(video, gop, energy, mse, 1.0)
     for i, row in enumerate(qps.tolist()):
-        replay = simenc.replay_qp_sequence(video, gop, row, 512.0)
-        assert bits[i].tobytes() == np.array(replay.bits).tobytes()
-        assert mse[i].tobytes() == np.array(replay.mse).tobytes()
-        state = EncodeState()
-        for t, qp in enumerate(row):
-            frame_bits, frame_mse, state = step_frame(video, gop, state, qp)
-            assert (bits[i, t], mse[i, t]) == (frame_bits, frame_mse)
+        replay = simenc.replay_qp_sequence(video, gop, row, 1.0)
+        assert mse[:, i].tobytes() == np.array(replay.mse).tobytes()
+        assert rewards[i].tobytes() == np.float64(replay.reward).tobytes()
 
 
 # Batches whose rows tie, so that ``ranking_rewards`` cannot certify their
@@ -354,7 +366,7 @@ TIED_BATCHES = {
 @example(**TIED_BATCHES["constant-QP rows"])
 def test_ranking_rewards_keep_exact_ranks_and_best_values(tie, target, **case):
     """``ranking_rewards`` gives the centered ranks and the first maximum of
-    exact ``batch_rewards``, and the exact values at row 0 and at that
+    the rows' replayed rewards, and their values at row 0 and at that
     maximum. It scores at most those two rows exactly, or, when it cannot
     certify the order (always when a row repeats), every row, and then
     every value is exact."""
@@ -362,15 +374,18 @@ def test_ranking_rewards_keep_exact_ranks_and_best_values(tie, target, **case):
     assume(len(qps))
     if tie is not None:
         qps = np.vstack([qps, qps[tie % len(qps)]])
-    exact = simenc.batch_rewards(video, gop, *encode_batch(video, gop, qps), target)
-    with mock.patch.object(simenc, "batch_rewards", wraps=simenc.batch_rewards) as scorer:
+    exact = np.array(
+        [simenc.replay_qp_sequence(video, gop, row, target).reward for row in qps.tolist()]
+    )
+    with mock.patch.object(simenc, "_exact_rewards", wraps=simenc._exact_rewards) as scorer:
         ranked = simenc.ranking_rewards(video, gop, qps, target)
     best = int(np.argmax(exact))
     assert int(np.argmax(ranked)) == best
-    assert np.array_equal(teacher._centered_ranks(ranked), teacher._centered_ranks(exact))
+    if len(qps) > 1:  # a single row has no rank
+        assert np.array_equal(teacher._centered_ranks(ranked), teacher._centered_ranks(exact))
     assert ranked[0] == exact[0] and ranked[best] == exact[best]
     scorer.assert_called_once()
-    scored_rows = len(scorer.call_args.args[2])
+    scored_rows = scorer.call_args.args[2].shape[1]
     if scored_rows == len(qps):
         assert ranked.tobytes() == exact.tobytes()
     else:
@@ -420,15 +435,16 @@ def test_run_episode_equals_reference_stepper(frames, gop_interval, seed, weight
 
 
 def test_batch_of_no_rows(video, gop):
-    bits, mse = encode_batch(video, gop, np.empty((0, video.num_frames), dtype=int))
-    assert bits.shape == mse.shape == (0, video.num_frames)
-    assert simenc.batch_rewards(video, gop, bits, mse, 400.0).shape == (0,)
+    qps = np.empty((0, video.num_frames), dtype=int)
+    energy, mse = simenc._settle_batch(video, gop, qps)
+    assert energy.shape == mse.shape == (video.num_frames, 0)
+    assert simenc.ranking_rewards(video, gop, qps, 400.0).shape == (0,)
 
 
 @given(reachable_states())
 def test_bits_nonincreasing_mse_nondecreasing_in_qp(case):
-    """And 256 ``encode_batch`` rows that share the state's QP prefix and
-    differ at its cursor give there ``step_frame``'s bits and MSE at
+    """And 256 settled rows that share the state's QP prefix and differ at
+    its cursor give there the state's energy and ``step_frame``'s MSE at
     every QP, bit for bit."""
     video, gop, row, state = case
     bits, mse = all_qps(video, gop, state)
@@ -436,9 +452,9 @@ def test_bits_nonincreasing_mse_nondecreasing_in_qp(case):
     assert np.all(np.diff(mse) >= 0.0)
     rows = np.tile(row, (256, 1))
     rows[:, state.cursor] = np.arange(256)
-    batch_bits, batch_mse = encode_batch(video, gop, rows)
-    assert batch_bits[:, state.cursor].tobytes() == bits.tobytes()
-    assert batch_mse[:, state.cursor].tobytes() == mse.tobytes()
+    batch_energy, batch_mse = simenc._settle_batch(video, gop, rows)
+    assert set(batch_energy[state.cursor].tolist()) == {rd_terms(video, gop, state)[0]}
+    assert batch_mse[state.cursor].tobytes() == mse.tobytes()
 
 
 @given(reachable_states())

@@ -8,9 +8,7 @@ import pytest
 from ratelab import simenc
 from ratelab.io import SchemaError
 from ratelab.simenc import (
-    EpisodeTrace,
     FrameType,
-    episode_reward,
     generate_video,
     plan_gop,
     quantizer_step,
@@ -283,7 +281,7 @@ def test_encode_monotone_in_qp(video, gop):
 def test_gop_of_another_length_rejected(video):
     short = plan_gop(constant_video(num_frames=video.num_frames - 1))
     with pytest.raises(simenc.ConfigError):
-        simenc.encode_batch(video, short, np.full((2, video.num_frames), 100))
+        simenc.ranking_rewards(video, short, np.full((2, video.num_frames), 100), 512.0)
     with pytest.raises(simenc.ConfigError):
         run_episode(video, short, 512.0, lambda obs: 100)
     with pytest.raises(simenc.ConfigError):
@@ -292,7 +290,7 @@ def test_gop_of_another_length_rejected(video):
 
 def test_malformed_gop_rejected():
     """A show flag per frame and one shown frame at least, else replay and
-    ``batch_rewards`` would disagree (truncate, or fail on an index or an
+    ``ranking_rewards`` would disagree (truncate, or fail on an index or an
     empty mean); a plan may start INTER."""
     types = (FrameType.KEY,) + (FrameType.INTER,) * 3
     with pytest.raises(simenc.ConfigError, match="3 show flags for 4 frames"):
@@ -311,7 +309,7 @@ def test_encode_past_end_rejected():
     with pytest.raises(simenc.EpisodeError):
         replay_qp_sequence(v, gop, [100, 100, 100], 512.0)
     with pytest.raises(simenc.EpisodeError):
-        simenc.encode_batch(v, gop, np.full((1, 3), 100))
+        simenc.ranking_rewards(v, gop, np.full((1, 3), 100), 512.0)
     asked = []
     run_episode(v, gop, 512.0, lambda obs: asked.append(obs.frame_index) or 100)
     assert asked == [0, 1]
@@ -321,34 +319,18 @@ def test_encode_past_end_rejected():
 # Reward
 # ---------------------------------------------------------------------------
 
-def _trace(psnr, bitrate, num_frames=5, target=512.0):
-    return EpisodeTrace(
-        video_id="x",
-        num_frames=num_frames,
-        target_bitrate_kbps=target,
-        qps=tuple([100] * num_frames),
-        bits=tuple([1000.0] * num_frames),
-        mse=tuple([10.0] * num_frames),
-        show=tuple([True] * num_frames),
-        psnr_db=psnr,
-        bitrate_kbps=bitrate,
-        reward=0.0,
-    )
+def test_reward_under_target_no_penalty(video, gop):
+    trace = replay_qp_sequence(video, gop, [100] * video.num_frames, 1e6)
+    assert trace.bitrate_kbps < trace.target_bitrate_kbps
+    assert trace.reward == trace.psnr_db
 
 
-def test_reward_under_target_no_penalty():
-    assert episode_reward(_trace(40.0, 500.0, target=512.0)) == 40.0
-
-
-def test_reward_overshoot_penalty():
-    trace = _trace(40.0, 612.0, target=512.0)
-    assert episode_reward(trace) == pytest.approx(38.0, abs=1e-12)
-
-
-def test_reward_incomplete_trace_rejected():
-    bad = dataclasses.replace(_trace(40.0, 500.0), qps=(100,))
-    with pytest.raises(simenc.EpisodeError):
-        episode_reward(bad)
+def test_reward_overshoot_penalty(video, gop):
+    # At 1 kbps even QP 255 overshoots.
+    trace = replay_qp_sequence(video, gop, [255] * video.num_frames, 1.0)
+    overshoot = trace.bitrate_kbps - 1.0
+    assert overshoot > 0.0
+    assert trace.reward == trace.psnr_db - simenc.PENALTY_PER_KBPS * overshoot
 
 
 # ---------------------------------------------------------------------------

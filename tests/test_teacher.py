@@ -201,30 +201,29 @@ def test_run_es_scores_with_the_overshoot_penalty(es_video):
         assert trace.bitrate_kbps > 1.0
         overshoot = trace.bitrate_kbps - 1.0
         assert trace.reward == trace.psnr_db - simenc.PENALTY_PER_KBPS * overshoot
-        assert trace.reward == simenc.episode_reward(trace)
     assert res.best_reward_history[-1] == res.best_trace.reward
 
 
 def test_run_es_rejects_a_best_row_its_replay_scores_differently(es_video, monkeypatch):
     # The batch scorer credits every row 1 dB that a frame-by-frame replay
     # does not give, so the first candidate beats the heuristic on paper.
-    batch_rewards = simenc.batch_rewards
-    monkeypatch.setattr(simenc, "batch_rewards", lambda *args: batch_rewards(*args) + 1.0)
+    ranking_rewards = simenc.ranking_rewards
+    monkeypatch.setattr(simenc, "ranking_rewards", lambda *args: ranking_rewards(*args) + 1.0)
     with pytest.raises(TeacherDataError, match="replay scores"):
         run_es(es_video, 512.0, EsConfig(max_steps=1, batch_size=4), seed=0)
 
 
 def test_run_es_scores_at_most_two_rows_per_batch_exactly(es_video, monkeypatch):
     """The certified order spares every row but the lead and the best one
-    the exact scorer: one ``batch_rewards`` call per batch, of 1 or 2 rows."""
+    the exact scorer: one ``_exact_rewards`` call per batch, of 1 or 2 rows."""
     sizes = []
-    batch_rewards = simenc.batch_rewards
+    exact_rewards = simenc._exact_rewards
 
-    def counted(video, gop, bits, mses, target):
-        sizes.append(len(bits))
-        return batch_rewards(video, gop, bits, mses, target)
+    def counted(video, gop, energy, mse, target):
+        sizes.append(energy.shape[1])
+        return exact_rewards(video, gop, energy, mse, target)
 
-    monkeypatch.setattr(simenc, "batch_rewards", counted)
+    monkeypatch.setattr(simenc, "_exact_rewards", counted)
     run_es(es_video, 512.0, EsConfig(max_steps=20), seed=5)
     assert len(sizes) == 21  # 20 steps, then the last mean alone
     assert max(sizes) <= 2
@@ -237,7 +236,8 @@ def test_run_es_equals_exact_scoring(es_video, monkeypatch, target):
     ranked = run_es(es_video, target, config, seed=3)
 
     def exact(video, gop, qps, target_kbps):
-        return simenc.batch_rewards(video, gop, *simenc.encode_batch(video, gop, qps), target_kbps)
+        replays = (simenc.replay_qp_sequence(video, gop, row, target_kbps) for row in qps.tolist())
+        return np.array([trace.reward for trace in replays])
 
     monkeypatch.setattr(simenc, "ranking_rewards", exact)
     assert run_es(es_video, target, config, seed=3) == ranked
