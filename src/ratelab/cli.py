@@ -2,12 +2,11 @@
 
 Subcommands cover the full experiment flow, each stage reading an earlier
 one's artifact: corpus generation (``gen-videos``), teacher dataset assembly
-by ES (``build-dataset``), policy training (``train``), the heuristic's
-traces (``run-baseline``), envelope fitting on them (``fit-bounds``),
-evaluation against baseline RD curves (``evaluate``), and report emission
-(``report``). Every run writes a manifest (resolved configuration, its
-hash, seeds, package version) next to its artifacts so results can be
-replayed exactly.
+by ES (``build-dataset``), policy training (``train``), envelope fitting on
+the heuristic's traces of the training corpus (``fit-bounds``), evaluation
+against baseline RD curves (``evaluate``), and report emission (``report``).
+Every run writes a manifest (resolved configuration, its hash, seeds,
+package version) next to its artifacts so results can be replayed exactly.
 
 Settings that every stage must share are constants, not flags, so the
 stages cannot disagree: the GOP plan (``simenc.plan_gop``, an alternate
@@ -15,7 +14,9 @@ reference every 16 frames), the reward's overshoot penalty
 (``simenc.PENALTY_PER_KBPS``), the latent distributions of generated videos
 (``simenc`` module constants), a constant training learning rate, and the
 target tolerance that ``evaluate`` and ``report`` share (``metrics.WITHIN_PCT``).
-``fit-bounds`` reads its target from its traces, which must share one, and
+``fit-bounds`` encodes the corpus with the heuristic at its ``--target`` and
+fits the envelope on those traces; ``evaluate`` without ``--checkpoint``
+writes the same traces of its corpus as ``policy_traces.jsonl``.
 ``evaluate`` rejects bounds without a checkpoint or fitted at another target
 before it encodes anything.
 
@@ -146,6 +147,16 @@ def _int_at_least(low: int):
 _seed = _int_at_least(0)
 
 
+def _require_rates(flag: str, values: tuple[float, ...]) -> None:
+    """Refuse a kbps target or multiplier that is not finite and > 0, naming its flag.
+
+    The subcommands call it before they create ``--out`` or read an input.
+    """
+    if not all(np.isfinite(v) and v > 0 for v in values):
+        shown = ",".join(f"{v:g}" for v in values)
+        raise ValueError(f"{flag} must be finite and > 0, got {shown}")
+
+
 # ---------------------------------------------------------------------------
 # gen-videos
 # ---------------------------------------------------------------------------
@@ -163,24 +174,6 @@ def cmd_gen_videos(args) -> int:
     n = simenc.save_corpus(out / "corpus.jsonl", videos)
     _write_manifest(out, "gen-videos", args)
     print(f"wrote {n} videos to {out / 'corpus.jsonl'}")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# run-baseline
-# ---------------------------------------------------------------------------
-
-def cmd_run_baseline(args) -> int:
-    out = _out_dir(args)
-    videos = simenc.load_corpus(_require(args.corpus))
-    traces = []
-    for video in videos:
-        gop = simenc.plan_gop(video)
-        for target in args.targets:
-            traces.append(baseline.run_baseline(video, gop, target))
-    n = simenc.save_traces(out / "baseline_traces.jsonl", traces)
-    _write_manifest(out, "run-baseline", args)
-    print(f"wrote {n} baseline traces to {out / 'baseline_traces.jsonl'}")
     return EXIT_OK
 
 
@@ -247,15 +240,17 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_fit_bounds(args) -> int:
+    _require_rates("--target", (args.target,))
+    lo, hi = args.quantiles
+    if not 0.0 <= lo < hi <= 1.0:
+        raise ValueError(f"--quantiles must satisfy 0 <= lo < hi <= 1, got {lo:g},{hi:g}")
     out = _out_dir(args)
-    traces = simenc.load_traces(_require(args.traces))
-    targets = sorted({trace.target_bitrate_kbps for trace in traces})
-    if len(targets) != 1:
-        raise inference.BoundsFitError(
-            f"{args.traces}: the traces must share one target bitrate, found {targets}"
-        )
+    traces = [
+        baseline.run_baseline(video, simenc.plan_gop(video), args.target)
+        for video in simenc.load_corpus(_require(args.corpus))
+    ]
     model = inference.fit_bounds(
-        traces, targets[0], coverage=args.quantiles, min_traces=args.min_traces
+        traces, args.target, coverage=args.quantiles, min_traces=args.min_traces
     )
     inference.save_bounds(out / "bounds.json", model)
     _write_manifest(out, "fit-bounds", args)
@@ -265,6 +260,8 @@ def cmd_fit_bounds(args) -> int:
 
 def cmd_evaluate(args) -> int:
     feedback = inference.FeedbackConfig(alpha=args.alpha)
+    _require_rates("--target", (args.target,))
+    _require_rates("--anchors", args.anchors)
     out = _out_dir(args)
     videos = simenc.load_corpus(_require(args.corpus))
     params = spec = bounds = None
@@ -462,15 +459,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--height", type=int, default=video.height)
     p.add_argument("--frame-rate", type=float, default=video.frame_rate)
 
-    p = add("run-baseline", cmd_run_baseline, help="run the heuristic VBR policy")
-    p.add_argument("--corpus", required=True)
-    p.add_argument(
-        "--targets",
-        type=_floats(1, at_least=True),
-        default=(512.0,),
-        help="comma-separated kbps targets",
-    )
-
     teacher_config = teacher.TeacherConfig()
     p = add("build-dataset", cmd_build_dataset, help="assemble the teacher dataset")
     p.add_argument("--corpus", required=True)
@@ -497,9 +485,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--seed", type=_seed, default=train_config.seed)
 
     p = add("fit-bounds", cmd_fit_bounds, help="fit the cumulative-bits envelope")
-    p.add_argument("--traces", required=True)
+    p.add_argument("--corpus", required=True, help="the training corpus")
+    p.add_argument("--target", type=float, default=512.0)
     p.add_argument("--quantiles", type=_floats(2), default=inference.COVERAGE)
-    p.add_argument("--min-traces", type=int, default=inference.MIN_TRACES)
+    p.add_argument("--min-traces", type=_int_at_least(1), default=inference.MIN_TRACES)
 
     p = add("evaluate", cmd_evaluate, help="evaluate a policy against baseline curves")
     p.add_argument("--corpus", required=True)

@@ -192,8 +192,9 @@ def fit_bounds(
     but that curve's curvature is not identified on these envelopes, and
     the raw points steer held-out runs as well or better.
     """
-    if len(traces) < min_traces:
-        raise BoundsFitError(f"need at least {min_traces} traces, got {len(traces)}")
+    need = max(min_traces, 1)  # an envelope needs one trace, whatever min_traces allows
+    if len(traces) < need:
+        raise BoundsFitError(f"need at least {need} traces, got {len(traces)}")
     lo_q, hi_q = coverage
     if not 0.0 <= lo_q < hi_q <= 1.0:
         raise ValueError("coverage quantiles must satisfy 0 <= lo < hi <= 1")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -7,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from ratelab import cli, inference, metrics, simenc, teacher
+from ratelab import baseline, cli, inference, metrics, simenc, teacher
 from ratelab.io import write_jsonl
 from ratelab.policy import TrainConfig, save_checkpoint
 
-from helpers import tiny_policy
+from helpers import FAST_CONFIG, tiny_policy
+from test_artifact_bytes import BOUNDS_SHA256
 
 
 def run(args):
@@ -71,26 +73,6 @@ def test_manifest_written(corpus_dir):
     assert manifest["command"] == "gen-videos"
     assert manifest["config"]["seed"] == 7
     assert len(manifest["config_sha256"]) == 64
-
-
-def test_run_baseline_traces(tmp_path, corpus_dir):
-    out = tmp_path / "base"
-    assert (
-        run(
-            [
-                "run-baseline",
-                "--corpus",
-                str(corpus_dir / "corpus.jsonl"),
-                "--targets",
-                "384,512",
-                "--out",
-                str(out),
-            ]
-        )
-        == 0
-    )
-    traces = simenc.load_traces(out / "baseline_traces.jsonl")
-    assert len(traces) == 6
 
 
 def test_evaluate_baseline_self_comparison(tmp_path, corpus_dir):
@@ -169,13 +151,12 @@ def test_build_dataset_matches_library(tmp_path, corpus_dir):
 @pytest.mark.parametrize(
     "argv",
     [
-        "run-baseline --corpus c --gop-interval",
         "build-dataset --corpus c --gop-interval",
         "build-dataset --corpus c --reward-lambda",
         "train --corpus c --dataset d --gop-interval",
         "train --corpus c --dataset d --lr-decay",
         "train --corpus c --dataset d --no-dropout",
-        "fit-bounds --traces t --target",
+        "fit-bounds --corpus c --traces",
         "evaluate --corpus c --gop-interval",
         "evaluate --corpus c --within-pct",
     ],
@@ -188,7 +169,7 @@ def test_removed_flags_exit_code(tmp_path, capsys, argv):
     assert f"unrecognized arguments: {argv.split()[-1]} 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["run-es", "her-refine"])
+@pytest.mark.parametrize("command", ["run-es", "her-refine", "run-baseline"])
 def test_removed_subcommands_exit_code(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as exc:
         run([command, "--corpus", "c", "--out", str(tmp_path)])
@@ -197,11 +178,10 @@ def test_removed_subcommands_exit_code(tmp_path, capsys, command):
 
 
 def test_pipeline_runs_every_stage_on_earlier_artifacts(tmp_path):
-    """gen-videos -> build-dataset -> train -> run-baseline -> fit-bounds ->
-    evaluate -> report, at toy size."""
-    corpus, dataset, trained, base, bounds, evaluated, reported = (
-        tmp_path / name
-        for name in ("corpus", "dataset", "train", "base", "bounds", "eval", "report")
+    """gen-videos -> build-dataset -> train -> fit-bounds -> evaluate ->
+    report, at toy size."""
+    corpus, dataset, trained, bounds, evaluated, reported = (
+        tmp_path / name for name in ("corpus", "dataset", "train", "bounds", "eval", "report")
     )
     corpus_file = str(corpus / "corpus.jsonl")
     stages = [
@@ -211,9 +191,7 @@ def test_pipeline_runs_every_stage_on_earlier_artifacts(tmp_path):
          "--out", str(dataset)],
         ["train", "--corpus", corpus_file, "--dataset", str(dataset / "teacher.jsonl"),
          "--epochs", "1", "--out", str(trained)],
-        ["run-baseline", "--corpus", corpus_file, "--out", str(base)],
-        ["fit-bounds", "--traces", str(base / "baseline_traces.jsonl"), "--min-traces", "3",
-         "--out", str(bounds)],
+        ["fit-bounds", "--corpus", corpus_file, "--min-traces", "3", "--out", str(bounds)],
         ["evaluate", "--corpus", corpus_file, "--checkpoint", str(trained / "checkpoint.npz"),
          "--bounds", str(bounds / "bounds.json"), "--out", str(evaluated)],
         ["report", "--inputs", f"policy={evaluated / 'eval.csv'}", "--out", str(reported)],
@@ -234,7 +212,8 @@ def test_pipeline_runs_every_stage_on_earlier_artifacts(tmp_path):
     "argv, artifact",
     [
         ("evaluate --target inf", "policy_traces.jsonl"),
-        ("run-baseline --targets inf", "baseline_traces.jsonl"),
+        ("evaluate --anchors 1,inf", "policy_traces.jsonl"),
+        ("fit-bounds --target inf", "bounds.json"),
         ("build-dataset --bitrate-range 256,inf", "teacher.jsonl"),
         ("evaluate --alpha nan", "policy_traces.jsonl"),
         ("evaluate --alpha inf", "policy_traces.jsonl"),
@@ -257,19 +236,15 @@ def test_non_finite_input_refused_before_any_artifact(tmp_path, capsys, corpus_d
     [
         ("build-dataset --bitrate-range 512", "teacher.jsonl"),
         ("fit-bounds --quantiles 0.1", "bounds.json"),
-        ("run-baseline --targets abc", "baseline_traces.jsonl"),
         ("evaluate --anchors 1,x", "policy_traces.jsonl"),
-        ("run-baseline --targets ,", "baseline_traces.jsonl"),
+        ("evaluate --anchors ,", "policy_traces.jsonl"),
     ],
 )
 def test_number_lists_refused_before_any_artifact(tmp_path, capsys, corpus_dir, argv, artifact):
     command, flag, value = argv.split()
-    # Exit 2 comes from the flag, before the input is read: fit-bounds is
-    # given the corpus as its traces.
-    source = "--traces" if command == "fit-bounds" else "--corpus"
     corpus = str(corpus_dir / "corpus.jsonl")
     with pytest.raises(SystemExit) as exc:
-        run([command, source, corpus, flag, value, "--out", str(tmp_path)])
+        run([command, "--corpus", corpus, flag, value, "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert f"argument {flag}: {value!r}" in capsys.readouterr().err
     assert not (tmp_path / artifact).exists()
@@ -341,14 +316,24 @@ def test_build_dataset_counts_refused_before_any_input(
         (["build-dataset", "--sigma", "-1"], "sigma must be finite and > 0"),
         (["build-dataset", "--bitrate-range", "5,1"], "bitrate range must be positive"),
         (["evaluate", "--alpha", "-1"], "alpha must be finite and >= 0"),
+        (["evaluate", "--target", "-5"], "--target must be finite and > 0, got -5"),
+        (["evaluate", "--target", "nan"], "--target must be finite and > 0, got nan"),
+        (["evaluate", "--anchors=-1,2"], "--anchors must be finite and > 0, got -1,2"),
+        (["evaluate", "--anchors=0,1"], "--anchors must be finite and > 0, got 0,1"),
+        (["fit-bounds", "--target", "-5"], "--target must be finite and > 0, got -5"),
+        (["fit-bounds", "--target", "0"], "--target must be finite and > 0, got 0"),
+        (["fit-bounds", "--target", "inf"], "--target must be finite and > 0, got inf"),
+        (["fit-bounds", "--quantiles=0.9,0.1"], "--quantiles must satisfy 0 <= lo < hi <= 1"),
+        (["fit-bounds", "--quantiles=-1,2"], "--quantiles must satisfy 0 <= lo < hi <= 1"),
+        (["fit-bounds", "--quantiles=nan,1"], "--quantiles must satisfy 0 <= lo < hi <= 1"),
     ],
 )
 def test_config_errors_exit_before_any_output_or_input(
     tmp_path, capsys, corpus_dir, monkeypatch, argv, message
 ):
-    """Each subcommand builds its config first: a value the config refuses
-    exits 1 with the config's own error before ``--out`` is created or the
-    corpus is read."""
+    """Each subcommand builds its config and checks its targets and
+    quantiles first: a value it refuses exits 1 with a message that names
+    the setting before ``--out`` is created or the corpus is read."""
     def no_read(*args, **kwargs):
         raise AssertionError("read the corpus")
 
@@ -364,13 +349,11 @@ SCIPY_PROBE = """
 import json, sys
 from ratelab import cli
 seen = {"import": "scipy.optimize" in sys.modules}
-corpus, checkpoint, videos, base, bounds, evaluated = sys.argv[1:]
+corpus, checkpoint, videos, bounds, evaluated = sys.argv[1:]
 for name, argv in (
     ("gen-videos", ["gen-videos", "--count", "3", "--frames-min", "40", "--frames-max", "50",
                     "--out", videos]),
-    ("run-baseline", ["run-baseline", "--corpus", corpus, "--out", base]),
-    ("fit-bounds", ["fit-bounds", "--traces", base + "/baseline_traces.jsonl",
-                    "--min-traces", "3", "--out", bounds]),
+    ("fit-bounds", ["fit-bounds", "--corpus", corpus, "--min-traces", "3", "--out", bounds]),
     ("evaluate", ["evaluate", "--corpus", corpus, "--checkpoint", checkpoint,
                   "--bounds", bounds + "/bounds.json", "--anchors", "0.75,1.25",
                   "--out", evaluated]),
@@ -389,7 +372,7 @@ def test_no_stage_loads_scipy(tmp_path, corpus_dir):
     save_checkpoint(checkpoint, params, spec, TrainConfig())
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    dirs = [str(tmp_path / name) for name in ("videos", "base", "bounds", "evaluated")]
+    dirs = [str(tmp_path / name) for name in ("videos", "bounds", "evaluated")]
     done = subprocess.run(
         [sys.executable, "-c", SCIPY_PROBE, str(corpus_dir / "corpus.jsonl"), str(checkpoint),
          *dirs],
@@ -397,7 +380,7 @@ def test_no_stage_loads_scipy(tmp_path, corpus_dir):
     )
     seen = json.loads(done.stdout.splitlines()[-1])
     assert seen == dict.fromkeys(
-        ("import", "gen-videos", "run-baseline", "fit-bounds", "evaluate"), False
+        ("import", "gen-videos", "fit-bounds", "evaluate"), False
     )
     assert inference.load_bounds(tmp_path / "bounds" / "bounds.json").target_bitrate_kbps == 512.0
     assert (tmp_path / "evaluated" / "policy_traces.jsonl").exists()
@@ -459,23 +442,50 @@ def test_evaluate_reports_a_collapsed_anchor_curve_as_unprojected(tmp_path, corp
 def bounds_640(tmp_path_factory, corpus_dir):
     """Bounds that ``fit-bounds`` fits on the corpus's 640 kbps baseline traces."""
     out = tmp_path_factory.mktemp("bounds")
-    corpus = str(corpus_dir / "corpus.jsonl")
-    assert run(["run-baseline", "--corpus", corpus, "--targets", "640", "--out", str(out)]) == 0
-    traces = str(out / "baseline_traces.jsonl")
-    assert run(["fit-bounds", "--traces", traces, "--min-traces", "3", "--out", str(out)]) == 0
+    argv = ["fit-bounds", "--corpus", str(corpus_dir / "corpus.jsonl"), "--target", "640"]
+    assert run([*argv, "--min-traces", "3", "--out", str(out)]) == 0
     return out / "bounds.json"
 
 
-def test_fit_bounds_reads_its_target_from_the_traces(tmp_path, capsys, corpus_dir, bounds_640):
+def test_fit_bounds_reads_its_target_from_the_traces(bounds_640):
+    """The bounds carry the target of the traces they were fitted on: the
+    heuristic's, encoded at ``--target``."""
     assert inference.load_bounds(bounds_640).target_bitrate_kbps == 640.0
-    corpus = str(corpus_dir / "corpus.jsonl")
-    mixed = ["run-baseline", "--corpus", corpus, "--targets", "384,512", "--out", str(tmp_path)]
-    assert run(mixed) == 0
-    traces = str(tmp_path / "baseline_traces.jsonl")
-    capsys.readouterr()
-    assert run(["fit-bounds", "--traces", traces, "--min-traces", "3", "--out", str(tmp_path)]) == 1
-    assert "BoundsFitError" in capsys.readouterr().err
-    assert not (tmp_path / "bounds.json").exists()
+
+
+def test_fit_bounds_writes_the_pinned_bounds(tmp_path):
+    """``fit-bounds`` encodes the corpus with the heuristic in memory and
+    writes the bounds that ``inference.fit_bounds`` gives on those traces,
+    byte for byte as when the traces came from a file."""
+    corpus = tmp_path / "corpus.jsonl"
+    simenc.save_corpus(corpus, simenc.generate_corpus(3, 0, FAST_CONFIG))
+    out = tmp_path / "out"
+    assert run(["fit-bounds", "--corpus", str(corpus), "--min-traces", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "bounds.json").read_bytes()).hexdigest() == BOUNDS_SHA256
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_fit_bounds_min_traces_refused_before_any_input(
+    tmp_path, capsys, corpus_dir, monkeypatch, source
+):
+    """An envelope needs one trace at least: ``--min-traces`` below 1 exits 2
+    before ``--out`` is created or the corpus is read."""
+    def no_read(*args, **kwargs):
+        raise AssertionError("read the corpus")
+
+    monkeypatch.setattr(simenc, "load_corpus", no_read)
+    out = tmp_path / "out"
+    argv = ["fit-bounds", "--corpus", str(corpus_dir / "corpus.jsonl"), "--out", str(out)]
+    if source == "config":
+        cfg = tmp_path / "lab.ini"
+        cfg.write_text("[fit-bounds]\nmin_traces = 0\n")
+        assert run(["--config", str(cfg), *argv]) == 2
+    else:
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--min-traces", "0"])
+        assert exc.value.code == 2
+    assert "'0': expected an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_rejects_bounds_without_checkpoint(tmp_path, capsys, corpus_dir, bounds_640):
@@ -567,22 +577,14 @@ def test_build_dataset_refuses_a_v1_corpus_before_any_encode(
 
 
 def test_missing_input_exit_code(tmp_path):
-    assert run(["run-baseline", "--corpus", "nope.jsonl", "--out", str(tmp_path)]) == 3
+    assert run(["fit-bounds", "--corpus", "nope.jsonl", "--out", str(tmp_path)]) == 3
 
 
 def test_schema_mismatch_exit_code(tmp_path, corpus_dir):
-    assert (
-        run(
-            [
-                "fit-bounds",
-                "--traces",
-                str(corpus_dir / "corpus.jsonl"),
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        == 4
-    )
+    video = simenc.load_corpus(corpus_dir / "corpus.jsonl")[0]
+    traces = tmp_path / "traces.jsonl"
+    simenc.save_traces(traces, [baseline.run_baseline(video, simenc.plan_gop(video), 512.0)])
+    assert run(["fit-bounds", "--corpus", str(traces), "--out", str(tmp_path)]) == 4
 
 
 def test_negative_alpha_rejected(tmp_path, corpus_dir):

@@ -128,6 +128,12 @@ def test_fit_bounds_needs_enough_traces(envelope_traces):
         fit_bounds(envelope_traces[:5], 512.0)
 
 
+@pytest.mark.parametrize("min_traces", [0, -3])
+def test_fit_bounds_needs_a_trace_whatever_min_traces_allows(min_traces):
+    with pytest.raises(BoundsFitError, match="need at least 1 traces, got 0"):
+        fit_bounds([], 512.0, min_traces=min_traces)
+
+
 def test_fit_bounds_rejects_mixed_targets(envelope_traces):
     with pytest.raises(ValueError):
         fit_bounds(envelope_traces, 480.0)
