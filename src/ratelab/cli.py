@@ -262,11 +262,12 @@ def cmd_evaluate(args) -> int:
     feedback = inference.FeedbackConfig(alpha=args.alpha)
     _require_rates("--target", (args.target,))
     _require_rates("--anchors", args.anchors)
+    _require_rates("--target * --anchors", tuple(m * args.target for m in args.anchors))
+    if args.bounds and not args.checkpoint:
+        raise IncompatibleInputError("--bounds controls a policy: it needs --checkpoint")
     out = _out_dir(args)
     videos = simenc.load_corpus(_require(args.corpus))
     params = spec = bounds = None
-    if args.bounds and not args.checkpoint:
-        raise IncompatibleInputError("--bounds controls a policy: it needs --checkpoint")
     if args.checkpoint:
         params, spec, _ = load_checkpoint(_require(args.checkpoint))
     if args.bounds:

@@ -5,14 +5,15 @@ ops build a tape that ``backward`` walks in reverse topological order. Only
 the operations needed by the policy network are implemented, each with an
 explicit backward closure. All math is 64-bit.
 
-Two ops are fused, one tape node each with a hand-written backward:
+Three ops are fused, one tape node each with a hand-written backward:
 ``attention`` (multi-head self-attention with a clipped relative-position
 bias, added through a read-only strided Toeplitz view of one gather per
-call) and ``lstm`` (the recurrent core over a whole sequence, stepping the
-numpy ``lstm_cell`` that rollouts also call, in place on preallocated
-arrays). Both give the values and gradients of their plain per-element
-formulas bit for bit. Inside ``no_grad()`` ops record nothing, so a forward
-pass keeps no intermediates alive.
+call), ``lstm`` (the recurrent core over a sequence, stepping in place the
+numpy ``lstm_cell``) and ``mlp`` (linear layers, ReLU between them, by the
+numpy ``mlp_forward``); rollouts call those two numpy functions too. Each
+gives the values and gradients of its plain formulas bit for bit. Inside
+``no_grad()`` ops record nothing, so a forward pass keeps no intermediates
+alive.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-__all__ = ["Tensor", "no_grad", "attention", "lstm", "lstm_cell"]
+__all__ = ["Tensor", "no_grad", "attention", "lstm", "lstm_cell", "mlp", "mlp_forward"]
 
 _RECORDING = contextvars.ContextVar("autodiff_recording", default=True)
 
@@ -163,15 +164,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ((a, g @ b.data.T), (b, a.data.T @ g))
 
     return Tensor(out_data, parents=_tracked((a, b)), backward=backward)
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-
-    def backward(g):
-        return ((a, g * mask),)
-
-    return Tensor(a.data * mask, parents=_tracked((a,)), backward=backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -383,6 +375,41 @@ def lstm(xw: Tensor, wh: Tensor, b: Tensor) -> Tensor:
         return ((xw, dpre), (wh, hs[:-1].T @ dpre), (b, dpre.sum(axis=0)))
 
     return Tensor(hs[1:], parents=_tracked((xw, wh, b)), backward=backward)
+
+
+def mlp_forward(
+    x: np.ndarray, weights: Sequence[np.ndarray], inputs: list[np.ndarray] | None = None
+) -> np.ndarray:
+    """Layers ``x @ w + b`` for ``weights = (w1, b1, …, wn, bn)``, ReLU between
+    them, on x (n,) or (T, n); each layer's input is appended to ``inputs``."""
+    for j in range(0, len(weights), 2):
+        if inputs is not None:
+            inputs.append(x)
+        x = x @ weights[j]
+        x += weights[j + 1]
+        if j < len(weights) - 2:
+            np.maximum(x, 0.0, out=x)
+    return x
+
+
+def mlp(x: Tensor, *weights: Tensor) -> Tensor:
+    """``mlp_forward`` as one tape node. Its backward runs the layers last
+    first: the bias gets g summed over rows, the weight inputᵀ @ g, and the
+    input g @ wᵀ, masked where that input (a ReLU output) is not positive."""
+    inputs = [] if _RECORDING.get() else None
+    out_data = mlp_forward(x.data, [w.data for w in weights], inputs)
+
+    def backward(g):
+        for j in range(len(weights) - 2, -1, -2):
+            w, b, a = weights[j], weights[j + 1], inputs[j // 2]
+            yield b, _unbroadcast(g, b.data.shape)
+            yield w, np.atleast_2d(a).T @ np.atleast_2d(g)
+            g = g @ w.data.T
+            if j:
+                g = g * (a > 0.0)
+        yield x, g
+
+    return Tensor(out_data, parents=_tracked((x, *weights)), backward=backward)
 
 
 def softmax_cross_entropy_sum(logits: Tensor, labels: np.ndarray) -> Tensor:

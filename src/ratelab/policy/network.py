@@ -3,8 +3,9 @@ and two output heads (256 QP logits and a scalar frame-bits prediction).
 
 The transformer runs once per episode over the full (T, 25) first-pass
 matrix; the gated recurrent core then consumes, per frame, the frame's
-transformer embedding concatenated with the step's input bundle. Frame-bits
-predictions are in kilobits to keep the loss terms commensurate.
+transformer embedding concatenated with the step's input bundle. Each head,
+like the transformer's feed-forward block, is one ``autodiff.mlp``.
+Frame-bits predictions are in kilobits to keep the loss terms commensurate.
 """
 
 from __future__ import annotations
@@ -66,6 +67,11 @@ class PolicyParams:
         def zeros(name: str, shape: tuple[int, ...]) -> None:
             self.tensors[name] = Tensor(np.zeros(shape), requires_grad=True, name=name)
 
+        def mlp_layers(prefix: str, *sizes: int) -> None:
+            for j, (n_in, n_out) in enumerate(zip(sizes, sizes[1:]), start=1):
+                param(f"{prefix}_w{j}", (n_in, n_out), n_in)
+                zeros(f"{prefix}_b{j}", (n_out,))
+
         a = arch
         attn_dim = a.heads * a.dk
         # Transformer block
@@ -81,10 +87,7 @@ class PolicyParams:
         zeros("rel_bias", (a.heads, 2 * REL_RADIUS + 1))
         param("attn_wo", (attn_dim, a.dh), attn_dim)
         zeros("attn_bo", (a.dh,))
-        param("ffn_w1", (a.dh, a.dh), a.dh)
-        zeros("ffn_b1", (a.dh,))
-        param("ffn_w2", (a.dh, a.dh), a.dh)
-        zeros("ffn_b2", (a.dh,))
+        mlp_layers("ffn", a.dh, a.dh, a.dh)
         # Recurrent core (input, forget, cell, output gates)
         in_dim = a.dh + a.bundle_dim
         param("lstm_wx", (in_dim, 4 * a.dr), in_dim)
@@ -93,14 +96,8 @@ class PolicyParams:
         # Encourage remembering early in training.
         self.tensors["lstm_b"].data[a.dr : 2 * a.dr] = 1.0
         # Output heads
-        h1, h2 = HEAD_HIDDEN
         for head, out_dim in (("qp", N_QP), ("bits", 1)):
-            param(f"{head}_w1", (a.dr, h1), a.dr)
-            zeros(f"{head}_b1", (h1,))
-            param(f"{head}_w2", (h1, h2), h1)
-            zeros(f"{head}_b2", (h2,))
-            param(f"{head}_w3", (h2, out_dim), h2)
-            zeros(f"{head}_b3", (out_dim,))
+            mlp_layers(head, a.dr, *HEAD_HIDDEN, out_dim)
 
     def zero_grads(self) -> None:
         for t in self.tensors.values():
@@ -108,6 +105,10 @@ class PolicyParams:
 
     def items(self):
         return self.tensors.items()
+
+    def mlp(self, prefix: str) -> list[Tensor]:
+        """(w1, b1, …, wn, bn) of the ``prefix`` MLP, in the order ``ad.mlp`` takes them."""
+        return [t for name, t in self.tensors.items() if name.startswith(f"{prefix}_")]
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -149,20 +150,13 @@ def transformer_embed(params: PolicyParams, first_pass_norm: np.ndarray) -> Tens
     v = _linear(x, params["attn_wv"], params["attn_bv"])
     attn = ad.attention(q, k, v, params["rel_bias"], REL_RADIUS)
     merged = _linear(attn, params["attn_wo"], params["attn_bo"])
-    z = ad.relu(_linear(merged, params["ffn_w1"], params["ffn_b1"]))
-    return ad.add(merged, _linear(z, params["ffn_w2"], params["ffn_b2"]))
+    return ad.add(merged, ad.mlp(merged, *params.mlp("ffn")))
 
 
 def lstm_unroll(params: PolicyParams, inputs: Tensor) -> Tensor:
     """Run the gated recurrent core over (T, dh + bundle) inputs; returns (T, dr)."""
     xw = ad.matmul(inputs, params["lstm_wx"])
     return ad.lstm(xw, params["lstm_wh"], params["lstm_b"])
-
-
-def _head(params: PolicyParams, prefix: str, x: Tensor) -> Tensor:
-    z = ad.relu(_linear(x, params[f"{prefix}_w1"], params[f"{prefix}_b1"]))
-    z = ad.relu(_linear(z, params[f"{prefix}_w2"], params[f"{prefix}_b2"]))
-    return _linear(z, params[f"{prefix}_w3"], params[f"{prefix}_b3"])
 
 
 def forward(
@@ -187,6 +181,6 @@ def forward(
     frame_emb = transformer_embed(params, first_pass_norm)
     core_in = ad.concat_cols([frame_emb, Tensor(bundles)])
     hidden = lstm_unroll(params, core_in)
-    logits = _head(params, "qp", hidden)
-    bits_pred = _head(params, "bits", hidden)
+    logits = ad.mlp(hidden, *params.mlp("qp"))
+    bits_pred = ad.mlp(hidden, *params.mlp("bits"))
     return ForwardResult(logits=logits, bits_pred=bits_pred)

@@ -11,10 +11,9 @@ product projects every frame's embedding and the bundle's first
 ``fixed_dim`` columns, which the episode fixes, and each frame multiplies
 only the rest, its history columns; the sums differ from training's one
 product in their last bits. The runner steps the cell in place on
-per-episode (T + 1, n) state arrays. Only the two small output heads have
-a numpy form here, ``eval_head``, two to three times faster per frame than
-a tape pass. The QP head runs per frame; the bits head runs once over the
-stored hidden states when its predictions are read.
+per-episode (T + 1, n) state arrays. The QP head runs per frame through
+``autodiff.mlp_forward``, the forward of training's ``autodiff.mlp``; the
+bits head serves only training's losses, and rollouts never run it.
 """
 
 from __future__ import annotations
@@ -24,30 +23,17 @@ from typing import Callable
 import numpy as np
 
 from ..simenc import Observation
-from .autodiff import lstm_cell, no_grad
+from .autodiff import lstm_cell, mlp_forward, no_grad
 from .features import FRAME_TYPE_ORDER, FeatureSpec, build_features, episode_features
 from .network import PolicyParams, transformer_embed
 
-__all__ = ["PolicyRunner", "eval_transformer", "head_weights", "eval_head"]
+__all__ = ["PolicyRunner", "eval_transformer"]
 
 
 def eval_transformer(params: PolicyParams, fp_norm: np.ndarray) -> np.ndarray:
     """Per-frame embeddings (T, dh) as a plain array: ``transformer_embed`` without a tape."""
     with no_grad():
         return transformer_embed(params, fp_norm).data
-
-
-def head_weights(params: PolicyParams, prefix: str) -> tuple[np.ndarray, ...]:
-    """(w1, b1, w2, b2, w3, b3) of the ``prefix`` output head."""
-    return tuple(params[f"{prefix}_{name}"].data for name in ("w1", "b1", "w2", "b2", "w3", "b3"))
-
-
-def eval_head(weights: tuple[np.ndarray, ...], h: np.ndarray) -> np.ndarray:
-    """An output head on one hidden state (n,) or on a stack of them (T, n)."""
-    w1, b1, w2, b2, w3, b3 = weights
-    z = np.maximum(0.0, h @ w1 + b1)
-    z = np.maximum(0.0, z @ w2 + b2)
-    return z @ w3 + b3
 
 
 class PolicyRunner:
@@ -74,14 +60,12 @@ class PolicyRunner:
         # input-projection rows of the episode-fixed inputs, and of the rest
         k = params.arch.dh + spec.fixed_dim
         self._wx_fixed, self._wx_history = wx[:k], wx[k:]
-        self._qp_head = head_weights(params, "qp")
-        self._bits_head = head_weights(params, "bits")
+        self._qp_head = [t.data for t in params.mlp("qp")]
         # set at frame 0: features, frame types, bit budget, (T, 4 dr) fixed projection
         self._episode = self._types = self._budget_bits = self._fixed = None
         # (T + 1, dr) hidden and cell states, row t + 1 after frame t, and
         # the (4 dr,) gate buffer of the step
         self._hs = self._cs = self._gates = None
-        self._steps = 0
 
     def _reset(self, obs: Observation) -> None:
         video = obs.video
@@ -97,14 +81,6 @@ class PolicyRunner:
         self._hs = np.zeros((video.num_frames + 1, dr))
         self._cs = np.zeros((video.num_frames + 1, dr))
         self._gates = np.empty(4 * dr)
-        self._steps = 0
-
-    @property
-    def bits_predictions(self) -> list[float]:
-        """The bits head (kilobits) at every frame of the episode so far."""
-        if self._hs is None:
-            return []
-        return eval_head(self._bits_head, self._hs[1 : self._steps + 1])[:, 0].tolist()
 
     def logits_for(self, obs: Observation) -> np.ndarray:
         """Advance the recurrent state and return this frame's QP logits."""
@@ -118,8 +94,7 @@ class PolicyRunner:
         pre += self._fixed[t]
         pre += bundle[self.spec.fixed_dim :] @ self._wx_history
         h, _, _ = lstm_cell(pre, self._cs[t], (self._hs[t + 1], self._cs[t + 1], self._gates))
-        self._steps = t + 1
-        return eval_head(self._qp_head, h)
+        return mlp_forward(h, self._qp_head)
 
     def __call__(self, obs: Observation) -> int:
         logits = self.logits_for(obs)

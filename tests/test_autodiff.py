@@ -51,11 +51,14 @@ def test_matmul_transpose_grads(rng):
 
 def test_nonlinearity_grads(rng):
     x = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
+    shapes = ((2, 5), (5,), (5, 4), (4,), (4, 3), (3,))
+    weights = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+    w = Tensor(rng.normal(size=(6, 3)))
 
     def loss():
-        return ad.sum_all(ad.mul(ad.relu(x), x))
+        return ad.sum_all(ad.mul(ad.mlp(x, *weights), w))
 
-    check_grad(loss, [x], rng)
+    check_grad(loss, [x, *weights], rng)
 
 
 def test_layer_norm_grads(rng):

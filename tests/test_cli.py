@@ -326,14 +326,21 @@ def test_build_dataset_counts_refused_before_any_input(
         (["fit-bounds", "--quantiles=0.9,0.1"], "--quantiles must satisfy 0 <= lo < hi <= 1"),
         (["fit-bounds", "--quantiles=-1,2"], "--quantiles must satisfy 0 <= lo < hi <= 1"),
         (["fit-bounds", "--quantiles=nan,1"], "--quantiles must satisfy 0 <= lo < hi <= 1"),
+        (
+            ["evaluate", "--target", "1e308", "--anchors", "2,3"],
+            "--target * --anchors must be finite and > 0, got inf,inf",
+        ),
+        (["evaluate", "--bounds", "b.json"], "--bounds controls a policy: it needs --checkpoint"),
     ],
 )
 def test_config_errors_exit_before_any_output_or_input(
     tmp_path, capsys, corpus_dir, monkeypatch, argv, message
 ):
-    """Each subcommand builds its config and checks its targets and
-    quantiles first: a value it refuses exits 1 with a message that names
-    the setting before ``--out`` is created or the corpus is read."""
+    """Each subcommand builds its config and checks its targets, their
+    products with the anchors, its quantiles and ``evaluate``'s ``--bounds``
+    without ``--checkpoint`` first: a value it refuses exits 1 with a
+    message that names the setting before ``--out`` is created or the
+    corpus is read."""
     def no_read(*args, **kwargs):
         raise AssertionError("read the corpus")
 

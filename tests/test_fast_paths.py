@@ -1,10 +1,9 @@
 """Property tests: each fast path of the heuristic baseline, of the
-controlled rollout and of the recurrent core equals the code it replaced,
-which is kept here as the reference. Every comparison is exact, except the
-rollout's logits and bits head, whose sums run in another order: the
+controlled rollout, of the recurrent core and of the MLPs equals the code
+it replaced, which is kept here as the reference. Every comparison is
+exact, except the rollout's logits, whose sums run in another order: the
 runner projects the recurrent core's episode-fixed inputs once per
-episode, and the bits head runs once over the stacked hidden states. The
-rollout's traces and control events stay exact."""
+episode. The rollout's traces and control events stay exact."""
 
 from __future__ import annotations
 
@@ -102,11 +101,11 @@ def reference_head(params, prefix, h):
 
 
 class ReferenceRunner:
-    """The per-frame rollout: a bits head at every step."""
+    """The per-frame rollout: each frame projects its whole input."""
 
     def __init__(self, params, spec, sampler, adjuster=None):
         self.params, self.spec, self.sampler, self.adjuster = params, spec, sampler, adjuster
-        self.logits, self.bits_predictions = [], []
+        self.logits = []
 
     def __call__(self, obs):
         params, t = self.params, obs.frame_index
@@ -116,7 +115,7 @@ class ReferenceRunner:
             self.episode = episode_features(self.spec, video, obs.target_bitrate_kbps)
             self.budget = obs.target_bitrate_kbps * 1000.0 * video.duration
             self.h = self.c = np.zeros(params.arch.dr)
-            self.logits, self.bits_predictions = [], []
+            self.logits = []
         bundle = build_features(
             self.spec, self.episode[t], FRAME_TYPE_ORDER.index(obs.gop.frame_types[t]),
             *obs.last, obs.cum_bits, self.budget,
@@ -124,7 +123,6 @@ class ReferenceRunner:
         x = np.concatenate([self.embed[t], bundle])
         pre = x @ params["lstm_wx"].data + self.h @ params["lstm_wh"].data + params["lstm_b"].data
         self.h, self.c, _ = reference_cell(pre, self.c)
-        self.bits_predictions.append(float(reference_head(params, "bits", self.h)[0]))
         logits = reference_head(params, "qp", self.h)
         self.logits.append(logits)
         qp = self.sampler(logits)
@@ -155,6 +153,15 @@ def reference_lstm(xw, wh, b, g):
         dc = dc * f
         dh = dpre[t] @ wh.T
     return hs[1:], dpre, hs[:-1].T @ dpre, dpre.sum(axis=0)
+
+
+def reference_mlp(x, *weights):
+    """The op chain the fused ``mlp`` replaced: ``matmul``, ``add`` and ReLU as ``z * (z > 0)``."""
+    for j in range(0, len(weights), 2):
+        x = ad.add(ad.matmul(x, weights[j]), weights[j + 1])
+        if j < len(weights) - 2:
+            x = ad.mul(x, Tensor(x.data > 0.0))
+    return x
 
 
 def reference_qp_for_target_bits(video, gop, state, target_bits):
@@ -280,22 +287,6 @@ def test_controlled_rollout_matches_reference(alpha):
     assert triggered > 0 or alpha < 1.0
 
 
-def test_bits_predictions_match_per_frame_head():
-    videos = simenc.generate_corpus(2, 5, FAST_CONFIG)
-    params, spec = tiny_policy(videos)
-    for video in videos:
-        gop = simenc.plan_gop(video)
-        logits = []
-        fast = PolicyRunner(params, spec, lambda z: logits.append(z) or int(np.argmax(z)))
-        ref = ReferenceRunner(params, spec, lambda z: int(np.argmax(z)))
-        assert simenc.run_episode(video, gop, 400.0, fast) == simenc.run_episode(
-            video, gop, 400.0, ref
-        )
-        np.testing.assert_allclose(np.array(logits), np.array(ref.logits), rtol=0, atol=1e-12)
-        assert len(fast.bits_predictions) == video.num_frames
-        np.testing.assert_allclose(fast.bits_predictions, ref.bits_predictions, rtol=1e-12)
-
-
 class ProjectedRows:
     """Stands in for a weight matrix and records each left operand of ``@``."""
 
@@ -356,13 +347,8 @@ def test_runner_rejects_gop_of_another_length(offset):
         simenc.run_episode(video, simenc.plan_gop(other), 512.0, runner)
 
 
-def test_bits_predictions_empty_before_any_frame():
-    params, spec = tiny_policy([simenc.generate_video(1, FAST_CONFIG)])
-    assert PolicyRunner(params, spec, int).bits_predictions == []
-
-
 # ---------------------------------------------------------------------------
-# Autodiff: the relative-position bias and the recurrent core
+# Autodiff: the relative-position bias, the recurrent core and the MLPs
 # ---------------------------------------------------------------------------
 
 
@@ -409,6 +395,33 @@ def test_lstm_cell_matches_reference(n, seed):
     for got, expected in zip(
         ad.lstm_cell(pre, c, (np.empty(n), np.empty(n), np.empty(4 * n))), reference_cell(pre, c)
     ):
+        assert np.array_equal(got, expected)
+
+
+@given(
+    st.lists(st.integers(1, 9), min_size=3, max_size=4),
+    st.sampled_from([None, 1, 7]),
+    st.integers(0, 2**32),
+)
+def test_mlp_values_and_grads_match_op_chain(widths, rows, seed):
+    """2 and 3 layers, on a (rows, n) input or, with ``rows`` None, an (n,)
+    one, which the chain, whose ``matmul`` takes only matrices, runs as a
+    (1, n) row. Values compare equal; a ReLU's zero may differ in sign."""
+    rng = np.random.default_rng(seed)
+    shape = (widths[0],) if rows is None else (rows, widths[0])
+    x = rng.normal(size=shape)
+    weights = []
+    for n_in, n_out in zip(widths, widths[1:]):
+        weights += [rng.normal(size=(n_in, n_out)), rng.normal(size=n_out)]
+    upstream = rng.normal(size=shape[:-1] + (widths[-1],))
+    runs = []
+    for op, inputs in ((ad.mlp, x), (reference_mlp, np.atleast_2d(x))):
+        tensors = [Tensor(a, requires_grad=True) for a in (inputs, *weights)]
+        out = op(*tensors)
+        ad.sum_all(ad.mul(out, upstream.reshape(out.shape))).backward()
+        runs.append([out.data.reshape(-1), *(t.grad.reshape(-1) for t in tensors)])
+    assert np.array_equal(runs[0][0], ad.mlp_forward(x, weights).reshape(-1))
+    for got, expected in zip(*runs):
         assert np.array_equal(got, expected)
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ratelab.policy.autodiff import lstm_cell, no_grad
+from ratelab.policy.autodiff import lstm_cell, mlp_forward, no_grad
 from ratelab.policy.network import REL_RADIUS, PolicyParams, arch_from_preset, forward
-from ratelab.policy.rollout import eval_head, eval_transformer, head_weights
+from ratelab.policy.rollout import eval_transformer
 from ratelab.policy.train import episode_loss
 
 
@@ -140,14 +140,15 @@ def test_rollout_mirror_matches_tape(rng, T):
     tape = forward(params, fp, bundles)
     emb = eval_transformer(params, fp)
     wx, wh, b = (params[name].data for name in ("lstm_wx", "lstm_wh", "lstm_b"))
+    qp_head, bits_head = ([t.data for t in params.mlp(head)] for head in ("qp", "bits"))
     h = c = np.zeros(params.arch.dr)
     logits = []
     bits = []
     for t in range(T):
         pre = np.concatenate([emb[t], bundles[t]]) @ wx + h @ wh + b
         h, c, _ = lstm_cell(pre, c, (np.empty_like(h), np.empty_like(c), np.empty_like(pre)))
-        logits.append(eval_head(head_weights(params, "qp"), h))
-        bits.append(eval_head(head_weights(params, "bits"), h))
+        logits.append(mlp_forward(h, qp_head))
+        bits.append(mlp_forward(h, bits_head))
     assert np.allclose(np.vstack(logits), tape.logits.data, atol=1e-10)
     assert np.allclose(np.vstack(bits), tape.bits_pred.data, atol=1e-10)
 

@@ -218,7 +218,6 @@ def test_rollout_runner_qps_valid(trained, corpus):
     )
     trace = simenc.run_episode(video, gop, 512.0, runner)
     assert all(0 <= q <= 255 for q in trace.qps)
-    assert len(runner.bits_predictions) == video.num_frames
 
 
 def test_rollout_runs_past_relative_radius(trained):
