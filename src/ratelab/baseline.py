@@ -27,15 +27,10 @@ from .simenc import (
 )
 
 __all__ = [
-    "AllocationError",
     "allocate_frame_targets",
     "qp_for_target_bits",
     "run_baseline",
 ]
-
-
-class AllocationError(ValueError):
-    """Frame weights sum to zero; no budget split is possible."""
 
 
 # Weight of each frame type in the bit split.
@@ -58,12 +53,10 @@ def allocate_frame_targets(
     budget = target_bitrate_kbps * 1000.0 * video.duration
     if budget <= 0:
         raise ValueError("total bit budget must be positive")
-    coded_error = video.first_pass[:, _CODED_ERROR].tolist()
-    weights = [e * FRAME_TYPE_BOOST[ft] for e, ft in zip(coded_error, gop.frame_types)]
-    total = sum(weights)
-    if total <= 0.0:
-        raise AllocationError("frame weights sum to zero")
-    return [budget * w / total for w in weights]
+    # Every weight is positive, since ``SyntheticVideo`` refuses a coded error
+    # of 0. They add up in frame order: numpy's pairwise sum rounds otherwise.
+    weights = video.first_pass[:, _CODED_ERROR] * gop.by_type(FRAME_TYPE_BOOST)
+    return (budget * weights / sum(weights.tolist())).tolist()
 
 
 def qp_for_target_bits(

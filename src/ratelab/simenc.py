@@ -38,16 +38,18 @@ from ``_frame_energy`` on the reference state, and its gain and header, from
 per-frame constants cached on the video and on the GOP plan.
 ``rate_distortion`` is the scalar form, on Python floats. The choosers of
 ``encode_episode`` call it; that is the one episode loop, which carries the
-reference state as floats and takes each frame's (qp, bits, mse) from its
-chooser. ``replay_qp_sequence`` encodes the given QP, the baseline's QP
-search returns its winning trial encode, and ``run_episode``, for learned
+reference state as floats, reads the per-frame constants in one pass over
+their columns, and takes each frame's (qp, bits, mse) from its chooser.
+``replay_qp_sequence`` encodes the given QP, the baseline's QP search
+returns its winning trial encode, and ``run_episode``, for learned
 policies, asks a policy callback for the QP, passing an ``Observation``:
 the video, its GOP plan, the target, the frame index, the bits spent and
 the previous frame's (qp, bits, mse).
 
 ``ranking_rewards`` is the batch form, for ES populations: the rewards of B
 whole episodes at once. ES reads them only through their ranks and through
-the values of its lead row and its first maximum. It first settles the
+the values of its lead row and its first maximum, and keeps either only if
+it beats the best reward so far, which it passes in. It first settles the
 energies and MSEs the reference state needs by fixed-point passes over
 whole episodes: it guesses that no frame saturates (MSE = cap), computes
 every frame's energy at once from that state, sets MSE = min(energy, cap),
@@ -58,21 +60,26 @@ the scalar form's operations in its order, so both paths give the same
 MSEs. From them it computes every reward with ``np.log2``, ``np.sum`` and
 ``np.log10``, each within a stated tolerance of its exact value. When every
 gap between neighbouring sorted rewards exceeds twice that tolerance, the
-order is certified and only those two rows take the exact path; otherwise,
-as on tied rows, the whole batch does. The exact path takes the bits with
-the scalar form's operations, the logarithm with ``math.log2`` (numpy's
-vectorized ``log2`` can differ from it in the last bit, and teacher labels
-are verified by exact replay) and the sums with its ``math.fsum``. Ranks,
-best row and stored rewards are those of replaying each row, bit for bit;
-property tests pin them to the scalar form.
+order is certified, and of those two rows only one that comes within twice
+the tolerance of the best so far, or above it, takes the exact path: a row
+further below loses its one comparison whatever its exact value. When the
+order is not certified, as on tied rows, the whole batch takes it. The
+exact path takes the bits with the scalar form's operations, the logarithm
+with ``math.log2`` (numpy's vectorized ``log2`` can differ from it in the
+last bit, and teacher labels are verified by exact replay) and the sums
+with its ``math.fsum``. Ranks, best row and stored rewards are those of
+replaying each row, bit for bit; property tests pin them to the scalar
+form.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
+from itertools import compress, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -230,6 +237,15 @@ class SyntheticVideo:
         for name, ok, rule in checks:
             if not ok.all():
                 raise ConfigError(f"{name} must be {rule}, got {frames[name][~ok][0]}")
+        # The heuristic splits its budget in proportion to each frame's coded
+        # error (its inter energy): trailing frames of coded error 0 underflow
+        # the split into a division by zero.
+        coded = np.array(self.inter_energy)
+        if not (coded > 0.0).all():
+            raise ConfigError(
+                "coded error inter_fraction * intra_energy + noise_energy must be > 0, "
+                f"got {coded[coded <= 0.0][0]}"
+            )
         frames.flags.writeable = False
 
     @property
@@ -463,7 +479,13 @@ def generate_corpus(
 
 @dataclass(frozen=True)
 class GopPlan:
-    """Frame types and show flags for one video."""
+    """Frame types and show flags for one video.
+
+    The encoder reads a plan through per-frame constants, cached on first
+    use: tuples for the scalar loop, columns for the batch form. They are
+    built from identity tests and whole-column operations: hashing an enum
+    member once per frame costs more than the encoder step that reads it.
+    """
 
     frame_types: tuple[FrameType, ...]
     show: tuple[bool, ...]
@@ -478,46 +500,49 @@ class GopPlan:
         if not any(self.show):
             raise ConfigError("GOP shows no frame")
 
-    # Per-frame constants of the encoder kernel, (T,) each. The kernel reads
-    # them once per frame step, where comparing or hashing an enum member
-    # would cost more than the tuple lookup.
-
     @cached_property
     def key(self) -> tuple[bool, ...]:
         """KEY frames, which ignore the reference state."""
-        return tuple(ft is FrameType.KEY for ft in self.frame_types)
+        return tuple(map(operator.is_, self.frame_types, repeat(FrameType.KEY)))
 
     @cached_property
     def refreshes_golden(self) -> tuple[bool, ...]:
         """KEY and ALT_REF frames, which refresh the golden reference slot."""
-        return tuple(ft is not FrameType.INTER for ft in self.frame_types)
+        return tuple(map(operator.is_not, self.frame_types, repeat(FrameType.INTER)))
+
+    def by_type(self, values: dict) -> np.ndarray:
+        """Each frame's entry of ``values``, a dict keyed by ``FrameType``, as a (T,) array."""
+        key, refreshes = _flag_array(self.key), _flag_array(self.refreshes_golden)
+        refreshed = np.where(refreshes, values[FrameType.ALT_REF_HIDDEN], values[FrameType.INTER])
+        return np.where(key, values[FrameType.KEY], refreshed)
 
     @cached_property
     def golden_source(self) -> tuple[int, ...]:
         """Row of ``_settle_batch``'s (T + 1)-row state holding each frame's
         golden reference: 1 + the last earlier frame that refreshes the
         golden slot, or 0, the all-zero row before the first frame."""
-        sources, row = [], 0
-        for t, refreshes in enumerate(self.refreshes_golden):
-            sources.append(row)
-            if refreshes:
-                row = t + 1
-        return tuple(sources)
+        return tuple(self.columns[2].tolist())
 
     @cached_property
     def header_bits(self) -> tuple[float, ...]:
         """Header bits at ``REFERENCE_BLOCKS`` blocks, which the kernel scales."""
-        return tuple(HEADER_BITS[ft] for ft in self.frame_types)
+        return tuple(self.columns[1][:, 0].tolist())
 
     @cached_property
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``key`` and ``header_bits`` as read-only (T, 1) columns, which
         ``ranking_rewards`` broadcasts over its rows, ``golden_source`` as a
         (T,) index array, and the indices of the shown frames."""
+        num_frames = len(self.frame_types)
+        refreshed_rows = np.where(
+            _flag_array(self.refreshes_golden[:-1]), np.arange(1, num_frames), 0
+        )
+        golden_source = np.zeros(num_frames, dtype=np.intp)
+        golden_source[1:] = np.maximum.accumulate(refreshed_rows)
         columns = (
-            np.array(self.key)[:, None],
-            np.array(self.header_bits)[:, None],
-            np.array(self.golden_source),
+            _flag_array(self.key)[:, None],
+            self.by_type(HEADER_BITS)[:, None],
+            golden_source,
             np.flatnonzero(self.show),
         )
         for column in columns:
@@ -525,21 +550,22 @@ class GopPlan:
         return columns
 
 
+def _flag_array(flags: tuple[bool, ...]) -> np.ndarray:
+    return np.fromiter(flags, bool, len(flags))
+
+
 def plan_gop(video: SyntheticVideo, gop_interval: int = 16) -> GopPlan:
     """Fixed-interval GOP: frame 0 is KEY, then a hidden alternate reference
     every ``gop_interval`` coding positions; everything else is INTER."""
     if gop_interval < 2:
         raise ConfigError("gop_interval must be >= 2")
-    types: list[FrameType] = []
-    for t in range(video.num_frames):
-        if t == 0:
-            types.append(FrameType.KEY)
-        elif t % gop_interval == 0:
-            types.append(FrameType.ALT_REF_HIDDEN)
-        else:
-            types.append(FrameType.INTER)
-    show = tuple(ft is not FrameType.ALT_REF_HIDDEN for ft in types)
-    return GopPlan(frame_types=tuple(types), show=show)
+    num_frames = video.num_frames
+    hidden = len(range(gop_interval, num_frames, gop_interval))
+    types = [FrameType.KEY] + [FrameType.INTER] * (num_frames - 1)
+    types[gop_interval::gop_interval] = [FrameType.ALT_REF_HIDDEN] * hidden
+    show = [True] * num_frames
+    show[gop_interval::gop_interval] = [False] * hidden
+    return GopPlan(frame_types=tuple(types), show=tuple(show))
 
 
 # ---------------------------------------------------------------------------
@@ -778,13 +804,13 @@ def _finalize_trace(
     bits: Sequence[float],
     mses: Sequence[float],
 ) -> EpisodeTrace:
-    shown_mses = [m for m, s in zip(mses, gop.show) if s]
+    shown_mses = list(compress(mses, gop.show))
     psnr, bitrate_kbps = _quality_and_rate(video, bits, shown_mses)
     return EpisodeTrace(
         video_id=video.video_id,
         num_frames=video.num_frames,
         target_bitrate_kbps=target_bitrate_kbps,
-        qps=tuple(int(q) for q in qps),
+        qps=tuple(map(int, qps)),
         bits=tuple(bits),
         mse=tuple(mses),
         show=gop.show,
@@ -826,7 +852,7 @@ RANK_TOLERANCE = 2.0**-30
 
 
 def ranking_rewards(
-    video: SyntheticVideo, gop: GopPlan, qps, target_bitrate_kbps: float
+    video: SyntheticVideo, gop: GopPlan, qps, target_bitrate_kbps: float, floor: float = -math.inf
 ) -> np.ndarray:
     """Rewards of B whole episodes ``qps`` (B, T), exact where ES reads them.
 
@@ -842,11 +868,15 @@ def ranking_rewards(
     keeps the end-to-end error under 2**-40 of that scale, a margin of
     2**10 or more. If every gap between neighbouring sorted rewards is
     wider than 2 * tol, the exact rewards have the same strict order and no
-    ties; then only row 0 and the maximum are scored exactly, by
-    ``_exact_rewards``, and written in, which keeps the order. Otherwise,
-    and for batches of at most 2 rows, every row is. The ranks, the first
-    maximum and the values at row 0 and at it are those of the rows'
-    ``replay_qp_sequence`` rewards, bit for bit.
+    ties; then of row 0 and the maximum, only those at or above ``floor`` -
+    2 * tol are scored exactly, by ``_exact_rewards``, and written in, which
+    keeps the order. ``floor`` is the best reward so far, which a row must
+    beat to be kept: a row further below it loses that one comparison
+    whatever its exact value, so it keeps its vectorized one. Otherwise, and
+    for batches of at most 2 rows, every row is scored exactly. The ranks
+    and the first maximum are those of the rows' ``replay_qp_sequence``
+    rewards, and so are the values at row 0 and at that maximum that reach
+    ``floor`` - 2 * tol, bit for bit.
     """
     _check_target(target_bitrate_kbps)
     energy, mse = _settle_batch(video, gop, qps)
@@ -860,13 +890,14 @@ def ranking_rewards(
     psnr = 10.0 * np.log10(255.0 * 255.0 / mean_mse)
     rewards = psnr - PENALTY_PER_KBPS * np.maximum(0.0, rate - target_bitrate_kbps)
     tol = RANK_TOLERANCE * np.max(np.abs(psnr) + PENALTY_PER_KBPS * rate + 1.0, initial=0.0)
-    exact = slice(None)
+    exact = list(range(len(rewards)))
     if len(rewards) > 2 and (np.diff(np.sort(rewards)) > 2.0 * tol).all():
         best = int(np.argmax(rewards))
-        exact = [0, best] if best else [0]
-    rewards[exact] = _exact_rewards(
-        video, gop, energy[:, exact], mse[:, exact], target_bitrate_kbps
-    )
+        exact = [i for i in sorted({0, best}) if rewards[i] >= floor - 2.0 * tol]
+    if exact:
+        rewards[exact] = _exact_rewards(
+            video, gop, energy[:, exact], mse[:, exact], target_bitrate_kbps
+        )
     return rewards
 
 
@@ -898,17 +929,26 @@ def encode_episode(
 
     ``choose(t, cum_bits, energy, gain, header)`` returns frame ``t``'s
     (qp, bits, mse), with ``cum_bits`` spent before it: (bits, mse) must be
-    ``rate_distortion(energy, quantizer_step(qp), gain, header)``.
+    ``rate_distortion(energy, quantizer_step(qp), gain, header)``. The loop
+    reads each frame's constants from one pass over the video's and the GOP
+    plan's per-frame columns, with the headers scaled as one column; an
+    inter frame's energy is ``_inter_energy`` on its reference state.
     """
     _check_target(target_bitrate_kbps)
     check_gop(video, gop)
     d_last = d_golden = cum_bits = 0.0
     encoded: list[tuple[int, float, float]] = []
-    for t, (gain, header_bits) in enumerate(zip(video.gain, gop.header_bits)):
-        energy = _frame_energy(video, gop, t, d_last, d_golden)
-        encoded.append(choose(t, cum_bits, energy, gain, _frame_header(video, header_bits)))
+    _, header_bits, _, _ = gop.columns
+    headers = _frame_header(video, header_bits[:, 0]).tolist()
+    frames = zip(
+        gop.key, gop.refreshes_golden, video.key_energy, video.inter_energy, video.gain, headers
+    )
+    for t, (key, refreshes, key_energy, inter_energy, gain, header) in enumerate(frames):
+        # ``_frame_energy``, on this frame's columns.
+        energy = key_energy if key else _inter_energy(inter_energy, d_last, d_golden)
+        encoded.append(choose(t, cum_bits, energy, gain, header))
         _, bits, d_last = encoded[-1]
-        if gop.refreshes_golden[t]:
+        if refreshes:
             d_golden = d_last
         cum_bits += bits
     return _finalize_trace(video, gop, target_bitrate_kbps, *zip(*encoded))

@@ -18,8 +18,10 @@ predictable from the observations.
 The ranks come from a certified order: ``simenc.ranking_rewards`` orders a
 batch by vectorized rewards whose gaps exceed their error bound, and scores
 exactly only the lead row and the first maximum, the values best-so-far
-keeps; a batch whose order it cannot certify is scored exactly throughout.
-Every rank, best row and stored reward is the one exact scoring gives.
+keeps, and of those only a row that can become the best: one whose reward
+is not below the best so far by more than the bound. A batch whose order it
+cannot certify is scored exactly throughout. Every rank, best row and
+stored reward is the one exact scoring gives.
 """
 
 from __future__ import annotations
@@ -112,20 +114,23 @@ def _centered_ranks(rewards: np.ndarray) -> np.ndarray:
 def es_step(
     state: EsState,
     config: EsConfig,
-    reward_fn: Callable[[np.ndarray], np.ndarray | float],
+    reward_fn: Callable[[np.ndarray, float], np.ndarray | float],
     noise_batch: np.ndarray,
     lead: np.ndarray | None = None,
 ) -> EsState:
     """One ES update from an injected batch of Gaussian perturbations.
 
     ``noise_batch`` has shape (batch_size, T). Candidates are rounded and
-    clamped to valid QPs and scored in one call: ``reward_fn`` maps a
-    (rows, T) integer array to one reward per row, and a scalar reward is
-    broadcast to every row. ``lead``, when given, is one more QP row scored
-    in the same call ahead of the candidates; it competes for best-so-far
-    first and takes no part in the update, and ``lead_best`` of the result
-    is the best reward right after it. Candidates are weighted by centered
-    rank, so the step is invariant to any increasing map of the rewards.
+    clamped to valid QPs and scored in one call: ``reward_fn(rows, floor)``
+    maps a (rows, T) integer array to one reward per row, and a scalar reward
+    is broadcast to every row. ``floor`` is the best reward so far, which a
+    row must beat to be kept: a row whose reward does not beat it may be
+    given any value that does not either, in its place in the order.
+    ``lead``, when given, is one more QP row scored in the same call ahead
+    of the candidates; it competes for best-so-far first and takes no part
+    in the update, and ``lead_best`` of the result is the best reward right
+    after it. Candidates are weighted by centered rank, so the step is
+    invariant to any increasing map of the rewards.
     """
     noise = np.asarray(noise_batch, dtype=np.float64)
     if noise.shape != (config.batch_size, state.theta.size):
@@ -135,7 +140,8 @@ def es_step(
     rows = _round_clamp(state.theta + config.sigma * noise)
     if lead is not None:
         rows = np.vstack([lead, rows])
-    scored = np.broadcast_to(np.asarray(reward_fn(rows), dtype=np.float64), len(rows))
+    scored = reward_fn(rows, state.best_reward)
+    scored = np.broadcast_to(np.asarray(scored, dtype=np.float64), len(rows))
     best_reward, best_qps, lead_best = state.best_reward, state.best_qps, None
     if lead is not None:
         if scored[0] > best_reward:
@@ -184,8 +190,8 @@ def run_es(
     gop = simenc.plan_gop(video)
     base_trace = baseline_mod.run_baseline(video, gop, target_bitrate_kbps)
 
-    def reward_fn(qps: np.ndarray) -> np.ndarray:
-        return simenc.ranking_rewards(video, gop, qps, target_bitrate_kbps)
+    def reward_fn(qps: np.ndarray, floor: float) -> np.ndarray:
+        return simenc.ranking_rewards(video, gop, qps, target_bitrate_kbps, floor)
 
     theta0 = np.asarray(base_trace.qps, dtype=np.float64)
     state = EsState(
@@ -207,12 +213,12 @@ def run_es(
             history.append(state.lead_best)
         mean_qps = _round_clamp(state.theta)
     if mean_qps is not None:
-        mean_reward = float(reward_fn(mean_qps[None])[0])
+        mean_reward = float(reward_fn(mean_qps[None], state.best_reward)[0])
         if mean_reward > state.best_reward:
             state = replace(state, best_reward=mean_reward, best_qps=mean_qps)
         history.append(state.best_reward)
 
-    best_qps = tuple(int(q) for q in state.best_qps)
+    best_qps = tuple(state.best_qps.tolist())
     best_trace = simenc.replay_qp_sequence(video, gop, best_qps, target_bitrate_kbps)
     if best_trace.reward != state.best_reward:
         raise TeacherDataError(

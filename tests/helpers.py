@@ -55,6 +55,37 @@ def all_inter_gop(num_frames):
     return simenc.GopPlan(frame_types=types, show=tuple(True for _ in range(num_frames)))
 
 
+def reference_plan_types(num_frames, gop_interval):
+    """``plan_gop``'s frame types, decided one frame at a time."""
+    types = []
+    for t in range(num_frames):
+        if t == 0:
+            types.append(simenc.FrameType.KEY)
+        elif t % gop_interval == 0:
+            types.append(simenc.FrameType.ALT_REF_HIDDEN)
+        else:
+            types.append(simenc.FrameType.INTER)
+    return tuple(types)
+
+
+def reference_gop_constants(frame_types):
+    """The per-frame constants the encoder reads from a GOP plan of
+    ``frame_types``, one frame at a time: ``GopPlan``'s tuples by name."""
+    key = tuple(ft is simenc.FrameType.KEY for ft in frame_types)
+    refreshes = tuple(ft is not simenc.FrameType.INTER for ft in frame_types)
+    sources, row = [], 0
+    for t, refreshed in enumerate(refreshes):
+        sources.append(row)
+        if refreshed:
+            row = t + 1
+    return {
+        "key": key,
+        "refreshes_golden": refreshes,
+        "golden_source": tuple(sources),
+        "header_bits": tuple(simenc.HEADER_BITS[ft] for ft in frame_types),
+    }
+
+
 def tiny_policy(videos, target_bitrate_kbps=512.0, seed=0):
     """Untrained tiny-preset params and a feature spec fitted on ``videos``."""
     scalars = {

@@ -6,7 +6,6 @@ import pytest
 
 from ratelab import baseline, simenc
 from ratelab.baseline import (
-    AllocationError,
     allocate_frame_targets,
     qp_for_target_bits,
     run_baseline,
@@ -70,11 +69,10 @@ def test_targets_sum_to_budget(video, gop):
 
 
 def test_zero_weight_rejected():
-    # coded_error = 0.5 * 5e-324 + 0.0 rounds to 0 on every frame.
-    v = constant_video(num_frames=3, intra_energy=5e-324, inter_fraction=0.5, noise_energy=0.0)
-    assert not v.first_pass[:, simenc.FIRST_PASS_FEATURES.index("coded_error")].any()
-    with pytest.raises(AllocationError):
-        allocate_frame_targets(v, all_inter_gop(3), 512.0)
+    # coded_error = 0.5 * 5e-324 + 0.0 rounds to 0 on every frame: such a
+    # video, whose frames would all weigh 0 in the split, is refused.
+    with pytest.raises(simenc.ConfigError, match="coded error"):
+        constant_video(num_frames=3, intra_energy=5e-324, inter_fraction=0.5, noise_energy=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Property tests: each fast path of the heuristic baseline, of the
-controlled rollout, of the recurrent core and of the MLPs equals the code
-it replaced, which is kept here as the reference. Every comparison is
-exact, except the rollout's logits, whose sums run in another order: the
-runner projects the recurrent core's episode-fixed inputs once per
-episode. The rollout's traces and control events stay exact."""
+"""Property tests: each fast path of the GOP plan, of the heuristic
+baseline, of the controlled rollout, of the recurrent core and of the MLPs
+equals the code it replaced, which is kept here (or, for the GOP plan, in
+``helpers``) as the reference. Every comparison is exact, except the
+rollout's logits, whose sums run in another order: the runner projects the
+recurrent core's episode-fixed inputs once per episode. The rollout's
+traces and control events stay exact."""
 
 from __future__ import annotations
 
@@ -14,11 +15,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratelab import baseline, inference, simenc
-from ratelab.baseline import allocate_frame_targets, run_baseline
+from ratelab.baseline import run_baseline
 from ratelab.inference import (
     CANDIDATE_POOL,
     COVERAGE,
@@ -39,8 +40,16 @@ from ratelab.policy.autodiff import Tensor, relative_bias, relative_offsets
 from ratelab.policy.features import FRAME_TYPE_ORDER, build_features, episode_features
 from ratelab.policy.network import REL_RADIUS
 from ratelab.policy.rollout import PolicyRunner, eval_transformer
+from ratelab.simenc import FrameType
 
-from helpers import FAST_CONFIG, rd_terms, reference_episode, tiny_policy
+from helpers import (
+    FAST_CONFIG,
+    rd_terms,
+    reference_episode,
+    reference_gop_constants,
+    reference_plan_types,
+    tiny_policy,
+)
 
 MSE_CAPS = simenc.QP_MSE_CAP.tolist()
 
@@ -188,6 +197,16 @@ def reference_qp_for_target_bits(video, gop, state, target_bits):
     return max(0, reaching - 1)
 
 
+def reference_allocation(video, gop, target_bitrate_kbps):
+    """``allocate_frame_targets``, one frame at a time."""
+    budget = target_bitrate_kbps * 1000.0 * video.duration
+    coded_error = video.first_pass[:, simenc.FIRST_PASS_FEATURES.index("coded_error")].tolist()
+    boost = baseline.FRAME_TYPE_BOOST
+    weights = [e * boost[ft] for e, ft in zip(coded_error, gop.frame_types)]
+    total = sum(weights)
+    return [budget * w / total for w in weights]
+
+
 class ReferenceBaselinePolicy:
     """The baseline as a callback of ``reference_episode``, whose stepper
     then re-encodes the QP its search chose."""
@@ -196,7 +215,7 @@ class ReferenceBaselinePolicy:
         self._video = video
         self._gop = gop
         self._budget = target_bitrate_kbps * 1000.0 * video.duration
-        self._targets = allocate_frame_targets(video, gop, target_bitrate_kbps)
+        self._targets = reference_allocation(video, gop, target_bitrate_kbps)
         self._remaining = np.cumsum(self._targets[::-1])[::-1].tolist()  # sums from t to the end
 
     def __call__(self, obs):
@@ -423,6 +442,46 @@ def test_mlp_values_and_grads_match_op_chain(widths, rows, seed):
     assert np.array_equal(runs[0][0], ad.mlp_forward(x, weights).reshape(-1))
     for got, expected in zip(*runs):
         assert np.array_equal(got, expected)
+
+
+# ---------------------------------------------------------------------------
+# GOP plan
+# ---------------------------------------------------------------------------
+
+
+@given(
+    frames=st.integers(2, 400),
+    gop_interval=st.integers(2, 40),
+    overrides=st.lists(st.tuples(st.integers(0, 399), st.sampled_from(FrameType)), max_size=4),
+)
+@settings(max_examples=250)
+@example(frames=2, gop_interval=2, overrides=[])
+@example(frames=400, gop_interval=40, overrides=[(0, FrameType.INTER), (399, FrameType.KEY)])
+def test_gop_plan_matches_per_frame_reference(frames, gop_interval, overrides):
+    """``plan_gop``'s types and show flags, and every per-frame constant and
+    column of its plan, equal a build one frame at a time, value and type;
+    and so do those of a plan whose frame types are overridden at random."""
+    plan = simenc.plan_gop(SimpleNamespace(num_frames=frames), gop_interval)
+    types = reference_plan_types(frames, gop_interval)
+    show = tuple(ft is not FrameType.ALT_REF_HIDDEN for ft in types)
+    assert (repr(plan.frame_types), repr(plan.show)) == (repr(types), repr(show))
+    types = list(types)
+    for t, frame_type in overrides:
+        types[t % frames] = frame_type
+    for gop in (plan, simenc.GopPlan(frame_types=tuple(types), show=show)):
+        constants = reference_gop_constants(gop.frame_types)
+        for name, values in constants.items():
+            assert repr(getattr(gop, name)) == repr(values), name
+        columns = (
+            np.array(constants["key"], dtype=bool)[:, None],
+            np.array(constants["header_bits"], dtype=np.float64)[:, None],
+            np.array(constants["golden_source"], dtype=np.int64),
+            np.array([t for t, shown in enumerate(gop.show) if shown], dtype=np.int64),
+        )
+        for column, expected in zip(gop.columns, columns, strict=True):
+            assert (column.dtype, column.shape) == (expected.dtype, expected.shape)
+            assert column.tobytes() == expected.tobytes()
+            assert not column.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,8 @@ def test_first_pass_equals_per_row_reference(frames, frame_rate):
     latents = np.zeros(len(frames["scene_id"]), simenc.LATENT_DTYPE)
     for name, column in frames.items():
         latents[name] = column
+    coded = latents["inter_fraction"] * latents["intra_energy"] + latents["noise_energy"]
+    assume((coded > 0.0).all())  # the video refuses a coded error of 0
     video = simenc.SyntheticVideo("v", 0, 640, 480, frame_rate, latents)
     # Bytes, so that a signed zero or a NaN would count as a difference.
     assert video.first_pass.tobytes() == reference_first_pass(video).tobytes()
@@ -560,7 +562,7 @@ def test_batched_es_step_matches_per_candidate_loop(batch, frames, with_lead, se
         # Coarse integer steps, so ties between rows occur.
         return -float(np.abs(qps - center).sum() // 64)
 
-    def batch_reward(rows):
+    def batch_reward(rows, floor):
         return np.array([row_reward(r) for r in rows])
 
     nxt = es_step(state, config, batch_reward, noise, lead=lead)

@@ -150,6 +150,24 @@ def test_load_corpus_rejects_out_of_range_latent(tmp_path, small_corpus, name, b
         simenc.load_corpus(path)
 
 
+def test_load_corpus_rejects_zero_coded_error(tmp_path):
+    """A frame's coded error, inter_fraction * intra_energy + noise_energy,
+    weighs its share of the heuristic's budget. On the last frames of a
+    video, 0.5 * 5e-324 + 0 underflows to 0: replay encoded such a corpus,
+    and the heuristic then divided by zero. Loading refuses it."""
+    video = generate_video(3, simenc.VideoConfig(40, 40))
+    path = tmp_path / "corpus.jsonl"
+    simenc.save_corpus(path, [video])
+    row = json.loads(path.read_text())
+    latents = {"intra_energy": 5e-324, "noise_energy": 0.0, "inter_fraction": 0.5}
+    for frame in row["frames"][-3:]:
+        for name, value in latents.items():
+            frame[simenc.LATENT_FIELDS.index(name)] = value
+    path.write_text(json.dumps(row) + "\n")
+    with pytest.raises(simenc.ConfigError, match="coded error"):
+        simenc.load_corpus(path)
+
+
 @pytest.mark.parametrize(
     "name, bad",
     [

@@ -1,9 +1,11 @@
 import dataclasses
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from ratelab import simenc, teacher
+from ratelab import baseline, simenc, teacher
 from ratelab.teacher import (
     EsConfig,
     EsState,
@@ -25,7 +27,7 @@ from helpers import FAST_CONFIG
 
 def _rewards_by_qp(table):
     """A reward function of one-frame candidates, looked up by their QP."""
-    return lambda qps: np.array([table[int(q)] for q in qps[:, 0]])
+    return lambda qps, floor: np.array([table[int(q)] for q in qps[:, 0]])
 
 
 def test_update_rule_direct_evaluation():
@@ -73,11 +75,14 @@ def test_update_invariant_to_increasing_reward_map():
     noise = rng.standard_normal((8, 5))
     center = rng.integers(0, 256, 5)
 
-    def reward(qps):
+    def reward(qps, floor):
         return -np.abs(qps - center).sum(axis=1).astype(float)
 
+    def mapped(qps, floor):
+        return 5.0 * np.exp(reward(qps, floor) / 100.0) + 3.0
+
     a = es_step(state, cfg, reward, noise)
-    b = es_step(state, cfg, lambda qps: 5.0 * np.exp(reward(qps) / 100.0) + 3.0, noise)
+    b = es_step(state, cfg, mapped, noise)
     assert np.array_equal(a.theta, b.theta)
 
 
@@ -87,7 +92,7 @@ def test_mirrored_equal_rewards_cancel():
     state = EsState(theta=theta.copy(), step=0, best_reward=-np.inf, best_qps=theta.astype(int))
     eps = np.array([[1.0, -2.0, 0.5]])
     noise = np.vstack([eps, -eps])
-    nxt = es_step(state, cfg, lambda qps: 7.0, noise)
+    nxt = es_step(state, cfg, lambda qps, floor: 7.0, noise)
     assert nxt.theta == pytest.approx(theta)
 
 
@@ -95,7 +100,7 @@ def test_zero_noise_leaves_theta_unchanged():
     cfg = EsConfig(sigma=4.0, batch_size=4, learning_rate=16.0)
     theta = np.array([10.0, 250.0])
     state = EsState(theta=theta.copy(), step=5, best_reward=-np.inf, best_qps=theta.astype(int))
-    nxt = es_step(state, cfg, lambda qps: -np.arange(4.0), np.zeros((4, 2)))
+    nxt = es_step(state, cfg, lambda qps, floor: -np.arange(4.0), np.zeros((4, 2)))
     assert nxt.theta == pytest.approx(theta)
 
 
@@ -105,7 +110,7 @@ def test_candidates_always_within_qp_range():
     state = EsState(theta=theta, step=0, best_reward=-np.inf, best_qps=theta.astype(int))
     seen = []
 
-    def reward(qps):
+    def reward(qps, floor):
         seen.append(np.array(qps))
         return 1.0
 
@@ -121,12 +126,12 @@ def test_theta_clamped_after_update():
     cfg = EsConfig(sigma=4.0, batch_size=2, learning_rate=1000.0)
     mirrored = np.array([[1.0], [-1.0]])
     state = EsState(theta=np.array([250.0]), step=0, best_reward=-np.inf, best_qps=np.array([250]))
-    nxt = es_step(state, cfg, lambda qps: qps[:, 0].astype(float), mirrored)
+    nxt = es_step(state, cfg, lambda qps, floor: qps[:, 0].astype(float), mirrored)
     assert nxt.theta[0] == 255.0
     down = es_step(
         EsState(theta=np.array([5.0]), step=0, best_reward=-np.inf, best_qps=np.array([5])),
         cfg,
-        lambda qps: -qps[:, 0].astype(float),
+        lambda qps, floor: -qps[:, 0].astype(float),
         mirrored,
     )
     assert down.theta[0] == 0.0
@@ -143,7 +148,7 @@ def test_noise_shape_validation():
     cfg = EsConfig(batch_size=2)
     state = EsState(theta=np.zeros(3), step=0, best_reward=0.0, best_qps=np.zeros(3, int))
     with pytest.raises(ValueError):
-        es_step(state, cfg, lambda q: 0.0, np.zeros((3, 3)))
+        es_step(state, cfg, lambda q, floor: 0.0, np.zeros((3, 3)))
 
 
 def test_config_validation():
@@ -215,18 +220,93 @@ def test_run_es_rejects_a_best_row_its_replay_scores_differently(es_video, monke
 
 def test_run_es_scores_at_most_two_rows_per_batch_exactly(es_video, monkeypatch):
     """The certified order spares every row but the lead and the best one
-    the exact scorer: one ``_exact_rewards`` call per batch, of 1 or 2 rows."""
-    sizes = []
-    exact_rewards = simenc._exact_rewards
+    the exact scorer, and spares those two as well when they fall below the
+    best reward so far: at most one ``_exact_rewards`` call per batch, of at
+    most 2 rows, and over a round fewer rows than batches. Every value
+    es_step could keep, one at or above its floor, is the exact one."""
+    batches = []
+    exact_rewards, ranking_rewards = simenc._exact_rewards, simenc.ranking_rewards
 
     def counted(video, gop, energy, mse, target):
-        sizes.append(energy.shape[1])
+        batches[-1]["sizes"].append(energy.shape[1])
         return exact_rewards(video, gop, energy, mse, target)
 
+    def recorded(video, gop, qps, target, floor):
+        batches.append({"qps": qps, "floor": floor, "sizes": []})
+        batches[-1]["rewards"] = ranking_rewards(video, gop, qps, target, floor)
+        return batches[-1]["rewards"]
+
     monkeypatch.setattr(simenc, "_exact_rewards", counted)
+    monkeypatch.setattr(simenc, "ranking_rewards", recorded)
     run_es(es_video, 512.0, EsConfig(max_steps=20), seed=5)
-    assert len(sizes) == 21  # 20 steps, then the last mean alone
-    assert max(sizes) <= 2
+    assert len(batches) == 21  # 20 steps, then the last mean alone
+    assert all(len(b["sizes"]) <= 1 and sum(b["sizes"]) <= 2 for b in batches)
+    assert sum(sum(b["sizes"]) for b in batches) < len(batches)
+    gop = simenc.plan_gop(es_video)
+    for b in batches:
+        for row in {0, int(np.argmax(b["rewards"]))}:
+            if b["rewards"][row] >= b["floor"]:
+                replay = simenc.replay_qp_sequence(es_video, gop, b["qps"][row].tolist(), 512.0)
+                assert b["rewards"][row] == replay.reward
+
+
+def certified_batch(video, target):
+    """A mirrored ES batch around the heuristic's QPs: the step's inputs,
+    its rows, their exact rewards and the ``ranking_rewards`` tolerance."""
+    gop = simenc.plan_gop(video)
+    theta = np.asarray(baseline.run_baseline(video, gop, target).qps, dtype=np.float64)
+    config = EsConfig(batch_size=8)
+    noise = teacher._draw_noise(np.random.default_rng(0), config, video.num_frames)
+    rows = teacher._round_clamp(theta + config.sigma * noise)
+    traces = [simenc.replay_qp_sequence(video, gop, row, target) for row in rows.tolist()]
+    scale = max(abs(t.psnr_db) + simenc.PENALTY_PER_KBPS * t.bitrate_kbps + 1.0 for t in traces)
+    return SimpleNamespace(
+        gop=gop, theta=theta, config=config, noise=noise, rows=rows,
+        exact=np.array([t.reward for t in traces]), tol=simenc.RANK_TOLERANCE * scale,
+    )
+
+
+def test_rows_near_the_floor_are_scored_exactly(es_video):
+    """A row whose vectorized reward lies within 2 tol below the floor could
+    still beat it, and is scored exactly; one further below is not."""
+    batch = certified_batch(es_video, 512.0)
+    exact, tol = batch.exact, batch.tol
+    best = int(np.argmax(exact))
+    assert best != 0 and exact[0] < exact[best] - 3.0 * tol
+
+    def ranked(floor):
+        with mock.patch.object(simenc, "_exact_rewards", wraps=simenc._exact_rewards) as scorer:
+            rewards = simenc.ranking_rewards(es_video, batch.gop, batch.rows, 512.0, floor)
+        return rewards, [call.args[2].shape[1] for call in scorer.call_args_list]
+
+    rewards, sizes = ranked(-np.inf)
+    assert sizes == [2]  # the order is certified
+    assert rewards[0] == exact[0] and rewards[best] == exact[best]
+    rewards, sizes = ranked(exact[best] + 1.5 * tol)
+    assert sizes == [1] and rewards[best] == exact[best]
+    rewards, sizes = ranked(exact[best] + 3.0 * tol)
+    assert sizes == [] and rewards[best] < exact[best] + 3.0 * tol
+    assert np.array_equal(teacher._centered_ranks(rewards), teacher._centered_ranks(exact))
+
+
+def test_an_exact_tie_with_the_best_so_far_is_not_kept(es_video):
+    """The batch's best row scores exactly the best reward so far: es_step
+    keeps the old best, and takes the row over a floor one ulp lower."""
+    batch = certified_batch(es_video, 512.0)
+    best = int(np.argmax(batch.exact))
+
+    def reward_fn(qps, floor):
+        return simenc.ranking_rewards(es_video, batch.gop, qps, 512.0, floor)
+
+    held = EsState(
+        theta=batch.theta, step=0, best_reward=float(batch.exact[best]), best_qps=batch.rows[0]
+    )
+    kept = es_step(held, batch.config, reward_fn, batch.noise)
+    assert kept.best_reward == batch.exact[best] and kept.best_qps is held.best_qps
+    below = dataclasses.replace(held, best_reward=float(np.nextafter(batch.exact[best], -np.inf)))
+    taken = es_step(below, batch.config, reward_fn, batch.noise)
+    assert taken.best_reward == batch.exact[best]
+    assert np.array_equal(taken.best_qps, batch.rows[best])
 
 
 @pytest.mark.parametrize("target", [1.0, 512.0])
@@ -235,7 +315,7 @@ def test_run_es_equals_exact_scoring(es_video, monkeypatch, target):
     config = EsConfig(max_steps=15, batch_size=8)
     ranked = run_es(es_video, target, config, seed=3)
 
-    def exact(video, gop, qps, target_kbps):
+    def exact(video, gop, qps, target_kbps, floor):
         replays = (simenc.replay_qp_sequence(video, gop, row, target_kbps) for row in qps.tolist())
         return np.array([trace.reward for trace in replays])
 
