@@ -18,13 +18,7 @@ from bisect import bisect_right
 import numpy as np
 
 from . import simenc
-from .simenc import (
-    FIRST_PASS_FEATURES,
-    EpisodeTrace,
-    FrameType,
-    GopPlan,
-    SyntheticVideo,
-)
+from .simenc import EpisodeTrace, FrameType, GopPlan, SyntheticVideo
 
 __all__ = [
     "allocate_frame_targets",
@@ -36,8 +30,6 @@ __all__ = [
 # Weight of each frame type in the bit split.
 FRAME_TYPE_BOOST = {FrameType.KEY: 4.0, FrameType.ALT_REF_HIDDEN: 3.0, FrameType.INTER: 1.0}
 
-_CODED_ERROR = FIRST_PASS_FEATURES.index("coded_error")
-
 _STEPS = [simenc.quantizer_step(qp) for qp in range(simenc.QP_MAX + 1)]
 _MSE_CAPS = simenc.QP_MSE_CAP.tolist()
 
@@ -48,14 +40,15 @@ def allocate_frame_targets(
     """Split the total bit budget into per-frame targets.
 
     Each frame's share is its first-pass coded-error weight times its frame
-    type boost, normalized so the targets sum to the full budget.
+    type boost, normalized so the targets sum to the full budget. The coded
+    error is read as ``video.inter_energy``, without the first-pass matrix.
     """
     budget = target_bitrate_kbps * 1000.0 * video.duration
     if budget <= 0:
         raise ValueError("total bit budget must be positive")
     # Every weight is positive, since ``SyntheticVideo`` refuses a coded error
     # of 0. They add up in frame order: numpy's pairwise sum rounds otherwise.
-    weights = video.first_pass[:, _CODED_ERROR] * gop.by_type(FRAME_TYPE_BOOST)
+    weights = np.array(video.inter_energy) * gop.by_type(FRAME_TYPE_BOOST)
     return (budget * weights / sum(weights.tolist())).tolist()
 
 

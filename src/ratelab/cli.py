@@ -18,7 +18,8 @@ target tolerance that ``evaluate`` and ``report`` share (``metrics.WITHIN_PCT``)
 fits the envelope on those traces; ``evaluate`` without ``--checkpoint``
 writes the same traces of its corpus as ``policy_traces.jsonl``.
 ``evaluate`` rejects bounds without a checkpoint or fitted at another target
-before it encodes anything.
+before it encodes anything. Every stage reads and checks its inputs before
+it creates ``--out``, so an input it refuses leaves no output directory.
 
 Exit codes: 0 success, 2 invalid flags (argparse) or ``--config`` file (a
 malformed one, a section that names no subcommand, a key its subcommand does
@@ -195,8 +196,8 @@ def cmd_build_dataset(args) -> int:
         ),
         seed=args.seed,
     )
-    out = _out_dir(args)
     videos = simenc.load_corpus(_require(args.corpus))
+    out = _out_dir(args)
     records = teacher.build_teacher_dataset(videos, config, args.workers)
     n = teacher.save_teacher_dataset(out / "teacher.jsonl", records)
     _write_manifest(out, "build-dataset", args)
@@ -218,9 +219,9 @@ def cmd_train(args) -> int:
         seed=args.seed,
         preset=args.preset,
     )
-    out = _out_dir(args)
     videos = simenc.load_corpus(_require(args.corpus))
     records = teacher.load_teacher_dataset(_require(args.dataset))
+    out = _out_dir(args)
     corpus = {v.video_id: v for v in videos}
     spec = fit_spec_from_records(records, corpus, seed=args.seed)
     episodes = episodes_from_records(records, corpus, spec)
@@ -244,14 +245,14 @@ def cmd_fit_bounds(args) -> int:
     lo, hi = args.quantiles
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"--quantiles must satisfy 0 <= lo < hi <= 1, got {lo:g},{hi:g}")
-    out = _out_dir(args)
+    videos = simenc.load_corpus(_require(args.corpus))
     traces = [
-        baseline.run_baseline(video, simenc.plan_gop(video), args.target)
-        for video in simenc.load_corpus(_require(args.corpus))
+        baseline.run_baseline(video, simenc.plan_gop(video), args.target) for video in videos
     ]
     model = inference.fit_bounds(
         traces, args.target, coverage=args.quantiles, min_traces=args.min_traces
     )
+    out = _out_dir(args)
     inference.save_bounds(out / "bounds.json", model)
     _write_manifest(out, "fit-bounds", args)
     print(f"wrote envelope bounds to {out / 'bounds.json'}")
@@ -265,7 +266,6 @@ def cmd_evaluate(args) -> int:
     _require_rates("--target * --anchors", tuple(m * args.target for m in args.anchors))
     if args.bounds and not args.checkpoint:
         raise IncompatibleInputError("--bounds controls a policy: it needs --checkpoint")
-    out = _out_dir(args)
     videos = simenc.load_corpus(_require(args.corpus))
     params = spec = bounds = None
     if args.checkpoint:
@@ -277,6 +277,7 @@ def cmd_evaluate(args) -> int:
                 f"{args.bounds} was fitted at {bounds.target_bitrate_kbps} kbps, "
                 f"this run targets {args.target}"
             )
+    out = _out_dir(args)
 
     curves: dict[str, metrics.RDCurve | None] = {}
     policy_traces = []
@@ -344,7 +345,6 @@ def _fmt(value: float | None, fmt: str) -> str:
 
 
 def cmd_report(args) -> int:
-    out = _out_dir(args)
     labeled: list[tuple[str, metrics.SuiteReport]] = []
     for item in args.inputs.split(","):
         label, _, path = item.partition("=")
@@ -354,6 +354,7 @@ def cmd_report(args) -> int:
         if not rows:
             raise ValueError(f"{path}: empty evaluation input")
         labeled.append((label, metrics.report_from_rows(rows)))
+    out = _out_dir(args)
 
     primary_label, primary = labeled[0]
     for name, values in (

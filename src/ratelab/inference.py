@@ -207,7 +207,7 @@ def fit_bounds(
                 f"{target_bitrate_kbps}"
             )
         cum = _cumulative_kbps(trace, _duration_of(trace))
-        pos = np.linspace(0.0, 1.0, trace.num_frames + 1)
+        pos = np.linspace(0.0, 1.0, len(trace.bits) + 1)
         resampled.append(np.interp(xs, pos, cum))
     stack = np.vstack(resampled)
     margin = MIN_MARGIN_FRAC * target_bitrate_kbps

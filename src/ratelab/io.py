@@ -1,17 +1,22 @@
 """JSONL persistence and schema-version helpers shared by all pipeline artifacts.
 
 Every artifact row carries a ``schema`` tag; readers reject rows whose tag
-does not match the expected version instead of coercing them.
+does not match the expected version instead of coercing them. Traces and
+teacher records share one codec for flat dataclasses, ``write_rows`` and
+``read_rows``, which also refuses a row whose keys are not the fields.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TypeVar
 
-__all__ = ["SchemaError", "write_jsonl", "read_jsonl", "config_digest"]
+__all__ = ["SchemaError", "write_jsonl", "read_jsonl", "write_rows", "read_rows", "config_digest"]
+
+T = TypeVar("T")
 
 
 class SchemaError(ValueError):
@@ -56,6 +61,34 @@ def read_jsonl(path: str | Path, schema: str) -> Iterator[dict]:
                     f"{path}:{lineno}: expected schema {schema!r}, found {tag!r}"
                 )
             yield rec
+
+
+def write_rows(path: str | Path, items: Iterable, schema: str) -> int:
+    """Write flat dataclasses as ``schema`` rows, one per item: the fields in
+    declaration order, tuples as JSON arrays. Returns the number of rows."""
+    return write_jsonl(
+        path, ({f.name: getattr(item, f.name) for f in fields(item)} for item in items), schema
+    )
+
+
+def read_rows(path: str | Path, cls: type[T], schema: str) -> list[T]:
+    """Read ``write_rows``'s rows back as ``cls`` items, JSON arrays as tuples.
+
+    A row whose keys are not exactly ``cls``'s fields raises ``SchemaError``
+    naming the missing and the extra keys.
+    """
+    expected = {"schema", *(f.name for f in fields(cls))}
+    items = []
+    for n, rec in enumerate(read_jsonl(path, schema), 1):
+        if rec.keys() != expected:
+            missing, extra = sorted(expected - rec.keys()), sorted(rec.keys() - expected)
+            raise SchemaError(
+                f"{path}: row {n} is not a {schema} {cls.__name__}: "
+                f"missing keys {missing}, extra keys {extra}"
+            )
+        del rec["schema"]
+        items.append(cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in rec.items()}))
+    return items
 
 
 def config_digest(config: dict) -> str:

@@ -33,6 +33,10 @@ vectorized ``exp`` differs from it in the last bit on a few percent of
 inputs, and every feature spec, checkpoint and rollout built on the matrix
 would move with it.
 
+A GOP plan is its frame types alone: every flag the encoder reads derives
+from them, the shown frames (all but hidden alternate references, which
+PSNR skips) included. A trace stores neither its plan nor its length.
+
 The encoder formula has two forms with one set of inputs: a frame's energy,
 from ``_frame_energy`` on the reference state, and its gain and header, from
 per-frame constants cached on the video and on the GOP plan.
@@ -76,7 +80,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import compress, repeat
@@ -84,7 +88,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .io import read_jsonl, write_jsonl
+from .io import read_jsonl, read_rows, write_jsonl, write_rows
 
 __all__ = [
     "FIRST_PASS_FEATURES",
@@ -118,7 +122,7 @@ __all__ = [
 ]
 
 CORPUS_SCHEMA = "simenc.v2"
-TRACE_SCHEMA = "trace.v1"
+TRACE_SCHEMA = "trace.v2"
 
 QP_MAX = 255
 
@@ -479,7 +483,7 @@ def generate_corpus(
 
 @dataclass(frozen=True)
 class GopPlan:
-    """Frame types and show flags for one video.
+    """Frame types for one video; everything else about the plan derives from them.
 
     The encoder reads a plan through per-frame constants, cached on first
     use: tuples for the scalar loop, columns for the batch form. They are
@@ -488,17 +492,17 @@ class GopPlan:
     """
 
     frame_types: tuple[FrameType, ...]
-    show: tuple[bool, ...]
 
     def __post_init__(self) -> None:
-        # PSNR averages the shown frames: every frame needs a flag, and one
-        # frame at least must be shown.
-        if len(self.show) != len(self.frame_types):
-            raise ConfigError(
-                f"GOP has {len(self.show)} show flags for {len(self.frame_types)} frames"
-            )
+        # PSNR averages the shown frames: one frame at least must be shown.
         if not any(self.show):
             raise ConfigError("GOP shows no frame")
+
+    @cached_property
+    def show(self) -> tuple[bool, ...]:
+        """Displayed frames, which PSNR averages: all but ALT_REF_HIDDEN ones,
+        which are coded as references and never shown."""
+        return tuple(map(operator.is_not, self.frame_types, repeat(FrameType.ALT_REF_HIDDEN)))
 
     @cached_property
     def key(self) -> tuple[bool, ...]:
@@ -563,9 +567,7 @@ def plan_gop(video: SyntheticVideo, gop_interval: int = 16) -> GopPlan:
     hidden = len(range(gop_interval, num_frames, gop_interval))
     types = [FrameType.KEY] + [FrameType.INTER] * (num_frames - 1)
     types[gop_interval::gop_interval] = [FrameType.ALT_REF_HIDDEN] * hidden
-    show = [True] * num_frames
-    show[gop_interval::gop_interval] = [False] * hidden
-    return GopPlan(frame_types=tuple(types), show=tuple(show))
+    return GopPlan(frame_types=tuple(types))
 
 
 # ---------------------------------------------------------------------------
@@ -755,15 +757,14 @@ class Observation(NamedTuple):
 
 @dataclass(frozen=True)
 class EpisodeTrace:
-    """Full record of one encode episode."""
+    """Full record of one encode episode. Its frame count is ``len(qps)``,
+    and which frames were shown is its GOP plan's ``show``."""
 
     video_id: str
-    num_frames: int
     target_bitrate_kbps: float
     qps: tuple[int, ...]
     bits: tuple[float, ...]
     mse: tuple[float, ...]
-    show: tuple[bool, ...]
     psnr_db: float
     bitrate_kbps: float
     reward: float
@@ -808,12 +809,10 @@ def _finalize_trace(
     psnr, bitrate_kbps = _quality_and_rate(video, bits, shown_mses)
     return EpisodeTrace(
         video_id=video.video_id,
-        num_frames=video.num_frames,
         target_bitrate_kbps=target_bitrate_kbps,
         qps=tuple(map(int, qps)),
         bits=tuple(bits),
         mse=tuple(mses),
-        show=gop.show,
         psnr_db=psnr,
         bitrate_kbps=bitrate_kbps,
         reward=_reward(psnr, bitrate_kbps, target_bitrate_kbps),
@@ -1008,26 +1007,9 @@ def load_corpus(path) -> list[SyntheticVideo]:
     return [video_from_record(rec) for rec in read_jsonl(path, CORPUS_SCHEMA)]
 
 
-def trace_to_record(trace: EpisodeTrace) -> dict:
-    """A trace row: the trace's fields in order; tuples become JSON arrays,
-    and ``show`` is written as 0/1."""
-    rec = {f.name: getattr(trace, f.name) for f in fields(EpisodeTrace)}
-    rec["show"] = [int(s) for s in trace.show]
-    return rec
-
-
-def trace_from_record(rec: dict) -> EpisodeTrace:
-    values = {
-        f.name: tuple(rec[f.name]) if isinstance(rec[f.name], list) else rec[f.name]
-        for f in fields(EpisodeTrace)
-    }
-    values["show"] = tuple(bool(s) for s in values["show"])
-    return EpisodeTrace(**values)
-
-
 def save_traces(path, traces: Iterable[EpisodeTrace]) -> int:
-    return write_jsonl(path, (trace_to_record(t) for t in traces), TRACE_SCHEMA)
+    return write_rows(path, traces, TRACE_SCHEMA)
 
 
 def load_traces(path) -> list[EpisodeTrace]:
-    return [trace_from_record(rec) for rec in read_jsonl(path, TRACE_SCHEMA)]
+    return read_rows(path, EpisodeTrace, TRACE_SCHEMA)

@@ -29,14 +29,14 @@ from __future__ import annotations
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import baseline as baseline_mod
 from . import simenc
-from .io import read_jsonl, write_jsonl
+from .io import read_rows, write_rows
 from .simenc import EpisodeTrace, SyntheticVideo
 
 __all__ = [
@@ -56,7 +56,7 @@ __all__ = [
     "load_teacher_dataset",
 ]
 
-TEACHER_SCHEMA = "teacher.v1"
+TEACHER_SCHEMA = "teacher.v2"
 
 # The learning rate decays by DECAY_RATE every DECAY_EVERY steps. The
 # learnability guard rejects labels whose mean |label - baseline| QP
@@ -239,7 +239,7 @@ def run_es(
 
 @dataclass(frozen=True)
 class TeacherRecord:
-    """One imitation example set for a (video, target bitrate) pair.
+    """One imitation example set for a (video, target bitrate) pair, labelled by ES.
 
     Labels are replayable: re-encoding ``label_qps`` reproduces
     ``label_bits`` and the final metrics exactly. Observations are not
@@ -248,10 +248,9 @@ class TeacherRecord:
 
     video_id: str
     target_bitrate_kbps: float
-    provenance: str                 # "ES"; older files may hold "HER" rows, which still load
     label_qps: tuple[int, ...]
     label_bits: tuple[float, ...]
-    baseline_qps: tuple[int, ...]   # the heuristic's sequence; empty in older "HER" rows
+    baseline_qps: tuple[int, ...]   # the heuristic's sequence, where ES started
     psnr_db: float
     bitrate_kbps: float
     reward: float
@@ -285,7 +284,6 @@ def record_from_result(video: SyntheticVideo, result: EsResult) -> TeacherRecord
     return TeacherRecord(
         video_id=video.video_id,
         target_bitrate_kbps=trace.target_bitrate_kbps,
-        provenance="ES",
         label_qps=trace.qps,
         label_bits=trace.bits,
         baseline_qps=result.baseline_trace.qps,
@@ -339,23 +337,9 @@ def build_teacher_dataset(
         return list(pool.map(_es_task, *zip(*tasks)))
 
 
-def record_to_dict(rec: TeacherRecord) -> dict:
-    """A ``teacher.jsonl`` row: the record's fields in order; tuples become JSON arrays."""
-    return {f.name: getattr(rec, f.name) for f in fields(TeacherRecord)}
-
-
-def record_from_dict(d: dict) -> TeacherRecord:
-    return TeacherRecord(
-        **{
-            f.name: tuple(d[f.name]) if isinstance(d[f.name], list) else d[f.name]
-            for f in fields(TeacherRecord)
-        }
-    )
-
-
 def save_teacher_dataset(path, records: Iterable[TeacherRecord]) -> int:
-    return write_jsonl(path, (record_to_dict(r) for r in records), TEACHER_SCHEMA)
+    return write_rows(path, records, TEACHER_SCHEMA)
 
 
 def load_teacher_dataset(path) -> list[TeacherRecord]:
-    return [record_from_dict(d) for d in read_jsonl(path, TEACHER_SCHEMA)]
+    return read_rows(path, TeacherRecord, TEACHER_SCHEMA)

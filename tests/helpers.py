@@ -51,8 +51,7 @@ def constant_video(
 
 def all_inter_gop(num_frames):
     """GOP with every frame INTER (for allocation symmetry tests)."""
-    types = tuple(simenc.FrameType.INTER for _ in range(num_frames))
-    return simenc.GopPlan(frame_types=types, show=tuple(True for _ in range(num_frames)))
+    return simenc.GopPlan(frame_types=(simenc.FrameType.INTER,) * num_frames)
 
 
 def reference_plan_types(num_frames, gop_interval):
@@ -71,6 +70,7 @@ def reference_plan_types(num_frames, gop_interval):
 def reference_gop_constants(frame_types):
     """The per-frame constants the encoder reads from a GOP plan of
     ``frame_types``, one frame at a time: ``GopPlan``'s tuples by name."""
+    show = tuple(ft is not simenc.FrameType.ALT_REF_HIDDEN for ft in frame_types)
     key = tuple(ft is simenc.FrameType.KEY for ft in frame_types)
     refreshes = tuple(ft is not simenc.FrameType.INTER for ft in frame_types)
     sources, row = [], 0
@@ -79,6 +79,7 @@ def reference_gop_constants(frame_types):
         if refreshed:
             row = t + 1
     return {
+        "show": show,
         "key": key,
         "refreshes_golden": refreshes,
         "golden_source": tuple(sources),

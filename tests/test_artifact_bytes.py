@@ -29,6 +29,11 @@ When generation began drawing each scene's latents in one block of normals,
 ``LONG_CORPUS_SHA256`` was added, taken from the per-frame generator before
 that change: its four 100-300-frame videos have 2 to 8 scenes each, where
 the pipeline corpus's 40-60-frame videos have at most three.
+When traces stopped storing their GOP plan's show flags and their frame
+count (``trace.v2``) and teacher records their provenance (``teacher.v2``),
+the heuristic-trace, teacher and policy-trace pins were retaken. Each new
+file is the old one with those keys removed and the tag changed, byte for
+byte, so no other pin moved.
 Change a digest only with a change that means to change the bytes.
 """
 
@@ -47,11 +52,11 @@ from helpers import FAST_CONFIG
 
 LONG_CORPUS_SHA256 = "0db79cae11deada680736f6a7548a224e437b98a501a98c9e13734fda3a51100"
 CORPUS_SHA256 = "d32b99928e61247ac62e08fcd5a8e1903055542be97854b17fcfcf27328cbfbf"
-BASELINE_TRACES_SHA256 = "c62a835cc49e66e8b26fdfe92c0dccc0a7c825d35212f93c8a89277930a5bd38"
-TEACHER_SHA256 = "221fc06ad830c4cb837f57bf66feb5c260ecfd8a55488e5db0589246704de88e"
+BASELINE_TRACES_SHA256 = "e8f472c1e875e854ac886b98ceeec1ce93eba016d43a4c1c41627a8fb4bc0d20"
+TEACHER_SHA256 = "e2ab61e53d4c8d87e94b8ab1856c2ab98bd8bd5f1ad660bb0e751cc34b678bc5"
 TRAIN_LOG_SHA256 = "8f932a69c0a6f3a8f763e3b6e75f07c57246108c41da66309deaf62b52c6e31a"
 CHECKPOINT_SHA256 = "f46a25791c46304e829093c24999220d70893a67fb2adfbf7520b244a7a354bc"
-POLICY_TRACES_SHA256 = "0e21febc0aa3b41890255f8f02f96b7a20c57073b12806956c446c9f1b3692ac"
+POLICY_TRACES_SHA256 = "3c1cac44c80dfbbdd889cae55cb4c416e1ad2a91f0033ebe651da94eae1fd839"
 BOUNDS_SHA256 = "976de838bcaec3914207845d8ae6a1b8858ec0c8b6eb8eb4b8c42cd32135aed4"
 CONTROL_EVENTS_SHA256 = "23af71eb66132d440f3beb30531aa24508c1b1bb9e012095b463b4de03e14187"
 

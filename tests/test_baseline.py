@@ -54,7 +54,7 @@ def test_uniform_all_inter_split():
 def test_key_boost_proportionality():
     v = constant_video(num_frames=4)
     types = (FrameType.KEY,) + (FrameType.INTER,) * 3
-    gop = simenc.GopPlan(frame_types=types, show=(True,) * 4)
+    gop = simenc.GopPlan(frame_types=types)
     budget_kbps = 7000.0 / 1000.0 / v.duration
     targets = allocate_frame_targets(v, gop, budget_kbps)
     assert targets[0] == pytest.approx(4000.0, rel=1e-9)

@@ -557,19 +557,27 @@ def test_evaluate_refuses_unreadable_bounds_before_any_encode(
     assert not (tmp_path / "out" / "policy_traces.jsonl").exists()
 
 
-def test_build_dataset_refuses_a_v1_corpus_before_any_encode(
-    tmp_path, capsys, corpus_dir, monkeypatch
-):
-    """A ``simenc.v1`` corpus stored each frame's first-pass statistics
-    beside its latents, where they could disagree. They are derived now, and
-    ``build-dataset`` exits 4 on such a file before it encodes a frame."""
+@pytest.fixture(scope="module")
+def v1_corpus(tmp_path_factory, corpus_dir):
+    """``corpus_dir``'s corpus as a ``simenc.v1`` file, which stored each
+    frame's first-pass statistics beside its latents."""
     videos = simenc.load_corpus(corpus_dir / "corpus.jsonl")
     rows = [json.loads(line) for line in (corpus_dir / "corpus.jsonl").read_text().splitlines()]
     v1_rows = (
         {**{k: v for k, v in row.items() if k != "schema"}, "first_pass": video.first_pass.tolist()}
         for row, video in zip(rows, videos)
     )
-    write_jsonl(tmp_path / "corpus.jsonl", v1_rows, "simenc.v1")
+    path = tmp_path_factory.mktemp("v1") / "corpus.jsonl"
+    write_jsonl(path, v1_rows, "simenc.v1")
+    return path
+
+
+def test_build_dataset_refuses_a_v1_corpus_before_any_encode(
+    tmp_path, capsys, v1_corpus, monkeypatch
+):
+    """A ``simenc.v1`` corpus stored each frame's first-pass statistics
+    beside its latents, where they could disagree. They are derived now, and
+    ``build-dataset`` exits 4 on such a file before it encodes a frame."""
 
     def no_encode(*args, **kwargs):
         raise AssertionError("encoded before the corpus was read")
@@ -577,10 +585,47 @@ def test_build_dataset_refuses_a_v1_corpus_before_any_encode(
     # The heuristic runs through the episode loop, ES through the ranking form.
     monkeypatch.setattr(simenc, "encode_episode", no_encode)
     monkeypatch.setattr(simenc, "ranking_rewards", no_encode)
-    args = ["build-dataset", "--corpus", str(tmp_path / "corpus.jsonl")]
+    args = ["build-dataset", "--corpus", str(v1_corpus)]
     assert run([*args, "--out", str(tmp_path / "out")]) == 4
     assert "expected schema 'simenc.v2', found 'simenc.v1'" in capsys.readouterr().err
     assert not (tmp_path / "out" / "teacher.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        ("build-dataset --corpus {v1}", 4, "found 'simenc.v1'"),
+        ("train --corpus {v1} --dataset {dataset}", 4, "found 'simenc.v1'"),
+        ("fit-bounds --corpus {v1}", 4, "found 'simenc.v1'"),
+        ("evaluate --corpus {v1}", 4, "found 'simenc.v1'"),
+        ("report --inputs {tmp}/missing.csv", 3, "missing.csv"),
+    ],
+    ids=["build-dataset", "train", "fit-bounds", "evaluate", "report"],
+)
+def test_a_refused_input_leaves_no_output_directory(
+    tmp_path, capsys, v1_corpus, dataset_file, argv, code, message
+):
+    """Each stage reads and checks its inputs before it creates ``--out``:
+    a corpus of another schema exits 4, a missing input 3, and neither
+    leaves an output directory behind."""
+    out = tmp_path / "out"
+    args = argv.format(v1=v1_corpus, dataset=dataset_file, tmp=tmp_path).split()
+    assert run([*args, "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_refuses_a_v1_dataset_before_any_output(tmp_path, capsys, corpus_dir, dataset_file):
+    """``teacher.v1`` rows carried a provenance, always "ES": ``train`` exits
+    4 on such a dataset without creating ``--out``."""
+    rows = [json.loads(line) for line in dataset_file.read_text().splitlines()]
+    v1_rows = ({**row, "provenance": "ES", "schema": "teacher.v1"} for row in rows)
+    (tmp_path / "teacher.jsonl").write_text("".join(json.dumps(row) + "\n" for row in v1_rows))
+    out = tmp_path / "out"
+    argv = ["train", "--corpus", str(corpus_dir / "corpus.jsonl")]
+    assert run([*argv, "--dataset", str(tmp_path / "teacher.jsonl"), "--out", str(out)]) == 4
+    assert "expected schema 'teacher.v2', found 'teacher.v1'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_input_exit_code(tmp_path):

@@ -458,17 +458,21 @@ def test_mlp_values_and_grads_match_op_chain(widths, rows, seed):
 @example(frames=2, gop_interval=2, overrides=[])
 @example(frames=400, gop_interval=40, overrides=[(0, FrameType.INTER), (399, FrameType.KEY)])
 def test_gop_plan_matches_per_frame_reference(frames, gop_interval, overrides):
-    """``plan_gop``'s types and show flags, and every per-frame constant and
-    column of its plan, equal a build one frame at a time, value and type;
-    and so do those of a plan whose frame types are overridden at random."""
+    """``plan_gop``'s types, and every per-frame constant (the show flags
+    included) and column of its plan, equal a build one frame at a time,
+    value and type; and so do those of a plan whose frame types are
+    overridden at random, unless the overrides hide every frame."""
     plan = simenc.plan_gop(SimpleNamespace(num_frames=frames), gop_interval)
     types = reference_plan_types(frames, gop_interval)
-    show = tuple(ft is not FrameType.ALT_REF_HIDDEN for ft in types)
-    assert (repr(plan.frame_types), repr(plan.show)) == (repr(types), repr(show))
+    assert repr(plan.frame_types) == repr(types)
     types = list(types)
     for t, frame_type in overrides:
         types[t % frames] = frame_type
-    for gop in (plan, simenc.GopPlan(frame_types=tuple(types), show=show)):
+    if FrameType.KEY not in types and FrameType.INTER not in types:
+        with pytest.raises(simenc.ConfigError, match="shows no frame"):
+            simenc.GopPlan(frame_types=tuple(types))
+        types = reference_plan_types(frames, gop_interval)
+    for gop in (plan, simenc.GopPlan(frame_types=tuple(types))):
         constants = reference_gop_constants(gop.frame_types)
         for name, values in constants.items():
             assert repr(getattr(gop, name)) == repr(values), name

@@ -38,7 +38,6 @@ def records(corpus):
             TeacherRecord(
                 video_id=video.video_id,
                 target_bitrate_kbps=500.0,
-                provenance="ES",
                 label_qps=trace.qps,
                 label_bits=trace.bits,
                 baseline_qps=trace.qps,

@@ -91,7 +91,7 @@ def test_fit_bounds_brackets_trajectories(envelope_traces):
     for trace in envelope_traces:
         cum = np.concatenate([[0.0], np.cumsum(trace.bits)])
         duration = math.fsum(trace.bits) / trace.bitrate_kbps / 1000.0
-        cum_kbps = np.interp(xs, np.linspace(0, 1, trace.num_frames + 1), cum / duration / 1000.0)
+        cum_kbps = np.interp(xs, np.linspace(0, 1, len(trace.bits) + 1), cum / duration / 1000.0)
         per_step.append((cum_kbps >= lower - 1e-9) & (cum_kbps <= upper + 1e-9))
     coverage = np.mean(np.vstack(per_step), axis=0)
     assert np.all(coverage[mid] >= 0.8)

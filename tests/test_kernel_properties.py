@@ -202,8 +202,7 @@ def plain_gop(frames, gop_interval, first, keys):
     types[0] = first
     for k in keys:
         types[1 + k % (frames - 1)] = FrameType.KEY
-    show = tuple(ft is not FrameType.ALT_REF_HIDDEN for ft in types)
-    return simenc.GopPlan(frame_types=tuple(types), show=show)
+    return simenc.GopPlan(frame_types=tuple(types))
 
 
 # Rows whose chains of saturated frames run the whole episode.
@@ -620,7 +619,7 @@ def test_teacher_forced_bundles_equal_rollout_bundles(qps, video_seed, gop_inter
     gop = simenc.plan_gop(video, gop_interval)
     trace = simenc.replay_qp_sequence(video, gop, qps, 400.0)
     record = TeacherRecord(
-        video.video_id, 400.0, "ES", trace.qps, trace.bits, trace.qps,
+        video.video_id, 400.0, trace.qps, trace.bits, trace.qps,
         trace.psnr_db, trace.bitrate_kbps, trace.reward,
     )
     corpus = {video.video_id: video}

@@ -119,12 +119,10 @@ def _trace(video_id, bitrate, psnr, target=512.0):
 
     return EpisodeTrace(
         video_id=video_id,
-        num_frames=3,
         target_bitrate_kbps=target,
         qps=(1, 2, 3),
         bits=(100.0, 100.0, 100.0),
         mse=(1.0, 1.0, 1.0),
-        show=(True, True, True),
         psnr_db=psnr,
         bitrate_kbps=bitrate,
         reward=psnr,
