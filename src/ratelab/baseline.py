@@ -43,7 +43,7 @@ def allocate_frame_targets(
     type boost, normalized so the targets sum to the full budget. The coded
     error is read as ``video.inter_energy``, without the first-pass matrix.
     """
-    budget = target_bitrate_kbps * 1000.0 * video.duration
+    budget = video.budget_bits(target_bitrate_kbps)
     if budget <= 0:
         raise ValueError("total bit budget must be positive")
     # Every weight is positive, since ``SyntheticVideo`` refuses a coded error
@@ -95,7 +95,7 @@ def qp_for_target_bits(
 
 def run_baseline(video: SyntheticVideo, gop: GopPlan, target_bitrate_kbps: float) -> EpisodeTrace:
     """Encode one video with the heuristic VBR policy."""
-    budget = target_bitrate_kbps * 1000.0 * video.duration
+    budget = video.budget_bits(target_bitrate_kbps)
     targets = allocate_frame_targets(video, gop, target_bitrate_kbps)
     remaining = np.cumsum(targets[::-1])[::-1].tolist()  # sums from t to the end
 

@@ -1,7 +1,7 @@
 """JSONL persistence and schema-version helpers shared by all pipeline artifacts.
 
-Every artifact row carries a ``schema`` tag; readers reject rows whose tag
-does not match the expected version instead of coercing them. Traces and
+Every artifact row carries a ``schema`` tag, which only the writer sets;
+readers refuse a line that is not a JSON object or has another tag. Traces and
 teacher records share one codec for flat dataclasses, ``write_rows`` and
 ``read_rows``, which also refuses a row whose keys are not the fields.
 """
@@ -20,7 +20,7 @@ T = TypeVar("T")
 
 
 class SchemaError(ValueError):
-    """Artifact schema tag is missing or not the expected version."""
+    """Artifact line is not a JSON object, or its schema tag is not the expected one."""
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict], schema: str) -> int:
@@ -28,8 +28,8 @@ def write_jsonl(path: str | Path, records: Iterable[dict], schema: str) -> int:
 
     Returns the number of rows written. Output is byte-deterministic for a
     given record sequence (insertion-ordered keys, no whitespace variation)
-    and strict JSON: a NaN or infinite value raises ``ValueError`` and
-    leaves no file behind.
+    and strict JSON: a NaN or infinite value, or a record with its own
+    ``schema`` key, raises ``ValueError`` and leaves no file behind.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -37,8 +37,9 @@ def write_jsonl(path: str | Path, records: Iterable[dict], schema: str) -> int:
     try:
         with path.open("w", encoding="utf-8") as fh:
             for rec in records:
-                row = {"schema": schema}
-                row.update(rec)
+                if "schema" in rec:
+                    raise ValueError(f"record {n + 1} has its own schema key")
+                row = {"schema": schema, **rec}
                 fh.write(json.dumps(row, separators=(",", ":"), allow_nan=False) + "\n")
                 n += 1
     except Exception:
@@ -54,12 +55,15 @@ def read_jsonl(path: str | Path, schema: str) -> Iterator[dict]:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError:
+                rec = None  # refused below, as any line that is not an object
+            if not isinstance(rec, dict):
+                raise SchemaError(f"{path}:{lineno}: not a JSON object: {line.strip()[:40]!r}")
             tag = rec.get("schema")
             if tag != schema:
-                raise SchemaError(
-                    f"{path}:{lineno}: expected schema {schema!r}, found {tag!r}"
-                )
+                raise SchemaError(f"{path}:{lineno}: expected schema {schema!r}, found {tag!r}")
             yield rec
 
 

@@ -5,8 +5,8 @@ are re-encoded open-loop by ``replay_qp_sequence``, as teacher verification
 re-encodes them, and must reproduce the recorded bits exactly (else
 ``TeacherDataError``). Under teacher forcing, step t sees label t - 1 as its
 previous frame, so one ``build_features`` call, the code rollouts run per
-frame, builds all of an episode's bundles from the replay's columns, in
-place of the ``Observation`` a rollout reads them from.
+frame, builds all of an episode's history columns from the replay's columns;
+they follow its ``episode_features`` block, which rollouts build at frame 0.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .. import simenc
 from ..simenc import GopPlan, SyntheticVideo
 from ..teacher import TeacherDataError, TeacherRecord
-from .features import FRAME_TYPE_ORDER, SCALAR_FLOAT_FEATURES, FeatureSpec
+from .features import SCALAR_FLOAT_FEATURES, FeatureSpec
 from .features import build_features, episode_features, fit_feature_spec
 
 __all__ = ["EpisodeData", "fit_spec_from_records", "episodes_from_records"]
@@ -97,24 +97,20 @@ def episodes_from_records(
     episodes = []
     for record in records:
         video, gop, bits, mse = _replay(record, corpus, gop_interval)
-        qps = np.asarray(record.label_qps, dtype=np.int64)
-        bundles = build_features(
-            spec,
-            episode_features(spec, video, record.target_bitrate_kbps),
-            [FRAME_TYPE_ORDER.index(ft) for ft in gop.frame_types],
-            _previous(qps, -1), _previous(bits, 0.0), _previous(mse, 0.0),
-            _previous(np.cumsum(bits), 0.0),
-            record.target_bitrate_kbps * 1000.0 * video.duration,
+        target, qps = record.target_bitrate_kbps, np.asarray(record.label_qps, dtype=np.int64)
+        history = build_features(
+            spec, _previous(qps, -1), _previous(bits, 0.0), _previous(mse, 0.0),
+            _previous(np.cumsum(bits), 0.0), video.budget_bits(target),
         )
         episodes.append(
             EpisodeData(
                 video_id=record.video_id,
-                target_bitrate_kbps=record.target_bitrate_kbps,
+                target_bitrate_kbps=target,
                 first_pass_norm=spec.normalize_first_pass(video.first_pass),
-                bundles=bundles,
+                bundles=np.hstack([episode_features(spec, video, gop, target), history]),
                 label_qps=qps,
                 label_bits_kbit=bits / 1000.0,
-                budget_kbit=record.target_bitrate_kbps * video.duration,
+                budget_kbit=target * video.duration,
             )
         )
     return episodes

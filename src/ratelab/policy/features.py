@@ -6,8 +6,8 @@ is below ``_VAR_FLOOR`` is only centered. Count-like features get a
 ``log(1 + x)`` transform instead. The previous QP and the current frame
 type are embedded through fixed random tables created when the spec is
 fitted; the spec is frozen afterwards and serialized with the model.
-A bundle joins the columns an episode fixes, ``episode_features``, to those
-its encode history sets, in ``build_features``.
+A bundle is the columns an episode fixes, ``episode_features``, built once
+per episode, then those its encode history sets, ``build_features``, per step.
 """
 
 from __future__ import annotations
@@ -72,8 +72,7 @@ class FeatureSpec:
 
     @property
     def fixed_dim(self) -> int:
-        """The leading bundle columns fixed before an episode starts:
-        ``episode_features`` and the frame-type embedding, 25 of 46."""
+        """The leading 25 of the 46 bundle columns, which ``episode_features`` builds."""
         return 7 + 2 + EMBED_DIM
 
     @cached_property
@@ -174,10 +173,11 @@ def fit_feature_spec(
     )
 
 
-def episode_features(spec: FeatureSpec, video, target_bitrate_kbps: float) -> np.ndarray:
-    """The (T, 9) bundle columns an episode fixes: 7 static, 2 frame-position.
+def episode_features(spec: FeatureSpec, video, gop, target_bitrate_kbps: float) -> np.ndarray:
+    """The (T, 25) bundle columns an episode fixes: 7 static, 2 frame-position
+    and 16 of the embedding of each frame's type in ``gop``, its ``GopPlan``.
 
-    ``video`` is a ``SyntheticVideo``; only its metadata is read. The last
+    Only the metadata of ``video``, a ``SyntheticVideo``, is read. The last
     static column is the encode-speed slot, always 0 because the surrogate
     encoder has one speed. Dropping it and the previous-reward slot would
     shift every later parameter's initial draw, to which training under the
@@ -200,23 +200,24 @@ def episode_features(spec: FeatureSpec, video, target_bitrate_kbps: float) -> np
     ]
     index = np.arange(T, dtype=np.float64)
     position = np.column_stack([np.log1p(index), (index + 1.0) / T])
-    return np.concatenate([np.broadcast_to(static, (T, 7)), position], axis=1)
+    types = spec.frame_type_embedding[[FRAME_TYPE_ORDER.index(f) for f in gop.frame_types]]
+    return np.concatenate([np.broadcast_to(static, (T, 7)), position, types], axis=1)
 
 
 def build_features(
-    spec: FeatureSpec, episode, frame_type, prev_qp, prev_bits, prev_mse, cum_bits, budget_bits
+    spec: FeatureSpec, prev_qp, prev_bits, prev_mse, cum_bits, budget_bits
 ) -> np.ndarray:
-    """Input bundles, (46,) for one step or (T, 46) for T steps at once.
+    """The bundle columns the encode history sets, (21,) for one step or
+    (T, 21) for T steps at once.
 
-    ``episode`` holds the steps' ``episode_features`` rows; the rest are
-    scalars or (T,) arrays: ``frame_type`` indexes ``FRAME_TYPE_ORDER``;
-    ``prev_qp``, ``prev_bits`` and ``prev_mse`` are ``Observation.last`` of
-    each step and ``cum_bits`` its ``Observation.cum_bits``; ``budget_bits``
-    is the episode's ``target_bitrate_kbps * 1000.0 * duration``, the
-    denominator of the cumulative-bits ratio. ``prev_qp`` is the label under
-    teacher forcing, the policy's action in a rollout, and -1 (embedded as
-    zeros) on the first frame. The environment pays only a terminal reward,
-    so the previous-reward slot is always 0.
+    The arguments are scalars or (T,) arrays: ``prev_qp``, ``prev_bits`` and
+    ``prev_mse`` are ``Observation.last`` of each step and ``cum_bits`` its
+    ``Observation.cum_bits``; ``budget_bits`` is the episode's
+    ``SyntheticVideo.budget_bits``, the denominator of the cumulative-bits
+    ratio. ``prev_qp`` is the label under teacher forcing, the policy's
+    action in a rollout, and -1 (embedded as zeros) on the first frame. The
+    environment pays only a terminal reward, so the previous-reward slot is
+    always 0.
     """
     prev_bits = np.asarray(prev_bits, dtype=np.float64)  # never negative
     mse = spec.scalar_transform("prev_mse", prev_mse)
@@ -226,5 +227,4 @@ def build_features(
             np.log1p(cum_bits), cum_bits / budget_bits,
         ]
     ).T
-    types = spec.frame_type_embedding[frame_type]
-    return np.concatenate([episode, types, spec.qp_rows[prev_qp], tail], axis=-1)
+    return np.concatenate([spec.qp_rows[prev_qp], tail], axis=-1)

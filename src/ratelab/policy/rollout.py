@@ -3,17 +3,16 @@
 Rollouts use the training network's own definition: ``transformer_embed``
 runs once per episode under ``autodiff.no_grad``, and the recurrent core
 advances one ``autodiff.lstm_cell`` step per frame, because each frame's
-input bundle depends on the QPs chosen before it; it comes from the feature
-code training uses, ``episode_features`` of the observation's video at
-frame 0 and one ``build_features`` row per frame, from the observation's
-encode history. The core's input projection is split: at frame 0 one
-product projects every frame's embedding and the bundle's first
-``fixed_dim`` columns, which the episode fixes, and each frame multiplies
-only the rest, its history columns; the sums differ from training's one
-product in their last bits. The runner steps the cell in place on
-per-episode (T + 1, n) state arrays. The QP head runs per frame through
-``autodiff.mlp_forward``, the forward of training's ``autodiff.mlp``; the
-bits head serves only training's losses, and rollouts never run it.
+input bundle depends on the QPs chosen before it. The bundle comes from the
+feature code training uses, and the core's input projection is split along
+it: at frame 0 one product projects every frame's embedding and its
+``episode_features`` row, which the episode fixes, and each frame
+multiplies only its ``build_features`` row, from the observation's encode
+history; the sums differ from training's one product in their last bits.
+The runner steps the cell in place on per-episode (T + 1, n) state arrays.
+The QP head runs per frame through ``autodiff.mlp_forward``, the forward of
+training's ``autodiff.mlp``; the bits head serves only training's losses,
+and rollouts never run it.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 
 from ..simenc import Observation
 from .autodiff import lstm_cell, mlp_forward, no_grad
-from .features import FRAME_TYPE_ORDER, FeatureSpec, build_features, episode_features
+from .features import FeatureSpec, build_features, episode_features
 from .network import PolicyParams, transformer_embed
 
 __all__ = ["PolicyRunner", "eval_transformer"]
@@ -61,22 +60,19 @@ class PolicyRunner:
         k = params.arch.dh + spec.fixed_dim
         self._wx_fixed, self._wx_history = wx[:k], wx[k:]
         self._qp_head = [t.data for t in params.mlp("qp")]
-        # set at frame 0: features, frame types, bit budget, (T, 4 dr) fixed projection
-        self._episode = self._types = self._budget_bits = self._fixed = None
+        # set at frame 0: the bit budget and the (T, 4 dr) fixed projection
+        self._budget_bits = self._fixed = None
         # (T + 1, dr) hidden and cell states, row t + 1 after frame t, and
         # the (4 dr,) gate buffer of the step
         self._hs = self._cs = self._gates = None
 
     def _reset(self, obs: Observation) -> None:
         video = obs.video
-        fp_norm = self.spec.normalize_first_pass(video.first_pass)
-        embed = eval_transformer(self.params, fp_norm)
-        self._episode = episode_features(self.spec, video, obs.target_bitrate_kbps)
-        self._types = [FRAME_TYPE_ORDER.index(f) for f in obs.gop.frame_types]
-        self._budget_bits = obs.target_bitrate_kbps * 1000.0 * video.duration
-        type_embed = self.spec.frame_type_embedding[self._types]
-        self._fixed = np.concatenate([embed, self._episode, type_embed], axis=1) @ self._wx_fixed
+        embed = eval_transformer(self.params, self.spec.normalize_first_pass(video.first_pass))
+        fixed = episode_features(self.spec, video, obs.gop, obs.target_bitrate_kbps)
+        self._fixed = np.concatenate([embed, fixed], axis=1) @ self._wx_fixed
         self._fixed += self._b
+        self._budget_bits = video.budget_bits(obs.target_bitrate_kbps)
         dr = self.params.arch.dr
         self._hs = np.zeros((video.num_frames + 1, dr))
         self._cs = np.zeros((video.num_frames + 1, dr))
@@ -87,12 +83,10 @@ class PolicyRunner:
         if obs.frame_index == 0 or self._fixed is None:
             self._reset(obs)
         t = obs.frame_index
-        bundle = build_features(
-            self.spec, self._episode[t], self._types[t], *obs.last, obs.cum_bits, self._budget_bits
-        )
+        history = build_features(self.spec, *obs.last, obs.cum_bits, self._budget_bits)
         pre = self._hs[t] @ self._wh
         pre += self._fixed[t]
-        pre += bundle[self.spec.fixed_dim :] @ self._wx_history
+        pre += history @ self._wx_history
         h, _, _ = lstm_cell(pre, self._cs[t], (self._hs[t + 1], self._cs[t + 1], self._gates))
         return mlp_forward(h, self._qp_head)
 

@@ -260,6 +260,10 @@ class SyntheticVideo:
     def duration(self) -> float:
         return self.num_frames / self.frame_rate
 
+    def budget_bits(self, target_bitrate_kbps: float) -> float:
+        """The episode's bit budget at ``target_bitrate_kbps``."""
+        return target_bitrate_kbps * 1000.0 * self.duration
+
     @cached_property
     def first_pass(self) -> np.ndarray:
         """The read-only (T, 25) first-pass matrix, in ``FIRST_PASS_FEATURES`` order."""

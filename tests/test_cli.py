@@ -599,15 +599,17 @@ def test_build_dataset_refuses_a_v1_corpus_before_any_encode(
         ("fit-bounds --corpus {v1}", 4, "found 'simenc.v1'"),
         ("evaluate --corpus {v1}", 4, "found 'simenc.v1'"),
         ("report --inputs {tmp}/missing.csv", 3, "missing.csv"),
+        ("train --corpus {tmp}/list.jsonl --dataset {dataset}", 4, "list.jsonl:1: not a JSON object"),
     ],
-    ids=["build-dataset", "train", "fit-bounds", "evaluate", "report"],
+    ids=["build-dataset", "train", "fit-bounds", "evaluate", "report", "train-not-an-object"],
 )
 def test_a_refused_input_leaves_no_output_directory(
     tmp_path, capsys, v1_corpus, dataset_file, argv, code, message
 ):
     """Each stage reads and checks its inputs before it creates ``--out``:
-    a corpus of another schema exits 4, a missing input 3, and neither
-    leaves an output directory behind."""
+    a corpus of another schema or with a line that is not a JSON object
+    exits 4, a missing input 3, and none leaves an output directory behind."""
+    (tmp_path / "list.jsonl").write_text("[1, 2]\n")
     out = tmp_path / "out"
     args = argv.format(v1=v1_corpus, dataset=dataset_file, tmp=tmp_path).split()
     assert run([*args, "--out", str(out)]) == code

@@ -35,9 +35,8 @@ from ratelab.inference import (
     truncated_sample,
 )
 from ratelab.policy import autodiff as ad
-from ratelab.policy import rollout
 from ratelab.policy.autodiff import Tensor, relative_bias, relative_offsets
-from ratelab.policy.features import FRAME_TYPE_ORDER, build_features, episode_features
+from ratelab.policy.features import build_features, episode_features
 from ratelab.policy.network import REL_RADIUS
 from ratelab.policy.rollout import PolicyRunner, eval_transformer
 from ratelab.simenc import FrameType
@@ -121,15 +120,12 @@ class ReferenceRunner:
         if t == 0:
             video = obs.video
             self.embed = eval_transformer(params, self.spec.normalize_first_pass(video.first_pass))
-            self.episode = episode_features(self.spec, video, obs.target_bitrate_kbps)
+            self.fixed = episode_features(self.spec, video, obs.gop, obs.target_bitrate_kbps)
             self.budget = obs.target_bitrate_kbps * 1000.0 * video.duration
             self.h = self.c = np.zeros(params.arch.dr)
             self.logits = []
-        bundle = build_features(
-            self.spec, self.episode[t], FRAME_TYPE_ORDER.index(obs.gop.frame_types[t]),
-            *obs.last, obs.cum_bits, self.budget,
-        )
-        x = np.concatenate([self.embed[t], bundle])
+        history = build_features(self.spec, *obs.last, obs.cum_bits, self.budget)
+        x = np.concatenate([self.embed[t], self.fixed[t], history])
         pre = x @ params["lstm_wx"].data + self.h @ params["lstm_wh"].data + params["lstm_b"].data
         self.h, self.c, _ = reference_cell(pre, self.c)
         logits = reference_head(params, "qp", self.h)
@@ -322,29 +318,24 @@ class ProjectedRows:
 @given(st.integers(2, 300), st.integers(0, 2**32))
 @example(2, 0)  # frame 0's zero prev-QP row is half of the bundles
 def test_split_projection_matches_full_product(frames, seed):
-    """The runner projects the episode-fixed inputs once and each frame's
-    history columns per frame; the reference projects each frame's whole
-    (dh + bundle_dim,) input."""
+    """The runner projects the embeddings and ``episode_features`` once and
+    each frame's history row per frame; the reference projects each frame's
+    whole (dh + bundle_dim,) input."""
     video = simenc.generate_video(seed, simenc.VideoConfig(frames, frames))
     gop = simenc.plan_gop(video)
     params, spec = tiny_policy([video])
     bounds = _bounds(video, gop)
     embed = eval_transformer(params, spec.normalize_first_pass(video.first_pass))
+    fixed = np.concatenate([embed, episode_features(spec, video, gop, 512.0)], axis=1)
     for alpha in (0.05, 5.0):
         config = FeedbackConfig(alpha=alpha)
         fast, controller = inference.controlled_policy(
             params, spec, bounds, np.random.default_rng(seed), config
         )
         projected = fast._wx_fixed = ProjectedRows(fast._wx_fixed)
-        logits_for, logits, bundles = fast.logits_for, [], []
+        logits_for, logits = fast.logits_for, []
         fast.logits_for = lambda obs: logits.append(logits_for(obs)) or logits[-1]
-
-        def spy(*args):
-            bundles.append(build_features(*args))
-            return bundles[-1]
-
-        with mock.patch.object(rollout, "build_features", spy):
-            trace = simenc.run_episode(video, gop, 512.0, fast)
+        trace = simenc.run_episode(video, gop, 512.0, fast)
         ref_rng = np.random.default_rng(seed)
         ref_controller = ReferenceController(bounds, config)
         ref = ReferenceRunner(params, spec, lambda z: reference_sample(z, ref_rng), ref_controller)
@@ -352,8 +343,7 @@ def test_split_projection_matches_full_product(frames, seed):
         assert [asdict(e) for e in controller.events] == [asdict(e) for e in ref_controller.events]
         np.testing.assert_allclose(np.array(logits), np.array(ref.logits), rtol=0, atol=1e-12)
         (inputs,) = projected.rows
-        fixed = np.array(bundles)[:, : spec.fixed_dim]
-        assert np.concatenate([embed, fixed], axis=1).tobytes() == inputs.tobytes()
+        assert fixed.tobytes() == inputs.tobytes()
 
 
 @pytest.mark.parametrize("offset", [-1, 1])

@@ -12,7 +12,6 @@ from ratelab.policy.features import (
     EMBED_DIM,
     FeatureError,
     FeatureSpec,
-    FRAME_TYPE_ORDER,
     build_features,
     episode_features,
     fit_feature_spec,
@@ -91,16 +90,11 @@ def _observations(video, qp, target=500.0):
 
 
 def _bundle(obs, spec):
-    video, t = obs.video, obs.frame_index
-    episode = episode_features(spec, video, obs.target_bitrate_kbps)
-    return build_features(
-        spec,
-        episode[t],
-        FRAME_TYPE_ORDER.index(obs.gop.frame_types[t]),
-        *obs.last,
-        obs.cum_bits,
-        obs.target_bitrate_kbps * 1000.0 * video.duration,
-    )
+    """One observation's bundle: its episode's fixed row, then its history row."""
+    video, target = obs.video, obs.target_bitrate_kbps
+    fixed = episode_features(spec, video, obs.gop, target)[obs.frame_index]
+    history = build_features(spec, *obs.last, obs.cum_bits, video.budget_bits(target))
+    return np.concatenate([fixed, history])
 
 
 def test_qp_embedding_lookup(spec, corpus):
@@ -120,9 +114,12 @@ def test_no_previous_frame_embeds_zero(spec, corpus):
 
 
 def test_bundle_dim_fixed(spec, corpus):
-    for o in _observations(next(iter(corpus.values())), 100)[:3]:
+    video = next(iter(corpus.values()))
+    fixed = episode_features(spec, video, simenc.plan_gop(video), 500.0)
+    assert fixed.shape == (video.num_frames, spec.fixed_dim)
+    for o in _observations(video, 100)[:3]:
         assert _bundle(o, spec).shape == (spec.bundle_dim,)
-    assert spec.bundle_dim == 46
+    assert (spec.bundle_dim, spec.fixed_dim) == (46, 25)
 
 
 def test_constant_feature_is_centered_not_scaled(spec, corpus, monkeypatch):

@@ -1,13 +1,14 @@
 """The row codec that traces and teacher records share: ``io.write_rows`` and
 ``io.read_rows`` write a flat dataclass's fields in order and read back
-exactly those keys, or refuse the row with a ``SchemaError``."""
+exactly those keys, or refuse the row with a ``SchemaError``, as
+``io.read_jsonl`` refuses a line that is not a JSON object."""
 
 import json
 
 import pytest
 
 from ratelab import baseline, simenc, teacher
-from ratelab.io import SchemaError
+from ratelab.io import SchemaError, write_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +55,8 @@ def test_a_v1_file_is_refused(tmp_path, request, kind):
     save, load, fixture = ARTIFACTS[kind]
     path = tmp_path / "rows.jsonl"
     save(path, request.getfixturevalue(fixture))
-    rows = [{**row, **V1_KEYS[kind], "schema": f"{kind}.v1"} for row in _rows(path)]
-    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    rows = [{k: v for k, v in row.items() if k != "schema"} for row in _rows(path)]
+    write_jsonl(path, (row | V1_KEYS[kind] for row in rows), f"{kind}.v1")
     with pytest.raises(SchemaError, match=f"expected schema '{kind}.v2', found '{kind}.v1'"):
         load(path)
 
@@ -83,3 +84,28 @@ def test_a_row_whose_keys_are_not_the_fields_is_refused(tmp_path, request, kind,
     path.write_text("".join(json.dumps(row) + "\n" for row in rows))
     with pytest.raises(SchemaError, match=message):
         load(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: "[1, 2]\n", r"rows.jsonl:1: not a JSON object: '\[1, 2\]'"),
+        (lambda text: text[: len(text) * 3 // 4], r"rows.jsonl:2: not a JSON object: '\{"),
+    ],
+    ids=["a-list", "a-truncated-row"],
+)
+def test_a_line_that_is_not_a_json_object_is_refused(tmp_path, traces, edit, message):
+    path = tmp_path / "rows.jsonl"
+    simenc.save_traces(path, traces)
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(SchemaError, match=message):
+        simenc.load_traces(path)
+
+
+def test_a_record_with_its_own_schema_key_is_refused(tmp_path):
+    """The tag argument is the only tag: a record that carries another one
+    raises ``ValueError`` and leaves no file behind."""
+    path = tmp_path / "rows.jsonl"
+    with pytest.raises(ValueError, match="record 2 has its own schema key"):
+        write_jsonl(path, [{"a": 1}, {"schema": "trace.v2", "a": 2}], "trace.v1")
+    assert not path.exists()

@@ -610,9 +610,10 @@ def reference_bundle(obs, spec):
 @example(qps=[255] * 20 + [0] * 20, video_seed=1, gop_interval=16)
 def test_teacher_forced_bundles_equal_rollout_bundles(qps, video_seed, gop_interval):
     """One open-loop replay and one ``build_features`` call per episode give,
-    bit for bit, the bundles a rollout builds frame by frame from the
-    observations of ``run_episode`` driven along the same QPs, and those
-    the observations give column by column."""
+    bit for bit, the bundles a rollout builds, its frame-0
+    ``episode_features`` block beside the history rows it builds frame by
+    frame from the observations of ``run_episode`` driven along the same
+    QPs, and those the observations give column by column."""
     frames = len(qps)
     config = simenc.VideoConfig(num_frames_min=frames, num_frames_max=frames)
     video = simenc.generate_video(video_seed, config)
@@ -626,12 +627,18 @@ def test_teacher_forced_bundles_equal_rollout_bundles(qps, video_seed, gop_inter
     spec = fit_spec_from_records([record], corpus, gop_interval, seed=3)
     (episode,) = episodes_from_records([record], corpus, spec, gop_interval)
 
-    rollout_build = rollout.build_features
-    built, reference = [], []
+    built = {"episode_features": [], "build_features": []}
+    reference = []
 
-    def spy(*args):
-        built.append(rollout_build(*args))
-        return built[-1]
+    def spy(name):
+        """Patches the rollout's ``name`` to record what it returns."""
+        original = getattr(rollout, name)
+
+        def recorded(*args):
+            built[name].append(original(*args))
+            return built[name][-1]
+
+        return mock.patch.object(rollout, name, recorded)
 
     def adjuster(obs, logits, qp):
         """Replaces each sampled QP with the label."""
@@ -639,8 +646,9 @@ def test_teacher_forced_bundles_equal_rollout_bundles(qps, video_seed, gop_inter
         return qps[obs.frame_index]
 
     runner = rollout.PolicyRunner(TINY_PARAMS, spec, lambda logits: 0, adjuster)
-    with mock.patch.object(rollout, "build_features", spy):
+    with spy("episode_features"), spy("build_features"):
         rolled = simenc.run_episode(video, gop, 400.0, runner)
     assert rolled == trace
-    assert np.array(built).tobytes() == episode.bundles.tobytes()
+    (fixed,) = built["episode_features"]
+    assert np.hstack([fixed, built["build_features"]]).tobytes() == episode.bundles.tobytes()
     assert np.array(reference).tobytes() == episode.bundles.tobytes()
