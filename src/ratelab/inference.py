@@ -14,11 +14,12 @@ its plain form (``lexsort``, ``rng.choice``, a bound per frame) bit for bit.
 
 The envelope is the per-position quantiles of training trajectories,
 stored as points and read by linear interpolation (see ``fit_bounds``).
+The bounds file is one ``bounds.v3`` row of the codec every artifact shares,
+``io.write_rows``; ``load_bounds`` also refuses a row that ``validate`` does.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .io import SchemaError
+from .io import SchemaError, read_rows, write_rows
 from .simenc import EpisodeTrace, Observation
 
 __all__ = [
@@ -44,7 +45,7 @@ __all__ = [
     "load_bounds",
 ]
 
-BOUNDS_SCHEMA = "bounds.v2"
+BOUNDS_SCHEMA = "bounds.v3"
 
 # Truncated sampling draws from the SAMPLE_POOL strongest logits; feedback
 # control moves the sampled QP within the CANDIDATE_POOL strongest.
@@ -137,6 +138,7 @@ class BoundsModel:
         return np.interp(x, ENVELOPE_GRID, self.lower), np.interp(x, ENVELOPE_GRID, self.upper)
 
     def validate(self) -> None:
+        _check_coverage(*self.quantiles)
         lo = np.asarray(self.lower, dtype=np.float64)
         hi = np.asarray(self.upper, dtype=np.float64)
         if lo.shape != (ENVELOPE_POINTS,) or hi.shape != (ENVELOPE_POINTS,):
@@ -154,6 +156,11 @@ class BoundsModel:
                 f"end gap {gap:.2f} exceeds {end_gap_frac:.0%} of target "
                 f"{self.target_bitrate_kbps}"
             )
+
+
+def _check_coverage(lo_q: float, hi_q: float) -> None:
+    if not 0.0 <= lo_q < hi_q <= 1.0:
+        raise ValueError("coverage quantiles must satisfy 0 <= lo < hi <= 1")
 
 
 def _cumulative_kbps(trace: EpisodeTrace, duration: float) -> np.ndarray:
@@ -196,8 +203,7 @@ def fit_bounds(
     if len(traces) < need:
         raise BoundsFitError(f"need at least {need} traces, got {len(traces)}")
     lo_q, hi_q = coverage
-    if not 0.0 <= lo_q < hi_q <= 1.0:
-        raise ValueError("coverage quantiles must satisfy 0 <= lo < hi <= 1")
+    _check_coverage(lo_q, hi_q)
     xs = ENVELOPE_GRID
     resampled = []
     for trace in traces:
@@ -366,32 +372,17 @@ def controlled_policy(
 # ---------------------------------------------------------------------------
 
 def save_bounds(path: str | Path, model: BoundsModel) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "schema": BOUNDS_SCHEMA,
-        "target_bitrate_kbps": model.target_bitrate_kbps,
-        "quantiles": list(model.quantiles),
-        "lower": list(model.lower),
-        "upper": list(model.upper),
-    }
-    path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    write_rows(path, [model], BOUNDS_SCHEMA)
 
 
 def load_bounds(path: str | Path) -> BoundsModel:
-    """Read a ``bounds.v2`` file; one that ``fit_bounds`` could not have
+    """Read a ``bounds.v3`` file; one that ``fit_bounds`` could not have
     written raises ``SchemaError`` before anything steers by it."""
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema") != BOUNDS_SCHEMA:
-        raise SchemaError(f"{path}: expected schema {BOUNDS_SCHEMA!r}, found {doc.get('schema')!r}")
+    models = read_rows(path, BoundsModel, BOUNDS_SCHEMA)
+    if len(models) != 1:
+        raise SchemaError(f"{path}: expected one envelope, found {len(models)}")
     try:
-        model = BoundsModel(
-            lower=tuple(doc["lower"]),
-            upper=tuple(doc["upper"]),
-            target_bitrate_kbps=doc["target_bitrate_kbps"],
-            quantiles=tuple(doc["quantiles"]),
-        )
-        model.validate()
-    except (KeyError, TypeError, ValueError, BoundsFitError) as exc:
+        models[0].validate()
+    except (TypeError, ValueError, BoundsFitError) as exc:
         raise SchemaError(f"{path}: not a valid envelope: {exc!r}") from exc
-    return model
+    return models[0]

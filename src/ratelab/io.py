@@ -1,9 +1,10 @@
 """JSONL persistence and schema-version helpers shared by all pipeline artifacts.
 
 Every artifact row carries a ``schema`` tag, which only the writer sets;
-readers refuse a line that is not a JSON object or has another tag. Traces and
-teacher records share one codec for flat dataclasses, ``write_rows`` and
-``read_rows``, which also refuses a row whose keys are not the fields.
+readers refuse a line that is not UTF-8, is not a JSON object or has another
+tag. The corpus, traces, teacher records and the bounds file share one codec
+for flat dataclasses, ``write_rows`` and ``read_rows``, which also refuses a
+row whose keys are not the fields.
 """
 
 from __future__ import annotations
@@ -14,13 +15,16 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, Iterator, TypeVar
 
+import numpy as np
+
 __all__ = ["SchemaError", "write_jsonl", "read_jsonl", "write_rows", "read_rows", "config_digest"]
 
 T = TypeVar("T")
 
 
 class SchemaError(ValueError):
-    """Artifact line is not a JSON object, or its schema tag is not the expected one."""
+    """Artifact line is not UTF-8 text or not a JSON object, or its schema tag
+    or keys are not the expected ones."""
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict], schema: str) -> int:
@@ -51,8 +55,12 @@ def write_jsonl(path: str | Path, records: Iterable[dict], schema: str) -> int:
 def read_jsonl(path: str | Path, schema: str) -> Iterator[dict]:
     """Yield rows of a JSON Lines file, enforcing the expected schema tag."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise SchemaError(f"{path}:{lineno}: not UTF-8 text: {raw[:40]!r}") from None
             if not line.strip():
                 continue
             try:
@@ -69,10 +77,13 @@ def read_jsonl(path: str | Path, schema: str) -> Iterator[dict]:
 
 def write_rows(path: str | Path, items: Iterable, schema: str) -> int:
     """Write flat dataclasses as ``schema`` rows, one per item: the fields in
-    declaration order, tuples as JSON arrays. Returns the number of rows."""
-    return write_jsonl(
-        path, ({f.name: getattr(item, f.name) for f in fields(item)} for item in items), schema
-    )
+    declaration order, tuples and arrays as JSON arrays. Returns the number of rows."""
+    return write_jsonl(path, (_row(item) for item in items), schema)
+
+
+def _row(item) -> dict:
+    values = ((f.name, getattr(item, f.name)) for f in fields(item))
+    return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values}
 
 
 def read_rows(path: str | Path, cls: type[T], schema: str) -> list[T]:

@@ -248,6 +248,8 @@ def write_suite_csv(report: SuiteReport, path: str | Path) -> None:
 
 
 def read_suite_csv(path: str | Path) -> list[SuiteRow]:
+    """Read ``write_suite_csv``'s rows; a missing column, or a row with a
+    missing cell or a number that does not parse, raises ``SchemaError``."""
     from .io import SchemaError
 
     with Path(path).open() as fh:
@@ -255,7 +257,10 @@ def read_suite_csv(path: str | Path) -> list[SuiteRow]:
         missing = set(SUITE_CSV_COLUMNS) - set(reader.fieldnames or ())
         if missing:
             raise SchemaError(f"{path}: missing columns {sorted(missing)}")
-        return [
-            SuiteRow(row["video_id"], *(float(row[c]) for c in SUITE_CSV_COLUMNS[1:]))
-            for row in reader
-        ]
+        try:
+            return [
+                SuiteRow(row["video_id"], *(float(row[c]) for c in SUITE_CSV_COLUMNS[1:]))
+                for row in reader
+            ]
+        except (TypeError, ValueError) as exc:  # a missing cell reads as None
+            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc

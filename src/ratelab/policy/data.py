@@ -35,7 +35,7 @@ class EpisodeData:
     bundles: np.ndarray             # (T, bundle_dim)
     label_qps: np.ndarray           # (T,) int
     label_bits_kbit: np.ndarray     # (T,) kilobits
-    budget_kbit: float              # target bitrate * duration, kilobits
+    budget_kbit: float              # SyntheticVideo.budget_bits, in kilobits
 
 
 def _replay(
@@ -110,7 +110,7 @@ def episodes_from_records(
                 bundles=np.hstack([episode_features(spec, video, gop, target), history]),
                 label_qps=qps,
                 label_bits_kbit=bits / 1000.0,
-                budget_kbit=target * video.duration,
+                budget_kbit=video.budget_bits(target) / 1000.0,
             )
         )
     return episodes

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -281,20 +282,28 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[PolicyParams, FeatureSpec, TrainConfig]:
+    """Read a ``policy.v3`` checkpoint. Any other file, or one whose metadata
+    or arrays ``save_checkpoint`` could not have written, raises ``SchemaError``."""
     from ..io import SchemaError
 
-    with np.load(Path(path), allow_pickle=False) as bundle:
-        meta = json.loads(bytes(bundle["__meta__"]).decode())
-        if meta.get("schema") != CHECKPOINT_SCHEMA:
-            raise SchemaError(
-                f"{path}: expected schema {CHECKPOINT_SCHEMA!r}, found {meta.get('schema')!r}"
+    try:
+        with np.load(Path(path), allow_pickle=False) as bundle:
+            meta = json.loads(bytes(bundle["__meta__"]).decode())
+            tag = meta.get("schema") if isinstance(meta, dict) else None
+            if tag != CHECKPOINT_SCHEMA:
+                raise SchemaError(f"{path}: expected schema {CHECKPOINT_SCHEMA!r}, found {tag!r}")
+            config = TrainConfig(**meta["train_config"])
+            spec = FeatureSpec.from_arrays(
+                {k[len("spec/"):]: bundle[k] for k in bundle.files if k.startswith("spec/")}
             )
-        config = TrainConfig(**meta["train_config"])
-        spec = FeatureSpec.from_arrays(
-            {k[len("spec/"):]: bundle[k] for k in bundle.files if k.startswith("spec/")}
-        )
-        params = PolicyParams(arch_from_preset(config.preset, spec.bundle_dim))
-        params.load_state_arrays(
-            {k[len("param/"):]: bundle[k] for k in bundle.files if k.startswith("param/")}
-        )
+            params = PolicyParams(arch_from_preset(config.preset, spec.bundle_dim))
+            params.load_state_arrays(
+                {k[len("param/"):]: bundle[k] for k in bundle.files if k.startswith("param/")}
+            )
+    except SchemaError:
+        raise
+    # numpy reads a file that is neither npy nor npz as pickled data, which
+    # it refuses with ValueError.
+    except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise SchemaError(f"{path}: not a {CHECKPOINT_SCHEMA} checkpoint: {exc!r}") from exc
     return params, spec, config

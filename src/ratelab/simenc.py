@@ -88,7 +88,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .io import read_jsonl, read_rows, write_jsonl, write_rows
+from .io import read_rows, write_rows
 
 __all__ = [
     "FIRST_PASS_FEATURES",
@@ -204,10 +204,12 @@ class SyntheticVideo:
     """One video: its metadata and its latents, a read-only (T,) structured
     array ``frames`` of ``LATENT_DTYPE``.
 
+    ``frames`` may also be given as rows of latents in ``LATENT_FIELDS``
+    order, as a corpus file holds them; they become the array once.
     Everything else is derived from them and cached: the (T, 25) first-pass
     matrix that policies read, and the encoder's per-frame constants. Arrays
-    have no value equality, so neither has the video: compare videos by
-    ``video_to_record``.
+    have no value equality, so neither has the video: compare videos by the
+    bytes ``save_corpus`` writes.
     """
 
     video_id: str
@@ -225,6 +227,9 @@ class SyntheticVideo:
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
         frames = self.frames
+        if not isinstance(frames, np.ndarray):
+            frames = np.array([tuple(row) for row in frames], dtype=LATENT_DTYPE)
+            object.__setattr__(self, "frames", frames)
         if frames.dtype != LATENT_DTYPE or frames.ndim != 1:
             raise ConfigError("frames must be a (T,) array of LATENT_DTYPE")
         if len(frames) < 2:
@@ -981,34 +986,12 @@ def replay_qp_sequence(
 # Persistence
 # ---------------------------------------------------------------------------
 
-def video_to_record(video: SyntheticVideo) -> dict:
-    return {
-        "video_id": video.video_id,
-        "seed": video.seed,
-        "width": video.width,
-        "height": video.height,
-        "frame_rate": video.frame_rate,
-        "frames": video.frames.tolist(),
-    }
-
-
-def video_from_record(rec: dict) -> SyntheticVideo:
-    return SyntheticVideo(
-        video_id=rec["video_id"],
-        seed=rec["seed"],
-        width=rec["width"],
-        height=rec["height"],
-        frame_rate=rec["frame_rate"],
-        frames=np.array([tuple(row) for row in rec["frames"]], dtype=LATENT_DTYPE),
-    )
-
-
 def save_corpus(path, videos: Iterable[SyntheticVideo]) -> int:
-    return write_jsonl(path, (video_to_record(v) for v in videos), CORPUS_SCHEMA)
+    return write_rows(path, videos, CORPUS_SCHEMA)
 
 
 def load_corpus(path) -> list[SyntheticVideo]:
-    return [video_from_record(rec) for rec in read_jsonl(path, CORPUS_SCHEMA)]
+    return read_rows(path, SyntheticVideo, CORPUS_SCHEMA)
 
 
 def save_traces(path, traces: Iterable[EpisodeTrace]) -> int:

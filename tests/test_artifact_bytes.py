@@ -34,6 +34,12 @@ count (``trace.v2``) and teacher records their provenance (``teacher.v2``),
 the heuristic-trace, teacher and policy-trace pins were retaken. Each new
 file is the old one with those keys removed and the tag changed, byte for
 byte, so no other pin moved.
+When the bounds file became one row of the shared row codec (``bounds.v3``),
+the bounds pin was retaken: the new file holds the same values under the
+same keys, in field order on one line. When training's episode budget
+became ``SyntheticVideo.budget_bits`` in kilobits, the budget floats moved
+in their last digits, so the training-log and checkpoint pins were retaken;
+the policy-trace and control-event pins did not move.
 Change a digest only with a change that means to change the bytes.
 """
 
@@ -54,10 +60,10 @@ LONG_CORPUS_SHA256 = "0db79cae11deada680736f6a7548a224e437b98a501a98c9e13734fda3
 CORPUS_SHA256 = "d32b99928e61247ac62e08fcd5a8e1903055542be97854b17fcfcf27328cbfbf"
 BASELINE_TRACES_SHA256 = "e8f472c1e875e854ac886b98ceeec1ce93eba016d43a4c1c41627a8fb4bc0d20"
 TEACHER_SHA256 = "e2ab61e53d4c8d87e94b8ab1856c2ab98bd8bd5f1ad660bb0e751cc34b678bc5"
-TRAIN_LOG_SHA256 = "8f932a69c0a6f3a8f763e3b6e75f07c57246108c41da66309deaf62b52c6e31a"
-CHECKPOINT_SHA256 = "f46a25791c46304e829093c24999220d70893a67fb2adfbf7520b244a7a354bc"
+TRAIN_LOG_SHA256 = "5cb83a10be18df70563f53a858b4fd9f630e73468fe7fc6cb92d463f87cc0357"
+CHECKPOINT_SHA256 = "540400f1296f65387d96d76ea07de0dc46bff61c790971edfe6cdcb98cb16050"
 POLICY_TRACES_SHA256 = "3c1cac44c80dfbbdd889cae55cb4c416e1ad2a91f0033ebe651da94eae1fd839"
-BOUNDS_SHA256 = "976de838bcaec3914207845d8ae6a1b8858ec0c8b6eb8eb4b8c42cd32135aed4"
+BOUNDS_SHA256 = "8682d9148c383981b4e4b988f89c37cd6aa70fdf526c6268fdb8c96a3a6c13fe"
 CONTROL_EVENTS_SHA256 = "23af71eb66132d440f3beb30531aa24508c1b1bb9e012095b463b4de03e14187"
 
 

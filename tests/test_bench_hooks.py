@@ -77,3 +77,19 @@ def test_traced_fit_bounds_runs_and_starts_no_fit(tracing, envelope_traces):
     assert [(span.name, span.error) for span in tracer.spans] == [("inference.fit_bounds", None)]
     assert tracer.counts["inference.fit.starts"] == 0
     assert tracer.counts["inference.fit.nfev"] == 0
+
+
+def test_traced_bounds_io_runs_under_the_io_wrappers(tracing, tmp_path, envelope_traces):
+    """The bounds file goes through the row codec, so the tracer's
+    ``io.write_jsonl`` and ``io.read_jsonl`` spans, and its ungated ``io.*``
+    metrics, count ``save_bounds`` and ``load_bounds`` as they count the
+    corpus, traces and teacher records."""
+    model = inference.fit_bounds(envelope_traces, 512.0)
+    path = tmp_path / "bounds.json"
+    with tracing.installed(tracing.Tracer()) as tracer:
+        inference.save_bounds(path, model)
+        assert inference.load_bounds(path) == model
+    assert [(span.name, span.error) for span in tracer.spans] == [
+        ("io.write_jsonl", None), ("io.read_jsonl", None)
+    ]
+    assert tracer.counts["io.write.bytes"] == path.stat().st_size

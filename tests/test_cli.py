@@ -526,17 +526,19 @@ HALF_LINE = [512.0 * k / 49 for k in range(50)]
 @pytest.mark.parametrize(
     "schema, lower, upper, message",
     [
-        ("bounds.v1", {**CURVE, "a4": 480.0}, {**CURVE, "a4": 540.0}, "expected schema 'bounds.v2'"),
-        ("bounds.v2", HALF_LINE, [x + 1.0 for x in HALF_LINE], "must hold 101 points"),
+        ("bounds.v1", {**CURVE, "a4": 480.0}, {**CURVE, "a4": 540.0}, "expected schema 'bounds.v3'"),
+        ("bounds.v2", HALF_LINE, [x + 1.0 for x in HALF_LINE], "found 'bounds.v2'"),
+        ("bounds.v3", HALF_LINE, [x + 1.0 for x in HALF_LINE], "must hold 101 points"),
     ],
-    ids=["v1-curves", "v2-50-points"],
+    ids=["v1-curves", "v2-50-points", "v3-50-points"],
 )
 def test_evaluate_refuses_unreadable_bounds_before_any_encode(
     tmp_path, capsys, corpus_dir, monkeypatch, schema, lower, upper, message
 ):
     """A ``bounds.v1`` file holds log-curve coefficients, which nothing reads
-    any more, and a ``bounds.v2`` file must hold the whole grid: ``evaluate``
-    exits 4 on either before it encodes a frame."""
+    any more, a ``bounds.v2`` file is an indented document where ``bounds.v3``
+    is one row, and a ``bounds.v3`` row must hold the whole grid: ``evaluate``
+    exits 4 on each before it encodes a frame."""
     videos = simenc.load_corpus(corpus_dir / "corpus.jsonl")
     checkpoint = tmp_path / "checkpoint.npz"
     params, spec = tiny_policy(videos)
@@ -591,6 +593,29 @@ def test_build_dataset_refuses_a_v1_corpus_before_any_encode(
     assert not (tmp_path / "out" / "teacher.jsonl").exists()
 
 
+@pytest.fixture(scope="module")
+def malformed(tmp_path_factory, corpus_dir):
+    """A directory of malformed inputs, one of each kind a stage reads, and
+    a valid checkpoint to go with the bounds file."""
+    out = tmp_path_factory.mktemp("malformed")
+    rows = [json.loads(line) for line in (corpus_dir / "corpus.jsonl").read_text().splitlines()]
+    no_seed = [{k: v for k, v in row.items() if k != "seed"} for row in rows]
+    extra_key = [{**row, "fps": 30.0} for row in rows]
+    for name, edited in (("no-seed", no_seed), ("extra-key", extra_key)):
+        (out / f"{name}.jsonl").write_text("".join(json.dumps(row) + "\n" for row in edited))
+    (out / "bytes.jsonl").write_bytes(b"\xff\xfe\n")
+    videos = simenc.load_corpus(corpus_dir / "corpus.jsonl")
+    traces = [baseline.run_baseline(v, simenc.plan_gop(v), 512.0) for v in videos]
+    inference.save_bounds(out / "bounds.json", inference.fit_bounds(traces, 512.0, min_traces=3))
+    text = (out / "bounds.json").read_text()
+    (out / "truncated.json").write_text(text[: len(text) // 2])
+    save_checkpoint(out / "checkpoint.npz", *tiny_policy(videos), TrainConfig())
+    (out / "text.npz").write_text("not a checkpoint\n")
+    cells = ["v0", "512.0", "five hundred", "40.0", "0.0", "0.0", "0.0"]
+    (out / "eval.csv").write_text(",".join(metrics.SUITE_CSV_COLUMNS) + "\n" + ",".join(cells) + "\n")
+    return out
+
+
 @pytest.mark.parametrize(
     "argv, code, message",
     [
@@ -600,18 +625,39 @@ def test_build_dataset_refuses_a_v1_corpus_before_any_encode(
         ("evaluate --corpus {v1}", 4, "found 'simenc.v1'"),
         ("report --inputs {tmp}/missing.csv", 3, "missing.csv"),
         ("train --corpus {tmp}/list.jsonl --dataset {dataset}", 4, "list.jsonl:1: not a JSON object"),
+        ("fit-bounds --corpus {bad}/no-seed.jsonl", 4, "missing keys ['seed'], extra keys []"),
+        ("build-dataset --corpus {bad}/extra-key.jsonl", 4, "missing keys [], extra keys ['fps']"),
+        ("fit-bounds --corpus {bad}/bytes.jsonl", 4, "bytes.jsonl:1: not UTF-8 text"),
+        (
+            "evaluate --corpus {corpus} --checkpoint {bad}/checkpoint.npz "
+            "--bounds {bad}/truncated.json",
+            4,
+            "truncated.json:1: not a JSON object",
+        ),
+        ("evaluate --corpus {corpus} --checkpoint {bad}/text.npz", 4, "not a policy.v3 checkpoint"),
+        ("report --inputs {bad}/eval.csv", 4, "eval.csv:2: could not convert string to float"),
     ],
-    ids=["build-dataset", "train", "fit-bounds", "evaluate", "report", "train-not-an-object"],
+    ids=[
+        "build-dataset", "train", "fit-bounds", "evaluate", "report", "train-not-an-object",
+        "corpus-missing-key", "corpus-extra-key", "corpus-not-utf-8", "bounds-truncated",
+        "checkpoint-not-npz", "eval-csv-not-a-number",
+    ],
 )
 def test_a_refused_input_leaves_no_output_directory(
-    tmp_path, capsys, v1_corpus, dataset_file, argv, code, message
+    tmp_path, capsys, corpus_dir, v1_corpus, dataset_file, malformed, argv, code, message
 ):
-    """Each stage reads and checks its inputs before it creates ``--out``:
-    a corpus of another schema or with a line that is not a JSON object
-    exits 4, a missing input 3, and none leaves an output directory behind."""
+    """Each stage reads and checks its inputs before it creates ``--out``: a
+    corpus of another schema, with a line that is not a JSON object, with a
+    row whose keys are not a video's or with bytes that are not UTF-8, a
+    truncated bounds file, a checkpoint that is not an npz file and an
+    ``eval.csv`` cell that is not a number exit 4, a missing input 3, and
+    none leaves an output directory behind."""
     (tmp_path / "list.jsonl").write_text("[1, 2]\n")
     out = tmp_path / "out"
-    args = argv.format(v1=v1_corpus, dataset=dataset_file, tmp=tmp_path).split()
+    args = argv.format(
+        v1=v1_corpus, dataset=dataset_file, tmp=tmp_path, bad=malformed,
+        corpus=corpus_dir / "corpus.jsonl",
+    ).split()
     assert run([*args, "--out", str(out)]) == code
     assert message in capsys.readouterr().err
     assert not out.exists()

@@ -134,6 +134,12 @@ def test_fit_bounds_needs_a_trace_whatever_min_traces_allows(min_traces):
         fit_bounds([], 512.0, min_traces=min_traces)
 
 
+@pytest.mark.parametrize("coverage", [(0.975, 0.025), (-0.1, 0.9), (0.1, math.nan)])
+def test_fit_bounds_refuses_coverage_that_validate_refuses(envelope_traces, coverage):
+    with pytest.raises(ValueError, match="coverage quantiles must satisfy"):
+        fit_bounds(envelope_traces, 512.0, coverage=coverage)
+
+
 def test_fit_bounds_rejects_mixed_targets(envelope_traces):
     with pytest.raises(ValueError):
         fit_bounds(envelope_traces, 480.0)
@@ -190,8 +196,9 @@ def test_bounds_schema_guard(tmp_path):
         {"lower": {"a1": 0.0, "a2": 1.0, "a3": 1.0, "a4": 480.0, "a5": 0.0}},
         {"target_bitrate_kbps": "512"},
         {"quantiles": None},
+        {"quantiles": [0.975, 0.025]},
     ],
-    ids=["two-points", "nan", "curve", "text-target", "no-quantiles"],
+    ids=["two-points", "nan", "curve", "text-target", "no-quantiles", "reversed-quantiles"],
 )
 def test_load_bounds_refuses_what_fit_bounds_cannot_write(tmp_path, envelope_traces, edit):
     from ratelab.io import SchemaError
@@ -202,6 +209,33 @@ def test_load_bounds_refuses_what_fit_bounds_cannot_write(tmp_path, envelope_tra
     doc.update(edit)
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError):
+        load_bounds(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "expected one envelope, found 0"),
+        ("{row}{row}", "expected one envelope, found 2"),
+        ("[1, 2]\n", r"bounds.json:1: not a JSON object: '\[1, 2\]'"),
+        ("{indented}", r"bounds.json:1: not a JSON object: '\{'"),
+    ],
+    ids=["empty", "two-envelopes", "a-list", "indented-v2"],
+)
+def test_load_bounds_refuses_a_file_that_is_not_one_envelope_row(
+    tmp_path, envelope_traces, text, message
+):
+    """A bounds file is one ``bounds.v3`` row. An empty file, two rows, a
+    JSON value that is not an object and a ``bounds.v2`` file, an indented
+    document, raise ``SchemaError``."""
+    from ratelab.io import SchemaError
+
+    path = tmp_path / "bounds.json"
+    save_bounds(path, fit_bounds(envelope_traces, 512.0))
+    row = path.read_text()
+    indented = json.dumps({**json.loads(row), "schema": "bounds.v2"}, indent=2)
+    path.write_text(text.format(row=row, indented=indented))
+    with pytest.raises(SchemaError, match=message):
         load_bounds(path)
 
 

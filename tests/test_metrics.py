@@ -191,3 +191,23 @@ def test_suite_csv_missing_column(tmp_path):
     path.write_text("video_id,target_kbps\nv0,512\n")
     with pytest.raises(SchemaError):
         metrics.read_suite_csv(path)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("v0,512.0,489.0,35.0,abc,0.0,0.0", r"bad.csv:3: could not convert string to float: 'abc'"),
+        ("v0,512.0,489.0", r"bad.csv:3: float\(\) argument must be"),
+    ],
+    ids=["not-a-number", "missing-cells"],
+)
+def test_suite_csv_malformed_row(tmp_path, row, message):
+    """A cell that is not a number, or a row short of cells, raises
+    ``SchemaError`` naming the file and line."""
+    from ratelab.io import SchemaError
+
+    path = tmp_path / "bad.csv"
+    header = ",".join(metrics.SUITE_CSV_COLUMNS)
+    path.write_text(f"{header}\nv1,512.0,489.0,35.0,0.0,0.0,0.0\n{row}\n")
+    with pytest.raises(SchemaError, match=message):
+        metrics.read_suite_csv(path)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -165,6 +166,36 @@ def test_checkpoint_schema_guard(tmp_path, corpus, spec):
         assert not (tmp_path / schema / "policy_traces.jsonl").exists()
 
 
+def _meta(text: str) -> dict:
+    return {"__meta__": np.frombuffer(text.encode(), dtype=np.uint8)}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (None, "pickled"),
+        (lambda arrays: arrays.pop("__meta__"), "KeyError"),
+        (lambda arrays: arrays.update(_meta("{not json")), "JSONDecodeError"),
+        (lambda arrays: arrays.update(_meta('{"schema": "policy.v3"}')), "KeyError('train_config')"),
+    ],
+    ids=["text-file", "no-meta", "meta-not-json", "no-train-config"],
+)
+def test_a_file_that_is_not_a_checkpoint_is_refused(tmp_path, spec, edit, message):
+    """A text file, an npz without ``__meta__``, metadata that is not JSON
+    and metadata without ``train_config`` all raise ``SchemaError``."""
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, PolicyParams(arch_from_preset("tiny", spec.bundle_dim)), spec, TrainConfig())
+    if edit is None:
+        path.write_text("not a checkpoint\n")
+    else:
+        with np.load(path) as bundle:
+            arrays = {k: bundle[k] for k in bundle.files}
+        edit(arrays)
+        np.savez(path, **arrays)
+    with pytest.raises(SchemaError, match=f"not a policy.v3 checkpoint: .*{re.escape(message)}"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_refuses_stray_array_and_setting(tmp_path, spec):
     config = TrainConfig(epochs=1, batch_size=4, seed=7, preset="tiny")
     params = PolicyParams(arch_from_preset("tiny", spec.bundle_dim), seed=4)
@@ -179,10 +210,10 @@ def test_checkpoint_refuses_stray_array_and_setting(tmp_path, spec):
         meta["train_config"]["lr_decay"] = 1.0
 
     _rewrite_checkpoint(path, tmp_path / "array.npz", add_key_bias)
-    with pytest.raises(ValueError, match="attn_bk"):
+    with pytest.raises(SchemaError, match="attn_bk"):
         load_checkpoint(tmp_path / "array.npz")
     _rewrite_checkpoint(path, tmp_path / "setting.npz", add_setting)
-    with pytest.raises(TypeError, match="lr_decay"):
+    with pytest.raises(SchemaError, match="lr_decay"):
         load_checkpoint(tmp_path / "setting.npz")
 
 
